@@ -2,8 +2,10 @@
 
 The matrix has 2 on the diagonal and the edge sign (-1 solid, +1 dotted) off
 it.  For Dynkin diagrams this is the classical Cartan matrix.  The inverse
-and determinant are computed eagerly: every downstream operation needs them
-and the matrices are tiny.
+and determinant are computed eagerly over ``Fraction``; the linkage search
+works from the integer matrix alone (see ``linkage.enumerate_linkages``).
+Construction checks that the form is positive definite, so every leading
+minor of B is positive.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagram as dg
-from .linalg import RMatrix, common_denominator, is_positive_definite, mat_det, mat_inverse
+from .linalg import RMatrix, is_positive_definite, mat_det, mat_inverse
 
 
 class CartanError(ValueError):
@@ -34,15 +36,6 @@ class PartialCartan:
     def b_int(self) -> tuple[tuple[int, ...], ...]:
         """B as plain integers (entries are always 2, 0, +-1)."""
         return self.diagram.gram()
-
-    def b_inv_scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, N) with B^-1 = N / den and N integral."""
-        den = common_denominator(self.B_inv)
-        n = self.B_inv.rows
-        scaled = tuple(
-            tuple(int(self.B_inv[i, j] * den) for j in range(n)) for i in range(n)
-        )
-        return den, scaled
 
 
 def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:

@@ -151,12 +151,6 @@ class CarterDiagram:
                 out.append((a, s))
         return out
 
-    def alpha_vertices(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.vertices if v.color == ALPHA)
-
-    def beta_vertices(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.vertices if v.color == BETA)
-
     def is_dynkin(self) -> bool:
         return all(s == SOLID for _, _, s in self.edges)
 

@@ -1,7 +1,8 @@
 """Exact rational vectors and dense matrices.
 
-Everything in this package computes through these helpers.  All arithmetic is
-``fractions.Fraction`` based; there is no floating point anywhere.  Matrices
+Everything in this package except the integer linkage search computes
+through these helpers.  All arithmetic is ``fractions.Fraction`` based; there
+is no floating point anywhere.  Matrices
 are tiny (rank <= 13), so clarity wins over asymptotics: plain Gauss-Jordan
 with exact pivoting is used for determinants and inverses.
 """
@@ -64,11 +65,6 @@ class RVector:
     def __repr__(self) -> str:
         return f"RVector({', '.join(str(x) for x in self.entries)})"
 
-    def dot(self, other: "RVector") -> Fraction:
-        if len(self) != len(other):
-            raise LinalgError(f"dot: length {len(self)} vs {len(other)}")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
-
 
 class RMatrix:
     """Immutable dense matrix of exact rationals, row-major."""
@@ -116,12 +112,6 @@ class RMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise LinalgError(f"index ({i},{j}) out of range")
         return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> RVector:
-        return RVector(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def col(self, j: int) -> RVector:
-        return RVector(self.entries[j :: self.cols][: self.rows])
 
     def to_lists(self) -> list:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]

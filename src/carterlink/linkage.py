@@ -2,20 +2,22 @@
 
 A vector v over {-1,0,1}, indexed by the diagram vertices, is a linkage
 label vector exactly when the quadratic form of B^-1 takes a value < 2 on
-it.  The scan over the whole grid runs on exact integers through the
-kernels module; results are returned in lexicographic order (-1 < 0 < 1)
-so every downstream structure is deterministic.
+it.  The vectors are found by a depth-first search over the coordinates in
+vertex order (Fincke and Pohst, Math. Comp. 44 (1985) 463-471): the least
+value of the form over real completions of a prefix v_0..v_k is the form of
+the inverse of the leading (k+1)x(k+1) block of B (a Schur complement), and
+that bound only grows with k, so a prefix is dropped as soon as it reaches
+2.  All arithmetic is on plain integers.  Results come out in lexicographic
+order (-1 < 0 < 1), so every downstream structure is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from . import _kernels
 from . import diagram as dg
 from .cartan import PartialCartan
 from .linalg import quad_form
@@ -43,15 +45,53 @@ class BetaUnicolored:
     center_label_always_zero: Optional[bool]
 
 
+def _prefix_form(b: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Integer data for the prefix bound of the form of B^-1, B positive definite.
+
+    Returns (rows, weights, den).  With z_k = sum(rows[k][j] * v[j], j <= k),
+    the form of the inverse of the leading (k+1)x(k+1) block of B at
+    v_0..v_k equals sum(weights[i] * z_i**2, i <= k) / den; at k = l-1 that
+    is the form of B^-1 at v.  rows[k] is row k of the right half of a
+    fraction-free (Bareiss) elimination of [B | I], whose pivots are the
+    leading minors delta_k, and weights[k] = den / (delta_{k-1} delta_k).
+    """
+    l = len(b)
+    m = [list(row) + [int(i == j) for j in range(l)] for i, row in enumerate(b)]
+    prev = 1
+    for k in range(l):
+        for i in range(k + 1, l):
+            m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    minors = [1] + [m[k][k] for k in range(l)]
+    products = [minors[k] * minors[k + 1] for k in range(l)]
+    den = lcm(*products)
+    return [m[k][l:l + k + 1] for k in range(l)], [den // p for p in products], den
+
+
 def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
     """All nonzero v in {-1,0,1}^l with quad_form(B^-1, v) < 2, sorted."""
     l = len(pc)
-    den, scaled = pc.b_inv_scaled()
-    n_mat = np.array(scaled, dtype=np.int64)
-    mask = _kernels.linkage_mask(n_mat, 2 * den, l)
-    grid = _kernels.ternary_grid(l)
-    hits = grid[mask & grid.any(axis=1)]
-    return tuple(tuple(int(x) for x in row) for row in hits)
+    rows, weights, den = _prefix_form(pc.b_int())
+    bound = 2 * den
+    v = [0] * l
+    out: list[Linkage] = []
+
+    def visit(k: int, acc: int) -> None:
+        if k == l:
+            if any(v):
+                out.append(tuple(v))
+            return
+        row = rows[k]
+        base = sum(row[j] * v[j] for j in range(k))
+        for x in (-1, 0, 1):
+            z = base + row[k] * x
+            s = acc + weights[k] * z * z
+            if s < bound:
+                v[k] = x
+                visit(k + 1, s)
+
+    visit(0, 0)
+    return tuple(out)
 
 
 def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:

@@ -161,15 +161,6 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     d = pc.diagram
     nodes = enumerate_linkages(pc)
     index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     edges = set()
     for v in nodes:
         for t in d.vertices:
@@ -182,14 +173,8 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
                     f"{d.name}: reflection at {t} leaves the linkage set: {v} -> {w}")
             i = index[v]
             edges.add((min(i, j), max(i, j), t.id))
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
 
-    comp_map: dict[int, list[int]] = {}
-    for i in range(n):
-        comp_map.setdefault(find(i), []).append(i)
-    components = tuple(sorted((tuple(sorted(c)) for c in comp_map.values())))
+    components = _components(len(nodes), edges)
     component_p = []
     for comp in components:
         values = {form_value(pc, nodes[i]) for i in comp}
@@ -237,6 +222,26 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
         loctets=loctets,
         unicolored=unicolored,
     )
+
+
+def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph on 0..n-1, each sorted, in sorted order."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j, _ in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    comp_map: dict[int, list[int]] = {}
+    for i in range(n):
+        comp_map.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(c) for c in comp_map.values()))
 
 
 def _generated_loctets(pc: PartialCartan, nodes: tuple[Linkage, ...]) -> tuple[Loctet, ...]:
@@ -394,7 +399,16 @@ _SYSTEM_KEYS = {"diagram", "nodes", "edges", "components", "component_p",
 
 
 def from_json(text: str) -> LinkageSystem:
-    """Parse a serialized system back; validates keys and node indices."""
+    """Parse a serialized system back and check it against the diagram.
+
+    Checks the keys; that every node index (edges, components, loctets,
+    unicolored) lies in range; that the nodes are exactly the enumerated
+    linkage vectors of the diagram; that the components are the connected
+    components of the edges; and that each component_p is the form value of
+    the component.  The edges themselves are not compared with the dual
+    reflections, since that would mean rebuilding the system.  Malformed
+    documents raise DiagramError, disagreements VerificationError.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise dg.DiagramError("system JSON must be an object")
@@ -407,16 +421,42 @@ def from_json(text: str) -> LinkageSystem:
     d = dg.from_json(json.dumps(doc["diagram"]))
     pc = build_partial_cartan(d)
     nodes = tuple(tuple(int(x) for x in v) for v in doc["nodes"])
+    expected = enumerate_linkages(pc)
+    if nodes != expected:
+        stray = sorted(set(nodes) ^ set(expected))
+        raise VerificationError(
+            f"system JSON of {d.name}: nodes are not its sorted linkage vectors"
+            + (f"; first difference {stray[0]}" if stray else ""))
+
+    def node(i, where: str) -> int:
+        if type(i) is not int or not 0 <= i < len(nodes):
+            raise dg.DiagramError(f"system JSON: {where} index {i!r} is not a node index")
+        return i
+
+    edges = tuple((node(i, "edge"), node(j, "edge"), str(g)) for i, j, g in doc["edges"])
+    components = tuple(tuple(node(i, "component") for i in c) for c in doc["components"])
+    if components != _components(len(nodes), edges):
+        raise VerificationError(
+            f"system JSON of {d.name}: components are not those of the edges")
+    component_p = tuple(Fraction(p) for p in doc["component_p"])
+    if len(component_p) != len(components):
+        raise VerificationError(
+            f"system JSON of {d.name}: {len(component_p)} p values for "
+            f"{len(components)} components")
+    for comp, p in zip(components, component_p):
+        if form_value(pc, nodes[comp[0]]) != p:
+            raise VerificationError(
+                f"system JSON of {d.name}: p = {p} on the component of {nodes[comp[0]]}")
     loctets = tuple(
-        Loctet(str(item["kind"]), tuple(nodes[i] for i in item["members"]))
+        Loctet(str(item["kind"]), tuple(nodes[node(i, "loctet")] for i in item["members"]))
         for item in doc["loctets"]
     )
     return LinkageSystem(
         pc=pc,
         nodes=nodes,
-        edges=tuple((int(i), int(j), str(g)) for i, j, g in doc["edges"]),
-        components=tuple(tuple(int(i) for i in c) for c in doc["components"]),
-        component_p=tuple(Fraction(p) for p in doc["component_p"]),
+        edges=edges,
+        components=components,
+        component_p=component_p,
         loctets=loctets,
-        unicolored=tuple(nodes[i] for i in doc["unicolored"]),
+        unicolored=tuple(nodes[node(i, "unicolored")] for i in doc["unicolored"]),
     )

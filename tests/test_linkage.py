@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import carterlink as cl
-from carterlink import _kernels
-from carterlink.linkage import beta_unicolored, enumerate_linkages, form_value, group_by_p
+from carterlink.diagram import catalog_names
+from carterlink.linalg import RMatrix, mat_inverse, quad_form
+from carterlink.linkage import _prefix_form, beta_unicolored, enumerate_linkages, form_value, \
+    group_by_p
 
 from helpers import CATALOG, links_of, pc_of
 
@@ -117,20 +119,29 @@ def test_c4_pattern_alpha_has_a_zero(name):
         assert any(v[i] == 0 for i in pat)
 
 
-def test_kernel_backends_agree():
-    pc = pc_of("D7(a1)")
-    den, scaled = pc.b_inv_scaled()
-    n_mat = np.array(scaled, dtype=np.int64)
-    numpy_mask = _kernels._mask_numpy(_kernels.ternary_grid(7), n_mat, 2 * den)
-    if _kernels._numba_mask() is None:
-        pytest.skip("numba not importable")
-    numba_mask = _kernels._numba_mask()(_kernels.ternary_grid(7), n_mat, 2 * den)
-    assert (numpy_mask == numba_mask).all()
+def brute_force_linkages(pc):
+    """The defining set, scanned over the whole grid with exact Fractions."""
+    return tuple(
+        v for v in itertools.product((-1, 0, 1), repeat=len(pc))
+        if any(v) and form_value(pc, v) < 2
+    )
 
 
-def test_kernel_env_selection(monkeypatch):
-    monkeypatch.setenv("CARTERLINK_KERNEL", "numpy")
-    assert _kernels.backend() == "numpy"
-    links_numpy = enumerate_linkages(pc_of("D6(a2)"))
-    monkeypatch.delenv("CARTERLINK_KERNEL")
-    assert enumerate_linkages(pc_of("D6(a2)")) == links_numpy
+@pytest.mark.parametrize("name", catalog_names() + ["D8(a1)", "A8"])
+def test_enumeration_matches_brute_force(name):
+    pc = pc_of(name)
+    assert enumerate_linkages(pc) == brute_force_linkages(pc)
+
+
+@pytest.mark.parametrize("name", ["D4(a1)", "E6(a2)", "E7(a4)", "A5"])
+def test_prefix_form_is_the_leading_block_inverse_form(name):
+    # The search prunes on this value, the least of the form of B^-1 over
+    # real completions of the prefix; at full length it is the form itself.
+    b = pc_of(name).b_int()
+    rows, weights, den = _prefix_form(b)
+    for k in range(1, len(b) + 1):
+        lead_inv = mat_inverse(RMatrix.from_rows([r[:k] for r in b[:k]]))
+        for v in itertools.product((-1, 0, 1), repeat=k):
+            z = [sum(r * x for r, x in zip(row, v)) for row in rows[:k]]
+            scaled = sum(w * zk * zk for w, zk in zip(weights, z))
+            assert Fraction(scaled, den) == quad_form(lead_inv, v)

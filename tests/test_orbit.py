@@ -107,6 +107,16 @@ def test_system_d10a3_wind_rose():
     assert len(s.loctets) == 1
 
 
+@pytest.mark.parametrize("l", [16, 20])
+def test_wind_rose_beyond_the_catalog_bound(l):
+    d = cl.carter_D_ak(12, 3)
+    while len(d) < l:
+        d = cl.extend(d, d.vertices[-1])
+    s = cl.build_system(cl.build_partial_cartan(d))
+    assert len(s.nodes) == 2 * l
+    assert len(s.components) == 1 and s.component_p == (Fraction(1),)
+
+
 @pytest.mark.parametrize("l", range(8, 13))
 def test_wind_rose_structure(l):
     for k in range(1, (l - 2) // 2 + 1):
@@ -330,6 +340,34 @@ def test_system_json_roundtrip():
     assert back.component_p == s.component_p
     assert [loc.members for loc in back.loctets] == [loc.members for loc in s.loctets]
     assert orbit.to_json(back) == text
+
+
+def _put(*path, value):
+    def corrupt(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return corrupt
+
+
+CORRUPTIONS = {
+    "loctet-999": _put("loctets", 0, "members", 0, value=999),
+    "unicolored-999": _put("unicolored", 0, value=999),
+    "loctet-minus-1": _put("loctets", 0, "members", 0, value=-1),
+    "extra-node": lambda doc: doc["nodes"].append([5, 5, 5, 5, 5]),
+    "short-node": _put("nodes", 0, value=[1, 0]),
+    "component-p": _put("component_p", 0, value="7/3"),
+    "no-edges": _put("edges", value=[]),
+}
+
+
+@pytest.mark.parametrize("probe", CORRUPTIONS)
+def test_system_json_rejects_corruption(probe):
+    doc = json.loads(orbit.to_json(system_of("D5(a1)")))
+    CORRUPTIONS[probe](doc)
+    with pytest.raises((cl.diagram.DiagramError, orbit.VerificationError)):
+        orbit.from_json(json.dumps(doc))
 
 
 def test_system_json_rejects_unknown_key():
