@@ -179,11 +179,10 @@ def cmd_project(args) -> int:
 
 def cmd_verify(args) -> int:
     d = load_diagram(args.src)
+    amb = rt.build_root_system(args.ambient or "E8")
     pc = build_partial_cartan(d)
     enum = enumerate_linkages(pc)
     print(f"{d.name}: {len(enum)} enumerated linkage vectors")
-    ambient_name = args.ambient or "E8"
-    amb = rt.build_root_system(ambient_name)
     emb = rt.find_embedding(d, amb)
     if emb is None:
         print(f"no embedding of {d.name} into {amb.name}")
@@ -238,6 +237,16 @@ def cmd_weights(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="carterlink",
                 description="Exact linkage systems for simply-laced Carter diagrams")
@@ -280,7 +289,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("verify", help="run the root-system oracle suite")
     c.add_argument("src")
     c.add_argument("--ambient", default="E8")
-    c.add_argument("--trials", type=int, default=1)
+    c.add_argument("--trials", type=_positive_int, default=1)
     c.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("weights", help="fundamental-weight orbit of a Dynkin diagram")

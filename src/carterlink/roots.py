@@ -1,43 +1,58 @@
 """Brute-force root-system oracles.
 
-Everything here is independent of the enumeration path: explicit root sets
-with exact rational coordinates, backtracking search for diagram embeddings
-constrained by the Gram matrix, and direct computation of linkage labels as
-inner products.  The E8 coordinates are half-integers, so all coordinates
-are doubled to plain integers for the numpy scans; inner products of roots
-are integers and the doubling cancels exactly.
+Everything here is independent of the enumeration path: explicit root sets,
+backtracking search for diagram embeddings constrained by the Gram matrix,
+and direct computation of linkage labels as inner products.  All arithmetic
+is on plain integers.  The E8 coordinates are half-integers, so every root
+is also kept in doubled coordinates, where the inner product of two roots is
+the dot product divided by 4.  With B^-1 = N / D (N and D integer), the
+projection gamma_L and mu = gamma - gamma_L are integer vectors at the scale
+2D, so every law is checked as an integer identity; the public results carry
+the same values as exact Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from functools import lru_cache
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
-from .cartan import PartialCartan
-from .linalg import quad_form
+from .cartan import PartialCartan, build_partial_cartan
+from .linalg import common_denominator
 from .linalg import rank as exact_rank
 from .linkage import Linkage
 from .orbit import VerificationError, dual_reflect
 
 Root = tuple[Fraction, ...]
+Doubled = tuple[int, ...]
 
 HALF = Fraction(1, 2)
-
 
 class RootSystemError(ValueError):
     """Unsupported root-system name or rank."""
 
 
-def _dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+def _dot(x: Sequence, y: Sequence):
+    return sum(map(mul, x, y))
+
+
+def _double(r: Sequence) -> Doubled:
+    """2r as integers; r must have half-integer coordinates."""
+    if any(2 % c.denominator for c in r):
+        raise RootSystemError(f"{r} has coordinates that are not half-integers")
+    return tuple(c.numerator * 2 // c.denominator for c in r)
 
 
 class RootSystem:
-    """An explicit simply-laced root system with deterministic root order."""
+    """An explicit simply-laced root system with deterministic root order.
+
+    ``doubled[i]`` is ``2 * roots[i]`` as integers and ``index`` maps it back
+    to i.  ``ip_bits[i][t + 1]`` is a bitset over root indices: bit j is set
+    when (root i, root j) = t, for t in -1, 0, 1.
+    """
 
     def __init__(self, name: str, rank: int, dim: int, roots: Iterable[Root]) -> None:
         self.name = name
@@ -47,44 +62,49 @@ class RootSystem:
         self.root_set = frozenset(self.roots)
         if len(self.root_set) != len(self.roots):
             raise RootSystemError(f"{name}: duplicate roots")
-        arr = np.array([[int(2 * x) for x in r] for r in self.roots], dtype=np.int64)
-        self._doubled = arr
-        self._ip: Optional[np.ndarray] = None
-        for r in self.roots:
-            if _dot(r, r) != 2:
+        self.doubled = tuple(_double(r) for r in self.roots)
+        self.index = {x: i for i, x in enumerate(self.doubled)}
+        for r, x in zip(self.roots, self.doubled):
+            if _dot(x, x) != 8:
                 raise RootSystemError(f"{name}: root {r} has squared norm != 2")
-            if tuple(-x for x in r) not in self.root_set:
+            if tuple(-c for c in x) not in self.index:
                 raise RootSystemError(f"{name}: set not closed under negation")
+        self.ip_bits = self._ip_bits()
+
+    def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
+        bits = [[0, 0, 0] for _ in self.doubled]
+        for i, x in enumerate(self.doubled):
+            for j in range(i + 1, len(self.doubled)):
+                t, rem = divmod(_dot(x, self.doubled[j]), 4)
+                if rem:
+                    raise RootSystemError(f"{self.name}: non-integral inner products")
+                if -1 <= t <= 1:
+                    bits[i][t + 1] |= 1 << j
+                    bits[j][t + 1] |= 1 << i
+        return tuple(tuple(b) for b in bits)
 
     def __len__(self) -> int:
         return len(self.roots)
 
-    def doubled(self) -> np.ndarray:
-        return self._doubled
-
-    def ip_matrix(self) -> np.ndarray:
-        """Pairwise inner products as int64 (cached)."""
-        if self._ip is None:
-            prod = self._doubled @ self._doubled.T
-            if (prod % 4).any():
-                raise RootSystemError(f"{self.name}: non-integral inner products")
-            self._ip = prod // 4
-        return self._ip
-
     def in_root_lattice(self, x: Sequence[Fraction]) -> bool:
         """Membership in the root lattice (a norm-2 lattice vector is a root)."""
-        total = sum(x, Fraction(0))
-        if self.name.startswith("A"):
-            return all(c.denominator == 1 for c in x) and total == 0
-        if self.name.startswith("D"):
-            return all(c.denominator == 1 for c in x) and total % 2 == 0
-        # E6/E7/E8 share the E8 lattice intersected with their span; x is
-        # assumed to lie in the span already.
-        integral = all(c.denominator == 1 for c in x)
-        half_odd = all(c.denominator == 2 for c in x)
-        if not (integral or half_odd):
+        if any(2 % c.denominator for c in x):
             return False
-        return total.denominator == 1 and total % 2 == 0
+        return self._in_lattice([c.numerator * 2 // c.denominator for c in x])
+
+    def _in_lattice(self, y: Sequence[int]) -> bool:
+        """Root-lattice membership of y / 2, for an integer vector y."""
+        total = sum(y)  # twice the coordinate sum, which must be even
+        if self.name.startswith("A"):
+            return all(c % 2 == 0 for c in y) and total == 0
+        if self.name.startswith("D"):
+            return all(c % 2 == 0 for c in y) and total % 4 == 0
+        # E6/E7/E8 share the E8 lattice intersected with their span; y is
+        # assumed to lie in the span already.  The coordinates are all
+        # integers or all halves of odd integers.
+        if len({c % 2 for c in y}) > 1:
+            return False
+        return total % 4 == 0
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, {len(self.roots)} roots)"
@@ -169,26 +189,28 @@ def _e8_roots() -> list[Root]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Diagram vertices realized as ambient roots, in canonical vertex order."""
+    """Diagram vertices realized as ambient roots, in canonical vertex order.
+
+    ``doubled`` holds the same roots in doubled integer coordinates."""
 
     diagram: dg.CarterDiagram
     ambient: RootSystem
     roots: tuple[Root, ...]
+    doubled: tuple[Doubled, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        doubled = tuple(_double(r) for r in self.roots)
+        object.__setattr__(self, "doubled", doubled)
         g = self.diagram.gram()
         n = len(self.roots)
         for i in range(n):
             for j in range(i, n):
-                if _dot(self.roots[i], self.roots[j]) != g[i][j]:
+                if _dot(doubled[i], doubled[j]) != 4 * g[i][j]:
                     raise VerificationError(
                         f"embedding Gram mismatch at ({self.diagram.vertices[i]}, "
                         f"{self.diagram.vertices[j]})")
-        if exact_rank(self.roots) != n:
+        if exact_rank(doubled) != n:
             raise VerificationError("embedding roots are linearly dependent")
-
-    def doubled(self) -> np.ndarray:
-        return np.array([[int(2 * x) for x in r] for r in self.roots], dtype=np.int64)
 
 
 def _assignment_order(d: dg.CarterDiagram) -> list[int]:
@@ -223,53 +245,59 @@ def find_embeddings(
     """Backtracking search for root subsets whose Gram matrix is the diagram's.
 
     Vertices are assigned in a deterministic connectivity-first order with
-    forward checking against the precomputed inner-product table, candidate
-    roots in lexicographic order; the returned embeddings are the first
-    ``limit`` solutions of that fixed search.  With ``fix_first_root`` the
-    first vertex is pinned to the lexicographically smallest root, which is
-    sound for existence because the Weyl group acts transitively on roots.
+    forward checking: each unassigned vertex keeps a bitset of the roots
+    still possible for it, narrowed by AND with the inner-product bitsets of
+    every root placed.  Candidates are visited lowest index first, that is,
+    in lexicographic order; the returned embeddings are the first ``limit``
+    solutions of that fixed search.  With ``fix_first_root`` the first
+    vertex is pinned to the lexicographically smallest root, which is sound
+    for existence because the Weyl group acts transitively on roots.
     """
     l = len(d.vertices)
     if l > ambient.rank:
         return []
-    order = _assignment_order(d)
     g = d.gram()
-    target = [[g[order[p]][order[q]] for q in range(l)] for p in range(l)]
-    ip = ambient.ip_matrix()
-    nroots = len(ambient.roots)
+    # Vectors have the rank of their Gram matrix, so the solutions are
+    # independent exactly when the diagram's Gram matrix is nonsingular.
+    if exact_rank(g) != l:
+        return []
+    order = _assignment_order(d)
+    # target[q][p] + 1 indexes ip_bits for the pair of assignment positions
+    target = [[g[order[p]][order[q]] + 1 for q in range(l)] for p in range(l)]
+    ip_bits = ambient.ip_bits
     results: list[Embedding] = []
     chosen = [0] * l
 
-    def dfs(pos: int, masks: list) -> bool:
-        idxs = np.flatnonzero(masks[pos])
+    def dfs(pos: int, masks: list[int]) -> bool:
+        cand = masks[pos]
         if pos == 0 and fix_first_root:
-            idxs = idxs[:1]
-        for r in idxs:
-            chosen[pos] = int(r)
+            cand &= -cand
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            r = low.bit_length() - 1
+            chosen[pos] = r
             if pos + 1 == l:
                 roots = [None] * l
                 for p, v in enumerate(order):
                     roots[v] = ambient.roots[chosen[p]]
-                if exact_rank(roots) == l:
-                    results.append(Embedding(d, ambient, tuple(roots)))
-                    if len(results) >= limit:
-                        return True
+                results.append(Embedding(d, ambient, tuple(roots)))
+                if len(results) >= limit:
+                    return True
                 continue
-            row = ip[r]
+            row = ip_bits[r]
             new_masks = masks[: pos + 1]
-            dead = False
             for q in range(pos + 1, l):
-                nm = masks[q] & (row == target[q][pos])
-                if not nm.any():
-                    dead = True
+                nm = masks[q] & row[target[q][pos]]
+                if not nm:
                     break
-                new_masks = new_masks + [nm]
-            if not dead and dfs(pos + 1, new_masks):
-                return True
+                new_masks.append(nm)
+            else:
+                if dfs(pos + 1, new_masks):
+                    return True
         return False
 
-    base = np.ones(nroots, dtype=bool)
-    dfs(0, [base.copy() for _ in range(l)])
+    dfs(0, [(1 << len(ambient)) - 1] * l)
     return results
 
 
@@ -303,6 +331,62 @@ class DirectLabels:
     labels: tuple[Linkage, ...]
 
 
+def _scaled_inverse(d: dg.CarterDiagram) -> tuple[list[list[int]], int]:
+    """(N, D) with B^-1 = N / D, N integer and D the least common denominator."""
+    inv = build_partial_cartan(d).B_inv
+    den = common_denominator(inv)
+    return [[int(inv[i, j] * den) for j in range(inv.cols)] for i in range(inv.rows)], den
+
+
+def _projection(cols: list[Doubled], n_mat: list[list[int]], den: int, x: Doubled,
+                labels: Linkage) -> tuple[list[int], int, list[int], list[int]]:
+    """Integer projection data of the root x / 2 with the given labels.
+
+    ``cols`` are the columns of the embedded roots in doubled coordinates.
+    Returns (c, lc, G, M): c = N labels, so B^-1 labels = c / D;
+    lc = labels . c, so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L; and
+    M = D x - G = 2D mu.
+    """
+    c = [_dot(row, labels) for row in n_mat]
+    lc = _dot(labels, c)
+    g = [_dot(c, col) for col in cols]
+    return c, lc, g, [den * a - b for a, b in zip(x, g)]
+
+
+def _fraction_cache():
+    """Fraction(n, d), built once per distinct (n, d): one scan meets only a
+    few distinct coordinates and norms."""
+    return lru_cache(maxsize=None)(Fraction)
+
+
+def _label_scan(e: Embedding, n_mat: list[list[int]],
+                den: int) -> Iterator[tuple[int, Linkage, int, list[int], list[int]]]:
+    """(root index, labels, lc, G, M) of every ambient root that extends ``e``.
+
+    See ``_projection`` for lc, G and M.  Roots with an all-zero label vector
+    and roots in the span of the embedded roots (M = 0) are skipped.
+    """
+    emb = e.doubled
+    cols = list(zip(*emb))
+    for idx, x in enumerate(e.ambient.doubled):
+        labels = []
+        for y in emb:
+            t, rem = divmod(_dot(x, y), 4)
+            if rem:
+                raise VerificationError("non-integral inner products in label scan")
+            labels.append(t)
+        if not any(labels):
+            continue
+        labels = tuple(labels)
+        _, lc, g, m = _projection(cols, n_mat, den, x, labels)
+        if not any(m):
+            continue
+        if any(abs(t) > 1 for t in labels):
+            raise VerificationError(
+                f"independent root {e.ambient.roots[idx]} has label outside -1..1")
+        yield idx, labels, lc, g, m
+
+
 def direct_linkage_labels(e: Embedding) -> DirectLabels:
     """Labels of every ambient root that genuinely extends the embedding.
 
@@ -313,35 +397,16 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     all-zero label vector (they are orthogonal to the whole subset and attach
     no bonds, and the zero vector is not a linkage by definition).
     """
-    from .cartan import build_partial_cartan
-
-    pc = build_partial_cartan(e.diagram)
-    amb = e.ambient
-    lab = amb.doubled() @ e.doubled().T
-    if (lab % 4).any():
-        raise VerificationError("non-integral inner products in label scan")
-    lab //= 4
-    l = len(e.roots)
-    dim = amb.dim
+    n_mat, den = _scaled_inverse(e.diagram)
+    s = 2 * den
+    frac = _fraction_cache()
     realized = []
     labels_seen = set()
-    for idx, gamma in enumerate(amb.roots):
-        labels = tuple(int(x) for x in lab[idx])
-        if all(x == 0 for x in labels):
-            continue
-        coeff = pc.B_inv.mat_vec(labels)
-        gamma_l = tuple(
-            sum((coeff[i] * e.roots[i][c] for i in range(l)), Fraction(0))
-            for c in range(dim)
-        )
-        mu = tuple(gamma[c] - gamma_l[c] for c in range(dim))
-        if all(x == 0 for x in mu):
-            continue
-        if any(abs(x) > 1 for x in labels):
-            raise VerificationError(f"independent root {gamma} has label outside -1..1")
-        mu2 = _dot(mu, mu)
-        p = quad_form(pc.B_inv, labels)
-        realized.append(RealizedLinkage(gamma, labels, gamma_l, mu, mu2, p))
+    for idx, labels, lc, g, m in _label_scan(e, n_mat, den):
+        realized.append(RealizedLinkage(
+            e.ambient.roots[idx], labels,
+            tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
+            frac(_dot(m, m), s * s), frac(lc, den)))
         labels_seen.add(labels)
     return DirectLabels(e, tuple(realized), tuple(sorted(labels_seen)))
 
@@ -349,21 +414,24 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
 # -- verification laws -----------------------------------------------------------
 
 
-def _reflect_root(x: Root, v: Root) -> Root:
-    # norm-2 reflection: x - (x, v) v
-    c = _dot(x, v)
+def _reflect_root(x: Doubled, v: Doubled) -> Doubled:
+    # norm-2 reflection in doubled coordinates: x - ((x, v) / 4) v
+    c, rem = divmod(_dot(x, v), 4)
+    if rem:
+        raise VerificationError(f"non-integral inner product of roots {x} / 2 and {v} / 2")
     if c == 0:
         return x
     return tuple(xi - c * vi for xi, vi in zip(x, v))
 
 
-def _extension_orbit(e: Embedding, seed: Root) -> frozenset:
+def _extension_orbit(e: Embedding, seed: Doubled) -> frozenset:
     """Orbit of ``seed`` under the reflections in the embedded roots and in
 
-    seed itself.  This is the orbit of the one added root; the orbit of the
-    whole extended subset is strictly larger and mixes p-classes (images of
-    the embedded roots can carry mu-components of twice the length)."""
-    gens = list(e.roots) + [seed]
+    seed itself, all in doubled coordinates.  This is the orbit of the one
+    added root; the orbit of the whole extended subset is strictly larger
+    and mixes p-classes (images of the embedded roots can carry
+    mu-components of twice the length)."""
+    gens = list(e.doubled) + [seed]
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -376,6 +444,16 @@ def _extension_orbit(e: Embedding, seed: Root) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+class _LawData(NamedTuple):
+    """A realized root with its integer projection data (see ``_projection``)."""
+
+    r: RealizedLinkage
+    x: Doubled  # 2 gamma
+    lc: int  # D p
+    m: Doubled  # 2D mu
+    mm: int  # 4D^2 |mu|^2
 
 
 @dataclass(frozen=True)
@@ -400,78 +478,94 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     under their reflections): mu is constant up to sign, and realized roots
     sharing one label vector are exactly {gamma_L + mu, gamma_L - mu}.  Per
     p-class: |mu|^2 is constant.
-    """
-    from .cartan import build_partial_cartan
 
-    pc = build_partial_cartan(e.diagram)
-    b = pc.B
-    by_p: dict[Fraction, list[RealizedLinkage]] = {}
+    Each law is checked on the integer data of ``_projection`` recomputed
+    from gamma and the labels, which must match the Fractions in ``dl``.
+    """
+    gram = e.diagram.gram()
+    n_mat, den = _scaled_inverse(e.diagram)
+    s = 2 * den
+    amb = e.ambient
+    cols = list(zip(*e.doubled))
+    frac = _fraction_cache()
+    by_p: dict[int, list[_LawData]] = {}  # keyed by lc = D p
+    records = []
     mirrors = 0
     for r in dl.realized:
-        coeff = pc.B_inv.mat_vec(r.labels)
-        bl_val = quad_form(b, coeff)
-        if bl_val != r.p:
+        x = _double(r.gamma)
+        c, lc, g, m = _projection(cols, n_mat, den, x, r.labels)
+        mm = _dot(m, m)
+        if (r.gamma_L != tuple(frac(a, s) for a in g) or r.mu != tuple(frac(a, s) for a in m)
+                or r.mu_norm_sq != frac(mm, s * s)):
+            raise VerificationError(f"projection data of {r.gamma} differ from a recomputation")
+        if _dot(c, [_dot(row, c) for row in gram]) != den * lc or r.p != frac(lc, den):
             raise VerificationError(f"form mismatch on labels of {r.gamma}")
-        if _dot(r.gamma_L, r.gamma_L) != r.p:
+        if _dot(g, g) != 4 * den * lc:
             raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
-        if r.p + r.mu_norm_sq != 2:
+        if 4 * den * lc + mm != 2 * s * s:
             raise VerificationError(f"p + |mu|^2 != 2 for {r.gamma}")
-        bar = tuple(gl - m for gl, m in zip(r.gamma_L, r.mu))
-        if _dot(bar, bar) != 2:
+        bar = [a - b for a, b in zip(g, m)]  # 2D (gamma_L - mu)
+        if _dot(bar, bar) != 2 * s * s:
             raise VerificationError(f"gamma_L - mu has norm != 2 for {r.gamma}")
-        is_root = bar in e.ambient.root_set
-        if is_root != e.ambient.in_root_lattice(bar):
+        # gamma_L - mu doubled is bar / D: a root or a lattice vector only when integral
+        integral = all(a % den == 0 for a in bar)
+        bar = tuple(a // den for a in bar)
+        is_root = integral and bar in amb.index
+        if is_root != (integral and amb._in_lattice(bar)):
             raise VerificationError(
                 f"norm-2 lattice test disagrees with root membership for {r.gamma}")
         mirrors += is_root
-        by_p.setdefault(r.p, []).append(r)
+        rec = _LawData(r, x, lc, tuple(m), mm)
+        records.append(rec)
+        by_p.setdefault(lc, []).append(rec)
 
-    for p, group in by_p.items():
-        if len({r.mu_norm_sq for r in group}) != 1:
-            raise VerificationError(f"|mu|^2 not constant on the p = {p} class")
+    for lc, group in by_p.items():
+        if len({rec.mm for rec in group}) != 1:
+            raise VerificationError(f"|mu|^2 not constant on the p = {frac(lc, den)} class")
 
-    by_gamma = {r.gamma: r for r in dl.realized}
+    by_gamma = {rec.x: rec for rec in records}
     unassigned = set(by_gamma)
     orbit_count = 0
     orbits = []
-    for r in dl.realized:
-        if r.gamma not in unassigned:
+    for r, x, *_ in records:
+        if x not in unassigned:
             continue
-        orbit = _extension_orbit(e, r.gamma)
-        members = [by_gamma[g] for g in orbit if g in by_gamma]
+        orbit = _extension_orbit(e, x)
+        members = [by_gamma[y] for y in orbit if y in by_gamma]
         for m in members:
-            unassigned.discard(m.gamma)
+            unassigned.discard(m.x)
         orbit_count += 1
         # One orbit can mix extension types (the reflections of the extended
         # subset may generate a group transitive on all ambient roots), so mu
         # constancy is asserted per p-slice of the orbit.
-        slices: dict[Fraction, list[RealizedLinkage]] = {}
+        slices: dict[int, list[_LawData]] = {}
         for m in members:
-            slices.setdefault(m.p, []).append(m)
-        for p, group in sorted(slices.items()):
-            mu0 = group[0].mu
-            neg = tuple(-x for x in mu0)
-            if not {m.mu for m in group} <= {mu0, neg}:
+            slices.setdefault(m.lc, []).append(m)
+        for lc, group in sorted(slices.items()):
+            p = frac(lc, den)
+            mu0 = group[0].m
+            neg = tuple(-a for a in mu0)
+            if not {m.m for m in group} <= {mu0, neg}:
                 raise VerificationError(
                     f"mu not constant up to sign on the p = {p} slice of the "
                     f"extension orbit of {r.gamma}")
             by_labels: dict = {}
             for m in group:
-                by_labels.setdefault(m.labels, []).append(m)
-            twice = tuple(2 * x for x in mu0)
-            neg_twice = tuple(-2 * x for x in mu0)
+                by_labels.setdefault(m.r.labels, []).append(m)
+            twice = tuple(2 * a for a in mu0)  # 2D (2 mu)
+            neg_twice = tuple(-a for a in twice)
             for labs, same in by_labels.items():
                 if len(same) > 2:
                     raise VerificationError(
                         f"{len(same)} orbit roots share the label vector {labs}")
                 if len(same) == 2:
-                    diff = tuple(a - c for a, c in zip(same[0].gamma, same[1].gamma))
+                    diff = tuple(den * (a - c) for a, c in zip(same[0].x, same[1].x))
                     if diff not in (twice, neg_twice):
                         raise VerificationError(
                             f"orbit roots sharing labels {labs} do not differ by 2 mu")
-            orbits.append((p, group[0].mu_norm_sq, len(group)))
+            orbits.append((p, frac(group[0].mm, s * s), len(group)))
 
-    p_classes = tuple((p, len(group)) for p, group in sorted(by_p.items()))
+    p_classes = tuple((frac(lc, den), len(group)) for lc, group in sorted(by_p.items()))
     return LawsReport(p_classes, orbit_count, tuple(sorted(orbits)), mirrors)
 
 
@@ -544,12 +638,15 @@ class IndependenceReport:
 def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
                            trials: int) -> IndependenceReport:
     """Check the distinct-label set is the same across several embeddings."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     embs = find_embeddings(d, ambient, limit=trials, fix_first_root=False)
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
+    n_mat, den = _scaled_inverse(d)
     reference: Optional[tuple[Linkage, ...]] = None
     for e in embs:
-        labels = direct_linkage_labels(e).labels
+        labels = tuple(sorted({labs for _, labs, *_ in _label_scan(e, n_mat, den)}))
         if reference is None:
             reference = labels
         elif labels != reference:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,29 @@ def test_missing_subcommand_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_1(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "D4(a1)", "--trials", trials])
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert "--trials" in out.err
+
+
+def test_verify_bad_ambient_prints_nothing(capsys):
+    code, out, err = run(capsys, "verify", "D4(a1)", "--ambient", "E9")
+    assert code == 1
+    assert out == ""
+    assert "E9" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c",
+                    "import carterlink.cli, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)

@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import carterlink as cl
+from carterlink import diagram as dg
 from carterlink import roots as rt
+from carterlink.cartan import CartanError
 from carterlink.linkage import group_by_p
 from helpers import CATALOG, ambient, embedding_in, labels_in, links_of, pc_of, system_of
 
@@ -225,6 +229,12 @@ def test_embedding_independence_a1():
     assert rep.embeddings == 3
 
 
+def test_embedding_independence_rejects_trials_below_1():
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            rt.embedding_independence(cl.catalog("D4(a1)"), ambient("D5"), trials)
+
+
 # -- weight orbits ----------------------------------------------------------------
 
 
@@ -249,3 +259,139 @@ def test_weight_orbit_equals_component():
 def test_weight_orbit_rejects_dotted():
     with pytest.raises(Exception):
         cl.weight_orbit(pc_of("E6(a1)"), "b2")
+
+
+# -- differential references --------------------------------------------------------
+
+
+def _fdot(x, y):
+    return sum((Fraction(a) * b for a, b in zip(x, y)), Fraction(0))
+
+
+def reference_realized(e):
+    """The realized linkages of ``e`` by the Fraction formulas.
+
+    labels_k = (gamma, e_k); gamma_L = sum((B^-1 labels)_k e_k);
+    mu = gamma - gamma_L; p = labels^T B^-1 labels.  Roots with zero labels
+    or mu = 0 are skipped.
+    """
+    pc = cl.build_partial_cartan(e.diagram)
+    out = []
+    for gamma in e.ambient.roots:
+        dots = [_fdot(gamma, r) for r in e.roots]
+        assert all(x.denominator == 1 for x in dots)
+        labels = tuple(int(x) for x in dots)
+        if not any(labels):
+            continue
+        coeff = pc.B_inv.mat_vec(labels)
+        gamma_l = tuple(sum((c * r[k] for c, r in zip(coeff, e.roots)), Fraction(0))
+                        for k in range(e.ambient.dim))
+        mu = tuple(g - h for g, h in zip(gamma, gamma_l))
+        if not any(mu):
+            continue
+        out.append(rt.RealizedLinkage(gamma, labels, gamma_l, mu, _fdot(mu, mu),
+                                      cl.quad_form(pc.B_inv, labels)))
+    return out
+
+
+@pytest.mark.parametrize("name,amb", [("D4(a1)", "E8"), ("E6(a1)", "E8"), ("D7(a2)", "E8"),
+                                      ("E7(a4)", "E8"), ("D4(a1)", "D5")])
+def test_realized_linkages_match_fraction_reference(name, amb):
+    dl = labels_in(name, amb)
+    want = reference_realized(dl.embedding)
+    assert len(dl.realized) == len(want)
+    for got, ref in zip(dl.realized, want):
+        for f in dataclasses.fields(rt.RealizedLinkage):
+            assert getattr(got, f.name) == getattr(ref, f.name), (f.name, ref.gamma)
+    assert dl.labels == tuple(sorted({r.labels for r in want}))
+
+
+def brute_force_embeddings(d, amb, limit):
+    """Plain backtracking in the search's vertex order and root order: each
+    root is checked against every root already placed, with no look-ahead."""
+    order = rt._assignment_order(d)
+    g = d.gram()
+    l = len(order)
+    found, chosen = [], []
+
+    def place(pos):
+        if pos == l:
+            roots = [None] * l
+            for p, v in enumerate(order):
+                roots[v] = chosen[p]
+            if cl.linalg.rank(roots) == l:
+                found.append(tuple(roots))
+            return len(found) >= limit
+        for r in amb.roots:
+            if all(_fdot(r, chosen[q]) == g[order[pos]][order[q]] for q in range(pos)):
+                chosen.append(r)
+                if place(pos + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    place(0)
+    return found
+
+
+def test_find_embeddings_match_brute_force():
+    d, e8 = cl.catalog("D5(a1)"), ambient("E8")
+    got = [e.roots for e in cl.find_embeddings(d, e8, limit=3, fix_first_root=False)]
+    assert got == brute_force_embeddings(d, e8, 3)
+
+
+# -- generated diagrams ---------------------------------------------------------------
+
+
+@st.composite
+def signed_bipartite_diagrams(draw, max_rank=7):
+    """Connected signed bipartite diagrams: a random spanning tree, whose
+    parent links fix the coloring, plus random extra alpha-beta edges."""
+    n = draw(st.integers(1, max_rank))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    colors = [0]
+    for par in parents:
+        colors.append(1 - colors[par])
+    pairs = {(par, i) for i, par in enumerate(parents, start=1)}
+    extra = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if colors[i] != colors[j] and (i, j) not in pairs]
+    if extra:
+        pairs |= set(draw(st.lists(st.sampled_from(extra), unique=True)))
+    counts = [0, 0]
+    vertices = []
+    for c in colors:
+        counts[c] += 1
+        vertices.append(cl.VertexId("ab"[c], counts[c], (dg.ALPHA, dg.BETA)[c]))
+    edges = tuple((vertices[i], vertices[j], draw(st.sampled_from((-1, 1))))
+                  for i, j in sorted(pairs))
+    return cl.CarterDiagram("generated", tuple(vertices), edges)
+
+
+def _is_chain(d):
+    degree = [0] * len(d)
+    for u, v, _ in d.edges:
+        degree[d.index_of(u)] += 1
+        degree[d.index_of(v)] += 1
+    return len(d.edges) == len(d) - 1 and max(degree, default=0) <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_bipartite_diagrams())
+def test_generated_diagrams_against_e8(d):
+    try:
+        pc = cl.build_partial_cartan(d)
+    except CartanError:
+        assume(False)
+    enum = cl.enumerate_linkages(pc)
+    assert set(enum) == {tuple(-x for x in v) for v in enum}
+    emb = cl.find_embedding(d, ambient("E8"))
+    assert emb is not None  # a connected positive definite diagram spans an ADE lattice
+    dl = cl.direct_linkage_labels(emb)
+    if len(d) == 7 and _is_chain(d):
+        # E8 holds two classes of A7 subsystems; the embedding found for a
+        # signed chain may lie in the one that realizes 56 of the 184 vectors
+        assert set(dl.labels) <= set(enum)
+    else:
+        assert set(dl.labels) == set(enum)
+    rt.check_projection_laws(dl, emb)
+    rt.square_diagonal_audit(dl, emb)
