@@ -1,16 +1,16 @@
 """carterlink: exact linkage systems for simply-laced Carter diagrams.
 
-The package computes, entirely in exact rational arithmetic, the partial
-Cartan matrix of a Carter diagram, the set of its linkage label vectors via
-the inverse quadratic form criterion, the orbit structure of that set under
-the dual reflections (components and loctets), and verifies everything
-against brute-force root-system oracles.
+The package computes, entirely in exact arithmetic (plain integers, with
+``Fraction`` results), the partial Cartan matrix of a Carter diagram, the
+set of its linkage label vectors via the inverse quadratic form criterion,
+the orbit structure of that set under the dual reflections (components and
+loctets), and verifies everything against brute-force root-system oracles.
 """
 
-from .cartan import PartialCartan, build_partial_cartan, inverse_diagonal, simply_extendable
+from .cartan import PartialCartan, RMatrix, build_partial_cartan, inverse_diagonal, \
+    simply_extendable
 from .diagram import CarterDiagram, VertexId, carter_D_ak, catalog, dynkin_A, dynkin_D, \
     extend, find_isomorphism, isomorphic, validate
-from .linalg import RMatrix, RVector, Rational, mat_det, mat_inverse, quad_form
 from .linkage import ExtensionSet, beta_unicolored, enumerate_linkages, group_by_p
 from .orbit import LinkageSystem, Loctet, build_system, dual_reflect, gamma8_candidates, \
     loctet_from_gamma8, project_system
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CarterDiagram", "VertexId", "catalog", "carter_D_ak", "dynkin_A", "dynkin_D",
     "extend", "find_isomorphism", "isomorphic", "validate",
-    "RMatrix", "RVector", "Rational", "mat_det", "mat_inverse", "quad_form",
+    "RMatrix",
     "PartialCartan", "build_partial_cartan", "inverse_diagonal", "simply_extendable",
     "ExtensionSet", "enumerate_linkages", "group_by_p", "beta_unicolored",
     "LinkageSystem", "Loctet", "build_system", "dual_reflect", "gamma8_candidates",

@@ -9,14 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import diagram as dg
 from . import orbit
 from . import roots as rt
-from .cartan import CartanError, build_partial_cartan, inverse_diagonal, \
+from .cartan import CartanError, LinalgError, build_partial_cartan, inverse_diagonal, \
     simply_extendable
-from .linalg import LinalgError, RMatrix, common_denominator
 from .linkage import beta_unicolored, enumerate_linkages, group_by_p
 
 EXIT_OK = 0
@@ -39,14 +37,10 @@ def load_diagram(src: str) -> dg.CarterDiagram:
     return dg.catalog(src)
 
 
-def fmt_rational(x: Fraction) -> str:
-    return str(x)
-
-
-def fmt_matrix(m: RMatrix) -> str:
-    """Aligned integer grid with a common-denominator prefix when needed."""
-    den = common_denominator(m)
-    rows = [[str(int(m[i, j] * den)) for j in range(m.cols)] for i in range(m.rows)]
+def fmt_matrix(num, den: int = 1) -> str:
+    """The matrix num / den as an aligned integer grid, prefixed by 1/den
+    when den > 1; den must be the least common denominator."""
+    rows = [[str(x) for x in row] for row in num]
     width = max((len(x) for row in rows for x in row), default=1)
     body = "\n".join("  [ " + "  ".join(x.rjust(width) for x in row) + " ]" for row in rows)
     if den == 1:
@@ -70,12 +64,12 @@ def cmd_catalog(args) -> int:
 def cmd_cartan(args) -> int:
     pc = build_partial_cartan(load_diagram(args.src))
     print(f"B_L of {pc.diagram.name}  (vertices: {', '.join(v.id for v in pc.diagram.vertices)})")
-    print(fmt_matrix(pc.B))
+    print(fmt_matrix(pc.gram))
     if args.inverse:
         print("inverse:")
-        print(fmt_matrix(pc.B_inv))
+        print(fmt_matrix(pc.inv_num, pc.inv_den))
     if args.det:
-        print(f"det = {fmt_rational(pc.det)}")
+        print(f"det = {pc.det}")
     return EXIT_OK
 
 
@@ -153,7 +147,7 @@ def cmd_extendable(args) -> int:
     for v in pc.diagram.vertices:
         val = inverse_diagonal(pc, v)
         verdict = "extendable" if simply_extendable(pc, v) else "not extendable"
-        print(f"{v.id}: (B^-1)_vv = {fmt_rational(val)}  ->  {verdict}")
+        print(f"{v.id}: (B^-1)_vv = {val}  ->  {verdict}")
     return EXIT_OK
 
 
@@ -201,19 +195,14 @@ def cmd_verify(args) -> int:
         except orbit.UnsupportedDiagram:
             print("  (chain diagram: no linkage-system structure to check)")
         if sys_ is not None:
-            realized_components = 0
-            for comp in sys_.components:
-                members = {sys_.nodes[i] for i in comp}
-                inter = members & labels
-                if inter and inter != members:
-                    raise orbit.VerificationError(
-                        f"direct labels cover a component of {d.name} only partially")
-                if inter:
-                    realized_components += 1
-            print(f"  realized components: {realized_components} of {len(sys_.components)}")
-        if sys_ is not None and amb.name == "E8" and len(d) <= 7 and labels != set(enum):
-            raise orbit.VerificationError(
-                f"direct labels over E8 differ from the enumerated set for {d.name}")
+            realized = _realized_components(sys_, labels, "direct labels")
+            print(f"  realized components: {realized} of {len(sys_.components)}")
+    # Over E8 a non-chain diagram of rank <= 7 realizes every linkage vector
+    # in each of its embeddings.
+    e8_equality = sys_ is not None and amb.name == "E8" and len(d) <= 7
+    if e8_equality and labels != set(enum):
+        raise orbit.VerificationError(
+            f"direct labels over E8 differ from the enumerated set for {d.name}")
     laws = rt.check_projection_laws(dl, emb)
     classes = ", ".join(f"p = {p} ({n})" for p, n in laws.p_classes)
     print(f"  projection laws hold; {classes or 'no realized linkages'}; "
@@ -223,8 +212,33 @@ def cmd_verify(args) -> int:
           f"{audit.with_diagonal} with diagonal, {audit.without_diagonal} without, 0 violations")
     if args.trials > 1:
         rep = rt.embedding_independence(d, amb, args.trials)
-        print(f"  label sets identical across {rep.embeddings} embeddings")
+        if len(rep.label_sets) > 1 and e8_equality:
+            raise orbit.VerificationError(
+                f"distinct label sets differ between embeddings of {d.name} in {amb.name}")
+        for trial in map(set, rep.label_sets):
+            if not trial <= set(enum):
+                raise orbit.VerificationError(
+                    f"trial labels of {d.name} in {amb.name} leave the enumerated set")
+            if sys_ is not None:
+                _realized_components(sys_, trial, "trial labels")
+        print(f"  label sets identical across {rep.embeddings} embeddings"
+              if len(rep.label_sets) == 1 else f"  distinct label sets: {len(rep.label_sets)} "
+              f"across {rep.embeddings} embeddings, each inside the enumerated set")
     return EXIT_OK
+
+
+def _realized_components(sys_: orbit.LinkageSystem, labels: set, whose: str) -> int:
+    """How many components of the system the labels cover; raises
+    VerificationError when they cover one only partially."""
+    count = 0
+    for comp in sys_.components:
+        members = {sys_.nodes[i] for i in comp}
+        inter = members & labels
+        if inter and inter != members:
+            raise orbit.VerificationError(
+                f"{whose} cover a component of {sys_.pc.diagram.name} only partially")
+        count += bool(inter)
+    return count
 
 
 def cmd_weights(args) -> int:

@@ -83,11 +83,17 @@ class CarterDiagram:
     vertices: tuple[VertexId, ...]
     edges: tuple[Edge, ...]
     pattern: Optional[tuple[VertexId, VertexId, VertexId, VertexId]] = field(default=None)
+    # vertex and vertex id -> position; the first vertex wins a shared id
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = {v: i for i, v in enumerate(self.vertices)}
         if len(pos) != len(self.vertices):
             raise DiagramError(f"{self.name}: duplicate vertices")
+        index = dict(pos)
+        for v, i in pos.items():
+            index.setdefault(v.id, i)
+        object.__setattr__(self, "_index", index)
         norm = []
         seen = set()
         for u, v, s in self.edges:
@@ -110,21 +116,14 @@ class CarterDiagram:
     # -- lookups ------------------------------------------------------------
 
     def index_of(self, v) -> int:
-        v = self.vertex(v)
-        for i, u in enumerate(self.vertices):
-            if u == v:
-                return i
-        raise DiagramError(f"{self.name}: unknown vertex {v}")
+        i = self._index.get(v if isinstance(v, VertexId) else str(v))
+        if i is None:
+            raise DiagramError(f"{self.name}: unknown vertex "
+                               + (str(v) if isinstance(v, VertexId) else repr(v)))
+        return i
 
     def vertex(self, v) -> VertexId:
-        if isinstance(v, VertexId):
-            if v not in self.vertices:
-                raise DiagramError(f"{self.name}: unknown vertex {v}")
-            return v
-        for u in self.vertices:
-            if u.id == str(v):
-                return u
-        raise DiagramError(f"{self.name}: unknown vertex {v!r}")
+        return self.vertices[self.index_of(v)]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -132,7 +131,7 @@ class CarterDiagram:
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """Integer Gram matrix: 2 on the diagonal, edge signs off it."""
         n = len(self.vertices)
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        pos = self._index
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             g[i][i] = 2

@@ -7,20 +7,23 @@ vertex order (Fincke and Pohst, Math. Comp. 44 (1985) 463-471): the least
 value of the form over real completions of a prefix v_0..v_k is the form of
 the inverse of the leading (k+1)x(k+1) block of B (a Schur complement), and
 that bound only grows with k, so a prefix is dropped as soon as it reaches
-2.  All arithmetic is on plain integers.  Results come out in lexicographic
-order (-1 < 0 < 1), so every downstream structure is deterministic.
+2.  The search reads the integer prefix data of ``PartialCartan.prefix`` and
+the form values read ``B^-1 = N / D``, both from the one elimination in
+``cartan``; all arithmetic is on plain integers.  Results come out in
+lexicographic order (-1 < 0 < 1), so every downstream structure is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan
-from .linalg import quad_form
+from .cartan import LinalgError
 
 Linkage = tuple[int, ...]
 
@@ -45,33 +48,10 @@ class BetaUnicolored:
     center_label_always_zero: Optional[bool]
 
 
-def _prefix_form(b: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Integer data for the prefix bound of the form of B^-1, B positive definite.
-
-    Returns (rows, weights, den).  With z_k = sum(rows[k][j] * v[j], j <= k),
-    the form of the inverse of the leading (k+1)x(k+1) block of B at
-    v_0..v_k equals sum(weights[i] * z_i**2, i <= k) / den; at k = l-1 that
-    is the form of B^-1 at v.  rows[k] is row k of the right half of a
-    fraction-free (Bareiss) elimination of [B | I], whose pivots are the
-    leading minors delta_k, and weights[k] = den / (delta_{k-1} delta_k).
-    """
-    l = len(b)
-    m = [list(row) + [int(i == j) for j in range(l)] for i, row in enumerate(b)]
-    prev = 1
-    for k in range(l):
-        for i in range(k + 1, l):
-            m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
-        prev = m[k][k]
-    minors = [1] + [m[k][k] for k in range(l)]
-    products = [minors[k] * minors[k + 1] for k in range(l)]
-    den = lcm(*products)
-    return [m[k][l:l + k + 1] for k in range(l)], [den // p for p in products], den
-
-
 def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
-    """All nonzero v in {-1,0,1}^l with quad_form(B^-1, v) < 2, sorted."""
+    """All nonzero v in {-1,0,1}^l with v^T B^-1 v < 2, sorted."""
     l = len(pc)
-    rows, weights, den = _prefix_form(pc.b_int())
+    rows, weights, den = pc.prefix
     bound = 2 * den
     v = [0] * l
     out: list[Linkage] = []
@@ -94,18 +74,25 @@ def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
     return tuple(out)
 
 
+def form_num(pc: PartialCartan, v: Sequence[int]) -> int:
+    """v^T N v for B^-1 = N / D: the inverse form at v is this over D."""
+    if len(v) != len(pc):
+        raise LinalgError(f"form of rank {len(pc)} on a vector of length {len(v)}")
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(v, pc.inv_num) if x)
+
+
 def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:
     """The inverse quadratic form evaluated exactly on v."""
-    return quad_form(pc.B_inv, list(v))
+    return Fraction(form_num(pc, v), pc.inv_den)
 
 
 def group_by_p(pc: PartialCartan, vectors: Iterable[Linkage]) -> list[ExtensionSet]:
     """Partition by the exact value of the inverse form, ascending in p."""
-    buckets: dict[Fraction, list[Linkage]] = {}
+    buckets: dict[int, list[Linkage]] = {}
     for v in vectors:
-        buckets.setdefault(form_value(pc, v), []).append(v)
+        buckets.setdefault(form_num(pc, v), []).append(v)
     return [
-        ExtensionSet(p, tuple(sorted(buckets[p]))) for p in sorted(buckets)
+        ExtensionSet(Fraction(n, pc.inv_den), tuple(sorted(buckets[n]))) for n in sorted(buckets)
     ]
 
 

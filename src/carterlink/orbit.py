@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan, build_partial_cartan, simply_extendable
-from .linkage import Linkage, enumerate_linkages, form_value
+from .linkage import Linkage, enumerate_linkages, form_num, form_value
 
 LOCTET_TYPES = ("L12", "L13", "L23")
 
@@ -40,8 +40,7 @@ def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
     vi = v[i]
     if vi == 0:
         return tuple(v)
-    b = pc.b_int()
-    return tuple(x - vi * b[j][i] for j, x in enumerate(v))
+    return tuple(x - vi * b for x, b in zip(v, pc.gram[i]))
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,8 @@ def _pattern_indices(pc: PartialCartan) -> tuple[int, int, int, int]:
         raise UnsupportedDiagram(
             f"{pc.diagram.name}: no D5(a1)/D4 pattern subdiagram")
     idx = tuple(pc.diagram.index_of(v) for v in pat)
-    b = pc.b_int()
     for a in idx[:3]:
-        if b[a][idx[3]] != dg.SOLID:
+        if pc.gram[a][idx[3]] != dg.SOLID:
             raise UnsupportedDiagram(
                 f"{pc.diagram.name}: pattern edge {pc.diagram.vertices[a]}-"
                 f"{pc.diagram.vertices[idx[3]]} is not solid")
@@ -148,7 +146,7 @@ def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Locte
     if len(set(members)) != 8:
         raise VerificationError(f"loctet from {g8} ({kind}): members not distinct")
     for m in members:
-        if form_value(pc, m) >= 2:
+        if form_num(pc, m) >= 2 * pc.inv_den:
             raise VerificationError(f"loctet from {g8} ({kind}): {m} is not a linkage vector")
     return Loctet(kind, members)
 
@@ -177,10 +175,10 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     components = _components(len(nodes), edges)
     component_p = []
     for comp in components:
-        values = {form_value(pc, nodes[i]) for i in comp}
+        values = {form_num(pc, nodes[i]) for i in comp}
         if len(values) != 1:
             raise VerificationError(f"{d.name}: inverse form not constant on a component")
-        component_p.append(values.pop())
+        component_p.append(Fraction(values.pop(), pc.inv_den))
 
     if d.pattern is not None:
         loctets = _generated_loctets(pc, nodes)
@@ -291,9 +289,9 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
     di = d_ext.index_of(dropped)
     dropped = d_ext.vertices[di]
     keep = [i for i in range(len(d_ext)) if i != di]
-    b_ext = ext.pc.b_int()
+    b_ext = ext.pc.gram
     sub = tuple(tuple(b_ext[r][c] for c in keep) for r in keep)
-    if sub != base.b_int():
+    if sub != base.gram:
         raise dg.DiagramError(
             f"{d_ext.name} minus {dropped} does not match {base.diagram.name} "
             "(vertex order included)")

@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
-from .cartan import PartialCartan, build_partial_cartan
-from .linalg import common_denominator
-from .linalg import rank as exact_rank
+from .cartan import PartialCartan, build_partial_cartan, positive_definite
 from .linkage import Linkage
 from .orbit import VerificationError, dual_reflect
 
@@ -209,7 +207,9 @@ class Embedding:
                     raise VerificationError(
                         f"embedding Gram mismatch at ({self.diagram.vertices[i]}, "
                         f"{self.diagram.vertices[j]})")
-        if exact_rank(doubled) != n:
+        # vectors with this Gram matrix are independent exactly when it is
+        # nonsingular, that is (being a Gram matrix) positive definite
+        if not positive_definite(g):
             raise VerificationError("embedding roots are linearly dependent")
 
 
@@ -254,12 +254,13 @@ def find_embeddings(
     for existence because the Weyl group acts transitively on roots.
     """
     l = len(d.vertices)
-    if l > ambient.rank:
+    if l > ambient.rank or limit < 1:
         return []
     g = d.gram()
     # Vectors have the rank of their Gram matrix, so the solutions are
-    # independent exactly when the diagram's Gram matrix is nonsingular.
-    if exact_rank(g) != l:
+    # independent exactly when the diagram's Gram matrix is nonsingular; an
+    # indefinite one is the Gram matrix of no vectors at all.
+    if not positive_definite(g):
         return []
     order = _assignment_order(d)
     # target[q][p] + 1 indexes ip_bits for the pair of assignment positions
@@ -331,14 +332,7 @@ class DirectLabels:
     labels: tuple[Linkage, ...]
 
 
-def _scaled_inverse(d: dg.CarterDiagram) -> tuple[list[list[int]], int]:
-    """(N, D) with B^-1 = N / D, N integer and D the least common denominator."""
-    inv = build_partial_cartan(d).B_inv
-    den = common_denominator(inv)
-    return [[int(inv[i, j] * den) for j in range(inv.cols)] for i in range(inv.rows)], den
-
-
-def _projection(cols: list[Doubled], n_mat: list[list[int]], den: int, x: Doubled,
+def _projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]], den: int, x: Doubled,
                 labels: Linkage) -> tuple[list[int], int, list[int], list[int]]:
     """Integer projection data of the root x / 2 with the given labels.
 
@@ -359,7 +353,7 @@ def _fraction_cache():
     return lru_cache(maxsize=None)(Fraction)
 
 
-def _label_scan(e: Embedding, n_mat: list[list[int]],
+def _label_scan(e: Embedding, n_mat: Sequence[Sequence[int]],
                 den: int) -> Iterator[tuple[int, Linkage, int, list[int], list[int]]]:
     """(root index, labels, lc, G, M) of every ambient root that extends ``e``.
 
@@ -397,7 +391,8 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     all-zero label vector (they are orthogonal to the whole subset and attach
     no bonds, and the zero vector is not a linkage by definition).
     """
-    n_mat, den = _scaled_inverse(e.diagram)
+    pc = build_partial_cartan(e.diagram)
+    n_mat, den = pc.inv_num, pc.inv_den
     s = 2 * den
     frac = _fraction_cache()
     realized = []
@@ -424,6 +419,22 @@ def _reflect_root(x: Doubled, v: Doubled) -> Doubled:
     return tuple(xi - c * vi for xi, vi in zip(x, v))
 
 
+def _closure(seed, images: Callable[[Any], Iterable]) -> set:
+    """Everything reachable from ``seed`` by repeated ``images``, found one
+    breadth-first frontier at a time."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in images(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def _extension_orbit(e: Embedding, seed: Doubled) -> frozenset:
     """Orbit of ``seed`` under the reflections in the embedded roots and in
 
@@ -432,18 +443,7 @@ def _extension_orbit(e: Embedding, seed: Doubled) -> frozenset:
     and mixes p-classes (images of the embedded roots can carry
     mu-components of twice the length)."""
     gens = list(e.doubled) + [seed]
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v in gens:
-                y = _reflect_root(x, v)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_closure(seed, lambda x: (_reflect_root(x, v) for v in gens)))
 
 
 class _LawData(NamedTuple):
@@ -482,8 +482,8 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     Each law is checked on the integer data of ``_projection`` recomputed
     from gamma and the labels, which must match the Fractions in ``dl``.
     """
-    gram = e.diagram.gram()
-    n_mat, den = _scaled_inverse(e.diagram)
+    pc = build_partial_cartan(e.diagram)
+    gram, n_mat, den = pc.gram, pc.inv_num, pc.inv_den
     s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
@@ -629,31 +629,36 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """Distinct embeddings tried and the shared distinct-label set."""
+    """Distinct embeddings tried and the distinct-label sets they realize.
+
+    ``label_sets`` lists each distinct set once, in the order of the
+    embeddings; ``labels`` is the first of them."""
 
     embeddings: int
     labels: tuple[Linkage, ...]
+    label_sets: tuple[tuple[Linkage, ...], ...]
 
 
 def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
                            trials: int) -> IndependenceReport:
-    """Check the distinct-label set is the same across several embeddings."""
+    """The distinct-label sets of up to ``trials`` embeddings of ``d``.
+
+    Embeddings conjugate under the Weyl group of the ambient realize the same
+    set.  A diagram may embed in more than one class (A7 in E8, D6 in E7),
+    and the classes can realize different sets, so whether the sets must
+    agree is left to the caller."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     embs = find_embeddings(d, ambient, limit=trials, fix_first_root=False)
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
-    n_mat, den = _scaled_inverse(d)
-    reference: Optional[tuple[Linkage, ...]] = None
+    pc = build_partial_cartan(d)
+    sets: list[tuple[Linkage, ...]] = []
     for e in embs:
-        labels = tuple(sorted({labs for _, labs, *_ in _label_scan(e, n_mat, den)}))
-        if reference is None:
-            reference = labels
-        elif labels != reference:
-            raise VerificationError(
-                f"distinct label sets differ between embeddings of {d.name} "
-                f"in {ambient.name}")
-    return IndependenceReport(len(embs), reference or ())
+        labels = tuple(sorted({labs for _, labs, *_ in _label_scan(e, pc.inv_num, pc.inv_den)}))
+        if labels not in sets:
+            sets.append(labels)
+    return IndependenceReport(len(embs), sets[0], tuple(sets))
 
 
 # -- weight orbits ---------------------------------------------------------------
@@ -670,15 +675,4 @@ def weight_orbit(pc: PartialCartan, v) -> tuple[tuple[int, ...], ...]:
         raise dg.DiagramError(f"{d.name}: weight orbits need a Dynkin diagram (no dotted edges)")
     i = d.index_of(v)
     start = tuple(1 if j == i else 0 for j in range(len(pc)))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for t in d.vertices:
-                y = dual_reflect(pc, t, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
+    return tuple(sorted(_closure(start, lambda x: (dual_reflect(pc, t, x) for t in d.vertices))))

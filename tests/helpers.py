@@ -1,8 +1,13 @@
-"""Shared cached constructors so the suite builds each heavy object once."""
+"""Shared test support: cached constructors, so the suite builds each heavy
+object once, the Fraction reference linear algebra, and a diagram generator."""
 
+from fractions import Fraction
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 import carterlink as cl
+from carterlink import diagram as dg
 
 # The 18 diagrams with tabulated matrices, in table order.
 CATALOG = [
@@ -45,3 +50,104 @@ def labels_in(name: str, amb: str):
     emb = embedding_in(name, amb)
     assert emb is not None, f"{name} does not embed into {amb}"
     return cl.direct_linkage_labels(emb)
+
+
+# -- Fraction reference linear algebra -------------------------------------------
+# The package computes on integers, from one fraction-free elimination.  These
+# plain Fraction routines are the independent route the tests compare it with.
+
+
+def _square(rows):
+    a = [[Fraction(x) for x in row] for row in rows]
+    if not a or any(len(row) != len(a) for row in a):
+        raise ValueError("need a non-empty square matrix")
+    return a
+
+
+def ref_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination with row swaps."""
+    a = _square(rows)
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def ref_inverse(rows) -> list:
+    """Inverse by Gauss-Jordan with row swaps; ValueError when singular."""
+    a = _square(rows)
+    n = len(a)
+    a = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def ref_mat_vec(m, v) -> list:
+    return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in m]
+
+
+def ref_quad_form(m, v) -> Fraction:
+    """v^T m v."""
+    return sum((Fraction(x) * y for x, y in zip(v, ref_mat_vec(m, v))), Fraction(0))
+
+
+def ref_rank(vectors) -> int:
+    """Rank of a list of row vectors."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+# -- generated diagrams -----------------------------------------------------------
+
+
+@st.composite
+def signed_bipartite_diagrams(draw, max_rank=7):
+    """Connected signed bipartite diagrams: a random spanning tree, whose
+    parent links fix the coloring, plus random extra alpha-beta edges."""
+    n = draw(st.integers(1, max_rank))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    colors = [0]
+    for par in parents:
+        colors.append(1 - colors[par])
+    pairs = {(par, i) for i, par in enumerate(parents, start=1)}
+    extra = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if colors[i] != colors[j] and (i, j) not in pairs]
+    if extra:
+        pairs |= set(draw(st.lists(st.sampled_from(extra), unique=True)))
+    counts = [0, 0]
+    vertices = []
+    for c in colors:
+        counts[c] += 1
+        vertices.append(cl.VertexId("ab"[c], counts[c], (dg.ALPHA, dg.BETA)[c]))
+    edges = tuple((vertices[i], vertices[j], draw(st.sampled_from((-1, 1))))
+                  for i, j in sorted(pairs))
+    return cl.CarterDiagram("generated", tuple(vertices), edges)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import carterlink as cl
 from carterlink import roots as rt
-from carterlink.linalg import RMatrix
+from carterlink.cartan import RMatrix
 from carterlink.linkage import beta_unicolored, form_value, group_by_p
 from carterlink.orbit import gamma8_candidates, project_system
 

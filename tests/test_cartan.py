@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import carterlink as cl
-from carterlink.cartan import CartanError
-from carterlink.linalg import RMatrix
+from carterlink.cartan import CartanError, RMatrix
 
-from helpers import CATALOG, pc_of
+from helpers import CATALOG, pc_of, ref_det, ref_inverse, signed_bipartite_diagrams
 from reference_tables import TABLES
 
 
@@ -94,3 +94,54 @@ def test_gram_restriction_consistency():
     for i, x in enumerate(emb.roots):
         for j, y in enumerate(emb.roots):
             assert sum(a * b for a, b in zip(x, y)) == g[i][j]
+
+
+# -- the integer core ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_core_matches_reference_tables(name):
+    b_rows, den, n_rows = TABLES[name]
+    pc = pc_of(name)
+    assert pc.gram == tuple(map(tuple, b_rows))
+    assert pc.inv_num == tuple(map(tuple, n_rows))
+    assert pc.inv_den == den
+
+
+def _assert_core_matches_reference(pc):
+    b = pc.gram
+    assert [[Fraction(x, pc.inv_den) for x in row] for row in pc.inv_num] == ref_inverse(b)
+    assert pc.det == ref_det(b)
+    assert pc.B == RMatrix.from_rows(b)
+    assert pc.B_inv == RMatrix.from_rows(ref_inverse(b))
+
+
+FAMILIES = ([f"A{l}" for l in range(1, 13)] + [f"D{l}" for l in range(4, 13)]
+            + [f"D{l}(a{k})" for l in range(4, 13) for k in range(1, l - 2)])
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_core_matches_fraction_reference(name):
+    _assert_core_matches_reference(cl.build_partial_cartan(cl.catalog(name)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_bipartite_diagrams(max_rank=8))
+def test_core_on_generated_diagrams(d):
+    b = d.gram()
+    minors = [ref_det([r[:k] for r in b[:k]]) for k in range(1, len(b) + 1)]
+    if all(m > 0 for m in minors):
+        _assert_core_matches_reference(cl.build_partial_cartan(d))
+    else:
+        with pytest.raises(CartanError):
+            cl.build_partial_cartan(d)
+
+
+def test_negative_determinant_rejected():
+    # one beta vertex with five solid alpha leaves: det = 32 (2 - 5/2) = -16
+    b1 = cl.VertexId("b", 1, "beta")
+    leaves = tuple(cl.VertexId("a", i, "alpha") for i in range(1, 6))
+    star = cl.CarterDiagram("star", leaves + (b1,), tuple((a, b1, -1) for a in leaves))
+    assert ref_det(star.gram()) == -16
+    with pytest.raises(CartanError, match="not positive definite"):
+        cl.build_partial_cartan(star)

@@ -9,7 +9,11 @@ import pytest
 import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import orbit
+from carterlink import roots as rt
 from carterlink.cli import main
+
+from helpers import CATALOG, ref_det
+from reference_tables import TABLES
 
 
 def run(capsys, *argv):
@@ -202,3 +206,57 @@ def test_cli_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c",
                     "import carterlink.cli, sys; assert 'numpy' not in sys.modules"],
                    env=env, check=True)
+
+
+def _grid(rows):
+    cells = [[str(x) for x in row] for row in rows]
+    width = max(len(x) for row in cells for x in row)
+    return ["  [ " + "  ".join(x.rjust(width) for x in row) + " ]" for row in cells]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_cartan_inverse_det_matches_reference_tables(capsys, name):
+    b_rows, den, n_rows = TABLES[name]
+    ids = ", ".join(v.id for v in cl.catalog(name).vertices)
+    want = [f"B_L of {name}  (vertices: {ids})", *_grid(b_rows), "inverse:",
+            *([f"(1/{den}) *"] if den > 1 else []), *_grid(n_rows),
+            f"det = {ref_det(b_rows)}"]
+    code, out, err = run(capsys, "cartan", name, "--inverse", "--det")
+    assert (code, err) == (0, "")
+    assert out == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("argv", [("A7",), ("D6(a1)", "--ambient", "E7")])
+def test_verify_accepts_several_embedding_classes(capsys, argv):
+    # A7 in E8 and D6(a1) in E7 each embed in two classes with different
+    # label sets; outside the E8 equality claim that is not a failure
+    code, out, err = run(capsys, "verify", *argv, "--trials", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "  distinct label sets: 2 across 3 embeddings, each inside the enumerated set")
+
+
+def test_verify_label_sets_must_agree_under_e8_equality(capsys, monkeypatch):
+    real = rt.embedding_independence
+
+    def two_classes(d, amb, trials):
+        rep = real(d, amb, trials)
+        return rt.IndependenceReport(rep.embeddings, rep.labels, (rep.labels, rep.labels[:8]))
+
+    monkeypatch.setattr(rt, "embedding_independence", two_classes)
+    code, _, err = run(capsys, "verify", "E6(a1)", "--trials", "2")
+    assert code == 2
+    assert "distinct label sets differ between embeddings of E6(a1) in E8" in err
+
+
+def test_verify_trial_labels_must_cover_whole_components(capsys, monkeypatch):
+    real = rt.embedding_independence
+
+    def partial(d, amb, trials):
+        rep = real(d, amb, trials)
+        return rt.IndependenceReport(rep.embeddings, rep.labels, (rep.labels[:1],))
+
+    monkeypatch.setattr(rt, "embedding_independence", partial)
+    code, _, err = run(capsys, "verify", "D6(a1)", "--ambient", "E7", "--trials", "2")
+    assert code == 2
+    assert "trial labels cover a component of D6(a1) only partially" in err

@@ -202,3 +202,21 @@ def test_json_rejects_color_conflict():
     text = '{"name": "x", "vertices": [{"id": "a1", "color": "beta"}], "edges": []}'
     with pytest.raises(dg.DiagramError, match="conflicts"):
         dg.from_json(text)
+
+
+def test_vertex_lookup_by_object_and_id():
+    d = cl.catalog("E6(a1)")
+    for i, v in enumerate(d.vertices):
+        assert d.index_of(v) == d.index_of(v.id) == i
+        assert d.vertex(v.id) is v
+    with pytest.raises(dg.DiagramError, match="unknown vertex 'a9'"):
+        d.index_of("a9")
+    with pytest.raises(dg.DiagramError, match="unknown vertex a1"):
+        d.vertex(dg.VertexId("a", 1, dg.BETA))
+
+
+def test_vertex_index_is_not_part_of_the_value():
+    d = cl.catalog("D5(a1)")
+    assert "_index" not in repr(d)
+    twin = cl.CarterDiagram(d.name, d.vertices, d.edges, d.pattern)
+    assert twin == d and hash(twin) == hash(d)

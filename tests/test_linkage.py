@@ -5,11 +5,9 @@ import pytest
 
 import carterlink as cl
 from carterlink.diagram import catalog_names
-from carterlink.linalg import RMatrix, mat_inverse, quad_form
-from carterlink.linkage import _prefix_form, beta_unicolored, enumerate_linkages, form_value, \
-    group_by_p
+from carterlink.linkage import beta_unicolored, enumerate_linkages, form_value, group_by_p
 
-from helpers import CATALOG, links_of, pc_of
+from helpers import CATALOG, links_of, pc_of, ref_inverse, ref_quad_form
 
 
 EXPECTED_TOTALS = {
@@ -137,11 +135,12 @@ def test_enumeration_matches_brute_force(name):
 def test_prefix_form_is_the_leading_block_inverse_form(name):
     # The search prunes on this value, the least of the form of B^-1 over
     # real completions of the prefix; at full length it is the form itself.
-    b = pc_of(name).b_int()
-    rows, weights, den = _prefix_form(b)
+    pc = pc_of(name)
+    b = pc.gram
+    rows, weights, den = pc.prefix
     for k in range(1, len(b) + 1):
-        lead_inv = mat_inverse(RMatrix.from_rows([r[:k] for r in b[:k]]))
+        lead_inv = ref_inverse([r[:k] for r in b[:k]])
         for v in itertools.product((-1, 0, 1), repeat=k):
             z = [sum(r * x for r, x in zip(row, v)) for row in rows[:k]]
             scaled = sum(w * zk * zk for w, zk in zip(weights, z))
-            assert Fraction(scaled, den) == quad_form(lead_inv, v)
+            assert Fraction(scaled, den) == ref_quad_form(lead_inv, v)

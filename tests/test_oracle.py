@@ -2,14 +2,14 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 import carterlink as cl
-from carterlink import diagram as dg
 from carterlink import roots as rt
 from carterlink.cartan import CartanError
 from carterlink.linkage import group_by_p
-from helpers import CATALOG, ambient, embedding_in, labels_in, links_of, pc_of, system_of
+from helpers import CATALOG, ambient, embedding_in, labels_in, links_of, pc_of, ref_inverse, \
+    ref_mat_vec, ref_quad_form, ref_rank, signed_bipartite_diagrams, system_of
 
 
 # -- root systems -----------------------------------------------------------------
@@ -229,6 +229,22 @@ def test_embedding_independence_a1():
     assert rep.embeddings == 3
 
 
+def test_embedding_independence_reports_each_embedding_class():
+    # E8 holds two classes of A7 subsystems, realizing 184 and 56 vectors
+    d = cl.catalog("A7")
+    rep = rt.embedding_independence(d, ambient("E8"), 3)
+    enum = set(cl.enumerate_linkages(cl.build_partial_cartan(d)))
+    assert rep.embeddings == 3
+    assert [len(s) for s in rep.label_sets] == [184, 56]
+    assert rep.labels == rep.label_sets[0]
+    assert all(set(s) <= enum for s in rep.label_sets)
+
+
+def test_find_embeddings_limit_below_1_finds_none():
+    for limit in (0, -1):
+        assert cl.find_embeddings(cl.catalog("D4"), ambient("E8"), limit=limit) == []
+
+
 def test_embedding_independence_rejects_trials_below_1():
     for trials in (0, -3):
         with pytest.raises(ValueError):
@@ -275,7 +291,7 @@ def reference_realized(e):
     mu = gamma - gamma_L; p = labels^T B^-1 labels.  Roots with zero labels
     or mu = 0 are skipped.
     """
-    pc = cl.build_partial_cartan(e.diagram)
+    b_inv = ref_inverse(e.diagram.gram())
     out = []
     for gamma in e.ambient.roots:
         dots = [_fdot(gamma, r) for r in e.roots]
@@ -283,14 +299,14 @@ def reference_realized(e):
         labels = tuple(int(x) for x in dots)
         if not any(labels):
             continue
-        coeff = pc.B_inv.mat_vec(labels)
+        coeff = ref_mat_vec(b_inv, labels)
         gamma_l = tuple(sum((c * r[k] for c, r in zip(coeff, e.roots)), Fraction(0))
                         for k in range(e.ambient.dim))
         mu = tuple(g - h for g, h in zip(gamma, gamma_l))
         if not any(mu):
             continue
         out.append(rt.RealizedLinkage(gamma, labels, gamma_l, mu, _fdot(mu, mu),
-                                      cl.quad_form(pc.B_inv, labels)))
+                                      ref_quad_form(b_inv, labels)))
     return out
 
 
@@ -319,7 +335,7 @@ def brute_force_embeddings(d, amb, limit):
             roots = [None] * l
             for p, v in enumerate(order):
                 roots[v] = chosen[p]
-            if cl.linalg.rank(roots) == l:
+            if ref_rank(roots) == l:
                 found.append(tuple(roots))
             return len(found) >= limit
         for r in amb.roots:
@@ -341,30 +357,6 @@ def test_find_embeddings_match_brute_force():
 
 
 # -- generated diagrams ---------------------------------------------------------------
-
-
-@st.composite
-def signed_bipartite_diagrams(draw, max_rank=7):
-    """Connected signed bipartite diagrams: a random spanning tree, whose
-    parent links fix the coloring, plus random extra alpha-beta edges."""
-    n = draw(st.integers(1, max_rank))
-    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    colors = [0]
-    for par in parents:
-        colors.append(1 - colors[par])
-    pairs = {(par, i) for i, par in enumerate(parents, start=1)}
-    extra = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if colors[i] != colors[j] and (i, j) not in pairs]
-    if extra:
-        pairs |= set(draw(st.lists(st.sampled_from(extra), unique=True)))
-    counts = [0, 0]
-    vertices = []
-    for c in colors:
-        counts[c] += 1
-        vertices.append(cl.VertexId("ab"[c], counts[c], (dg.ALPHA, dg.BETA)[c]))
-    edges = tuple((vertices[i], vertices[j], draw(st.sampled_from((-1, 1))))
-                  for i, j in sorted(pairs))
-    return cl.CarterDiagram("generated", tuple(vertices), edges)
 
 
 def _is_chain(d):
