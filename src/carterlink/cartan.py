@@ -133,11 +133,6 @@ def _eliminate(b: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
     return m
 
 
-def positive_definite(b: Sequence[Sequence[int]]) -> bool:
-    """Whether the symmetric integer matrix b is positive definite."""
-    return _eliminate(b) is not None
-
-
 def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     """Build B from the diagram and its exact integer core.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Iterable, Optional
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -157,29 +157,32 @@ class CarterDiagram:
 # -- validation --------------------------------------------------------------
 
 
+def closure(seed, images: Callable[[Any], Iterable]) -> set:
+    """Everything reachable from ``seed`` by repeated ``images``, found one
+    breadth-first frontier at a time."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in images(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def validate(d: CarterDiagram) -> list[str]:
     """Return a list of violations; empty means the diagram is well formed."""
     problems: list[str] = []
     for u, v, s in d.edges:
         if u.color == v.color:
             problems.append(f"edge {u}-{v} joins two {u.color} vertices")
-    if d.vertices:
-        seen = {d.vertices[0]}
-        frontier = [d.vertices[0]]
-        adj: dict[VertexId, list[VertexId]] = {v: [] for v in d.vertices}
-        for u, v, _ in d.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != len(d.vertices):
-            problems.append("diagram is disconnected")
+    if not d.vertices:
+        problems.append("diagram has no vertices")
+    elif len(closure(d.vertices[0], lambda u: (w for w, _ in d.neighbors(u)))) != len(d):
+        problems.append("diagram is disconnected")
     ids = [v.id for v in d.vertices]
     if len(set(ids)) != len(ids):
         problems.append("duplicate vertex ids")
@@ -464,26 +467,22 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
 
 
 def _switching_consistent(g1, g2, perm) -> bool:
-    """Check a sign assignment exists: g2[pi(u)][pi(v)] = e_u e_v g1[u][v]."""
+    """Check a sign assignment exists: g2[pi(u)][pi(v)] = e_u e_v g1[u][v].
+
+    The signs propagate along the edges as pairs (vertex, e_vertex); an
+    assignment exists exactly when no vertex is reached with both signs."""
     n = len(g1)
-    eps = [0] * n
+
+    def images(node):
+        u, e = node  # e_v = e_u * g2[pi(u)][pi(v)] * g1[u][v], each edge +-1
+        return ((v, e * g2[perm[u]][perm[v]] * g1[u][v]) for v in range(n)
+                if v != u and g1[u][v])
+
+    signed: set = set()
     for start in range(n):
-        if eps[start]:
-            continue
-        eps[start] = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if u == v or g1[u][v] == 0:
-                    continue
-                want = g2[perm[u]][perm[v]] * g1[u][v]  # = e_u * e_v, each edge +-1
-                if eps[v] == 0:
-                    eps[v] = eps[u] * want
-                    stack.append(v)
-                elif eps[u] * eps[v] != want:
-                    return False
-    return True
+        if not {(start, 1), (start, -1)} & signed:
+            signed |= closure((start, 1), images)
+    return all((v, -e) not in signed for v, e in signed)
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -510,6 +509,9 @@ def from_json(text: str) -> CarterDiagram:
     for key in ("name", "vertices", "edges"):
         if key not in doc:
             raise DiagramError(f"diagram JSON is missing {key!r}")
+    for key in ("vertices", "edges"):
+        if not isinstance(doc[key], list):
+            raise DiagramError(f"diagram JSON: {key!r} must be a list")
     verts = []
     for i, v in enumerate(doc["vertices"]):
         _check_keys(v, {"id", "color"}, f"vertices[{i}]")

@@ -6,13 +6,14 @@ solid edge and -v_t across a dotted one.  The linkage vectors of a diagram
 are closed under these reflections; the resulting graph is the linkage
 system.  Every node with a nonzero label on the pattern alphas a1, a2, a3
 falls into exactly one 8-element loctet; the remaining nodes have zero
-labels on all pattern alphas.
+labels on all pattern alphas.  The reflection is written once, by vertex
+index, in ``reflect_at``; the components are ``diagram.closure`` over the edges.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,15 +33,21 @@ class UnsupportedDiagram(ValueError):
     (D4(a1)/D_l(a_k), D_l, E6, E7, E8), not a bare chain."""
 
 
+def reflect_at(pc: PartialCartan, i: int, v: Linkage) -> Linkage:
+    """The dual reflection at the vertex of index i.  Unchecked: ``v`` must be
+    a tuple of length len(pc); ``dual_reflect`` is the checked form."""
+    vi = v[i]
+    if vi == 0:
+        return v
+    return tuple(x - vi * b for x, b in zip(v, pc.gram[i]))
+
+
 def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
     """Apply the dual reflection at vertex t to an integer label vector."""
     i = pc.diagram.index_of(t)
     if len(v) != len(pc):
         raise ValueError(f"vector of length {len(v)} for rank {len(pc)}")
-    vi = v[i]
-    if vi == 0:
-        return tuple(v)
-    return tuple(x - vi * b for x, b in zip(v, pc.gram[i]))
+    return reflect_at(pc, i, tuple(v))
 
 
 @dataclass(frozen=True)
@@ -73,9 +80,16 @@ class LinkageSystem:
     component_p: tuple[Fraction, ...]
     loctets: tuple[Loctet, ...]
     unicolored: tuple[Linkage, ...]
+    _index: dict = field(init=False, repr=False, compare=False)  # node -> position
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.nodes)})
 
     def node_index(self, v: Linkage) -> int:
-        return self.nodes.index(tuple(v))
+        i = self._index.get(tuple(v))
+        if i is None:
+            raise ValueError(f"{tuple(v)} is not a node of the linkage system")
+        return i
 
     def component_sizes(self) -> list[int]:
         return sorted(len(c) for c in self.components)
@@ -95,6 +109,15 @@ def _pattern_indices(pc: PartialCartan) -> tuple[int, int, int, int]:
     return idx
 
 
+def _kind_indices(pc: PartialCartan, kind: str) -> tuple[int, int, int, int]:
+    """Vertex indices of a_i, a_j, a_k and b1 for the loctet kind L_ij."""
+    if kind not in LOCTET_TYPES:
+        raise ValueError(f"loctet kind must be one of {LOCTET_TYPES}, got {kind!r}")
+    ai, aj = (int(c) - 1 for c in kind[1:])
+    p = _pattern_indices(pc)
+    return p[ai], p[aj], p[3 - ai - aj], p[3]
+
+
 def _is_bare_square(d: dg.CarterDiagram) -> bool:
     return (
         len(d.vertices) == 4
@@ -110,17 +133,10 @@ def gamma8_candidates(pc: PartialCartan, kind: str,
     For kind L_ij the candidates carry 0 at pattern alphas a_i and a_j, 1 at
     the remaining a_k, 0 at the center b1, and anything admissible elsewhere.
     """
-    if kind not in LOCTET_TYPES:
-        raise ValueError(f"loctet kind must be one of {LOCTET_TYPES}, got {kind!r}")
-    ai, aj = (int(c) - 1 for c in kind[1:])
-    ak = ({0, 1, 2} - {ai, aj}).pop()
-    p = _pattern_indices(pc)
+    i, j, k, b = _kind_indices(pc, kind)
     if nodes is None:
         nodes = enumerate_linkages(pc)
-    return tuple(
-        v for v in nodes
-        if v[p[ai]] == 0 and v[p[aj]] == 0 and v[p[ak]] == 1 and v[p[3]] == 0
-    )
+    return tuple(v for v in nodes if v[i] == 0 and v[j] == 0 and v[k] == 1 and v[b] == 0)
 
 
 def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Loctet:
@@ -130,17 +146,14 @@ def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Locte
     gamma(4) = s*_{a_i} gamma(6); gamma(5) = s*_{a_j} gamma(6);
     gamma(1..3) are the negatives of gamma(8..6).
     """
-    if kind not in LOCTET_TYPES:
-        raise ValueError(f"loctet kind must be one of {LOCTET_TYPES}, got {kind!r}")
-    ai, aj = (int(c) - 1 for c in kind[1:])
-    ak = ({0, 1, 2} - {ai, aj}).pop()
-    p = _pattern_indices(pc)
-    verts = pc.diagram.vertices
+    i, j, k, b = _kind_indices(pc, kind)
+    if len(g8) != len(pc):
+        raise ValueError(f"vector of length {len(g8)} for rank {len(pc)}")
     g8 = tuple(g8)
-    g7 = dual_reflect(pc, verts[p[ak]], g8)
-    g6 = dual_reflect(pc, verts[p[3]], g7)
-    g4 = dual_reflect(pc, verts[p[ai]], g6)
-    g5 = dual_reflect(pc, verts[p[aj]], g6)
+    g7 = reflect_at(pc, k, g8)
+    g6 = reflect_at(pc, b, g7)
+    g4 = reflect_at(pc, i, g6)
+    g5 = reflect_at(pc, j, g6)
     neg = lambda v: tuple(-x for x in v)
     members = (neg(g8), neg(g7), neg(g6), g4, g5, g6, g7, g8)
     if len(set(members)) != 8:
@@ -153,25 +166,12 @@ def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Locte
 
 def build_system(pc: PartialCartan) -> LinkageSystem:
     """Enumerate nodes, close them under the generators, find components,
-
     collect loctets, and verify the loctet partition.  The empty system (E8)
     is legal."""
     d = pc.diagram
     nodes = enumerate_linkages(pc)
     index = {v: i for i, v in enumerate(nodes)}
-    edges = set()
-    for v in nodes:
-        for t in d.vertices:
-            w = dual_reflect(pc, t, v)
-            if w == v:
-                continue
-            j = index.get(w)
-            if j is None:
-                raise VerificationError(
-                    f"{d.name}: reflection at {t} leaves the linkage set: {v} -> {w}")
-            i = index[v]
-            edges.add((min(i, j), max(i, j), t.id))
-
+    edges = _edges(pc, nodes, index)
     components = _components(len(nodes), edges)
     component_p = []
     for comp in components:
@@ -222,24 +222,39 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     )
 
 
+def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...],
+           index: dict[Linkage, int]) -> set[tuple[int, int, str]]:
+    """Every (i, j, vertex id), i < j, where the dual reflection at the vertex
+    sends node i to node j; raises VerificationError when one leaves the nodes."""
+    d = pc.diagram
+    edges = set()
+    for i, v in enumerate(nodes):
+        for k, t in enumerate(d.vertices):
+            if v[k] == 0:
+                continue
+            w = reflect_at(pc, k, v)
+            j = index.get(w)
+            if j is None:
+                raise VerificationError(
+                    f"{d.name}: reflection at {t} leaves the linkage set: {v} -> {w}")
+            edges.add((min(i, j), max(i, j), t.id))
+    return edges
+
+
 def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
     """Connected components of the graph on 0..n-1, each sorted, in sorted order."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    adj: list[list[int]] = [[] for _ in range(n)]
     for i, j, _ in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    comp_map: dict[int, list[int]] = {}
+        adj[i].append(j)
+        adj[j].append(i)
+    seen: set = set()
+    comps = []
     for i in range(n):
-        comp_map.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(c) for c in comp_map.values()))
+        if i not in seen:
+            comp = dg.closure(i, adj.__getitem__)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def _generated_loctets(pc: PartialCartan, nodes: tuple[Linkage, ...]) -> tuple[Loctet, ...]:
@@ -399,13 +414,14 @@ _SYSTEM_KEYS = {"diagram", "nodes", "edges", "components", "component_p",
 def from_json(text: str) -> LinkageSystem:
     """Parse a serialized system back and check it against the diagram.
 
-    Checks the keys; that every node index (edges, components, loctets,
-    unicolored) lies in range; that the nodes are exactly the enumerated
-    linkage vectors of the diagram; that the components are the connected
-    components of the edges; and that each component_p is the form value of
-    the component.  The edges themselves are not compared with the dual
-    reflections, since that would mean rebuilding the system.  Malformed
-    documents raise DiagramError, disagreements VerificationError.
+    Checks the keys and the shape of every value; that every node index
+    (edges, components, loctets, unicolored) lies in range; that the nodes
+    are exactly the enumerated linkage vectors of the diagram; that the
+    components are the connected components of the edges; and that each
+    component_p is the form value of the component.  The edges themselves
+    are not compared with the dual reflections, since that would mean
+    rebuilding the system.  Malformed documents raise DiagramError,
+    disagreements VerificationError.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -418,7 +434,7 @@ def from_json(text: str) -> LinkageSystem:
             raise dg.DiagramError(f"system JSON is missing {key!r}")
     d = dg.from_json(json.dumps(doc["diagram"]))
     pc = build_partial_cartan(d)
-    nodes = tuple(tuple(int(x) for x in v) for v in doc["nodes"])
+    nodes = tuple(_ints(v, "node") for v in _list(doc, "nodes"))
     expected = enumerate_linkages(pc)
     if nodes != expected:
         stray = sorted(set(nodes) ^ set(expected))
@@ -426,17 +442,23 @@ def from_json(text: str) -> LinkageSystem:
             f"system JSON of {d.name}: nodes are not its sorted linkage vectors"
             + (f"; first difference {stray[0]}" if stray else ""))
 
-    def node(i, where: str) -> int:
-        if type(i) is not int or not 0 <= i < len(nodes):
-            raise dg.DiagramError(f"system JSON: {where} index {i!r} is not a node index")
-        return i
+    def at(x, where: str) -> tuple[int, ...]:
+        idx = _ints(x, where)
+        for i in idx:
+            if not 0 <= i < len(nodes):
+                raise dg.DiagramError(f"system JSON: {where} index {i} is not a node index")
+        return idx
 
-    edges = tuple((node(i, "edge"), node(j, "edge"), str(g)) for i, j, g in doc["edges"])
-    components = tuple(tuple(node(i, "component") for i in c) for c in doc["components"])
+    edges = []
+    for e in _list(doc, "edges"):
+        if not isinstance(e, list) or len(e) != 3 or not isinstance(e[2], str):
+            raise dg.DiagramError(f"system JSON: edge {e!r} is not [index, index, vertex id]")
+        edges.append((*at(e[:2], "edge"), e[2]))
+    components = tuple(at(c, "component") for c in _list(doc, "components"))
     if components != _components(len(nodes), edges):
         raise VerificationError(
             f"system JSON of {d.name}: components are not those of the edges")
-    component_p = tuple(Fraction(p) for p in doc["component_p"])
+    component_p = tuple(_fraction(p) for p in _list(doc, "component_p"))
     if len(component_p) != len(components):
         raise VerificationError(
             f"system JSON of {d.name}: {len(component_p)} p values for "
@@ -445,16 +467,34 @@ def from_json(text: str) -> LinkageSystem:
         if form_value(pc, nodes[comp[0]]) != p:
             raise VerificationError(
                 f"system JSON of {d.name}: p = {p} on the component of {nodes[comp[0]]}")
-    loctets = tuple(
-        Loctet(str(item["kind"]), tuple(nodes[node(i, "loctet")] for i in item["members"]))
-        for item in doc["loctets"]
-    )
-    return LinkageSystem(
-        pc=pc,
-        nodes=nodes,
-        edges=edges,
-        components=components,
-        component_p=component_p,
-        loctets=loctets,
-        unicolored=tuple(nodes[node(i, "unicolored")] for i in doc["unicolored"]),
-    )
+    loctets = []
+    for item in _list(doc, "loctets"):
+        if not isinstance(item, dict) or set(item) != {"kind", "members"} \
+                or not isinstance(item["kind"], str):
+            raise dg.DiagramError(f"system JSON: loctet {item!r} is not a kind and members")
+        members = at(item["members"], "loctet")
+        loctets.append(Loctet(item["kind"], tuple(nodes[i] for i in members)))
+    return LinkageSystem(pc, nodes, tuple(edges), components, component_p, tuple(loctets),
+                         tuple(nodes[i] for i in at(doc["unicolored"], "unicolored")))
+
+
+def _list(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list):
+        raise dg.DiagramError(f"system JSON: {key} {doc[key]!r} is not a list")
+    return doc[key]
+
+
+def _ints(x, where: str) -> tuple[int, ...]:
+    """x as a tuple; DiagramError unless it is a list of JSON integers."""
+    if not isinstance(x, list) or any(type(i) is not int for i in x):
+        raise dg.DiagramError(f"system JSON: {where} {x!r} is not a list of integers")
+    return tuple(x)
+
+
+def _fraction(p) -> Fraction:
+    if isinstance(p, str):
+        try:
+            return Fraction(p)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise dg.DiagramError(f"system JSON: component_p {p!r} is not a fraction string")

@@ -8,7 +8,10 @@ is also kept in doubled coordinates, where the inner product of two roots is
 the dot product divided by 4.  With B^-1 = N / D (N and D integer), the
 projection gamma_L and mu = gamma - gamma_L are integer vectors at the scale
 2D, so every law is checked as an integer identity; the public results carry
-the same values as exact Fractions.
+the same values as exact Fractions.  ``find_embeddings`` builds the partial
+Cartan matrix of the diagram once; its embeddings share it and every oracle
+reads it from there.  The extension and weight orbits are ``diagram.closure``
+under reflections.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
-from .cartan import PartialCartan, build_partial_cartan, positive_definite
+from .cartan import CartanError, PartialCartan, build_partial_cartan
 from .linkage import Linkage
-from .orbit import VerificationError, dual_reflect
+from .orbit import VerificationError, reflect_at
 
 Root = tuple[Fraction, ...]
 Doubled = tuple[int, ...]
@@ -132,15 +135,7 @@ def build_root_system(name: str) -> RootSystem:
     if family == "D":
         if not 2 <= n <= dg.MAX_RANK:
             raise RootSystemError(f"D_n supports 2 <= n <= {dg.MAX_RANK}, got {n}")
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [Fraction(0)] * n
-                        v[i], v[j] = Fraction(si), Fraction(sj)
-                        roots.append(tuple(v))
-        rs = RootSystem(f"D{n}", n, n, roots)
+        rs = RootSystem(f"D{n}", n, n, _d_roots(n))
         assert len(rs) == 2 * n * (n - 1)
         return rs
     if family == "E" and n in (6, 7, 8):
@@ -166,15 +161,21 @@ def _unit(i: int, dim: int, sign_j: int, j: int) -> Root:
     return tuple(v)
 
 
-def _e8_roots() -> list[Root]:
-    roots: list[Root] = []
-    for i in range(8):
-        for j in range(i + 1, 8):
+def _d_roots(n: int) -> list[Root]:
+    """The 2n(n-1) roots +-e_i +- e_j of D_n."""
+    roots = []
+    for i in range(n):
+        for j in range(i + 1, n):
             for si in (1, -1):
                 for sj in (1, -1):
-                    v = [Fraction(0)] * 8
+                    v = [Fraction(0)] * n
                     v[i], v[j] = Fraction(si), Fraction(sj)
                     roots.append(tuple(v))
+    return roots
+
+
+def _e8_roots() -> list[Root]:
+    roots = _d_roots(8)
     for signs in range(256):
         bits = [(signs >> b) & 1 for b in range(8)]
         if sum(bits) % 2 == 0:
@@ -187,40 +188,36 @@ def _e8_roots() -> list[Root]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Diagram vertices realized as ambient roots, in canonical vertex order.
+    """The vertices of ``pc.diagram`` realized as ambient roots, in canonical
+    vertex order.  Every oracle below reads ``pc``; being positive definite,
+    it makes the roots independent.  ``doubled`` holds the same roots in
+    doubled integer coordinates."""
 
-    ``doubled`` holds the same roots in doubled integer coordinates."""
-
-    diagram: dg.CarterDiagram
+    pc: PartialCartan
     ambient: RootSystem
     roots: tuple[Root, ...]
     doubled: tuple[Doubled, ...] = field(init=False, repr=False, compare=False)
 
+    @property
+    def diagram(self) -> dg.CarterDiagram:
+        return self.pc.diagram
+
     def __post_init__(self) -> None:
         doubled = tuple(_double(r) for r in self.roots)
         object.__setattr__(self, "doubled", doubled)
-        g = self.diagram.gram()
         n = len(self.roots)
         for i in range(n):
             for j in range(i, n):
-                if _dot(doubled[i], doubled[j]) != 4 * g[i][j]:
+                if _dot(doubled[i], doubled[j]) != 4 * self.pc.gram[i][j]:
                     raise VerificationError(
                         f"embedding Gram mismatch at ({self.diagram.vertices[i]}, "
                         f"{self.diagram.vertices[j]})")
-        # vectors with this Gram matrix are independent exactly when it is
-        # nonsingular, that is (being a Gram matrix) positive definite
-        if not positive_definite(g):
-            raise VerificationError("embedding roots are linearly dependent")
 
 
 def _assignment_order(d: dg.CarterDiagram) -> list[int]:
     """Deterministic connectivity-first order: most-constrained vertex next."""
     n = len(d.vertices)
-    pos = {v: i for i, v in enumerate(d.vertices)}
-    adj = [[] for _ in range(n)]
-    for u, v, _ in d.edges:
-        adj[pos[u]].append(pos[v])
-        adj[pos[v]].append(pos[u])
+    adj = [[d.index_of(w) for w, _ in d.neighbors(v)] for v in d.vertices]
     order: list[int] = []
     placed = [False] * n
     for _ in range(n):
@@ -252,16 +249,20 @@ def find_embeddings(
     solutions of that fixed search.  With ``fix_first_root`` the first
     vertex is pinned to the lexicographically smallest root, which is sound
     for existence because the Weyl group acts transitively on roots.
+
+    A malformed diagram raises CartanError.  One whose form is not positive
+    definite has no embeddings: it is the Gram matrix of no vectors at all.
     """
+    try:
+        pc = build_partial_cartan(d)
+    except CartanError:
+        if dg.validate(d):
+            raise
+        return []
     l = len(d.vertices)
     if l > ambient.rank or limit < 1:
         return []
-    g = d.gram()
-    # Vectors have the rank of their Gram matrix, so the solutions are
-    # independent exactly when the diagram's Gram matrix is nonsingular; an
-    # indefinite one is the Gram matrix of no vectors at all.
-    if not positive_definite(g):
-        return []
+    g = pc.gram
     order = _assignment_order(d)
     # target[q][p] + 1 indexes ip_bits for the pair of assignment positions
     target = [[g[order[p]][order[q]] + 1 for q in range(l)] for p in range(l)]
@@ -282,7 +283,7 @@ def find_embeddings(
                 roots = [None] * l
                 for p, v in enumerate(order):
                     roots[v] = ambient.roots[chosen[p]]
-                results.append(Embedding(d, ambient, tuple(roots)))
+                results.append(Embedding(pc, ambient, tuple(roots)))
                 if len(results) >= limit:
                     return True
                 continue
@@ -353,8 +354,7 @@ def _fraction_cache():
     return lru_cache(maxsize=None)(Fraction)
 
 
-def _label_scan(e: Embedding, n_mat: Sequence[Sequence[int]],
-                den: int) -> Iterator[tuple[int, Linkage, int, list[int], list[int]]]:
+def _label_scan(e: Embedding) -> Iterator[tuple[int, Linkage, int, list[int], list[int]]]:
     """(root index, labels, lc, G, M) of every ambient root that extends ``e``.
 
     See ``_projection`` for lc, G and M.  Roots with an all-zero label vector
@@ -362,6 +362,7 @@ def _label_scan(e: Embedding, n_mat: Sequence[Sequence[int]],
     """
     emb = e.doubled
     cols = list(zip(*emb))
+    n_mat, den = e.pc.inv_num, e.pc.inv_den
     for idx, x in enumerate(e.ambient.doubled):
         labels = []
         for y in emb:
@@ -391,13 +392,12 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     all-zero label vector (they are orthogonal to the whole subset and attach
     no bonds, and the zero vector is not a linkage by definition).
     """
-    pc = build_partial_cartan(e.diagram)
-    n_mat, den = pc.inv_num, pc.inv_den
+    den = e.pc.inv_den
     s = 2 * den
     frac = _fraction_cache()
     realized = []
     labels_seen = set()
-    for idx, labels, lc, g, m in _label_scan(e, n_mat, den):
+    for idx, labels, lc, g, m in _label_scan(e):
         realized.append(RealizedLinkage(
             e.ambient.roots[idx], labels,
             tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
@@ -419,31 +419,14 @@ def _reflect_root(x: Doubled, v: Doubled) -> Doubled:
     return tuple(xi - c * vi for xi, vi in zip(x, v))
 
 
-def _closure(seed, images: Callable[[Any], Iterable]) -> set:
-    """Everything reachable from ``seed`` by repeated ``images``, found one
-    breadth-first frontier at a time."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in images(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 def _extension_orbit(e: Embedding, seed: Doubled) -> frozenset:
     """Orbit of ``seed`` under the reflections in the embedded roots and in
-
     seed itself, all in doubled coordinates.  This is the orbit of the one
     added root; the orbit of the whole extended subset is strictly larger
     and mixes p-classes (images of the embedded roots can carry
     mu-components of twice the length)."""
     gens = list(e.doubled) + [seed]
-    return frozenset(_closure(seed, lambda x: (_reflect_root(x, v) for v in gens)))
+    return frozenset(dg.closure(seed, lambda x: (_reflect_root(x, v) for v in gens)))
 
 
 class _LawData(NamedTuple):
@@ -482,8 +465,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     Each law is checked on the integer data of ``_projection`` recomputed
     from gamma and the labels, which must match the Fractions in ``dl``.
     """
-    pc = build_partial_cartan(e.diagram)
-    gram, n_mat, den = pc.gram, pc.inv_num, pc.inv_den
+    gram, n_mat, den = e.pc.gram, e.pc.inv_num, e.pc.inv_den
     s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
@@ -598,7 +580,7 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
     and w.  The label at the center must match expected_square_diagonal.
     """
     d = e.diagram
-    g = d.gram()
+    g = e.pc.gram
     n = len(d.vertices)
     checked = with_d = without_d = 0
     pairs = []
@@ -652,10 +634,9 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     embs = find_embeddings(d, ambient, limit=trials, fix_first_root=False)
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
-    pc = build_partial_cartan(d)
     sets: list[tuple[Linkage, ...]] = []
     for e in embs:
-        labels = tuple(sorted({labs for _, labs, *_ in _label_scan(e, pc.inv_num, pc.inv_den)}))
+        labels = tuple(sorted({labs for _, labs, *_ in _label_scan(e)}))
         if labels not in sets:
             sets.append(labels)
     return IndependenceReport(len(embs), sets[0], tuple(sets))
@@ -675,4 +656,5 @@ def weight_orbit(pc: PartialCartan, v) -> tuple[tuple[int, ...], ...]:
         raise dg.DiagramError(f"{d.name}: weight orbits need a Dynkin diagram (no dotted edges)")
     i = d.index_of(v)
     start = tuple(1 if j == i else 0 for j in range(len(pc)))
-    return tuple(sorted(_closure(start, lambda x: (dual_reflect(pc, t, x) for t in d.vertices))))
+    step = lambda x: (reflect_at(pc, k, x) for k in range(len(x)) if x[k])
+    return tuple(sorted(dg.closure(start, step)))

@@ -164,6 +164,13 @@ def test_bad_json_file_exit_1(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_empty_diagram_exit_1(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"name": "x", "vertices": [], "edges": []}')
+    code, out, err = run(capsys, "cartan", str(path))
+    assert (code, out, err) == (1, "", "error: x: diagram has no vertices\n")
+
+
 def test_diagram_json_cli_roundtrip(tmp_path, capsys):
     # the JSON printed for a diagram parses back to an equal diagram
     d = cl.catalog("E7(a3)")

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 import carterlink as cl
 from carterlink import diagram as dg
+from carterlink.cartan import CartanError
 
 from helpers import C4_CATALOG, CATALOG, pc_of
 
@@ -50,6 +53,21 @@ def test_validate_reports_disconnected():
     d = dg.CarterDiagram("two-edges", vs,
                          ((vs[0], vs[1], dg.SOLID), (vs[2], vs[3], dg.SOLID)))
     assert any("disconnected" in p for p in cl.validate(d))
+
+
+def test_validate_reports_empty_diagram():
+    d = dg.from_json('{"name": "x", "vertices": [], "edges": []}')
+    assert cl.validate(d) == ["diagram has no vertices"]
+    with pytest.raises(CartanError, match="^x: diagram has no vertices$"):
+        cl.build_partial_cartan(d)
+
+
+@pytest.mark.parametrize("key", ["vertices", "edges"])
+def test_json_rejects_non_list_vertices_and_edges(key):
+    doc = {"name": "x", "vertices": [], "edges": []}
+    doc[key] = 5
+    with pytest.raises(dg.DiagramError, match="must be a list"):
+        dg.from_json(json.dumps(doc))
 
 
 # -- parametric D_l(a_k) -------------------------------------------------------

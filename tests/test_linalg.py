@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import carterlink as cl
-from carterlink.cartan import LinalgError, RMatrix, positive_definite
+from carterlink.cartan import LinalgError, RMatrix, _eliminate
 from carterlink.linkage import form_value
 
 from helpers import CATALOG, pc_of, ref_det, ref_inverse, ref_rank
@@ -96,7 +96,7 @@ def test_inverse_roundtrip_and_det_product(name):
 @pytest.mark.parametrize("name", CATALOG)
 def test_positive_definite(name):
     b = pc_of(name).gram
-    assert positive_definite(b)
+    assert _eliminate(b) is not None
     assert all(ref_det([r[:k] for r in b[:k]]) > 0 for k in range(1, len(b) + 1))
 
 

@@ -245,6 +245,29 @@ def test_find_embeddings_limit_below_1_finds_none():
         assert cl.find_embeddings(cl.catalog("D4"), ambient("E8"), limit=limit) == []
 
 
+@pytest.mark.parametrize("amb", ["E8", "D4"])
+def test_find_embeddings_rejects_a_disconnected_diagram(amb):
+    # A2 + A2: its roots fit in E8 but not in D4; malformed either way
+    a1, b1, a2, b2 = (cl.VertexId(k, i, c) for k, i, c in
+                      (("a", 1, "alpha"), ("b", 1, "beta"), ("a", 2, "alpha"), ("b", 2, "beta")))
+    d = cl.CarterDiagram("two-edges", (a1, b1, a2, b2), ((a1, b1, -1), (a2, b2, -1)))
+    with pytest.raises(CartanError, match="^two-edges: diagram is disconnected$"):
+        cl.find_embeddings(d, ambient(amb))
+
+
+def test_find_embeddings_of_an_indefinite_diagram_finds_none():
+    d = cl.extend(cl.catalog("D4"), "b1")  # affine D4: det 0, rank 5 <= 8
+    assert cl.find_embeddings(d, ambient("E8"), limit=3) == []
+
+
+def test_embeddings_share_one_partial_cartan():
+    d = cl.catalog("D4(a1)")
+    embs = cl.find_embeddings(d, ambient("D5"), limit=4, fix_first_root=False)
+    assert len(embs) == 4
+    assert all(e.pc is embs[0].pc and e.diagram is e.pc.diagram for e in embs)
+    assert embs[0].pc == cl.build_partial_cartan(d)
+
+
 def test_embedding_independence_rejects_trials_below_1():
     for trials in (0, -3):
         with pytest.raises(ValueError):
@@ -262,6 +285,28 @@ def test_weight_orbit_sizes():
         pc = cl.build_partial_cartan(cl.dynkin_D(l))
         v = next(u for u in pc.diagram.vertices if cl.inverse_diagonal(pc, u) == 1)
         assert len(cl.weight_orbit(pc, v)) == 2 * l
+
+
+# Every vertex of D4..D7, E6 and E7.  E8 is checked at its four vertices with
+# orbits of at most 17280 vectors; the other four (60480 to 483840 vectors)
+# take seconds each and about 100 MB in this pure-Python closure.
+WEIGHT_CASES = [(name, v.id) for name in ("D4", "D5", "D6", "D7", "E6", "E7")
+                for v in cl.catalog(name).vertices] + [("E8", v) for v in ("a3", "a4", "b2", "b4")]
+
+
+@pytest.mark.parametrize("name,vertex", WEIGHT_CASES)
+def test_weight_orbit_equals_brute_force_closure(name, vertex):
+    pc = pc_of(name)
+    start = tuple(int(v.id == vertex) for v in pc.diagram.vertices)
+    seen, todo = {start}, [start]
+    while todo:
+        x = todo.pop()
+        for t in pc.diagram.vertices:
+            y = cl.dual_reflect(pc, t, x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    assert cl.weight_orbit(pc, vertex) == tuple(sorted(seen))
 
 
 def test_weight_orbit_equals_component():

@@ -2,13 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import carterlink as cl
+from carterlink import diagram as dg
 from carterlink import orbit
+from carterlink.cartan import CartanError
 from carterlink.linkage import form_value
 
-from helpers import CATALOG, links_of, pc_of, system_of
+from helpers import CATALOG, links_of, pc_of, signed_bipartite_diagrams, system_of
 
 
 # -- dual reflections -----------------------------------------------------------
@@ -61,6 +63,42 @@ def test_linkage_set_closed_under_reflections(name):
     for v in nodes:
         for t in pc.diagram.vertices:
             assert cl.dual_reflect(pc, t, v) in nodes
+
+
+def _reflection_edges(pc, nodes):
+    """The system's edge set, from the public dual_reflect over every
+    (node, vertex) pair."""
+    index = {v: i for i, v in enumerate(nodes)}
+    edges = set()
+    for i, v in enumerate(nodes):
+        for t in pc.diagram.vertices:
+            w = cl.dual_reflect(pc, t, v)
+            if w != v:
+                edges.add((min(i, index[w]), max(i, index[w]), t.id))
+    return tuple(sorted(edges))
+
+
+@pytest.mark.parametrize("name", dg.catalog_names())
+def test_build_system_edges_match_public_reflection(name):
+    s = system_of(name)
+    assert s.edges == _reflection_edges(s.pc, s.nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_bipartite_diagrams(max_rank=8))
+def test_edges_match_public_reflection_on_generated_diagrams(d):
+    d = cl.CarterDiagram(d.name, d.vertices, d.edges, dg.detect_pattern(d))
+    try:
+        pc = cl.build_partial_cartan(d)
+    except CartanError:
+        assume(False)
+    nodes = cl.enumerate_linkages(pc)
+    try:
+        edges = cl.build_system(pc).edges
+    except orbit.UnsupportedDiagram:
+        # no loctet pattern (a chain, say): the edge loop applies all the same
+        edges = tuple(sorted(orbit._edges(pc, nodes, {v: i for i, v in enumerate(nodes)})))
+    assert edges == _reflection_edges(pc, nodes)
 
 
 # -- systems ---------------------------------------------------------------------
@@ -362,11 +400,34 @@ CORRUPTIONS = {
 }
 
 
+def _first_one_to(value):
+    def corrupt(doc):
+        node = next(v for v in doc["nodes"] if 1 in v)
+        node[node.index(1)] = value
+    return corrupt
+
+
+# malformed shapes, each of which must raise DiagramError
+SHAPE_CORRUPTIONS = {
+    "nodes-not-a-list": _put("nodes", value=5),
+    "edges-not-a-list": _put("edges", value=5),
+    "edge-of-two": _put("edges", 0, value=[0, 1]),
+    "component-not-a-list": _put("components", value=[5]),
+    "loctet-not-an-object": _put("loctets", value=["x"]),
+    "component-p-not-a-fraction": _put("component_p", value=["abc"]),
+    "node-entry-float": _first_one_to(1.0),
+    "node-entry-bool": _first_one_to(True),
+}
+CORRUPTIONS.update(SHAPE_CORRUPTIONS)
+
+
 @pytest.mark.parametrize("probe", CORRUPTIONS)
 def test_system_json_rejects_corruption(probe):
     doc = json.loads(orbit.to_json(system_of("D5(a1)")))
     CORRUPTIONS[probe](doc)
-    with pytest.raises((cl.diagram.DiagramError, orbit.VerificationError)):
+    expected = cl.diagram.DiagramError if probe in SHAPE_CORRUPTIONS else \
+        (cl.diagram.DiagramError, orbit.VerificationError)
+    with pytest.raises(expected):
         orbit.from_json(json.dumps(doc))
 
 
