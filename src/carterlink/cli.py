@@ -175,7 +175,11 @@ def cmd_verify(args) -> int:
     d = load_diagram(args.src)
     amb = rt.build_root_system(args.ambient or "E8")
     pc = build_partial_cartan(d)
-    enum = enumerate_linkages(pc)
+    try:
+        sys_ = orbit.build_system(pc)
+    except orbit.UnsupportedDiagram:
+        sys_ = None
+    enum = enumerate_linkages(pc) if sys_ is None else sys_.nodes
     print(f"{d.name}: {len(enum)} enumerated linkage vectors")
     emb = rt.find_embedding(d, amb)
     if emb is None:
@@ -188,15 +192,11 @@ def cmd_verify(args) -> int:
         raise orbit.VerificationError(
             f"direct labels of {d.name} in {amb.name} leave the enumerated set")
     print(f"  distinct direct labels: {len(labels)} (of {len(enum)} enumerated)")
-    sys_ = None
-    if enum:
-        try:
-            sys_ = orbit.build_system(pc)
-        except orbit.UnsupportedDiagram:
-            print("  (chain diagram: no linkage-system structure to check)")
-        if sys_ is not None:
-            realized = _realized_components(sys_, labels, "direct labels")
-            print(f"  realized components: {realized} of {len(sys_.components)}")
+    if enum and sys_ is None:
+        print("  (chain diagram: no linkage-system structure to check)")
+    elif enum:
+        realized = _realized_components(sys_, labels, "direct labels")
+        print(f"  realized components: {realized} of {len(sys_.components)}")
     # Over E8 a non-chain diagram of rank <= 7 realizes every linkage vector
     # in each of its embeddings.
     e8_equality = sys_ is not None and amb.name == "E8" and len(d) <= 7

@@ -5,13 +5,15 @@ backtracking search for diagram embeddings constrained by the Gram matrix,
 and direct computation of linkage labels as inner products.  All arithmetic
 is on plain integers.  The E8 coordinates are half-integers, so every root
 is also kept in doubled coordinates, where the inner product of two roots is
-the dot product divided by 4.  With B^-1 = N / D (N and D integer), the
-projection gamma_L and mu = gamma - gamma_L are integer vectors at the scale
-2D, so every law is checked as an integer identity; the public results carry
-the same values as exact Fractions.  ``find_embeddings`` builds the partial
-Cartan matrix of the diagram once; its embeddings share it and every oracle
-reads it from there.  The extension and weight orbits are ``diagram.closure``
-under reflections.
+the dot product divided by 4.  A label is the inner product of two roots of
+one ambient system, so the labels and the extension orbits are read from the
+ambient's inner-product bitsets by root index, not recomputed.  With
+B^-1 = N / D (N and D integer), the projection gamma_L and mu = gamma -
+gamma_L are integer vectors at the scale 2D, so every law is checked as an
+integer identity; the public results carry the same values as exact
+Fractions.  ``find_embeddings`` builds the partial Cartan matrix of the
+diagram once; its embeddings share it and every oracle reads it from there.
+The extension and weight orbits are ``diagram.closure`` under reflections.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import CartanError, PartialCartan, build_partial_cartan
-from .linkage import Linkage
+from .linkage import Linkage, form_num
 from .orbit import VerificationError, reflect_at
 
 Root = tuple[Fraction, ...]
@@ -52,7 +54,11 @@ class RootSystem:
 
     ``doubled[i]`` is ``2 * roots[i]`` as integers and ``index`` maps it back
     to i.  ``ip_bits[i][t + 1]`` is a bitset over root indices: bit j is set
-    when (root i, root j) = t, for t in -1, 0, 1.
+    when (root i, root j) = t, for t in -1, 0, 1.  The embedding search
+    narrows its candidates with them; the label scans and the extension
+    orbits read every inner product with an embedded root from them.  The
+    span test of ``embedding_independence`` on labels alone is exact: p = 2
+    exactly when mu = 0, because |gamma|^2 = p + |mu|^2 = 2.
     """
 
     def __init__(self, name: str, rank: int, dim: int, roots: Iterable[Root]) -> None:
@@ -191,12 +197,13 @@ class Embedding:
     """The vertices of ``pc.diagram`` realized as ambient roots, in canonical
     vertex order.  Every oracle below reads ``pc``; being positive definite,
     it makes the roots independent.  ``doubled`` holds the same roots in
-    doubled integer coordinates."""
+    doubled integer coordinates and ``idx`` their ambient root indices."""
 
     pc: PartialCartan
     ambient: RootSystem
     roots: tuple[Root, ...]
     doubled: tuple[Doubled, ...] = field(init=False, repr=False, compare=False)
+    idx: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     @property
     def diagram(self) -> dg.CarterDiagram:
@@ -204,7 +211,11 @@ class Embedding:
 
     def __post_init__(self) -> None:
         doubled = tuple(_double(r) for r in self.roots)
+        for v, x in zip(self.diagram.vertices, doubled):
+            if x not in self.ambient.index:
+                raise VerificationError(f"root of {v} is not a root of {self.ambient.name}")
         object.__setattr__(self, "doubled", doubled)
+        object.__setattr__(self, "idx", tuple(self.ambient.index[x] for x in doubled))
         n = len(self.roots)
         for i in range(n):
             for j in range(i, n):
@@ -342,44 +353,32 @@ def _projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]], den: int, x
     lc = labels . c, so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L; and
     M = D x - G = 2D mu.
     """
-    c = [_dot(row, labels) for row in n_mat]
+    c = [sum(map(mul, row, labels)) for row in n_mat]
     lc = _dot(labels, c)
-    g = [_dot(c, col) for col in cols]
+    g = [sum(map(mul, c, col)) for col in cols]
     return c, lc, g, [den * a - b for a, b in zip(x, g)]
 
 
-def _fraction_cache():
-    """Fraction(n, d), built once per distinct (n, d): one scan meets only a
-    few distinct coordinates and norms."""
-    return lru_cache(maxsize=None)(Fraction)
-
-
-def _label_scan(e: Embedding) -> Iterator[tuple[int, Linkage, int, list[int], list[int]]]:
-    """(root index, labels, lc, G, M) of every ambient root that extends ``e``.
-
-    See ``_projection`` for lc, G and M.  Roots with an all-zero label vector
-    and roots in the span of the embedded roots (M = 0) are skipped.
-    """
-    emb = e.doubled
-    cols = list(zip(*emb))
-    n_mat, den = e.pc.inv_num, e.pc.inv_den
-    for idx, x in enumerate(e.ambient.doubled):
-        labels = []
-        for y in emb:
-            t, rem = divmod(_dot(x, y), 4)
-            if rem:
-                raise VerificationError("non-integral inner products in label scan")
-            labels.append(t)
-        if not any(labels):
-            continue
-        labels = tuple(labels)
-        _, lc, g, m = _projection(cols, n_mat, den, x, labels)
-        if not any(m):
-            continue
-        if any(abs(t) > 1 for t in labels):
-            raise VerificationError(
-                f"independent root {e.ambient.roots[idx]} has label outside -1..1")
-        yield idx, labels, lc, g, m
+def _labels(e: Embedding) -> list[Linkage]:
+    """The label vector of every ambient root, by root index, read from the
+    inner-product bitsets of the embedded roots.  A root in none of the three
+    bitsets of an embedded root is that root (label 2) or its negative (-2),
+    both in the span; any other raises."""
+    amb = e.ambient
+    n = len(amb)
+    cols = []
+    for i in e.idx:
+        neg = amb.index[tuple(-c for c in amb.doubled[i])]
+        minus, zero, plus = amb.ip_bits[i]
+        other = ((1 << n) - 1) & ~(minus | zero | plus | 1 << i | 1 << neg)
+        if other:
+            j = (other & -other).bit_length() - 1
+            raise VerificationError(f"independent root {amb.roots[j]} has label outside -1..1")
+        # per root, its bit in plus minus its bit in minus: the ASCII digits of both, lowest first
+        col = list(map(sub, f"{plus:0{n}b}".encode()[::-1], f"{minus:0{n}b}".encode()[::-1]))
+        col[i], col[neg] = 2, -2
+        cols.append(col)
+    return list(zip(*cols))
 
 
 def direct_linkage_labels(e: Embedding) -> DirectLabels:
@@ -392,47 +391,60 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     all-zero label vector (they are orthogonal to the whole subset and attach
     no bonds, and the zero vector is not a linkage by definition).
     """
-    den = e.pc.inv_den
+    cols = list(zip(*e.doubled))
+    n_mat, den = e.pc.inv_num, e.pc.inv_den
     s = 2 * den
-    frac = _fraction_cache()
+    frac = lru_cache(maxsize=None)(Fraction)  # a scan meets few distinct values
     realized = []
-    labels_seen = set()
-    for idx, labels, lc, g, m in _label_scan(e):
-        realized.append(RealizedLinkage(
-            e.ambient.roots[idx], labels,
-            tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
-            frac(_dot(m, m), s * s), frac(lc, den)))
-        labels_seen.add(labels)
-    return DirectLabels(e, tuple(realized), tuple(sorted(labels_seen)))
+    for gamma, x, labels in zip(e.ambient.roots, e.ambient.doubled, _labels(e)):
+        if not any(labels):
+            continue
+        _, lc, g, m = _projection(cols, n_mat, den, x, labels)
+        if any(m):
+            realized.append(RealizedLinkage(
+                gamma, labels, tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
+                frac(_dot(m, m), s * s), frac(lc, den)))
+    return DirectLabels(e, tuple(realized), tuple(sorted({r.labels for r in realized})))
 
 
 # -- verification laws -----------------------------------------------------------
 
 
-def _reflect_root(x: Doubled, v: Doubled) -> Doubled:
-    # norm-2 reflection in doubled coordinates: x - ((x, v) / 4) v
-    c, rem = divmod(_dot(x, v), 4)
-    if rem:
-        raise VerificationError(f"non-integral inner product of roots {x} / 2 and {v} / 2")
-    if c == 0:
-        return x
-    return tuple(xi - c * vi for xi, vi in zip(x, v))
-
-
-def _extension_orbit(e: Embedding, seed: Doubled) -> frozenset:
-    """Orbit of ``seed`` under the reflections in the embedded roots and in
-    seed itself, all in doubled coordinates.  This is the orbit of the one
-    added root; the orbit of the whole extended subset is strictly larger
+def _extension_orbit(e: Embedding, seed: int) -> set[int]:
+    """Orbit of the root ``seed`` under the reflections in the embedded roots
+    and in seed itself, as ambient root indices.  This is the orbit of the
+    one added root; the orbit of the whole extended subset is strictly larger
     and mixes p-classes (images of the embedded roots can carry
-    mu-components of twice the length)."""
-    gens = list(e.doubled) + [seed]
-    return frozenset(dg.closure(seed, lambda x: (_reflect_root(x, v) for v in gens)))
+    mu-components of twice the length).  The reflection in v fixes x when
+    (x, v) = 0, maps it to x + v or x - v when (x, v) = -1 or 1, and to -x
+    when x = +-v; (x, v) is read from ``ip_bits``."""
+    amb = e.ambient
+    gens = [(amb.doubled[g], amb.ip_bits[g]) for g in (*e.idx, seed)]
+
+    def images(j: int) -> Iterator[int]:
+        x = amb.doubled[j]
+        for v, (minus, zero, plus) in gens:
+            if minus >> j & 1:
+                yield amb.index[tuple(map(add, x, v))]
+            elif plus >> j & 1:
+                yield amb.index[tuple(map(sub, x, v))]
+            elif not zero >> j & 1:  # x = +-v
+                yield amb.index[tuple(-c for c in x)]
+
+    return dg.closure(seed, images)
+
+
+def _equals(fracs: Sequence[Fraction], nums: Sequence[int], den: int) -> bool:
+    """Whether fracs == [a / den for a in nums], compared on integers."""
+    return len(fracs) == len(nums) and all(
+        f.numerator * den == a * f.denominator for f, a in zip(fracs, nums))
 
 
 class _LawData(NamedTuple):
     """A realized root with its integer projection data (see ``_projection``)."""
 
     r: RealizedLinkage
+    i: int  # ambient root index of gamma
     x: Doubled  # 2 gamma
     lc: int  # D p
     m: Doubled  # 2D mu
@@ -469,15 +481,17 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
-    frac = _fraction_cache()
+    frac = lru_cache(maxsize=None)(Fraction)  # a scan meets few distinct values
     by_p: dict[int, list[_LawData]] = {}  # keyed by lc = D p
     records = []
     mirrors = 0
     for r in dl.realized:
         x = _double(r.gamma)
+        if x not in amb.index:
+            raise VerificationError(f"{r.gamma} is not a root of {amb.name}")
         c, lc, g, m = _projection(cols, n_mat, den, x, r.labels)
         mm = _dot(m, m)
-        if (r.gamma_L != tuple(frac(a, s) for a in g) or r.mu != tuple(frac(a, s) for a in m)
+        if (not _equals(r.gamma_L, g, s) or not _equals(r.mu, m, s)
                 or r.mu_norm_sq != frac(mm, s * s)):
             raise VerificationError(f"projection data of {r.gamma} differ from a recomputation")
         if _dot(c, [_dot(row, c) for row in gram]) != den * lc or r.p != frac(lc, den):
@@ -497,7 +511,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             raise VerificationError(
                 f"norm-2 lattice test disagrees with root membership for {r.gamma}")
         mirrors += is_root
-        rec = _LawData(r, x, lc, tuple(m), mm)
+        rec = _LawData(r, amb.index[x], x, lc, tuple(m), mm)
         records.append(rec)
         by_p.setdefault(lc, []).append(rec)
 
@@ -505,17 +519,16 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         if len({rec.mm for rec in group}) != 1:
             raise VerificationError(f"|mu|^2 not constant on the p = {frac(lc, den)} class")
 
-    by_gamma = {rec.x: rec for rec in records}
-    unassigned = set(by_gamma)
+    by_index = {rec.i: rec for rec in records}
+    unassigned = set(by_index)
     orbit_count = 0
     orbits = []
-    for r, x, *_ in records:
-        if x not in unassigned:
+    for r, i, *_ in records:
+        if i not in unassigned:
             continue
-        orbit = _extension_orbit(e, x)
-        members = [by_gamma[y] for y in orbit if y in by_gamma]
+        members = [by_index[j] for j in _extension_orbit(e, i) if j in by_index]
         for m in members:
-            unassigned.discard(m.x)
+            unassigned.discard(m.i)
         orbit_count += 1
         # One orbit can mix extension types (the reflections of the extended
         # subset may generate a group transitive on all ambient roots), so mu
@@ -634,9 +647,14 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     embs = find_embeddings(d, ambient, limit=trials, fix_first_root=False)
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
+    # A root is in the span of the embedded roots exactly when mu = 0, that
+    # is, when p = 2, since p + |mu|^2 = |gamma|^2 = 2; p is the form at the
+    # labels over D, computed once per distinct label vector.
+    span = 2 * embs[0].pc.inv_den
     sets: list[tuple[Linkage, ...]] = []
     for e in embs:
-        labels = tuple(sorted({labs for _, labs, *_ in _label_scan(e)}))
+        labels = tuple(sorted(labs for labs in set(_labels(e))
+                              if any(labs) and form_num(e.pc, labs) != span))
         if labels not in sets:
             sets.append(labels)
     return IndependenceReport(len(embs), sets[0], tuple(sets))

@@ -1,5 +1,6 @@
 """Shared test support: cached constructors, so the suite builds each heavy
-object once, the Fraction reference linear algebra, and a diagram generator."""
+object once, the Fraction reference linear algebra, coordinate references for
+the root-system oracles, and a diagram generator."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import carterlink as cl
 from carterlink import diagram as dg
+from carterlink import roots as rt
 
 # The 18 diagrams with tabulated matrices, in table order.
 CATALOG = [
@@ -124,6 +126,64 @@ def ref_rank(vectors) -> int:
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+# -- coordinate references for the root-system oracles ---------------------------
+# The label scan and the extension orbits as roots.py computed them from
+# doubled coordinates, before it read the ambient's inner-product bitsets.
+
+
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def ref_realized(e) -> list:
+    """The realized linkages of an embedding, in ambient root order: every
+    root with a nonzero label vector, labels from 8-coordinate dot products,
+    and mu != 0 (outside the span of the embedded roots)."""
+    n_mat, den = e.pc.inv_num, e.pc.inv_den
+    s = 2 * den
+    frac = lru_cache(maxsize=None)(Fraction)
+    cols = list(zip(*e.doubled))
+    out = []
+    for root, x in zip(e.ambient.roots, e.ambient.doubled):
+        labels = []
+        for y in e.doubled:
+            t, rem = divmod(_dot(x, y), 4)
+            assert rem == 0, "non-integral inner product"
+            labels.append(t)
+        if not any(labels):
+            continue
+        c = [_dot(row, labels) for row in n_mat]
+        g = [_dot(c, col) for col in cols]
+        m = [den * a - b for a, b in zip(x, g)]
+        if not any(m):
+            continue
+        assert all(abs(t) <= 1 for t in labels), f"{root} has a label outside -1..1"
+        out.append(rt.RealizedLinkage(
+            root, tuple(labels), tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
+            frac(_dot(m, m), s * s), frac(_dot(labels, c), den)))
+    return out
+
+
+def ref_extension_orbit(e, seed) -> frozenset:
+    """Orbit of the doubled root ``seed`` under the reflections in the
+    embedded roots and in seed itself, by 8-coordinate dot products."""
+    gens = list(e.doubled) + [seed]
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for v in gens:
+                c, rem = divmod(_dot(x, v), 4)
+                assert rem == 0, "non-integral inner product"
+                y = tuple(a - c * b for a, b in zip(x, v))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
 
 
 # -- generated diagrams -----------------------------------------------------------

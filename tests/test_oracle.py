@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,8 +9,9 @@ import carterlink as cl
 from carterlink import roots as rt
 from carterlink.cartan import CartanError
 from carterlink.linkage import group_by_p
-from helpers import CATALOG, ambient, embedding_in, labels_in, links_of, pc_of, ref_inverse, \
-    ref_mat_vec, ref_quad_form, ref_rank, signed_bipartite_diagrams, system_of
+from helpers import CATALOG, ambient, embedding_in, labels_in, links_of, pc_of, \
+    ref_extension_orbit, ref_inverse, ref_mat_vec, ref_quad_form, ref_rank, \
+    ref_realized, signed_bipartite_diagrams, system_of
 
 
 # -- root systems -----------------------------------------------------------------
@@ -97,6 +99,21 @@ def test_find_embeddings_distinct():
                               fix_first_root=False)
     assert len(embs) == 4
     assert len({e.roots for e in embs}) == 4
+
+
+def test_embedding_rejects_roots_outside_the_ambient():
+    # Reflecting an embedding of D4 in the all-halves root h keeps its Gram
+    # matrix and turns roots with (r, h) != 0 into half-integer roots of E8,
+    # which D8 does not have.
+    e8 = ambient("E8")
+    h = (Fraction(1, 2),) * 8
+    emb = embedding_in("D4", "E8")
+    roots = tuple(tuple(a - sum(map(mul, r, h)) * b for a, b in zip(r, h)) for r in emb.roots)
+    assert any(c.denominator == 2 for r in roots for c in r)
+    assert all(r in e8.root_set for r in roots)
+    rt.Embedding(emb.pc, e8, roots)
+    with pytest.raises(rt.VerificationError, match="is not a root of D8"):
+        rt.Embedding(emb.pc, ambient("D8"), roots)
 
 
 # -- direct labels ----------------------------------------------------------------
@@ -367,6 +384,41 @@ def test_realized_linkages_match_fraction_reference(name, amb):
     assert dl.labels == tuple(sorted({r.labels for r in want}))
 
 
+def check_against_coordinate_scan(d, amb, limit=10):
+    """The labels read from the ambient's inner-product bitsets equal those of
+    the coordinate label scan, on the first ``limit`` embeddings of ``d``."""
+    if cl.find_embedding(d, amb) is None:
+        return  # the unpinned search would only take longer to find nothing
+    embs = cl.find_embeddings(d, amb, limit=limit, fix_first_root=False)
+    want_sets = []
+    for e in embs:
+        dl, want = cl.direct_linkage_labels(e), ref_realized(e)
+        want_labels = tuple(sorted({r.labels for r in want}))
+        assert list(dl.realized) == want
+        assert dl.labels == want_labels
+        if want_labels not in want_sets:
+            want_sets.append(want_labels)
+    rep = rt.embedding_independence(d, amb, limit)
+    assert rep.embeddings == len(embs)
+    assert rep.label_sets == tuple(want_sets)
+
+
+@pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
+@pytest.mark.parametrize("name", CATALOG + ["E8"])
+def test_labels_match_coordinate_scan(name, amb):
+    check_against_coordinate_scan(cl.catalog(name), ambient(amb))
+
+
+@pytest.mark.parametrize("name", ["D4(a1)", "D5(a1)", "E6(a1)", "D6(a2)", "E7(a4)", "D4"])
+def test_extension_orbit_by_index_matches_coordinates(name):
+    e8 = ambient("E8")
+    dl = labels_in(name, "E8")
+    for r in dl.realized:
+        x = rt._double(r.gamma)
+        got = {e8.doubled[i] for i in rt._extension_orbit(dl.embedding, e8.index[x])}
+        assert got == ref_extension_orbit(dl.embedding, x), r.gamma
+
+
 def brute_force_embeddings(d, amb, limit):
     """Plain backtracking in the search's vertex order and root order: each
     root is checked against every root already placed, with no look-ahead."""
@@ -432,3 +484,4 @@ def test_generated_diagrams_against_e8(d):
         assert set(dl.labels) == set(enum)
     rt.check_projection_laws(dl, emb)
     rt.square_diagonal_audit(dl, emb)
+    check_against_coordinate_scan(d, ambient("E8"), limit=3)
