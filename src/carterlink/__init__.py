@@ -7,8 +7,7 @@ the orbit structure of that set under the dual reflections (components and
 loctets), and verifies everything against brute-force root-system oracles.
 """
 
-from .cartan import PartialCartan, RMatrix, build_partial_cartan, inverse_diagonal, \
-    simply_extendable
+from .cartan import PartialCartan, build_partial_cartan, inverse_diagonal, simply_extendable
 from .diagram import CarterDiagram, VertexId, carter_D_ak, catalog, dynkin_A, dynkin_D, \
     extend, find_isomorphism, isomorphic, validate
 from .linkage import ExtensionSet, beta_unicolored, enumerate_linkages, group_by_p
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CarterDiagram", "VertexId", "catalog", "carter_D_ak", "dynkin_A", "dynkin_D",
     "extend", "find_isomorphism", "isomorphic", "validate",
-    "RMatrix",
     "PartialCartan", "build_partial_cartan", "inverse_diagonal", "simply_extendable",
     "ExtensionSet", "enumerate_linkages", "group_by_p", "beta_unicolored",
     "LinkageSystem", "Loctet", "build_system", "dual_reflect", "gamma8_candidates",

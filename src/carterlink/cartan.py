@@ -7,9 +7,9 @@ fraction-free elimination of [B | I] (Bareiss, Math. Comp. 22 (1968)
 minors of B, so B is positive definite exactly when every pivot is positive,
 and det B is the last pivot.  Its right half gives the prefix data of the
 linkage search and B^-1 = N / D with N and D integers.  All of it is
-computed once, on plain integers; ``B``, ``B_inv`` and ``det`` hand out the
-same values as exact Fractions, the matrices as a read-only ``RMatrix``.
-There is no floating point anywhere.
+computed once, on plain integers: B is ``gram``, B^-1 is ``inv_num`` over
+``inv_den``, and ``det`` is the one exact Fraction.  There is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -17,72 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import diagram as dg
 
 IntMatrix = tuple[tuple[int, ...], ...]
-Scalar = Union[int, Fraction]
 
 
 class LinalgError(ValueError):
-    """Malformed input: dimension mismatch, empty matrix, bad entry."""
-
-
-def as_rational(x: Scalar) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject anything inexact."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise LinalgError(f"exact entries must be int or Fraction, got {type(x).__name__}")
-
-
-class RMatrix:
-    """Immutable dense matrix of exact rationals, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]) -> None:
-        flat = tuple(as_rational(x) for x in entries)
-        if len(flat) != rows * cols:
-            raise LinalgError(f"need {rows * cols} entries, got {len(flat)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", flat)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RMatrix":
-        n = len(rows)
-        if n == 0:
-            raise LinalgError("matrix needs at least one row")
-        m = len(rows[0])
-        if any(len(r) != m for r in rows):
-            raise LinalgError("ragged rows")
-        return cls(n, m, (x for r in rows for x in r))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __getitem__(self, ij: tuple) -> Fraction:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise LinalgError(f"index ({i},{j}) out of range")
-        return self.entries[i * self.cols + j]
-
-    def __repr__(self) -> str:
-        return f"RMatrix({self.rows}x{self.cols})"
+    """A vector whose length is not the rank of the form it is given to."""
 
 
 class CartanError(ValueError):
@@ -91,7 +34,7 @@ class CartanError(ValueError):
 
 @dataclass(frozen=True)
 class PartialCartan:
-    """A diagram with B, B^-1 and det B, and the integer core behind them.
+    """A diagram with det B and the integer core of B and B^-1.
 
     ``gram`` is B as integers.  ``prefix`` is (rows, weights, den): with
     z_k = sum(rows[k][j] * v[j], j <= k), the form of the inverse of the
@@ -102,8 +45,6 @@ class PartialCartan:
     """
 
     diagram: dg.CarterDiagram
-    B: RMatrix
-    B_inv: RMatrix
     det: Fraction
     gram: IntMatrix = field(repr=False, compare=False)
     prefix: tuple[IntMatrix, tuple[int, ...], int] = field(repr=False, compare=False)
@@ -144,7 +85,6 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     if problems:
         raise CartanError(f"{d.name}: " + "; ".join(problems))
     gram = d.gram()
-    b = RMatrix.from_rows(gram)
     m = _eliminate(gram)
     if m is None:
         raise CartanError(f"{d.name}: the partial Cartan matrix is not positive definite")
@@ -159,16 +99,14 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
             for j in range(l)] for i in range(l)]
     g = gcd(den, *(x for row in num for x in row))
     inv_num = tuple(tuple(x // g for x in row) for row in num)
-    inv_den = den // g
-    b_inv = RMatrix(l, l, (Fraction(x, inv_den) for row in inv_num for x in row))
-    return PartialCartan(d, b, b_inv, Fraction(minors[l]), gram, (rows, weights, den),
-                         inv_num, inv_den)
+    return PartialCartan(d, Fraction(minors[l]), gram, (rows, weights, den), inv_num,
+                         den // g)
 
 
 def inverse_diagonal(pc: PartialCartan, v) -> Fraction:
     """The diagonal entry of B^-1 at vertex v."""
     i = pc.diagram.index_of(v)
-    return pc.B_inv[i, i]
+    return Fraction(pc.inv_num[i][i], pc.inv_den)
 
 
 def simply_extendable(pc: PartialCartan, v) -> bool:

@@ -9,7 +9,9 @@ the inverse of the leading (k+1)x(k+1) block of B (a Schur complement), and
 that bound only grows with k, so a prefix is dropped as soon as it reaches
 2.  The search reads the integer prefix data of ``PartialCartan.prefix`` and
 the form values read ``B^-1 = N / D``, both from the one elimination in
-``cartan``; all arithmetic is on plain integers.  Results come out in
+``cartan``; all arithmetic is on plain integers.  Each leaf of the search
+already holds its form value, which ``_search`` hands out with the vector so
+that ``orbit.build_system`` need not recompute it.  Results come out in
 lexicographic order (-1 < 0 < 1), so every downstream structure is
 deterministic.
 """
@@ -50,16 +52,28 @@ class BetaUnicolored:
 
 def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
     """All nonzero v in {-1,0,1}^l with v^T B^-1 v < 2, sorted."""
+    return _search(pc)[0]
+
+
+def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
+    """The linkage vectors and, aligned with them, their ``form_num`` values.
+
+    At a leaf the accumulated sum is den times the form, and den is g times
+    D for B^-1 = N / D, so the numerator over D is the sum divided by g.
+    """
     l = len(pc)
     rows, weights, den = pc.prefix
     bound = 2 * den
+    g = den // pc.inv_den
     v = [0] * l
     out: list[Linkage] = []
+    nums: list[int] = []
 
     def visit(k: int, acc: int) -> None:
         if k == l:
             if any(v):
                 out.append(tuple(v))
+                nums.append(acc // g)
             return
         row = rows[k]
         base = sum(row[j] * v[j] for j in range(k))
@@ -71,7 +85,7 @@ def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
                 visit(k + 1, s)
 
     visit(0, 0)
-    return tuple(out)
+    return tuple(out), tuple(nums)
 
 
 def form_num(pc: PartialCartan, v: Sequence[int]) -> int:

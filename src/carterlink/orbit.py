@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan, build_partial_cartan, simply_extendable
-from .linkage import Linkage, enumerate_linkages, form_num, form_value
+from .linkage import Linkage, _search, enumerate_linkages, form_num
 
 LOCTET_TYPES = ("L12", "L13", "L23")
 
@@ -146,10 +146,15 @@ def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Locte
     gamma(4) = s*_{a_i} gamma(6); gamma(5) = s*_{a_j} gamma(6);
     gamma(1..3) are the negatives of gamma(8..6).
     """
-    i, j, k, b = _kind_indices(pc, kind)
     if len(g8) != len(pc):
         raise ValueError(f"vector of length {len(g8)} for rank {len(pc)}")
-    g8 = tuple(g8)
+    return _loctet(pc, tuple(g8), kind, lambda m: form_num(pc, m) < 2 * pc.inv_den)
+
+
+def _loctet(pc: PartialCartan, g8: Linkage, kind: str,
+            is_linkage: Callable[[Linkage], bool]) -> Loctet:
+    """``loctet_from_gamma8`` with the linkage test of its members passed in."""
+    i, j, k, b = _kind_indices(pc, kind)
     g7 = reflect_at(pc, k, g8)
     g6 = reflect_at(pc, b, g7)
     g4 = reflect_at(pc, i, g6)
@@ -159,29 +164,29 @@ def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Locte
     if len(set(members)) != 8:
         raise VerificationError(f"loctet from {g8} ({kind}): members not distinct")
     for m in members:
-        if form_num(pc, m) >= 2 * pc.inv_den:
+        if not is_linkage(m):
             raise VerificationError(f"loctet from {g8} ({kind}): {m} is not a linkage vector")
     return Loctet(kind, members)
 
 
 def build_system(pc: PartialCartan) -> LinkageSystem:
     """Enumerate nodes, close them under the generators, find components,
-    collect loctets, and verify the loctet partition.  The empty system (E8)
-    is legal."""
+    collect loctets, and verify the loctet partition, in one pass: p comes
+    from the search's form values and loctet members are looked up among the
+    nodes.  The empty system (E8) is legal; ``from_json`` checks by this."""
     d = pc.diagram
-    nodes = enumerate_linkages(pc)
+    nodes, nums = _search(pc)
     index = {v: i for i, v in enumerate(nodes)}
     edges = _edges(pc, nodes, index)
     components = _components(len(nodes), edges)
     component_p = []
     for comp in components:
-        values = {form_num(pc, nodes[i]) for i in comp}
-        if len(values) != 1:
+        if any(nums[i] != nums[comp[0]] for i in comp):
             raise VerificationError(f"{d.name}: inverse form not constant on a component")
-        component_p.append(Fraction(values.pop(), pc.inv_den))
+        component_p.append(Fraction(nums[comp[0]], pc.inv_den))
 
     if d.pattern is not None:
-        loctets = _generated_loctets(pc, nodes)
+        loctets = _generated_loctets(pc, nodes, index)
         pat = _pattern_indices(pc)
         membership: dict[Linkage, int] = {}
         for li, loc in enumerate(loctets):
@@ -223,21 +228,25 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
 
 
 def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...],
-           index: dict[Linkage, int]) -> set[tuple[int, int, str]]:
+           index: dict[Linkage, int]) -> list[tuple[int, int, str]]:
     """Every (i, j, vertex id), i < j, where the dual reflection at the vertex
-    sends node i to node j; raises VerificationError when one leaves the nodes."""
+    sends node i to node j; raises VerificationError when one leaves the nodes.
+
+    The reflection at t negates v_t, so each edge is found once, from its end
+    with v_t > 0.  No reflection is left unchecked: the nodes are closed under
+    negation, and the reflection of -v is the negative of that of v.
+    """
     d = pc.diagram
-    edges = set()
+    edges = []
     for i, v in enumerate(nodes):
-        for k, t in enumerate(d.vertices):
-            if v[k] == 0:
-                continue
-            w = reflect_at(pc, k, v)
-            j = index.get(w)
-            if j is None:
-                raise VerificationError(
-                    f"{d.name}: reflection at {t} leaves the linkage set: {v} -> {w}")
-            edges.add((min(i, j), max(i, j), t.id))
+        for k, x in enumerate(v):
+            if x > 0:
+                w = reflect_at(pc, k, v)
+                j = index.get(w)
+                if j is None:
+                    raise VerificationError(f"{d.name}: reflection at {d.vertices[k]} "
+                                            f"leaves the linkage set: {v} -> {w}")
+                edges.append((min(i, j), max(i, j), d.vertices[k].id))
     return edges
 
 
@@ -257,12 +266,13 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
-def _generated_loctets(pc: PartialCartan, nodes: tuple[Linkage, ...]) -> tuple[Loctet, ...]:
+def _generated_loctets(pc: PartialCartan, nodes: tuple[Linkage, ...],
+                       index: dict[Linkage, int]) -> tuple[Loctet, ...]:
     out: list[Loctet] = []
     seen: set = set()
     for kind in LOCTET_TYPES:
         for g8 in gamma8_candidates(pc, kind, nodes):
-            loc = loctet_from_gamma8(pc, g8, kind)
+            loc = _loctet(pc, g8, kind, index.__contains__)
             key = loc.member_set()
             if key not in seen:
                 seen.add(key)
@@ -412,16 +422,15 @@ _SYSTEM_KEYS = {"diagram", "nodes", "edges", "components", "component_p",
 
 
 def from_json(text: str) -> LinkageSystem:
-    """Parse a serialized system back and check it against the diagram.
+    """Parse a serialized system back and check it by rebuilding it.
 
-    Checks the keys and the shape of every value; that every node index
-    (edges, components, loctets, unicolored) lies in range; that the nodes
-    are exactly the enumerated linkage vectors of the diagram; that the
-    components are the connected components of the edges; and that each
-    component_p is the form value of the component.  The edges themselves
-    are not compared with the dual reflections, since that would mean
-    rebuilding the system.  Malformed documents raise DiagramError,
-    disagreements VerificationError.
+    Checks the keys and the shape of every value, and that every node index
+    (edges, components, loctets, unicolored) lies in range; a malformed
+    document raises DiagramError.  Then builds the system of the diagram
+    afresh and compares every field with the document: nodes, edges,
+    components, component_p, loctets (kind and members, in order) and
+    unicolored.  The first field that differs raises VerificationError.
+    Returns the rebuilt system.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -433,14 +442,7 @@ def from_json(text: str) -> LinkageSystem:
         if key not in doc:
             raise dg.DiagramError(f"system JSON is missing {key!r}")
     d = dg.from_json(json.dumps(doc["diagram"]))
-    pc = build_partial_cartan(d)
     nodes = tuple(_ints(v, "node") for v in _list(doc, "nodes"))
-    expected = enumerate_linkages(pc)
-    if nodes != expected:
-        stray = sorted(set(nodes) ^ set(expected))
-        raise VerificationError(
-            f"system JSON of {d.name}: nodes are not its sorted linkage vectors"
-            + (f"; first difference {stray[0]}" if stray else ""))
 
     def at(x, where: str) -> tuple[int, ...]:
         idx = _ints(x, where)
@@ -454,19 +456,6 @@ def from_json(text: str) -> LinkageSystem:
         if not isinstance(e, list) or len(e) != 3 or not isinstance(e[2], str):
             raise dg.DiagramError(f"system JSON: edge {e!r} is not [index, index, vertex id]")
         edges.append((*at(e[:2], "edge"), e[2]))
-    components = tuple(at(c, "component") for c in _list(doc, "components"))
-    if components != _components(len(nodes), edges):
-        raise VerificationError(
-            f"system JSON of {d.name}: components are not those of the edges")
-    component_p = tuple(_fraction(p) for p in _list(doc, "component_p"))
-    if len(component_p) != len(components):
-        raise VerificationError(
-            f"system JSON of {d.name}: {len(component_p)} p values for "
-            f"{len(components)} components")
-    for comp, p in zip(components, component_p):
-        if form_value(pc, nodes[comp[0]]) != p:
-            raise VerificationError(
-                f"system JSON of {d.name}: p = {p} on the component of {nodes[comp[0]]}")
     loctets = []
     for item in _list(doc, "loctets"):
         if not isinstance(item, dict) or set(item) != {"kind", "members"} \
@@ -474,8 +463,20 @@ def from_json(text: str) -> LinkageSystem:
             raise dg.DiagramError(f"system JSON: loctet {item!r} is not a kind and members")
         members = at(item["members"], "loctet")
         loctets.append(Loctet(item["kind"], tuple(nodes[i] for i in members)))
-    return LinkageSystem(pc, nodes, tuple(edges), components, component_p, tuple(loctets),
-                         tuple(nodes[i] for i in at(doc["unicolored"], "unicolored")))
+    loaded = {
+        "nodes": nodes,
+        "edges": tuple(edges),
+        "components": tuple(at(c, "component") for c in _list(doc, "components")),
+        "component_p": tuple(_fraction(p) for p in _list(doc, "component_p")),
+        "loctets": tuple(loctets),
+        "unicolored": tuple(nodes[i] for i in at(doc["unicolored"], "unicolored")),
+    }
+    built = build_system(build_partial_cartan(d))
+    for name, value in loaded.items():
+        if getattr(built, name) != value:
+            raise VerificationError(
+                f"system JSON of {d.name}: {name} differ from the rebuilt system")
+    return built
 
 
 def _list(doc: dict, key: str) -> list:
@@ -486,7 +487,7 @@ def _list(doc: dict, key: str) -> list:
 
 def _ints(x, where: str) -> tuple[int, ...]:
     """x as a tuple; DiagramError unless it is a list of JSON integers."""
-    if not isinstance(x, list) or any(type(i) is not int for i in x):
+    if not isinstance(x, list) or not set(map(type, x)) <= {int}:
         raise dg.DiagramError(f"system JSON: {where} {x!r} is not a list of integers")
     return tuple(x)
 

@@ -644,9 +644,11 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     agree is left to the caller."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    embs = find_embeddings(d, ambient, limit=trials, fix_first_root=False)
-    if not embs:
+    # The pinned search settles existence; the unpinned one is exhaustive
+    # and slow when there is nothing to find.
+    if find_embedding(d, ambient) is None:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
+    embs = find_embeddings(d, ambient, limit=trials, fix_first_root=False)
     # A root is in the span of the embedded roots exactly when mu = 0, that
     # is, when p = 2, since p + |mu|^2 = |gamma|^2 = 2; p is the form at the
     # labels over D, computed once per distinct label vector.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import roots as rt
+from carterlink.cartan import _eliminate
 
 # The 18 diagrams with tabulated matrices, in table order.
 CATALOG = [
@@ -101,6 +102,13 @@ def ref_inverse(rows) -> list:
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return [row[n:] for row in a]
+
+
+def inverse_is(pc, den, num) -> bool:
+    """B^-1 of ``pc`` equals num / den; den need not be reduced, so the two
+    fractions are cross-multiplied."""
+    return [[x * den for x in row] for row in pc.inv_num] == \
+        [[x * pc.inv_den for x in row] for row in num]
 
 
 def ref_mat_vec(m, v) -> list:
@@ -211,3 +219,48 @@ def signed_bipartite_diagrams(draw, max_rank=7):
     edges = tuple((vertices[i], vertices[j], draw(st.sampled_from((-1, 1))))
                   for i, j in sorted(pairs))
     return cl.CarterDiagram("generated", tuple(vertices), edges)
+
+
+@st.composite
+def e8_root_subset_diagrams(draw, max_rank=8):
+    """Diagrams grown as sets of E8 roots, so every draw is a Carter diagram
+    (Carter, Compositio Math. 25 (1972) 1-59): positive definite, with an
+    embedding into E8.  Each new root has inner products in {0, +-1} with the
+    roots chosen so far, meets at least one of them, is orthogonal to its own
+    color class, and keeps the set independent.  Roots are drawn by their
+    position in the candidate list, so a draw shrinks toward low indices."""
+    bits = ambient("E8").ip_bits
+
+    def ip(a, b) -> int:
+        """Inner product of the E8 roots of indices a and b."""
+        return 2 if a == b else next((t for t in (-1, 0, 1) if bits[a][t + 1] >> b & 1), -2)
+
+    chosen = [draw(st.integers(0, len(bits) - 1))]
+    colors = [0]
+    for _ in range(draw(st.integers(0, max_rank - 1))):
+        allowed, meets, ortho = ~0, 0, [~0, ~0]
+        for r, c in zip(chosen, colors):
+            minus, zero, plus = bits[r]
+            allowed &= minus | zero | plus
+            meets |= minus | plus
+            ortho[c] &= zero
+        # a root orthogonal to color c that meets a chosen root joins color c
+        cands = [(r, c) for c in (0, 1) for r in range(len(bits))
+                 if (allowed & meets & ortho[c]) >> r & 1]
+        while cands:
+            r, c = cands.pop(draw(st.integers(0, len(cands) - 1)))
+            if _eliminate([[ip(a, b) for b in chosen + [r]] for a in chosen + [r]]):
+                chosen.append(r)
+                colors.append(c)
+                break
+        else:
+            break
+    counts = [0, 0]
+    vertices = []
+    for c in colors:
+        counts[c] += 1
+        vertices.append(cl.VertexId("ab"[c], counts[c], (dg.ALPHA, dg.BETA)[c]))
+    edges = tuple((vertices[i], vertices[j], ip(chosen[i], chosen[j]))
+                  for j in range(len(chosen)) for i in range(j) if ip(chosen[i], chosen[j]))
+    d = cl.CarterDiagram("grown", tuple(vertices), edges)
+    return cl.CarterDiagram(d.name, d.vertices, d.edges, dg.detect_pattern(d))

@@ -291,6 +291,21 @@ def test_embedding_independence_rejects_trials_below_1():
             rt.embedding_independence(cl.catalog("D4(a1)"), ambient("D5"), trials)
 
 
+def test_embedding_independence_settles_existence_with_the_pinned_search(monkeypatch):
+    # D7(a1) does not embed into E7; the unpinned search would try every root first
+    calls = []
+    search = rt.find_embeddings
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("fix_first_root", True))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(rt, "find_embeddings", recording)
+    with pytest.raises(rt.VerificationError, match="does not embed"):
+        rt.embedding_independence(cl.catalog("D7(a1)"), ambient("E7"), 3)
+    assert calls == [True]
+
+
 # -- weight orbits ----------------------------------------------------------------
 
 

@@ -2,15 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import orbit
-from carterlink.cartan import CartanError
-from carterlink.linkage import form_value
+from carterlink.linkage import _search, form_num, form_value
 
-from helpers import CATALOG, links_of, pc_of, signed_bipartite_diagrams, system_of
+from helpers import CATALOG, e8_root_subset_diagrams, links_of, pc_of, system_of
 
 
 # -- dual reflections -----------------------------------------------------------
@@ -85,13 +84,9 @@ def test_build_system_edges_match_public_reflection(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(signed_bipartite_diagrams(max_rank=8))
+@given(e8_root_subset_diagrams())
 def test_edges_match_public_reflection_on_generated_diagrams(d):
-    d = cl.CarterDiagram(d.name, d.vertices, d.edges, dg.detect_pattern(d))
-    try:
-        pc = cl.build_partial_cartan(d)
-    except CartanError:
-        assume(False)
+    pc = cl.build_partial_cartan(d)
     nodes = cl.enumerate_linkages(pc)
     try:
         edges = cl.build_system(pc).edges
@@ -281,6 +276,18 @@ def test_d4_loctet_is_the_four_coordinate_spindle():
         (1, -1, 0, 0), (1, 1, 0, -1), (0, 0, -1, 1), (0, 0, 1, 0))
 
 
+def test_loctet_members_must_be_linkage_vectors():
+    # the public constructor checks the form; build_system checks the node index
+    pc = pc_of("E6(a1)")
+    with pytest.raises(orbit.VerificationError, match="is not a linkage vector"):
+        cl.loctet_from_gamma8(pc, (0, 0, 1, 0, 2, 0), "L12")
+    nodes = links_of("E6(a1)")
+    gone = cl.loctet_from_gamma8(pc, cl.gamma8_candidates(pc, "L12")[0], "L12").members[0]
+    index = {v: i for i, v in enumerate(nodes) if v != gone}
+    with pytest.raises(orbit.VerificationError, match="is not a linkage vector"):
+        orbit._generated_loctets(pc, nodes, index)
+
+
 @pytest.mark.parametrize("name", [n for n in CATALOG if n != "D4(a1)"])
 def test_loctet_generating_relations(name):
     # gamma(7) = s*_{a_k} gamma(8), gamma(6) = s*_{b1} gamma(7),
@@ -369,15 +376,25 @@ def test_dot_export_mentions_all_nodes():
 
 
 def test_system_json_roundtrip():
-    s = system_of("D5(a1)")
-    text = orbit.to_json(s)
-    back = orbit.from_json(text)
-    assert back.nodes == s.nodes
-    assert back.edges == s.edges
-    assert back.components == s.components
-    assert back.component_p == s.component_p
-    assert [loc.members for loc in back.loctets] == [loc.members for loc in s.loctets]
-    assert orbit.to_json(back) == text
+    for name in dg.catalog_names():
+        s = system_of(name)
+        text = orbit.to_json(s)
+        back = orbit.from_json(text)
+        assert back == s, name
+        assert orbit.to_json(back) == text, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(e8_root_subset_diagrams())
+def test_generated_systems_roundtrip_and_search_numerators(d):
+    pc = cl.build_partial_cartan(d)
+    nodes, nums = _search(pc)
+    assert nums == tuple(form_num(pc, v) for v in nodes)
+    try:
+        s = cl.build_system(pc)
+    except orbit.UnsupportedDiagram:
+        return  # no loctet pattern
+    assert orbit.from_json(orbit.to_json(s)) == s
 
 
 def _put(*path, value):
@@ -389,15 +406,18 @@ def _put(*path, value):
     return corrupt
 
 
-CORRUPTIONS = {
-    "loctet-999": _put("loctets", 0, "members", 0, value=999),
-    "unicolored-999": _put("unicolored", 0, value=999),
-    "loctet-minus-1": _put("loctets", 0, "members", 0, value=-1),
-    "extra-node": lambda doc: doc["nodes"].append([5, 5, 5, 5, 5]),
-    "short-node": _put("nodes", 0, value=[1, 0]),
-    "component-p": _put("component_p", 0, value="7/3"),
-    "no-edges": _put("edges", value=[]),
-}
+def _relabel_edge(doc):
+    edge = doc["edges"][0]
+    edge[2] = next(v["id"] for v in doc["diagram"]["vertices"] if v["id"] != edge[2])
+
+
+def _drop_edge_keeping_components(doc):
+    n, edges = len(doc["nodes"]), doc["edges"]
+    for k in range(len(edges)):
+        if orbit._components(n, edges[:k] + edges[k + 1:]) == orbit._components(n, edges):
+            del edges[k]
+            return
+    raise AssertionError("every edge is a bridge")
 
 
 def _first_one_to(value):
@@ -407,8 +427,22 @@ def _first_one_to(value):
     return corrupt
 
 
-# malformed shapes, each of which must raise DiagramError
+# well formed, but not the system of the diagram: each must raise VerificationError
+CORRUPTIONS = {
+    "extra-node": lambda doc: doc["nodes"].append([5, 5, 5, 5, 5]),
+    "short-node": _put("nodes", 0, value=[1, 0]),
+    "component-p": _put("component_p", 0, value="7/3"),
+    "no-edges": _put("edges", value=[]),
+    "edge-relabeled": _relabel_edge,
+    "edge-dropped-components-kept": _drop_edge_keeping_components,
+    "loctet-permuted": lambda doc: doc["loctets"][0]["members"].reverse(),
+}
+
+# malformed shapes and indices out of range, each of which must raise DiagramError
 SHAPE_CORRUPTIONS = {
+    "loctet-999": _put("loctets", 0, "members", 0, value=999),
+    "unicolored-999": _put("unicolored", 0, value=999),
+    "loctet-minus-1": _put("loctets", 0, "members", 0, value=-1),
     "nodes-not-a-list": _put("nodes", value=5),
     "edges-not-a-list": _put("edges", value=5),
     "edge-of-two": _put("edges", 0, value=[0, 1]),
@@ -425,8 +459,7 @@ CORRUPTIONS.update(SHAPE_CORRUPTIONS)
 def test_system_json_rejects_corruption(probe):
     doc = json.loads(orbit.to_json(system_of("D5(a1)")))
     CORRUPTIONS[probe](doc)
-    expected = cl.diagram.DiagramError if probe in SHAPE_CORRUPTIONS else \
-        (cl.diagram.DiagramError, orbit.VerificationError)
+    expected = cl.diagram.DiagramError if probe in SHAPE_CORRUPTIONS else orbit.VerificationError
     with pytest.raises(expected):
         orbit.from_json(json.dumps(doc))
 
