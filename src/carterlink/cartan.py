@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import diagram as dg
@@ -41,7 +42,7 @@ class PartialCartan:
     leading (k+1)x(k+1) block of B at v_0..v_k equals
     sum(weights[i] * z_i**2, i <= k) / den; at k = l-1 that is the form of
     B^-1 at v.  B^-1 = inv_num / inv_den, where inv_den is the least common
-    denominator of the entries.
+    denominator of the entries.  ``_linkages`` keeps ``linkage._search``.
     """
 
     diagram: dg.CarterDiagram
@@ -50,6 +51,7 @@ class PartialCartan:
     prefix: tuple[IntMatrix, tuple[int, ...], int] = field(repr=False, compare=False)
     inv_num: IntMatrix = field(repr=False, compare=False)
     inv_den: int = field(repr=False, compare=False)
+    _linkages: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.diagram)
@@ -94,9 +96,13 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     den = lcm(*products)
     rows = tuple(tuple(m[k][l:l + k + 1]) for k in range(l))
     weights = tuple(den // p for p in products)
-    # B^-1 = sum(weights[k] * z_k z_k^T) / den, z_k being rows[k] padded with zeros
-    num = [[sum(weights[k] * rows[k][i] * rows[k][j] for k in range(max(i, j), l))
-            for j in range(l)] for i in range(l)]
+    # B^-1 = sum(weights[k] * z_k z_k^T) / den; cols[i] holds z_k[i] for k = l-1 .. i
+    cols = [[rows[k][i] for k in range(l - 1, i - 1, -1)] for i in range(l)]
+    wcols = [list(map(mul, weights[::-1], c)) for c in cols]
+    num = [[0] * l for _ in range(l)]
+    for i in range(l):
+        for j in range(i, l):
+            num[i][j] = num[j][i] = sum(map(mul, wcols[i], cols[j]))
     g = gcd(den, *(x for row in num for x in row))
     inv_num = tuple(tuple(x // g for x in row) for row in num)
     return PartialCartan(d, Fraction(minors[l]), gram, (rows, weights, den), inv_num,

@@ -55,9 +55,9 @@ def _vec(v) -> str:
 def cmd_catalog(args) -> int:
     for name in dg.catalog_names():
         print(name)
-    print("A<l>            for 1 <= l <= 12")
-    print("D<l>            for 4 <= l <= 12")
-    print("D<l>(a<k>)      for 4 <= l <= 12, 1 <= k <= l-3")
+    print(f"A<l>            for 1 <= l <= {dg.MAX_RANK}")
+    print(f"D<l>            for 4 <= l <= {dg.MAX_RANK}")
+    print(f"D<l>(a<k>)      for 4 <= l <= {dg.MAX_RANK}, 1 <= k <= l-3")
     return EXIT_OK
 
 
@@ -130,9 +130,8 @@ def cmd_system(args) -> int:
 
 def cmd_loctets(args) -> int:
     pc = build_partial_cartan(load_diagram(args.src))
-    nodes = enumerate_linkages(pc)
     for kind in orbit.LOCTET_TYPES:
-        cands = orbit.gamma8_candidates(pc, kind, nodes)
+        cands = orbit.gamma8_candidates(pc, kind)
         print(f"{kind}: {len(cands)} gamma(8) candidates")
         for g8 in cands:
             loc = orbit.loctet_from_gamma8(pc, g8, kind)
@@ -179,7 +178,7 @@ def cmd_verify(args) -> int:
         sys_ = orbit.build_system(pc)
     except orbit.UnsupportedDiagram:
         sys_ = None
-    enum = enumerate_linkages(pc) if sys_ is None else sys_.nodes
+    enum = enumerate_linkages(pc)
     print(f"{d.name}: {len(enum)} enumerated linkage vectors")
     emb = rt.find_embedding(d, amb)
     if emb is None:

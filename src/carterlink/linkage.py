@@ -9,9 +9,9 @@ the inverse of the leading (k+1)x(k+1) block of B (a Schur complement), and
 that bound only grows with k, so a prefix is dropped as soon as it reaches
 2.  The search reads the integer prefix data of ``PartialCartan.prefix`` and
 the form values read ``B^-1 = N / D``, both from the one elimination in
-``cartan``; all arithmetic is on plain integers.  Each leaf of the search
-already holds its form value, which ``_search`` hands out with the vector so
-that ``orbit.build_system`` need not recompute it.  Results come out in
+``cartan``; all arithmetic is on plain integers.  The search runs once per
+``PartialCartan``, which keeps the vectors with their form values, so
+``group_by_p`` and ``orbit.build_system`` recompute neither.  Results come out in
 lexicographic order (-1 < 0 < 1), so every downstream structure is
 deterministic.
 """
@@ -24,8 +24,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import diagram as dg
-from .cartan import PartialCartan
-from .cartan import LinalgError
+from .cartan import LinalgError, PartialCartan
 
 Linkage = tuple[int, ...]
 
@@ -51,18 +50,22 @@ class BetaUnicolored:
 
 
 def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
-    """All nonzero v in {-1,0,1}^l with v^T B^-1 v < 2, sorted."""
+    """All nonzero v in {-1,0,1}^l with v^T B^-1 v < 2, sorted, searched once per ``pc``."""
     return _search(pc)[0]
 
 
 def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
     """The linkage vectors and, aligned with them, their ``form_num`` values.
 
-    At a leaf the accumulated sum is den times the form, and den is g times
-    D for B^-1 = N / D, so the numerator over D is the sum divided by g.
+    Searched on the first call for ``pc`` and kept on it after that.  At a
+    leaf the accumulated sum is den times the form, and den is g times D
+    for B^-1 = N / D, so the numerator over D is the sum divided by g.
     """
+    if pc._linkages is not None:
+        return pc._linkages
     l = len(pc)
     rows, weights, den = pc.prefix
+    off = [row[:k] for k, row in enumerate(rows)]  # map stops before the stale v[k:]
     bound = 2 * den
     g = den // pc.inv_den
     v = [0] * l
@@ -75,17 +78,17 @@ def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
                 out.append(tuple(v))
                 nums.append(acc // g)
             return
-        row = rows[k]
-        base = sum(row[j] * v[j] for j in range(k))
+        base = sum(map(mul, off[k], v))
         for x in (-1, 0, 1):
-            z = base + row[k] * x
+            z = base + rows[k][k] * x
             s = acc + weights[k] * z * z
             if s < bound:
                 v[k] = x
                 visit(k + 1, s)
 
     visit(0, 0)
-    return tuple(out), tuple(nums)
+    object.__setattr__(pc, "_linkages", (tuple(out), tuple(nums)))
+    return pc._linkages
 
 
 def form_num(pc: PartialCartan, v: Sequence[int]) -> int:
@@ -100,11 +103,14 @@ def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:
     return Fraction(form_num(pc, v), pc.inv_den)
 
 
-def group_by_p(pc: PartialCartan, vectors: Iterable[Linkage]) -> list[ExtensionSet]:
-    """Partition by the exact value of the inverse form, ascending in p."""
-    buckets: dict[int, list[Linkage]] = {}
+def group_by_p(pc: PartialCartan, vectors: Iterable[Sequence[int]]) -> list[ExtensionSet]:
+    """Partition by the exact value of the inverse form, ascending in p.  Linkage
+    vectors take it from the search ``pc`` keeps, others from ``form_num``."""
+    known = dict(zip(*_search(pc)))
+    buckets: dict[int, list] = {}
     for v in vectors:
-        buckets.setdefault(form_num(pc, v), []).append(v)
+        n = known.get(tuple(v))
+        buckets.setdefault(form_num(pc, v) if n is None else n, []).append(v)
     return [
         ExtensionSet(Fraction(n, pc.inv_den), tuple(sorted(buckets[n]))) for n in sorted(buckets)
     ]

@@ -126,17 +126,15 @@ def _is_bare_square(d: dg.CarterDiagram) -> bool:
     )
 
 
-def gamma8_candidates(pc: PartialCartan, kind: str,
-                      nodes: Optional[tuple[Linkage, ...]] = None) -> tuple[Linkage, ...]:
+def gamma8_candidates(pc: PartialCartan, kind: str) -> tuple[Linkage, ...]:
     """All eighth linkage diagrams of loctets of the given kind.
 
     For kind L_ij the candidates carry 0 at pattern alphas a_i and a_j, 1 at
     the remaining a_k, 0 at the center b1, and anything admissible elsewhere.
+    They are read from the linkage search that ``pc`` keeps.
     """
     i, j, k, b = _kind_indices(pc, kind)
-    if nodes is None:
-        nodes = enumerate_linkages(pc)
-    return tuple(v for v in nodes if v[i] == 0 and v[j] == 0 and v[k] == 1 and v[b] == 0)
+    return tuple(v for v in enumerate_linkages(pc) if v[i] == v[j] == v[b] == 0 and v[k] == 1)
 
 
 def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Loctet:
@@ -186,7 +184,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
         component_p.append(Fraction(nums[comp[0]], pc.inv_den))
 
     if d.pattern is not None:
-        loctets = _generated_loctets(pc, nodes, index)
+        loctets = _generated_loctets(pc, index)
         pat = _pattern_indices(pc)
         membership: dict[Linkage, int] = {}
         for li, loc in enumerate(loctets):
@@ -266,12 +264,11 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
-def _generated_loctets(pc: PartialCartan, nodes: tuple[Linkage, ...],
-                       index: dict[Linkage, int]) -> tuple[Loctet, ...]:
+def _generated_loctets(pc: PartialCartan, index: dict[Linkage, int]) -> tuple[Loctet, ...]:
     out: list[Loctet] = []
     seen: set = set()
     for kind in LOCTET_TYPES:
-        for g8 in gamma8_candidates(pc, kind, nodes):
+        for g8 in gamma8_candidates(pc, kind):
             loc = _loctet(pc, g8, kind, index.__contains__)
             key = loc.member_set()
             if key not in seen:

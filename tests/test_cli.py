@@ -28,6 +28,15 @@ def test_catalog_lists_names(capsys):
     assert "D4(a1)" in out and "E7(a4)" in out and "E8" in out
 
 
+def test_catalog_bounds_follow_max_rank(capsys, monkeypatch):
+    monkeypatch.setattr(dg, "MAX_RANK", 9)
+    code, out, _ = run(capsys, "catalog")
+    assert code == 0
+    assert out.endswith("A<l>            for 1 <= l <= 9\n"
+                        "D<l>            for 4 <= l <= 9\n"
+                        "D<l>(a<k>)      for 4 <= l <= 9, 1 <= k <= l-3\n")
+
+
 def test_cartan_det(capsys):
     code, out, _ = run(capsys, "cartan", "D4(a1)", "--det")
     assert code == 0

@@ -2,12 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import carterlink as cl
+from carterlink.cartan import LinalgError
 from carterlink.diagram import catalog_names
 from carterlink.linkage import beta_unicolored, enumerate_linkages, form_value, group_by_p
 
-from helpers import CATALOG, links_of, pc_of, ref_inverse, ref_quad_form
+from helpers import CATALOG, e8_root_subset_diagrams, links_of, pc_of, ref_inverse, ref_quad_form
 
 
 EXPECTED_TOTALS = {
@@ -60,6 +62,21 @@ def test_group_by_p_d7a1():
     pc = pc_of("D7(a1)")
     sets = group_by_p(pc, links_of("D7(a1)"))
     assert [(s.p, len(s)) for s in sets] == [(1, 14), (Fraction(7, 4), 128)]
+
+
+def test_group_by_p_on_lists_and_non_linkage_vectors():
+    pc = pc_of("D5(a1)")
+    sets = group_by_p(pc, [[1, 0, 0, 0, 0], [1, 1, 1, 1, 1]])
+    assert [(s.p, len(s)) for s in sets] == [(1, 1), (15, 1)]
+    links = links_of("D5(a1)")
+    mixed = [list(v) for v in links] + [[1, 1, 1, 1, 1], (0, 1, 1, 1, 1), (-1, 0, 1, 0, 1)]
+    groups = group_by_p(pc, mixed)
+    for es in groups:
+        assert all(form_value(pc, v) == es.p for v in es.members)
+    assert sum(map(len, groups)) == len(mixed)
+    assert [(s.p, len(s)) for s in group_by_p(pc, links)] == [(1, 10), (Fraction(5, 4), 32)]
+    with pytest.raises(LinalgError):
+        group_by_p(pc, [(1, 0)])
 
 
 def test_group_members_share_p():
@@ -127,8 +144,39 @@ def brute_force_linkages(pc):
 
 @pytest.mark.parametrize("name", catalog_names() + ["D8(a1)", "A8"])
 def test_enumeration_matches_brute_force(name):
-    pc = pc_of(name)
-    assert enumerate_linkages(pc) == brute_force_linkages(pc)
+    pc = cl.build_partial_cartan(cl.catalog(name))
+    first = enumerate_linkages(pc)
+    assert first == brute_force_linkages(pc)
+    assert enumerate_linkages(pc) == first  # the second call reads the kept search
+
+
+@settings(max_examples=25, deadline=None)
+@given(e8_root_subset_diagrams())
+def test_generated_enumeration_matches_brute_force(d):
+    pc = cl.build_partial_cartan(d)
+    first = enumerate_linkages(pc)
+    assert first == brute_force_linkages(pc)
+    assert enumerate_linkages(pc) is first
+    assert enumerate_linkages(cl.build_partial_cartan(d)) == first
+
+
+def test_build_system_reads_the_enumerated_search():
+    pc = cl.build_partial_cartan(cl.catalog("E6(a1)"))
+    nodes = enumerate_linkages(pc)
+    assert cl.build_system(pc).nodes is nodes
+    other = cl.build_partial_cartan(cl.catalog("D5(a1)"))
+    assert cl.build_system(other).nodes is enumerate_linkages(other)
+    assert enumerate_linkages(other) != nodes
+
+
+def test_kept_search_leaves_repr_eq_and_hash():
+    pc = cl.build_partial_cartan(cl.catalog("D5(a1)"))
+    before = (repr(pc), hash(pc))
+    enumerate_linkages(pc)
+    assert (repr(pc), hash(pc)) == before
+    fresh = cl.build_partial_cartan(pc.diagram)
+    assert pc == fresh and hash(pc) == hash(fresh)
+    assert "_linkages" not in repr(pc)
 
 
 @pytest.mark.parametrize("name", ["D4(a1)", "E6(a2)", "E7(a4)", "A5"])

@@ -285,7 +285,7 @@ def test_loctet_members_must_be_linkage_vectors():
     gone = cl.loctet_from_gamma8(pc, cl.gamma8_candidates(pc, "L12")[0], "L12").members[0]
     index = {v: i for i, v in enumerate(nodes) if v != gone}
     with pytest.raises(orbit.VerificationError, match="is not a linkage vector"):
-        orbit._generated_loctets(pc, nodes, index)
+        orbit._generated_loctets(pc, index)
 
 
 @pytest.mark.parametrize("name", [n for n in CATALOG if n != "D4(a1)"])
