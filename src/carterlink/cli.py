@@ -174,11 +174,8 @@ def cmd_verify(args) -> int:
     d = load_diagram(args.src)
     amb = rt.build_root_system(args.ambient or "E8")
     pc = build_partial_cartan(d)
-    try:
-        sys_ = orbit.build_system(pc)
-    except orbit.UnsupportedDiagram:
-        sys_ = None
-    enum = enumerate_linkages(pc)
+    sys_ = orbit.build_system(pc)
+    enum = sys_.nodes
     print(f"{d.name}: {len(enum)} enumerated linkage vectors")
     emb = rt.find_embedding(d, amb)
     if emb is None:
@@ -191,14 +188,13 @@ def cmd_verify(args) -> int:
         raise orbit.VerificationError(
             f"direct labels of {d.name} in {amb.name} leave the enumerated set")
     print(f"  distinct direct labels: {len(labels)} (of {len(enum)} enumerated)")
-    if enum and sys_ is None:
-        print("  (chain diagram: no linkage-system structure to check)")
-    elif enum:
+    if enum:
         realized = _realized_components(sys_, labels, "direct labels")
         print(f"  realized components: {realized} of {len(sys_.components)}")
-    # Over E8 a non-chain diagram of rank <= 7 realizes every linkage vector
-    # in each of its embeddings.
-    e8_equality = sys_ is not None and amb.name == "E8" and len(d) <= 7
+    # Over E8 a diagram of rank <= 7 realizes every linkage vector in each of
+    # its embeddings.  Chains are exempt: A7 has two embedding classes in E8.
+    chain = len(d.edges) == len(d) - 1 and all(len(d.neighbors(v)) <= 2 for v in d.vertices)
+    e8_equality = amb.name == "E8" and len(d) <= 7 and not chain
     if e8_equality and labels != set(enum):
         raise orbit.VerificationError(
             f"direct labels over E8 differ from the enumerated set for {d.name}")
@@ -218,8 +214,7 @@ def cmd_verify(args) -> int:
             if not trial <= set(enum):
                 raise orbit.VerificationError(
                     f"trial labels of {d.name} in {amb.name} leave the enumerated set")
-            if sys_ is not None:
-                _realized_components(sys_, trial, "trial labels")
+            _realized_components(sys_, trial, "trial labels")
         print(f"  label sets identical across {rep.embeddings} embeddings"
               if len(rep.label_sets) == 1 else f"  distinct label sets: {len(rep.label_sets)} "
               f"across {rep.embeddings} embeddings, each inside the enumerated set")

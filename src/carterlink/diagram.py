@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
 ALPHA = "alpha"
@@ -74,15 +75,13 @@ Edge = tuple[VertexId, VertexId, int]
 class CarterDiagram:
     """A named diagram with an ordered vertex tuple and signed edges.
 
-    ``pattern`` marks the predefined D5(a1)/D4 subdiagram (a1, a2, a3, b1
-    roles) used by the loctet machinery; it is None when the diagram has no
-    such subdiagram (the bare 4-cycle, the A_l chains).
+    The value is the name, the vertices and the edges; ``pattern`` is read
+    from them by ``detect_pattern``, so two equal diagrams never disagree on it.
     """
 
     name: str
     vertices: tuple[VertexId, ...]
     edges: tuple[Edge, ...]
-    pattern: Optional[tuple[VertexId, VertexId, VertexId, VertexId]] = field(default=None)
     # vertex and vertex id -> position; the first vertex wins a shared id
     _index: dict = field(init=False, repr=False, compare=False)
 
@@ -152,6 +151,11 @@ class CarterDiagram:
 
     def is_dynkin(self) -> bool:
         return all(s == SOLID for _, _, s in self.edges)
+
+    @cached_property
+    def pattern(self) -> Optional[tuple[VertexId, VertexId, VertexId, VertexId]]:
+        """The loctets' D5(a1)/D4 subdiagram as (a1, a2, a3, b1), or None."""
+        return detect_pattern(self)
 
 
 # -- validation --------------------------------------------------------------
@@ -239,13 +243,11 @@ _DYNKIN_TABLE: dict[str, tuple[int, int, list[tuple[str, str, str]]]] = {
 }
 
 
-def _from_table(name: str, na: int, nb: int, edges: list[tuple[str, str, str]],
-                pattern: bool) -> CarterDiagram:
+def _from_table(name: str, na: int, nb: int, edges: list[tuple[str, str, str]]) -> CarterDiagram:
     verts = [_va(i + 1) for i in range(na)] + [_vb(i + 1) for i in range(nb)]
     byid = {v.id: v for v in verts}
     es = [(byid[u], byid[v], SOLID if s == "s" else DOTTED) for u, v, s in edges]
-    pat = (byid["a1"], byid["a2"], byid["a3"], byid["b1"]) if pattern else None
-    return CarterDiagram(name, tuple(verts), tuple(es), pat)
+    return CarterDiagram(name, tuple(verts), tuple(es))
 
 
 _NAME_RE = re.compile(r"^([ADE])_?(\d+)(?:\(\s*a_?(\d+)\s*\)|a(\d+))?$", re.IGNORECASE)
@@ -281,9 +283,9 @@ def catalog(name: str) -> CarterDiagram:
     family, l, k = parse_name(name)
     cname = canonical_name(family, l, k)
     if cname in _C4_TABLE:
-        return _from_table(cname, *_C4_TABLE[cname], pattern=cname != "D4(a1)")
+        return _from_table(cname, *_C4_TABLE[cname])
     if cname in _DYNKIN_TABLE:
-        return _from_table(cname, *_DYNKIN_TABLE[cname], pattern=True)
+        return _from_table(cname, *_DYNKIN_TABLE[cname])
     if l > MAX_RANK:
         raise DiagramError(f"{cname}: rank {l} exceeds the supported bound {MAX_RANK}")
     if family == "A" and k is None:
@@ -302,7 +304,7 @@ def dynkin_A(l: int) -> CarterDiagram:
     path = [(_va if i % 2 == 0 else _vb)(i // 2 + 1) for i in range(l)]
     verts = sorted(path, key=lambda v: (v.color != ALPHA, v.index))
     edges = [(path[i], path[i + 1], SOLID) for i in range(l - 1)]
-    return CarterDiagram(f"A{l}", tuple(verts), tuple(edges), None)
+    return CarterDiagram(f"A{l}", tuple(verts), tuple(edges))
 
 
 def dynkin_D(l: int) -> CarterDiagram:
@@ -318,8 +320,7 @@ def dynkin_D(l: int) -> CarterDiagram:
                    key=lambda v: (v.color != ALPHA, v.index))
     edges = [(_va(1), _vb(1), SOLID), (_va(2), _vb(1), SOLID), (_va(3), _vb(1), SOLID)]
     edges += [(path[i], path[i + 1], SOLID) for i in range(len(path) - 1)]
-    return CarterDiagram(f"D{l}", tuple(verts), tuple(edges),
-                         (_va(1), _va(2), _va(3), _vb(1)))
+    return CarterDiagram(f"D{l}", tuple(verts), tuple(edges))
 
 
 def carter_D_ak(l: int, k: int) -> CarterDiagram:
@@ -349,22 +350,22 @@ def carter_D_ak(l: int, k: int) -> CarterDiagram:
     for v in f_chain:
         edges.append((prev, v, SOLID))
         prev = v
-    pattern = (f_chain[0], a2, a3, b1) if f_chain else None
-    return CarterDiagram(f"D{l}(a{k})", verts, tuple(edges), pattern)
+    return CarterDiagram(f"D{l}(a{k})", verts, tuple(edges))
 
 
 # -- extension ----------------------------------------------------------------
 
 
 def extend(d: CarterDiagram, at) -> CarterDiagram:
-    """Append one vertex of the opposite color, solid-joined to ``at``."""
+    """Append one vertex of the opposite color, solid-joined to ``at``.  The
+    result's pattern is detected afresh, as for any diagram."""
     at = d.vertex(at)
     color = BETA if at.color == ALPHA else ALPHA
     kind = "b" if color == BETA else "a"
     used = {v.index for v in d.vertices if v.kind == kind}
     new = VertexId(kind, max(used, default=0) + 1, color)
     return CarterDiagram(f"{d.name}+{at.id}", d.vertices + (new,),
-                         d.edges + ((at, new, SOLID),), d.pattern)
+                         d.edges + ((at, new, SOLID),))
 
 
 # -- pattern detection ---------------------------------------------------------
@@ -375,7 +376,8 @@ def detect_pattern(d: CarterDiagram) -> Optional[tuple[VertexId, VertexId, Verte
 
     The center is the first beta vertex (in canonical order) with exactly
     three alpha neighbors, all solid.  In the 4-cycle case the two square
-    members take the a2 (dotted to the opposite beta) and a3 roles.
+    members take the a2 (dotted to the opposite beta) and a3 roles.  This is
+    the only place the pattern is decided; ``CarterDiagram.pattern`` reads it.
     """
     for center in d.vertices:
         if center.color != BETA:
@@ -535,11 +537,7 @@ def from_json(text: str) -> CarterDiagram:
         if e.get("sign") not in SIGN_VALUES:
             raise DiagramError(f"edges[{i}]: sign must be 'solid' or 'dotted', got {e.get('sign')!r}")
         edges.append((byid[e["u"]], byid[e["v"]], SIGN_VALUES[e["sign"]]))
-    d = CarterDiagram(str(doc["name"]), tuple(verts), tuple(edges), None)
-    pat = detect_pattern(d)
-    if pat is not None:
-        d = CarterDiagram(d.name, d.vertices, d.edges, pat)
-    return d
+    return CarterDiagram(str(doc["name"]), tuple(verts), tuple(edges))
 
 
 def _check_keys(obj, allowed: set, where: str) -> None:

@@ -4,10 +4,12 @@ The dual reflection at vertex t sends v to v - v_t * (column t of B): the
 t coordinate flips sign and every neighbor coordinate gains +v_t across a
 solid edge and -v_t across a dotted one.  The linkage vectors of a diagram
 are closed under these reflections; the resulting graph is the linkage
-system.  Every node with a nonzero label on the pattern alphas a1, a2, a3
-falls into exactly one 8-element loctet; the remaining nodes have zero
-labels on all pattern alphas.  The reflection is written once, by vertex
-index, in ``reflect_at``; the components are ``diagram.closure`` over the edges.
+system; every positive definite diagram has one.  Given the diagram's
+pattern, every node with a nonzero label on the pattern alphas a1, a2, a3
+falls into exactly one 8-element loctet, and the other nodes have zero
+labels on all of them; without a pattern there are no loctets.  The
+reflection is written once, by vertex index, in ``reflect_at``; the
+components are ``diagram.closure`` over the edges.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .cartan import PartialCartan, build_partial_cartan, simply_extendable
 from .linkage import Linkage, _search, enumerate_linkages, form_num
 
 LOCTET_TYPES = ("L12", "L13", "L23")
+Indices = tuple[int, int, int, int]  # vertex indices of a pattern's roles
 
 
 class VerificationError(RuntimeError):
@@ -29,8 +32,8 @@ class VerificationError(RuntimeError):
 
 
 class UnsupportedDiagram(ValueError):
-    """Linkage-system structure needs a 4-cycle or branch-point diagram
-    (D4(a1)/D_l(a_k), D_l, E6, E7, E8), not a bare chain."""
+    """The loctet API (``gamma8_candidates``, ``loctet_from_gamma8``) was given
+    a diagram with no D5(a1)/D4 pattern, such as a chain or the bare 4-cycle."""
 
 
 def reflect_at(pc: PartialCartan, i: int, v: Linkage) -> Linkage:
@@ -80,10 +83,11 @@ class LinkageSystem:
     component_p: tuple[Fraction, ...]
     loctets: tuple[Loctet, ...]
     unicolored: tuple[Linkage, ...]
-    _index: dict = field(init=False, repr=False, compare=False)  # node -> position
+    _index: Optional[dict] = field(default=None, repr=False, compare=False)  # node -> position
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.nodes)})
+        if self._index is None:
+            object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.nodes)})
 
     def node_index(self, v: Linkage) -> int:
         i = self._index.get(tuple(v))
@@ -95,27 +99,20 @@ class LinkageSystem:
         return sorted(len(c) for c in self.components)
 
 
-def _pattern_indices(pc: PartialCartan) -> tuple[int, int, int, int]:
+def _pattern_indices(pc: PartialCartan) -> Indices:
+    """Vertex indices of the pattern's a1, a2, a3 and b1."""
     pat = pc.diagram.pattern
     if pat is None:
-        raise UnsupportedDiagram(
-            f"{pc.diagram.name}: no D5(a1)/D4 pattern subdiagram")
-    idx = tuple(pc.diagram.index_of(v) for v in pat)
-    for a in idx[:3]:
-        if pc.gram[a][idx[3]] != dg.SOLID:
-            raise UnsupportedDiagram(
-                f"{pc.diagram.name}: pattern edge {pc.diagram.vertices[a]}-"
-                f"{pc.diagram.vertices[idx[3]]} is not solid")
-    return idx
+        raise UnsupportedDiagram(f"{pc.diagram.name}: no D5(a1)/D4 pattern subdiagram")
+    return tuple(map(pc.diagram.index_of, pat))
 
 
-def _kind_indices(pc: PartialCartan, kind: str) -> tuple[int, int, int, int]:
+def _kind_indices(pat: Indices, kind: str) -> Indices:
     """Vertex indices of a_i, a_j, a_k and b1 for the loctet kind L_ij."""
     if kind not in LOCTET_TYPES:
         raise ValueError(f"loctet kind must be one of {LOCTET_TYPES}, got {kind!r}")
     ai, aj = (int(c) - 1 for c in kind[1:])
-    p = _pattern_indices(pc)
-    return p[ai], p[aj], p[3 - ai - aj], p[3]
+    return pat[ai], pat[aj], pat[3 - ai - aj], pat[3]
 
 
 def _is_bare_square(d: dg.CarterDiagram) -> bool:
@@ -133,7 +130,11 @@ def gamma8_candidates(pc: PartialCartan, kind: str) -> tuple[Linkage, ...]:
     the remaining a_k, 0 at the center b1, and anything admissible elsewhere.
     They are read from the linkage search that ``pc`` keeps.
     """
-    i, j, k, b = _kind_indices(pc, kind)
+    return _gamma8(pc, _kind_indices(_pattern_indices(pc), kind))
+
+
+def _gamma8(pc: PartialCartan, ijkb: Indices) -> tuple[Linkage, ...]:
+    i, j, k, b = ijkb
     return tuple(v for v in enumerate_linkages(pc) if v[i] == v[j] == v[b] == 0 and v[k] == 1)
 
 
@@ -146,13 +147,14 @@ def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Locte
     """
     if len(g8) != len(pc):
         raise ValueError(f"vector of length {len(g8)} for rank {len(pc)}")
-    return _loctet(pc, tuple(g8), kind, lambda m: form_num(pc, m) < 2 * pc.inv_den)
+    return _loctet(pc, tuple(g8), kind, _kind_indices(_pattern_indices(pc), kind),
+                   lambda m: form_num(pc, m) < 2 * pc.inv_den)
 
 
-def _loctet(pc: PartialCartan, g8: Linkage, kind: str,
+def _loctet(pc: PartialCartan, g8: Linkage, kind: str, ijkb: Indices,
             is_linkage: Callable[[Linkage], bool]) -> Loctet:
-    """``loctet_from_gamma8`` with the linkage test of its members passed in."""
-    i, j, k, b = _kind_indices(pc, kind)
+    """``loctet_from_gamma8`` with the kind's indices and the members' linkage test passed in."""
+    i, j, k, b = ijkb
     g7 = reflect_at(pc, k, g8)
     g6 = reflect_at(pc, b, g7)
     g4 = reflect_at(pc, i, g6)
@@ -171,7 +173,10 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     """Enumerate nodes, close them under the generators, find components,
     collect loctets, and verify the loctet partition, in one pass: p comes
     from the search's form values and loctet members are looked up among the
-    nodes.  The empty system (E8) is legal; ``from_json`` checks by this."""
+    nodes.  Every positive definite diagram builds.  Loctets come from the
+    diagram's pattern, or are the components of the bare 4-cycle; a diagram
+    with neither (a chain, say) gets none, and all its nodes are unicolored.
+    The empty system (E8) is legal; ``from_json`` checks by this."""
     d = pc.diagram
     nodes, nums = _search(pc)
     index = {v: i for i, v in enumerate(nodes)}
@@ -184,8 +189,8 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
         component_p.append(Fraction(nums[comp[0]], pc.inv_den))
 
     if d.pattern is not None:
-        loctets = _generated_loctets(pc, index)
         pat = _pattern_indices(pc)
+        loctets = _generated_loctets(pc, index, pat)
         membership: dict[Linkage, int] = {}
         for li, loc in enumerate(loctets):
             for m in loc.members:
@@ -199,7 +204,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
             if not has_alpha and v in membership:
                 raise VerificationError(f"{d.name}: {v} is pattern-alpha free yet in a loctet")
         unicolored = tuple(v for v in nodes if v not in membership)
-    elif _is_bare_square(d) and nodes:
+    elif _is_bare_square(d):
         sizes = {len(c) for c in components}
         if sizes != {8}:
             raise VerificationError(f"{d.name}: bare-square components of sizes {sizes}")
@@ -207,12 +212,9 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
             Loctet("D4", tuple(nodes[i] for i in comp)) for comp in components
         )
         unicolored = ()
-    elif not nodes:
-        loctets = ()
-        unicolored = ()
     else:
-        raise UnsupportedDiagram(
-            f"{d.name}: no D5(a1)/D4 pattern subdiagram")
+        loctets = ()
+        unicolored = nodes
 
     return LinkageSystem(
         pc=pc,
@@ -222,6 +224,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
         component_p=tuple(component_p),
         loctets=loctets,
         unicolored=unicolored,
+        _index=index,
     )
 
 
@@ -264,12 +267,14 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
-def _generated_loctets(pc: PartialCartan, index: dict[Linkage, int]) -> tuple[Loctet, ...]:
+def _generated_loctets(pc: PartialCartan, index: dict[Linkage, int],
+                       pat: Indices) -> tuple[Loctet, ...]:
     out: list[Loctet] = []
     seen: set = set()
     for kind in LOCTET_TYPES:
-        for g8 in gamma8_candidates(pc, kind):
-            loc = _loctet(pc, g8, kind, index.__contains__)
+        ijkb = _kind_indices(pat, kind)
+        for g8 in _gamma8(pc, ijkb):
+            loc = _loctet(pc, g8, kind, ijkb, index.__contains__)
             key = loc.member_set()
             if key not in seen:
                 seen.add(key)

@@ -262,5 +262,4 @@ def e8_root_subset_diagrams(draw, max_rank=8):
         vertices.append(cl.VertexId("ab"[c], counts[c], (dg.ALPHA, dg.BETA)[c]))
     edges = tuple((vertices[i], vertices[j], ip(chosen[i], chosen[j]))
                   for j in range(len(chosen)) for i in range(j) if ip(chosen[i], chosen[j]))
-    d = cl.CarterDiagram("grown", tuple(vertices), edges)
-    return cl.CarterDiagram(d.name, d.vertices, d.edges, dg.detect_pattern(d))
+    return cl.CarterDiagram("grown", tuple(vertices), edges)

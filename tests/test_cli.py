@@ -136,13 +136,34 @@ def test_verify_no_embedding(capsys):
 def test_verify_chain_diagram(capsys):
     code, out, _ = run(capsys, "verify", "A3", "--ambient", "A5")
     assert code == 0
-    assert "chain diagram" in out
+    assert "realized components: 2 of 3" in out
+    assert "chain" not in out
 
 
-def test_system_chain_diagram_exit_1(capsys):
-    code, _, err = run(capsys, "system", "A4")
-    assert code == 1
-    assert "pattern" in err
+def test_system_chain_diagram(capsys):
+    code, out, err = run(capsys, "system", "A4")
+    assert code == 0 and err == ""
+    assert "components: 4" in out and "loctets: 0" in out and "outside loctets: 30" in out
+    code, _, err = run(capsys, "loctets", "A4")
+    assert code == 1 and "pattern" in err
+
+
+def test_switched_diagram_is_checked_like_its_catalog_twin(capsys, tmp_path):
+    # D5 with the root a1 negated: no pattern, so no loctets, but verify
+    # still checks the components and the E8 equality
+    doc = json.loads(dg.to_json(cl.catalog("D5")))
+    for e in doc["edges"]:
+        if "a1" in (e["u"], e["v"]):
+            e["sign"] = "dotted"
+    path = tmp_path / "d5_a1_negated.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "realized components: 3 of 3" in out and "chain" not in out
+    code, out, _ = run(capsys, "system", str(path))
+    assert code == 0 and "loctets: 0" in out
+    code, _, err = run(capsys, "loctets", str(path))
+    assert code == 1 and "pattern" in err
 
 
 def test_weights(capsys):

@@ -121,7 +121,12 @@ def test_predefined_pattern_on_c4(name):
 
 @pytest.mark.parametrize("name", CATALOG + ["E8", "D9", "D10(a3)", "A4"])
 def test_pattern_detection_matches_construction(name):
+    # the roles the constructions lay out: a1, a2, a3, b1 in the tables and
+    # D_l, f1 for a1 in D_l(a_k), none in the bare square and the chains
     d = cl.catalog(name)
+    roles = {"D4(a1)": None, "A4": None, "D10(a3)": ("f1", "a2", "a3", "b1")}
+    expected = roles.get(name, ("a1", "a2", "a3", "b1"))
+    assert d.pattern == (expected and tuple(map(d.vertex, expected)))
     assert dg.detect_pattern(d) == d.pattern
 
 
@@ -236,5 +241,6 @@ def test_vertex_lookup_by_object_and_id():
 def test_vertex_index_is_not_part_of_the_value():
     d = cl.catalog("D5(a1)")
     assert "_index" not in repr(d)
-    twin = cl.CarterDiagram(d.name, d.vertices, d.edges, d.pattern)
-    assert twin == d and hash(twin) == hash(d)
+    assert d.pattern is not None  # computed and kept, yet not part of the value
+    twin = cl.CarterDiagram(d.name, d.vertices, d.edges)
+    assert twin == d and hash(twin) == hash(d) and "pattern" not in repr(d)

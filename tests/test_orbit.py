@@ -87,13 +87,7 @@ def test_build_system_edges_match_public_reflection(name):
 @given(e8_root_subset_diagrams())
 def test_edges_match_public_reflection_on_generated_diagrams(d):
     pc = cl.build_partial_cartan(d)
-    nodes = cl.enumerate_linkages(pc)
-    try:
-        edges = cl.build_system(pc).edges
-    except orbit.UnsupportedDiagram:
-        # no loctet pattern (a chain, say): the edge loop applies all the same
-        edges = tuple(sorted(orbit._edges(pc, nodes, {v: i for i, v in enumerate(nodes)})))
-    assert edges == _reflection_edges(pc, nodes)
+    assert cl.build_system(pc).edges == _reflection_edges(pc, cl.enumerate_linkages(pc))
 
 
 # -- systems ---------------------------------------------------------------------
@@ -216,9 +210,28 @@ def test_d4_dynkin_loctets_are_components():
     assert {loc.kind for loc in s.loctets} == {"L12", "L13", "L23"}
 
 
-def test_build_system_rejects_chains():
-    with pytest.raises(orbit.UnsupportedDiagram):
-        cl.build_system(cl.build_partial_cartan(cl.catalog("A4")))
+@pytest.mark.parametrize("l", range(1, 13))
+def test_build_system_on_chains(l):
+    # a chain has no pattern: components and p, but no loctets
+    s = cl.build_system(cl.build_partial_cartan(cl.catalog(f"A{l}")))
+    assert s.nodes and s.loctets == () and s.unicolored == s.nodes
+    for comp, p in zip(s.components, s.component_p):
+        assert {form_value(s.pc, s.nodes[i]) for i in comp} == {p}
+
+
+@pytest.mark.parametrize("name", dg.catalog_names())
+def test_simple_extensions_build_with_a_derived_pattern(name):
+    # the pattern is read from the extended diagram itself, so it cannot go
+    # stale: the diagram and its JSON round trip agree, and the system builds
+    d = cl.catalog(name)
+    pc = cl.build_partial_cartan(d)
+    for v in d.vertices:
+        if not cl.simply_extendable(pc, v):
+            continue
+        ext = cl.extend(d, v)
+        s = cl.build_system(cl.build_partial_cartan(ext))
+        assert ext.pattern == dg.from_json(dg.to_json(ext)).pattern, (name, v.id)
+        assert orbit.from_json(orbit.to_json(s)) == s, (name, v.id)
 
 
 def test_empty_system_is_legal():
@@ -285,7 +298,7 @@ def test_loctet_members_must_be_linkage_vectors():
     gone = cl.loctet_from_gamma8(pc, cl.gamma8_candidates(pc, "L12")[0], "L12").members[0]
     index = {v: i for i, v in enumerate(nodes) if v != gone}
     with pytest.raises(orbit.VerificationError, match="is not a linkage vector"):
-        orbit._generated_loctets(pc, index)
+        orbit._generated_loctets(pc, index, orbit._pattern_indices(pc))
 
 
 @pytest.mark.parametrize("name", [n for n in CATALOG if n != "D4(a1)"])
@@ -390,10 +403,7 @@ def test_generated_systems_roundtrip_and_search_numerators(d):
     pc = cl.build_partial_cartan(d)
     nodes, nums = _search(pc)
     assert nums == tuple(form_num(pc, v) for v in nodes)
-    try:
-        s = cl.build_system(pc)
-    except orbit.UnsupportedDiagram:
-        return  # no loctet pattern
+    s = cl.build_system(pc)
     assert orbit.from_json(orbit.to_json(s)) == s
 
 
