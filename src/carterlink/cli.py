@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 from . import diagram as dg
 from . import orbit
@@ -108,23 +109,23 @@ def cmd_system(args) -> int:
     pc = build_partial_cartan(load_diagram(args.src))
     sys_ = orbit.build_system(pc)
     if args.format == "dot":
-        _emit(orbit.to_dot(sys_), args.out)
-        return EXIT_OK
-    if args.format == "json":
-        _emit(orbit.to_json(sys_, indent=2), args.out)
-        return EXIT_OK
-    print(f"linkage system of {pc.diagram.name}")
-    print(f"  nodes: {len(sys_.nodes)}")
-    comps = ", ".join(
-        f"{len(c)} (p = {p})" for c, p in zip(sys_.components, sys_.component_p)
-    )
-    print(f"  components: {len(sys_.components)}" + (f"  [{comps}]" if comps else ""))
-    kinds = {}
-    for loc in sys_.loctets:
-        kinds[loc.kind] = kinds.get(loc.kind, 0) + 1
-    per_kind = ", ".join(f"{k}: {kinds[k]}" for k in sorted(kinds))
-    print(f"  loctets: {len(sys_.loctets)}" + (f"  [{per_kind}]" if per_kind else ""))
-    print(f"  outside loctets: {len(sys_.unicolored)}")
+        text = orbit.to_dot(sys_)
+    elif args.format == "json":
+        text = orbit.to_json(sys_, indent=2)
+    else:
+        comps = ", ".join(
+            f"{len(c)} (p = {p})" for c, p in zip(sys_.components, sys_.component_p)
+        )
+        kinds = Counter(loc.kind for loc in sys_.loctets)
+        per_kind = ", ".join(f"{k}: {kinds[k]}" for k in sorted(kinds))
+        text = "\n".join([
+            f"linkage system of {pc.diagram.name}",
+            f"  nodes: {len(sys_.nodes)}",
+            f"  components: {len(sys_.components)}" + (f"  [{comps}]" if comps else ""),
+            f"  loctets: {len(sys_.loctets)}" + (f"  [{per_kind}]" if per_kind else ""),
+            f"  outside loctets: {len(sys_.unicolored)}",
+        ])
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -270,8 +271,9 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("linkages", help="enumerate linkage label vectors")
     c.add_argument("src")
-    c.add_argument("--group-by-p", action="store_true")
-    c.add_argument("--beta-unicolored", action="store_true")
+    view = c.add_mutually_exclusive_group()
+    view.add_argument("--group-by-p", action="store_true")
+    view.add_argument("--beta-unicolored", action="store_true")
     c.set_defaults(fn=cmd_linkages)
 
     c = sub.add_parser("system", help="build the linkage system")

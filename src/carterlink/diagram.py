@@ -77,6 +77,8 @@ class CarterDiagram:
 
     The value is the name, the vertices and the edges; ``pattern`` is read
     from them by ``detect_pattern``, so two equal diagrams never disagree on it.
+    The integer Gram matrix is built once, while the edges are checked, and
+    the normalized ``edges``, ``neighbors`` and the pattern are read from it.
     """
 
     name: str
@@ -84,6 +86,7 @@ class CarterDiagram:
     edges: tuple[Edge, ...]
     # vertex and vertex id -> position; the first vertex wins a shared id
     _index: dict = field(init=False, repr=False, compare=False)
+    _gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = {v: i for i, v in enumerate(self.vertices)}
@@ -93,8 +96,8 @@ class CarterDiagram:
         for v, i in pos.items():
             index.setdefault(v.id, i)
         object.__setattr__(self, "_index", index)
-        norm = []
-        seen = set()
+        n = len(self.vertices)
+        g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for u, v, s in self.edges:
             if u not in pos or v not in pos:
                 raise DiagramError(f"{self.name}: edge endpoint not a vertex")
@@ -102,15 +105,15 @@ class CarterDiagram:
                 raise DiagramError(f"{self.name}: self loop at {u}")
             if s not in (SOLID, DOTTED):
                 raise DiagramError(f"{self.name}: bad edge sign {s}")
-            key = (min(pos[u], pos[v]), max(pos[u], pos[v]))
-            if key in seen:
+            i, j = pos[u], pos[v]
+            if g[i][j]:
                 raise DiagramError(f"{self.name}: duplicate edge {u}-{v}")
-            seen.add(key)
-            if pos[u] > pos[v]:
-                u, v = v, u
-            norm.append((u, v, s))
-        norm.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
-        object.__setattr__(self, "edges", tuple(norm))
+            g[i][j] = g[j][i] = s
+        object.__setattr__(self, "_gram", tuple(map(tuple, g)))
+        # the upper triangle in row-major order is the normalized edge order
+        object.__setattr__(self, "edges", tuple(
+            (u, self.vertices[j], row[j])
+            for i, (u, row) in enumerate(zip(self.vertices, g)) for j in range(i + 1, n) if row[j]))
 
     # -- lookups ------------------------------------------------------------
 
@@ -128,26 +131,15 @@ class CarterDiagram:
         return len(self.vertices)
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Integer Gram matrix: 2 on the diagonal, edge signs off it."""
-        n = len(self.vertices)
-        pos = self._index
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = 2
-        for u, v, s in self.edges:
-            g[pos[u]][pos[v]] = s
-            g[pos[v]][pos[u]] = s
-        return tuple(tuple(r) for r in g)
+        """Integer Gram matrix: 2 on the diagonal, edge signs off it.  It is
+        built once, with the edge checks, and every call returns that tuple."""
+        return self._gram
 
     def neighbors(self, v) -> list[tuple[VertexId, int]]:
-        v = self.vertex(v)
-        out = []
-        for a, b, s in self.edges:
-            if a == v:
-                out.append((b, s))
-            elif b == v:
-                out.append((a, s))
-        return out
+        """The vertices joined to ``v`` and the edge signs, read from v's Gram
+        row, so they come in vertex order."""
+        row = self._gram[self.index_of(v)]
+        return [(w, s) for w, s in zip(self.vertices, row) if s in (SOLID, DOTTED)]
 
     def is_dynkin(self) -> bool:
         return all(s == SOLID for _, _, s in self.edges)
@@ -224,16 +216,10 @@ _C4_TABLE: dict[str, tuple[int, int, list[tuple[str, str, str]]]] = {
                       ("a2", "b2", "d"), ("a3", "b2", "s"), ("a4", "b2", "s"), ("a1", "b3", "s")]),
 }
 
-# Dynkin diagrams in the same table convention: b1 is the branch point with
-# alpha neighbors a1, a2, a3; the tail continues from a2 (and from a1 for the
-# E family second branch).
+# The E Dynkin diagrams in the same table convention: b1 is the branch point
+# with alpha neighbors a1, a2, a3; the tail continues from a2 and the second
+# branch from a1.  D4 .. D7 are built by ``dynkin_D`` in the same convention.
 _DYNKIN_TABLE: dict[str, tuple[int, int, list[tuple[str, str, str]]]] = {
-    "D4": (3, 1, [("a1", "b1", "s"), ("a2", "b1", "s"), ("a3", "b1", "s")]),
-    "D5": (3, 2, [("a1", "b1", "s"), ("a2", "b1", "s"), ("a3", "b1", "s"), ("a2", "b2", "s")]),
-    "D6": (4, 2, [("a1", "b1", "s"), ("a2", "b1", "s"), ("a3", "b1", "s"),
-                  ("a2", "b2", "s"), ("a4", "b2", "s")]),
-    "D7": (4, 3, [("a1", "b1", "s"), ("a2", "b1", "s"), ("a3", "b1", "s"),
-                  ("a2", "b2", "s"), ("a4", "b2", "s"), ("a4", "b3", "s")]),
     "E6": (3, 3, [("a1", "b1", "s"), ("a2", "b1", "s"), ("a3", "b1", "s"),
                   ("a1", "b2", "s"), ("a2", "b3", "s")]),
     "E7": (4, 3, [("a1", "b1", "s"), ("a2", "b1", "s"), ("a3", "b1", "s"),
@@ -269,23 +255,23 @@ def canonical_name(family: str, l: int, k: Optional[int]) -> str:
 
 
 def catalog_names() -> list[str]:
-    """The cataloged names with explicit table data."""
-    return list(_C4_TABLE) + list(_DYNKIN_TABLE)
+    """The cataloged names: the tables, with D4 .. D7 before the E family."""
+    return list(_C4_TABLE) + [f"D{l}" for l in range(4, 8)] + list(_DYNKIN_TABLE)
 
 
 def catalog(name: str) -> CarterDiagram:
     """Build a diagram by name.
 
-    Tabled names ('D4(a1)' .. 'D7(a2)', Dynkin 'D4' .. 'E8') come out in the
+    Tabled names ('D4(a1)' .. 'D7(a2)', Dynkin 'E6' .. 'E8') come out in the
     canonical table vertex order.  'A_l' chains and the parametric families
-    'D_l' / 'D_l(a_k)' are accepted up to rank 12.
+    'D_l' / 'D_l(a_k)' are accepted up to rank 12; 'D_l' follows the table
+    convention, so 'D4' .. 'D7' are cataloged too.
     """
     family, l, k = parse_name(name)
     cname = canonical_name(family, l, k)
-    if cname in _C4_TABLE:
-        return _from_table(cname, *_C4_TABLE[cname])
-    if cname in _DYNKIN_TABLE:
-        return _from_table(cname, *_DYNKIN_TABLE[cname])
+    table = _C4_TABLE.get(cname) or _DYNKIN_TABLE.get(cname)
+    if table:
+        return _from_table(cname, *table)
     if l > MAX_RANK:
         raise DiagramError(f"{cname}: rank {l} exceeds the supported bound {MAX_RANK}")
     if family == "A" and k is None:
@@ -311,8 +297,6 @@ def dynkin_D(l: int) -> CarterDiagram:
     """The D_l Dynkin diagram: branch point b1, tail growing from a2."""
     if not 4 <= l <= MAX_RANK:
         raise DiagramError(f"D_l needs 4 <= l <= {MAX_RANK}, got {l}")
-    if f"D{l}" in _DYNKIN_TABLE:
-        return catalog(f"D{l}")
     # tail vertices beyond the branch: b2, a4, b3, a5, ...
     tail = [_vb(i // 2 + 2) if i % 2 == 0 else _va(i // 2 + 4) for i in range(l - 4)]
     path = [_va(2)] + tail
@@ -376,29 +360,23 @@ def detect_pattern(d: CarterDiagram) -> Optional[tuple[VertexId, VertexId, Verte
 
     The center is the first beta vertex (in canonical order) with exactly
     three alpha neighbors, all solid.  In the 4-cycle case the two square
-    members take the a2 (dotted to the opposite beta) and a3 roles.  This is
+    members take the a2 (dotted to the opposite beta) and a3 roles.  Both
+    searches read the rows of the Gram matrix the diagram built once.  This is
     the only place the pattern is decided; ``CarterDiagram.pattern`` reads it.
     """
-    for center in d.vertices:
-        if center.color != BETA:
+    g, vs = d.gram(), d.vertices
+    betas = [i for i, v in enumerate(vs) if v.color == BETA]
+    alphas = [i for i, v in enumerate(vs) if v.color == ALPHA]
+    for c in betas:
+        legs = [j for j in alphas if g[c][j]]
+        if len(legs) != 3 or any(g[c][j] != SOLID for j in legs):
             continue
-        nbrs = d.neighbors(center)
-        alphas = [(v, s) for v, s in nbrs if v.color == ALPHA]
-        if len(alphas) != 3 or any(s != SOLID for _, s in alphas):
-            continue
-        legs = [v for v, _ in alphas]
-        legs.sort(key=d.index_of)
-        for other in d.vertices:
-            if other.color != BETA or other == center:
-                continue
-            touching = {v: s for v, s in d.neighbors(other) if v in legs}
-            if len(touching) == 2:
-                dotted = sorted((v for v, s in touching.items() if s == DOTTED), key=d.index_of)
-                solid = sorted((v for v, s in touching.items() if s == SOLID), key=d.index_of)
-                outside = next(v for v in legs if v not in touching)
-                if len(dotted) == 1 and len(solid) == 1:
-                    return (outside, dotted[0], solid[0], center)
-        return (legs[0], legs[1], legs[2], center)
+        for o in betas:
+            signs = [g[o][j] for j in legs]
+            if o != c and sorted(signs) == [SOLID, 0, DOTTED]:
+                a1, a2, a3 = (legs[signs.index(s)] for s in (0, DOTTED, SOLID))
+                return (vs[a1], vs[a2], vs[a3], vs[c])
+        return (vs[legs[0]], vs[legs[1]], vs[legs[2]], vs[c])
     return None
 
 
@@ -427,15 +405,9 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
     if n != len(d2.vertices) or len(d1.edges) != len(d2.edges):
         return None
     g1, g2 = d1.gram(), d2.gram()
-
-    def degs(g):
-        return sorted(sorted(abs(x) for x in row if x not in (0, 2)) for row in g)
-
-    if degs(g1) != degs(g2):
+    deg1, deg2 = ([sum(1 for x in row if x not in (0, 2)) for row in g] for g in (g1, g2))
+    if sorted(deg1) != sorted(deg2):
         return None
-
-    def deg(g, i):
-        return sum(1 for x in g[i] if x not in (0, 2))
 
     used = [False] * n
     perm = [-1] * n
@@ -454,7 +426,7 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
         if i == n:
             return not allow_switching or _switching_consistent(g1, g2, perm)
         for j in range(n):
-            if not used[j] and deg(g1, i) == deg(g2, j) and ok(i, j):
+            if not used[j] and deg1[i] == deg2[j] and ok(i, j):
                 used[j] = True
                 perm[i] = j
                 if rec(i + 1):

@@ -434,7 +434,10 @@ def from_json(text: str) -> LinkageSystem:
     unicolored.  The first field that differs raises VerificationError.
     Returns the rebuilt system.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise dg.DiagramError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise dg.DiagramError("system JSON must be an object")
     for key in doc:

@@ -1,6 +1,7 @@
 """Shared test support: cached constructors, so the suite builds each heavy
 object once, the Fraction reference linear algebra, coordinate references for
-the root-system oracles, and a diagram generator."""
+the root-system oracles, edge-scanning references for the diagram, switched and
+color-swapped diagrams, and diagram generators."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -192,6 +193,81 @@ def ref_extension_orbit(e, seed) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+# -- edge-scanning references for the diagram -------------------------------------
+# Edge normalization, the Gram matrix, neighbors and pattern detection as
+# diagram.py computed them from the edge list, before it built the Gram matrix
+# once and read every edge question from its rows.
+
+
+def ref_normalized_edges(vertices, edges) -> tuple:
+    """The edges with each pair in vertex order, sorted by the two positions."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    norm = [(u, v, s) if pos[u] < pos[v] else (v, u, s) for u, v, s in edges]
+    return tuple(sorted(norm, key=lambda e: (pos[e[0]], pos[e[1]])))
+
+
+def ref_gram(d) -> tuple:
+    """2 on the diagonal and the edge signs off it, written edge by edge."""
+    n = len(d.vertices)
+    g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for u, v, s in d.edges:
+        i, j = d.vertices.index(u), d.vertices.index(v)
+        g[i][j] = g[j][i] = s
+    return tuple(map(tuple, g))
+
+
+def ref_neighbors(d, v) -> list:
+    """The vertices joined to v and the signs, in edge order."""
+    v = d.vertex(v)
+    out = []
+    for a, b, s in d.edges:
+        if a == v:
+            out.append((b, s))
+        elif b == v:
+            out.append((a, s))
+    return out
+
+
+def ref_detect_pattern(d):
+    """The first beta center with three solid alpha legs, the square's
+    dotted leg as a2 and its solid leg as a3, found by scanning the edges."""
+    for center in d.vertices:
+        if center.color != dg.BETA:
+            continue
+        alphas = [(v, s) for v, s in ref_neighbors(d, center) if v.color == dg.ALPHA]
+        if len(alphas) != 3 or any(s != dg.SOLID for _, s in alphas):
+            continue
+        legs = sorted((v for v, _ in alphas), key=d.index_of)
+        for other in d.vertices:
+            if other.color != dg.BETA or other == center:
+                continue
+            touching = {v: s for v, s in ref_neighbors(d, other) if v in legs}
+            if len(touching) == 2:
+                dotted = sorted((v for v, s in touching.items() if s == dg.DOTTED), key=d.index_of)
+                solid = sorted((v for v, s in touching.items() if s == dg.SOLID), key=d.index_of)
+                outside = next(v for v in legs if v not in touching)
+                if len(dotted) == 1 and len(solid) == 1:
+                    return (outside, dotted[0], solid[0], center)
+        return (legs[0], legs[1], legs[2], center)
+    return None
+
+
+def switched(d, v):
+    """d with the root at v negated: every edge at v changes sign."""
+    v = d.vertex(v)
+    edges = tuple((a, b, -s if v in (a, b) else s) for a, b, s in d.edges)
+    return cl.CarterDiagram(f"{d.name}-{v.id}", d.vertices, edges)
+
+
+def color_swapped(d):
+    """d with alpha and beta exchanged; a<k> and b<k> trade names with them."""
+    def swap(v):
+        kind = {"a": "b", "b": "a"}.get(v.kind, v.kind)
+        return cl.VertexId(kind, v.index, dg.BETA if v.color == dg.ALPHA else dg.ALPHA)
+    edges = tuple((swap(a), swap(b), s) for a, b, s in d.edges)
+    return cl.CarterDiagram(f"{d.name}~", tuple(map(swap, d.vertices)), edges)
 
 
 # -- generated diagrams -----------------------------------------------------------

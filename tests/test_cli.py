@@ -94,6 +94,24 @@ def test_system_out_file(tmp_path, capsys):
     assert len(orbit.from_json(target.read_text()).nodes) == 24
 
 
+def test_system_summary_out_file(tmp_path, capsys):
+    target = tmp_path / "summary.txt"
+    code, out, err = run(capsys, "system", "E6(a1)", "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    _, summary, _ = run(capsys, "system", "E6(a1)")
+    assert target.read_text() == summary
+    assert summary.startswith("linkage system of E6(a1)\n")
+
+
+def test_linkages_views_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["linkages", "E7(a1)", "--group-by-p", "--beta-unicolored"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert "not allowed with argument" in out.err
+
+
 def test_loctets_lists_candidates(capsys):
     code, out, _ = run(capsys, "loctets", "E6(a1)")
     assert code == 0

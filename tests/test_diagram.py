@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import carterlink as cl
 from carterlink import diagram as dg
 from carterlink.cartan import CartanError
 
-from helpers import C4_CATALOG, CATALOG, pc_of
+from helpers import (C4_CATALOG, CATALOG, color_swapped, e8_root_subset_diagrams, pc_of,
+                     ref_detect_pattern, ref_gram, ref_neighbors, ref_normalized_edges,
+                     signed_bipartite_diagrams, switched)
 
 
 def test_catalog_d4a1_shape():
@@ -240,7 +243,76 @@ def test_vertex_lookup_by_object_and_id():
 
 def test_vertex_index_is_not_part_of_the_value():
     d = cl.catalog("D5(a1)")
-    assert "_index" not in repr(d)
+    assert "_index" not in repr(d) and "_gram" not in repr(d)
     assert d.pattern is not None  # computed and kept, yet not part of the value
-    twin = cl.CarterDiagram(d.name, d.vertices, d.edges)
+    twin = cl.CarterDiagram(d.name, d.vertices, tuple(reversed(d.edges)))
     assert twin == d and hash(twin) == hash(d) and "pattern" not in repr(d)
+
+
+# -- the Gram matrix, built once -----------------------------------------------
+
+_A1, _A2, _B1 = dg.VertexId("a", 1, dg.ALPHA), dg.VertexId("a", 2, dg.ALPHA), dg.VertexId("b", 1, dg.BETA)
+
+
+@pytest.mark.parametrize("edges,message", [
+    # each edge is checked for its endpoints, a self loop, its sign and a
+    # duplicate, in that order, so an edge with several faults names the first
+    (((_A1, dg.VertexId("b", 9, dg.BETA), 7),), "edge endpoint not a vertex"),
+    (((_A1, _A1, 7),), "self loop at a1"),
+    (((_A1, _B1, 7),), "bad edge sign 7"),
+    (((_A1, _B1, dg.SOLID), (_B1, _A1, 7)), "bad edge sign 7"),
+    (((_A1, _B1, dg.SOLID), (_B1, _A1, dg.DOTTED)), "duplicate edge b1-a1"),
+    (((_A1, _B1, dg.SOLID), (_A2, _A2, 7), (_B1, _A1, 7)), "self loop at a2"),
+])
+def test_edge_checks_and_their_order(edges, message):
+    with pytest.raises(dg.DiagramError, match=f"^x: {message}$"):
+        dg.CarterDiagram("x", (_A1, _A2, _B1), edges)
+
+
+def _agrees_with_references(d, raw_edges) -> None:
+    """d, built from raw_edges, against the edge-scanning references."""
+    assert d.edges == ref_normalized_edges(d.vertices, raw_edges)
+    assert d.gram() is d.gram()
+    assert d.gram() == ref_gram(d)
+    for v in d.vertices:
+        assert d.neighbors(v) == ref_neighbors(d, v)
+    assert dg.detect_pattern(d) == d.pattern == ref_detect_pattern(d)
+    try:
+        pc = cl.build_partial_cartan(d)
+    except CartanError:
+        return
+    assert pc.gram is d.gram()
+
+
+def _shuffled(data, d) -> tuple:
+    """d's edges in a drawn order, each pair drawn either way round."""
+    edges = data.draw(st.permutations(d.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return tuple((v, u, s) if f else (u, v, s) for (u, v, s), f in zip(edges, flips))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(e8_root_subset_diagrams(), signed_bipartite_diagrams(max_rank=8)), st.data())
+def test_gram_rows_agree_with_edge_scans_on_generated_diagrams(d, data):
+    raw = _shuffled(data, d)
+    _agrees_with_references(cl.CarterDiagram(d.name, d.vertices, raw), raw)
+
+
+def _catalog_variants():
+    """Every catalog diagram, its single-leaf extensions, its single-vertex
+    switchings and its color swap: among them D5 and E6(a1) negated at a1,
+    E6(a1) negated at b1, and D5, D5(a1) and E7 with the colors swapped."""
+    for name in dg.catalog_names():
+        d = cl.catalog(name)
+        yield d
+        yield color_swapped(d)
+        for v in d.vertices:
+            yield dg.extend(d, v)
+            yield switched(d, v)
+
+
+@pytest.mark.parametrize("d", list(_catalog_variants()), ids=lambda d: d.name)
+def test_gram_rows_agree_with_edge_scans_on_catalog_variants(d):
+    raw = tuple((v, u, s) for u, v, s in reversed(d.edges))
+    _agrees_with_references(cl.CarterDiagram(d.name, d.vertices, raw), raw)
+    _agrees_with_references(d, d.edges)

@@ -474,6 +474,13 @@ def test_system_json_rejects_corruption(probe):
         orbit.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("parse", [dg.from_json, orbit.from_json], ids=["diagram", "system"])
+@pytest.mark.parametrize("text", ["{", "nul"])
+def test_from_json_rejects_invalid_json(parse, text):
+    with pytest.raises(dg.DiagramError, match="^invalid JSON: "):
+        parse(text)
+
+
 def test_system_json_rejects_unknown_key():
     doc = json.loads(orbit.to_json(system_of("D4")))
     doc["extra"] = 1
