@@ -187,7 +187,8 @@ def cmd_verify(args) -> int:
     labels = set(dl.labels)
     if not labels <= set(enum):
         raise orbit.VerificationError(
-            f"direct labels of {d.name} in {amb.name} leave the enumerated set")
+            f"direct labels of {d.name} in {amb.name} leave the enumerated set: "
+            f"{_first_outside(dl.labels, enum)}")
     print(f"  distinct direct labels: {len(labels)} (of {len(enum)} enumerated)")
     if enum:
         realized = _realized_components(sys_, labels, "direct labels")
@@ -198,7 +199,8 @@ def cmd_verify(args) -> int:
     e8_equality = amb.name == "E8" and len(d) <= 7 and not chain
     if e8_equality and labels != set(enum):
         raise orbit.VerificationError(
-            f"direct labels over E8 differ from the enumerated set for {d.name}")
+            f"direct labels over E8 differ from the enumerated set for {d.name}: "
+            f"{_first_outside(enum, labels)} is not realized")
     laws = rt.check_projection_laws(dl, emb)
     classes = ", ".join(f"p = {p} ({n})" for p, n in laws.p_classes)
     print(f"  projection laws hold; {classes or 'no realized linkages'}; "
@@ -209,17 +211,25 @@ def cmd_verify(args) -> int:
     if args.trials > 1:
         rep = rt.embedding_independence(d, amb, args.trials)
         if len(rep.label_sets) > 1 and e8_equality:
+            first, other = map(set, rep.label_sets[:2])
             raise orbit.VerificationError(
-                f"distinct label sets differ between embeddings of {d.name} in {amb.name}")
+                f"distinct label sets differ between embeddings of {d.name} in {amb.name}: "
+                f"{_vec(min(first ^ other))} is in one set only")
         for trial in map(set, rep.label_sets):
             if not trial <= set(enum):
                 raise orbit.VerificationError(
-                    f"trial labels of {d.name} in {amb.name} leave the enumerated set")
+                    f"trial labels of {d.name} in {amb.name} leave the enumerated set: "
+                    f"{_first_outside(sorted(trial), enum)}")
             _realized_components(sys_, trial, "trial labels")
         print(f"  label sets identical across {rep.embeddings} embeddings"
               if len(rep.label_sets) == 1 else f"  distinct label sets: {len(rep.label_sets)} "
               f"across {rep.embeddings} embeddings, each inside the enumerated set")
     return EXIT_OK
+
+
+def _first_outside(vectors, within) -> str:
+    """The first of the vectors not in ``within``, formatted as a witness."""
+    return _vec(next(v for v in vectors if v not in within))
 
 
 def _realized_components(sys_: orbit.LinkageSystem, labels: set, whose: str) -> int:
@@ -231,7 +241,8 @@ def _realized_components(sys_: orbit.LinkageSystem, labels: set, whose: str) -> 
         inter = members & labels
         if inter and inter != members:
             raise orbit.VerificationError(
-                f"{whose} cover a component of {sys_.pc.diagram.name} only partially")
+                f"{whose} cover a component of {sys_.pc.diagram.name} only partially: "
+                f"{_first_outside((sys_.nodes[i] for i in comp), labels)} is missing")
         count += bool(inter)
     return count
 

@@ -103,8 +103,8 @@ class CarterDiagram:
                 raise DiagramError(f"{self.name}: edge endpoint not a vertex")
             if u == v:
                 raise DiagramError(f"{self.name}: self loop at {u}")
-            if s not in (SOLID, DOTTED):
-                raise DiagramError(f"{self.name}: bad edge sign {s}")
+            if type(s) is not int or s not in (SOLID, DOTTED):  # not -1.0, True
+                raise DiagramError(f"{self.name}: bad edge sign {s!r}")
             i, j = pos[u], pos[v]
             if g[i][j]:
                 raise DiagramError(f"{self.name}: duplicate edge {u}-{v}")

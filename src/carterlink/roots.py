@@ -4,16 +4,17 @@ Everything here is independent of the enumeration path: explicit root sets,
 backtracking search for diagram embeddings constrained by the Gram matrix,
 and direct computation of linkage labels as inner products.  All arithmetic
 is on plain integers.  The E8 coordinates are half-integers, so every root
-is also kept in doubled coordinates, where the inner product of two roots is
-the dot product divided by 4.  A label is the inner product of two roots of
-one ambient system, so the labels and the extension orbits are read from the
-ambient's inner-product bitsets by root index, not recomputed.  With
-B^-1 = N / D (N and D integer), the projection gamma_L and mu = gamma -
-gamma_L are integer vectors at the scale 2D, so every law is checked as an
-integer identity; the public results carry the same values as exact
-Fractions.  ``find_embeddings`` builds the partial Cartan matrix of the
-diagram once; its embeddings share it and every oracle reads it from there.
-The extension and weight orbits are ``diagram.closure`` under reflections.
+system is built in doubled coordinates, where the inner product of two roots
+is the dot product divided by 4; its inner-product bitsets are bit-sliced
+by coordinate value.  A label is the inner product of two roots of one
+ambient system, so the labels and the extension orbits are read from those
+bitsets by root index, not recomputed.  With B^-1 = N / D (N and D
+integer), the projection gamma_L and mu = gamma - gamma_L are integer
+vectors at the scale 2D, so every law is checked as an integer identity; the
+public results carry the same values as exact Fractions.  ``find_embeddings``
+builds the partial Cartan matrix of the diagram once; its embeddings share
+it and every oracle reads it from there.  The extension and weight orbits
+are ``diagram.closure`` under reflections.
 """
 
 from __future__ import annotations
@@ -32,72 +33,94 @@ from .orbit import VerificationError, reflect_at
 Root = tuple[Fraction, ...]
 Doubled = tuple[int, ...]
 
-HALF = Fraction(1, 2)
 
 class RootSystemError(ValueError):
-    """Unsupported root-system name or rank."""
+    """Unsupported root-system name or rank, or a set that is not a root system."""
 
 
 def _dot(x: Sequence, y: Sequence):
     return sum(map(mul, x, y))
 
 
-def _double(r: Sequence) -> Doubled:
-    """2r as integers; r must have half-integer coordinates."""
+def _double(r: Sequence[Fraction]) -> Optional[Doubled]:
+    """2r as integers, or None when r has a coordinate that is not a
+    half-integer; None is in no root system's ``index``."""
     if any(2 % c.denominator for c in r):
-        raise RootSystemError(f"{r} has coordinates that are not half-integers")
+        return None
     return tuple(c.numerator * 2 // c.denominator for c in r)
+
+
+# the coordinates of a root doubled are -2..2; each maps to one shared Fraction
+_HALVES = {c: Fraction(c, 2) for c in range(-2, 3)}
 
 
 class RootSystem:
     """An explicit simply-laced root system with deterministic root order.
 
-    ``doubled[i]`` is ``2 * roots[i]`` as integers and ``index`` maps it back
-    to i.  ``ip_bits[i][t + 1]`` is a bitset over root indices: bit j is set
-    when (root i, root j) = t, for t in -1, 0, 1.  The embedding search
-    narrows its candidates with them; the label scans and the extension
-    orbits read every inner product with an embedded root from them.  The
-    span test of ``embedding_independence`` on labels alone is exact: p = 2
-    exactly when mu = 0, because |gamma|^2 = p + |mu|^2 = 2.
+    It is built from the doubled roots: ``doubled[i]`` is twice root i, as
+    integers, and ``index`` maps it back to i; ``roots`` and ``root_set`` are
+    their Fraction view.  ``ip_bits[i][t + 1]`` is a bitset over root indices:
+    bit j is set when (root i, root j) = t, for t in -1, 0, 1.  The embedding
+    search narrows its candidates with them; the label scans and the
+    extension orbits read every inner product with an embedded root from
+    them.  The span test of ``embedding_independence`` on labels alone is
+    exact: p = 2 exactly when mu = 0, because |gamma|^2 = p + |mu|^2 = 2.
     """
 
-    def __init__(self, name: str, rank: int, dim: int, roots: Iterable[Root]) -> None:
+    def __init__(self, name: str, rank: int, dim: int, doubled: Iterable[Doubled]) -> None:
         self.name = name
         self.rank = rank
         self.dim = dim
-        self.roots = tuple(sorted(roots))
-        self.root_set = frozenset(self.roots)
-        if len(self.root_set) != len(self.roots):
-            raise RootSystemError(f"{name}: duplicate roots")
-        self.doubled = tuple(_double(r) for r in self.roots)
+        self.doubled = tuple(sorted(doubled))
         self.index = {x: i for i, x in enumerate(self.doubled)}
-        for r, x in zip(self.roots, self.doubled):
+        if len(self.index) != len(self.doubled):
+            raise RootSystemError(f"{name}: duplicate roots")
+        for x in self.doubled:
             if _dot(x, x) != 8:
-                raise RootSystemError(f"{name}: root {r} has squared norm != 2")
+                raise RootSystemError(f"{name}: doubled root {x} has squared norm != 8")
             if tuple(-c for c in x) not in self.index:
                 raise RootSystemError(f"{name}: set not closed under negation")
+        self.roots = tuple(tuple(_HALVES[c] for c in x) for x in self.doubled)
+        self.root_set = frozenset(self.roots)
         self.ip_bits = self._ip_bits()
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
-        bits = [[0, 0, 0] for _ in self.doubled]
-        for i, x in enumerate(self.doubled):
-            for j in range(i + 1, len(self.doubled)):
-                t, rem = divmod(_dot(x, self.doubled[j]), 4)
-                if rem:
-                    raise RootSystemError(f"{self.name}: non-integral inner products")
-                if -1 <= t <= 1:
-                    bits[i][t + 1] |= 1 << j
-                    bits[j][t + 1] |= 1 << i
-        return tuple(tuple(b) for b in bits)
+        """Bit-sliced: ``by_value[k][c]`` is the bitset of the roots whose
+        coordinate k is c.  For each root x, ``sums`` maps a partial dot
+        product with x to the bitset of the roots giving it; each nonzero
+        coordinate of x splits every bitset by the roots' values there.  The
+        final keys -4, 0 and 4 are the inner products -1, 0 and 1."""
+        by_value: list[dict[int, int]] = [{} for _ in range(self.dim)]
+        for j, x in enumerate(self.doubled):
+            for col, c in zip(by_value, x):
+                col[c] = col.get(c, 0) | 1 << j
+        slices = [tuple(col.items()) for col in by_value]
+        bits = []
+        for x in self.doubled:
+            sums = {0: (1 << len(self.doubled)) - 1}
+            for c, col in zip(x, slices):
+                if not c:
+                    continue
+                nxt: dict[int, int] = {}
+                for s, mask in sums.items():
+                    for v, has in col:
+                        hit = mask & has
+                        if hit:
+                            key = s + c * v
+                            nxt[key] = nxt.get(key, 0) | hit
+                sums = nxt
+            if any(s % 4 for s in sums):
+                raise RootSystemError(f"{self.name}: non-integral inner products")
+            bits.append((sums.get(-4, 0), sums.get(0, 0), sums.get(4, 0)))
+        return tuple(bits)
 
     def __len__(self) -> int:
         return len(self.roots)
 
     def in_root_lattice(self, x: Sequence[Fraction]) -> bool:
         """Membership in the root lattice (a norm-2 lattice vector is a root)."""
-        if any(2 % c.denominator for c in x):
-            return False
-        return self._in_lattice([c.numerator * 2 // c.denominator for c in x])
+        y = _double(x)
+        return y is not None and self._in_lattice(y)
 
     def _in_lattice(self, y: Sequence[int]) -> bool:
         """Root-lattice membership of y / 2, for an integer vector y."""
@@ -121,12 +144,12 @@ _EXPECTED_COUNTS = {"E6": 72, "E7": 126, "E8": 240}
 
 
 def build_root_system(name: str) -> RootSystem:
-    """Build A_n, D_n (ranks up to 12) or E6/E7/E8.
+    """Build A_n, D_n (ranks up to 12) or E6/E7/E8, in doubled coordinates.
 
-    D_n is {+-e_i +- e_j}; A_n is {e_i - e_j} in n+1 coordinates; E8 adds the
-    128 half-integer vectors with an even number of minus signs to D8.  E7 is
-    the subset of E8 orthogonal to e7+e8; E6 additionally orthogonal to
-    e6+e7.
+    D_n is {+-e_i +- e_j}; A_n is {e_i - e_j}, the roots of D_(n+1) orthogonal
+    to (1, ..., 1); E8 adds the 128 half-integer vectors with an even number
+    of minus signs to D8.  E7 is the subset of E8 orthogonal to e7+e8; E6
+    additionally orthogonal to e6+e7.
     """
     family, n, k = dg.parse_name(name)
     if k is not None:
@@ -134,7 +157,7 @@ def build_root_system(name: str) -> RootSystem:
     if family == "A":
         if not 1 <= n <= dg.MAX_RANK:
             raise RootSystemError(f"A_n supports 1 <= n <= {dg.MAX_RANK}, got {n}")
-        roots = [_unit(i, n + 1, -1, j) for i in range(n + 1) for j in range(n + 1) if i != j]
+        roots = [x for x in _d_roots(n + 1) if sum(x) == 0]  # orthogonal to (1, ..., 1)
         rs = RootSystem(f"A{n}", n, n + 1, roots)
         assert len(rs) == n * (n + 1)
         return rs
@@ -145,48 +168,28 @@ def build_root_system(name: str) -> RootSystem:
         assert len(rs) == 2 * n * (n - 1)
         return rs
     if family == "E" and n in (6, 7, 8):
-        e8 = _e8_roots()
-        if n == 8:
-            roots = e8
-        else:
-            theta1 = _unit(6, 8, 1, 7)  # e7 + e8
-            roots = [r for r in e8 if _dot(r, theta1) == 0]
-            if n == 6:
-                theta2 = _unit(5, 8, 1, 6)  # e6 + e7
-                roots = [r for r in roots if _dot(r, theta2) == 0]
+        roots = _e8_roots()
+        if n < 8:
+            roots = [x for x in roots if x[6] + x[7] == 0]  # orthogonal to e7 + e8
+        if n == 6:
+            roots = [x for x in roots if x[5] + x[6] == 0]  # and to e6 + e7
         rs = RootSystem(f"E{n}", n, 8, roots)
         assert len(rs) == _EXPECTED_COUNTS[f"E{n}"]
         return rs
     raise RootSystemError(f"unsupported root system {name!r}")
 
 
-def _unit(i: int, dim: int, sign_j: int, j: int) -> Root:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
-    v[j] = Fraction(sign_j)
-    return tuple(v)
+def _d_roots(n: int) -> list[Doubled]:
+    """The 2n(n-1) roots +-e_i +- e_j of D_n, doubled."""
+    return [tuple(si if k == i else sj if k == j else 0 for k in range(n))
+            for i in range(n) for j in range(i + 1, n) for si in (2, -2) for sj in (2, -2)]
 
 
-def _d_roots(n: int) -> list[Root]:
-    """The 2n(n-1) roots +-e_i +- e_j of D_n."""
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * n
-                    v[i], v[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(v))
-    return roots
-
-
-def _e8_roots() -> list[Root]:
-    roots = _d_roots(8)
-    for signs in range(256):
-        bits = [(signs >> b) & 1 for b in range(8)]
-        if sum(bits) % 2 == 0:
-            roots.append(tuple(HALF if b == 0 else -HALF for b in bits))
-    return roots
+def _e8_roots() -> list[Doubled]:
+    """D8 and the 128 vectors (+-1/2, ..., +-1/2) with an even number of
+    minus signs, doubled."""
+    halves = [tuple(-1 if signs >> b & 1 else 1 for b in range(8)) for signs in range(256)]
+    return _d_roots(8) + [x for x in halves if x.count(-1) % 2 == 0]
 
 
 # -- embeddings ----------------------------------------------------------------

@@ -195,6 +195,64 @@ def ref_extension_orbit(e, seed) -> frozenset:
     return frozenset(seen)
 
 
+# -- the Fraction root-system builder --------------------------------------------
+# The root systems as roots.py built them before it worked in doubled integers:
+# Fraction roots, doubled afterwards, and every inner product as a pairwise dot
+# product.
+
+
+class RefRootSystem:
+    """roots, root_set, doubled, index and ip_bits of one root system."""
+
+    def __init__(self, name, roots):
+        self.name = name
+        self.roots = tuple(sorted(roots))
+        self.root_set = frozenset(self.roots)
+        assert len(self.root_set) == len(self.roots), "duplicate roots"
+        self.doubled = tuple(tuple(int(2 * c) for c in r) for r in self.roots)
+        self.index = {x: i for i, x in enumerate(self.doubled)}
+        bits = [[0, 0, 0] for _ in self.doubled]
+        for i, x in enumerate(self.doubled):
+            assert _dot(x, x) == 8, "squared norm != 2"
+            for j in range(i + 1, len(self.doubled)):
+                t, rem = divmod(_dot(x, self.doubled[j]), 4)
+                assert rem == 0, "non-integral inner product"
+                if -1 <= t <= 1:
+                    bits[i][t + 1] |= 1 << j
+                    bits[j][t + 1] |= 1 << i
+        self.ip_bits = tuple(tuple(b) for b in bits)
+
+
+def _ref_unit(i, dim, sign_j, j):
+    v = [Fraction(0)] * dim
+    v[i] = Fraction(1)
+    v[j] = Fraction(sign_j)
+    return tuple(v)
+
+
+def _ref_d_roots(n):
+    return [tuple(Fraction(si if k == i else sj if k == j else 0) for k in range(n))
+            for i in range(n) for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
+
+
+def ref_root_system(name) -> RefRootSystem:
+    """A_n, D_n or E6/E7/E8 from Fraction roots."""
+    family, n, _ = dg.parse_name(name)
+    if family == "A":
+        return RefRootSystem(name, [_ref_unit(i, n + 1, -1, j) for i in range(n + 1)
+                                    for j in range(n + 1) if i != j])
+    if family == "D":
+        return RefRootSystem(name, _ref_d_roots(n))
+    half = Fraction(1, 2)
+    roots = _ref_d_roots(8) + [tuple(-half if signs >> b & 1 else half for b in range(8))
+                               for signs in range(256) if bin(signs).count("1") % 2 == 0]
+    if n < 8:
+        roots = [r for r in roots if _dot(r, _ref_unit(6, 8, 1, 7)) == 0]
+    if n == 6:
+        roots = [r for r in roots if _dot(r, _ref_unit(5, 8, 1, 6)) == 0]
+    return RefRootSystem(name, roots)
+
+
 # -- edge-scanning references for the diagram -------------------------------------
 # Edge normalization, the Gram matrix, neighbors and pattern detection as
 # diagram.py computed them from the edge list, before it built the Gram matrix

@@ -10,9 +10,9 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import orbit
 from carterlink import roots as rt
-from carterlink.cli import main
+from carterlink.cli import _vec, main
 
-from helpers import CATALOG, ref_det
+from helpers import CATALOG, ref_det, system_of
 from reference_tables import TABLES
 
 
@@ -302,16 +302,63 @@ def test_verify_label_sets_must_agree_under_e8_equality(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "E6(a1)", "--trials", "2")
     assert code == 2
     assert "distinct label sets differ between embeddings of E6(a1) in E8" in err
+    # the sets are the sorted enumeration and its first 8 vectors
+    witness = sorted(system_of("E6(a1)").nodes)[8]
+    assert err.endswith(f": {_vec(witness)} is in one set only\n")
 
 
 def test_verify_trial_labels_must_cover_whole_components(capsys, monkeypatch):
     real = rt.embedding_independence
+    kept = []
 
     def partial(d, amb, trials):
         rep = real(d, amb, trials)
+        kept.append(rep.labels[0])
         return rt.IndependenceReport(rep.embeddings, rep.labels, (rep.labels[:1],))
 
     monkeypatch.setattr(rt, "embedding_independence", partial)
     code, _, err = run(capsys, "verify", "D6(a1)", "--ambient", "E7", "--trials", "2")
     assert code == 2
     assert "trial labels cover a component of D6(a1) only partially" in err
+    s = system_of("D6(a1)")
+    comp = next(c for c in s.components if kept[0] in {s.nodes[i] for i in c})
+    witness = next(s.nodes[i] for i in comp if s.nodes[i] != kept[0])
+    assert err.endswith(f": {_vec(witness)} is missing\n")
+
+
+_OUTSIDE = (5, 0, 0, 0, 0, 0)  # an E6(a1) label vector that is no linkage
+
+
+def _direct_outside(dl):
+    return rt.DirectLabels(dl.embedding, dl.realized, dl.labels + (_OUTSIDE,))
+
+
+def _direct_one_component(dl):
+    s = system_of("E6(a1)")
+    comp = {s.nodes[i] for i in s.components[0]}
+    return rt.DirectLabels(dl.embedding, dl.realized, tuple(v for v in dl.labels if v in comp))
+
+
+def _trial_outside(rep):
+    return rt.IndependenceReport(rep.embeddings, rep.labels, (rep.labels + (_OUTSIDE,),))
+
+
+def _first_node_outside_component_0():
+    s = system_of("E6(a1)")
+    return next(v for v in s.nodes if v not in {s.nodes[i] for i in s.components[0]})
+
+
+@pytest.mark.parametrize("fn,fake,message", [
+    ("direct_linkage_labels", _direct_outside,
+     lambda: f"direct labels of E6(a1) in E8 leave the enumerated set: {_vec(_OUTSIDE)}"),
+    ("direct_linkage_labels", _direct_one_component,
+     lambda: "direct labels over E8 differ from the enumerated set for E6(a1): "
+             f"{_vec(_first_node_outside_component_0())} is not realized"),
+    ("embedding_independence", _trial_outside,
+     lambda: f"trial labels of E6(a1) in E8 leave the enumerated set: {_vec(_OUTSIDE)}"),
+], ids=["direct-outside", "direct-one-component", "trial-outside"])
+def test_verify_failures_name_a_witness(capsys, monkeypatch, fn, fake, message):
+    real = getattr(rt, fn)
+    monkeypatch.setattr(rt, fn, lambda *args: fake(real(*args)))
+    code, _, err = run(capsys, "verify", "E6(a1)", "--trials", "2")
+    assert (code, err) == (2, f"verification failure: {message()}\n")

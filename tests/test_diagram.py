@@ -263,6 +263,10 @@ _A1, _A2, _B1 = dg.VertexId("a", 1, dg.ALPHA), dg.VertexId("a", 2, dg.ALPHA), dg
     (((_A1, _B1, dg.SOLID), (_B1, _A1, 7)), "bad edge sign 7"),
     (((_A1, _B1, dg.SOLID), (_B1, _A1, dg.DOTTED)), "duplicate edge b1-a1"),
     (((_A1, _B1, dg.SOLID), (_A2, _A2, 7), (_B1, _A1, 7)), "self loop at a2"),
+    # a sign equal to -1 or 1 by value but not an int
+    (((_A1, _B1, -1.0),), "bad edge sign -1.0"),
+    (((_A1, _B1, 1.0),), "bad edge sign 1.0"),
+    (((_A1, _B1, dg.SOLID), (_A2, _B1, True)), "bad edge sign True"),
 ])
 def test_edge_checks_and_their_order(edges, message):
     with pytest.raises(dg.DiagramError, match=f"^x: {message}$"):

@@ -11,7 +11,7 @@ from carterlink.cartan import CartanError
 from carterlink.linkage import group_by_p
 from helpers import CATALOG, ambient, embedding_in, labels_in, links_of, pc_of, \
     ref_extension_orbit, ref_inverse, ref_mat_vec, ref_quad_form, ref_rank, \
-    ref_realized, signed_bipartite_diagrams, system_of
+    ref_realized, ref_root_system, signed_bipartite_diagrams, system_of
 
 
 # -- root systems -----------------------------------------------------------------
@@ -55,6 +55,34 @@ def test_unsupported_root_system():
         cl.build_root_system("A13")
     with pytest.raises(rt.RootSystemError):
         cl.build_root_system("D4(a1)")
+
+
+_HALF_ONES = (1,) * 8  # (1/2, ..., 1/2) doubled
+
+
+def _pm(*xs):
+    """The doubled vectors xs and their negatives."""
+    return [c for x in xs for c in (x, tuple(-a for a in x))]
+
+
+@pytest.mark.parametrize("doubled,message", [
+    ([(2, 2), (2, 2), (-2, -2)], "duplicate roots"),
+    (_pm((2, 2), (2, 0)), r"doubled root \(-2, 0\) has squared norm != 8"),
+    ([(2, 2), (2, -2), (-2, -2)], "set not closed under negation"),
+    # both have norm 2; their inner product is 6 / 4
+    (_pm(_HALF_ONES, _HALF_ONES[:7] + (-1,)), "non-integral inner products"),
+])
+def test_root_system_checks(doubled, message):
+    with pytest.raises(rt.RootSystemError, match=f"^x: {message}$"):
+        rt.RootSystem("x", len(doubled[0]), len(doubled[0]), doubled)
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 13)]
+                         + [f"D{n}" for n in range(2, 13)] + ["E6", "E7", "E8"])
+def test_root_systems_match_fraction_reference(name):
+    got, want = ambient(name), ref_root_system(name)
+    for f in ("roots", "root_set", "doubled", "index", "ip_bits"):
+        assert getattr(got, f) == getattr(want, f), f
 
 
 def test_in_root_lattice():
@@ -114,6 +142,27 @@ def test_embedding_rejects_roots_outside_the_ambient():
     rt.Embedding(emb.pc, e8, roots)
     with pytest.raises(rt.VerificationError, match="is not a root of D8"):
         rt.Embedding(emb.pc, ambient("D8"), roots)
+
+
+def _third_at_0(r):
+    """r with its first coordinate 1/3: not a half-integer vector."""
+    return (Fraction(1, 3),) + tuple(r[1:])
+
+
+def test_embedding_rejects_roots_that_are_not_half_integers():
+    emb = embedding_in("D4", "E8")
+    roots = (_third_at_0(emb.roots[0]),) + emb.roots[1:]
+    v = emb.diagram.vertices[0]
+    with pytest.raises(rt.VerificationError, match=f"^root of {v} is not a root of E8$"):
+        rt.Embedding(emb.pc, ambient("E8"), roots)
+
+
+def test_projection_laws_reject_a_gamma_that_is_not_half_integers():
+    dl = labels_in("D4(a1)", "E8")
+    bad = dataclasses.replace(dl.realized[0], gamma=_third_at_0(dl.realized[0].gamma))
+    dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
+    with pytest.raises(rt.VerificationError, match=r"is not a root of E8$"):
+        rt.check_projection_laws(dl, dl.embedding)
 
 
 # -- direct labels ----------------------------------------------------------------
