@@ -184,9 +184,13 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     components = _components(len(nodes), edges)
     component_p = []
     for comp in components:
-        if any(nums[i] != nums[comp[0]] for i in comp):
-            raise VerificationError(f"{d.name}: inverse form not constant on a component")
-        component_p.append(Fraction(nums[comp[0]], pc.inv_den))
+        p = Fraction(nums[comp[0]], pc.inv_den)
+        i = next((i for i in comp if nums[i] != nums[comp[0]]), None)
+        if i is not None:
+            raise VerificationError(
+                f"{d.name}: inverse form not constant on a component: p = {p} at "
+                f"{nodes[comp[0]]}, p = {Fraction(nums[i], pc.inv_den)} at {nodes[i]}")
+        component_p.append(p)
 
     if d.pattern is not None:
         pat = _pattern_indices(pc)
@@ -478,9 +482,13 @@ def from_json(text: str) -> LinkageSystem:
     }
     built = build_system(build_partial_cartan(d))
     for name, value in loaded.items():
-        if getattr(built, name) != value:
+        want = getattr(built, name)
+        if want != value:
+            k = next((k for k, (a, b) in enumerate(zip(value, want)) if a != b), None)
             raise VerificationError(
-                f"system JSON of {d.name}: {name} differ from the rebuilt system")
+                f"system JSON of {d.name}: {name} differ from the rebuilt system: " + (
+                    f"{len(value)} {name} in the document, {len(want)} rebuilt" if k is None
+                    else f"{name}[{k}] is {value[k]} in the document, {want[k]} rebuilt"))
     return built
 
 

@@ -5,16 +5,17 @@ backtracking search for diagram embeddings constrained by the Gram matrix,
 and direct computation of linkage labels as inner products.  All arithmetic
 is on plain integers.  The E8 coordinates are half-integers, so every root
 system is built in doubled coordinates, where the inner product of two roots
-is the dot product divided by 4; its inner-product bitsets are bit-sliced
-by coordinate value.  A label is the inner product of two roots of one
-ambient system, so the labels and the extension orbits are read from those
-bitsets by root index, not recomputed.  With B^-1 = N / D (N and D
-integer), the projection gamma_L and mu = gamma - gamma_L are integer
-vectors at the scale 2D, so every law is checked as an integer identity; the
-public results carry the same values as exact Fractions.  ``find_embeddings``
-builds the partial Cartan matrix of the diagram once; its embeddings share
-it and every oracle reads it from there.  The extension and weight orbits
-are ``diagram.closure`` under reflections.
+is the dot product divided by 4; ``roots`` is its one Fraction view, and its
+inner-product bitsets are bit-sliced by coordinate value.  A label is the
+inner product of two roots of one ambient system, so the labels and the
+extension orbits are read from those bitsets by root index, not recomputed.
+With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
+mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
+checked as an integer identity; the public results carry the same values as
+exact Fractions.  ``find_embeddings`` builds the partial Cartan matrix of
+the diagram once; its embeddings share it and every oracle reads it from
+there.  The extension and weight orbits are ``diagram.closure`` under
+reflections.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class RootSystem:
     """An explicit simply-laced root system with deterministic root order.
 
     It is built from the doubled roots: ``doubled[i]`` is twice root i, as
-    integers, and ``index`` maps it back to i; ``roots`` and ``root_set`` are
-    their Fraction view.  ``ip_bits[i][t + 1]`` is a bitset over root indices:
+    integers, and ``index`` maps it back to i; ``roots`` is their Fraction
+    view.  ``ip_bits[i][t + 1]`` is a bitset over root indices:
     bit j is set when (root i, root j) = t, for t in -1, 0, 1.  The embedding
     search narrows its candidates with them; the label scans and the
     extension orbits read every inner product with an embedded root from
@@ -79,9 +80,9 @@ class RootSystem:
             if _dot(x, x) != 8:
                 raise RootSystemError(f"{name}: doubled root {x} has squared norm != 8")
             if tuple(-c for c in x) not in self.index:
-                raise RootSystemError(f"{name}: set not closed under negation")
+                raise RootSystemError(
+                    f"{name}: set not closed under negation: doubled root {x} has no negative")
         self.roots = tuple(tuple(_HALVES[c] for c in x) for x in self.doubled)
-        self.root_set = frozenset(self.roots)
         self.ip_bits = self._ip_bits()
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
@@ -235,34 +236,25 @@ def _assignment_order(d: dg.CarterDiagram) -> list[int]:
     order: list[int] = []
     placed = [False] * n
     for _ in range(n):
-        best = None
-        for i in range(n):
-            if placed[i]:
-                continue
-            key = (sum(placed[j] for j in adj[i]), len(adj[i]), -i)
-            if best is None or key > best[0]:
-                best = (key, i)
-        order.append(best[1])
-        placed[best[1]] = True
+        i = max((i for i in range(n) if not placed[i]),
+                key=lambda i: (sum(placed[j] for j in adj[i]), len(adj[i]), -i))
+        order.append(i)
+        placed[i] = True
     return order
 
 
-def find_embeddings(
-    d: dg.CarterDiagram,
-    ambient: RootSystem,
-    limit: int = 1,
-    fix_first_root: bool = True,
-) -> list[Embedding]:
-    """Backtracking search for root subsets whose Gram matrix is the diagram's.
+def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) -> list[Embedding]:
+    """The first ``limit`` root subsets of one fixed search whose Gram matrix
+    is the diagram's.
 
     Vertices are assigned in a deterministic connectivity-first order with
     forward checking: each unassigned vertex keeps a bitset of the roots
     still possible for it, narrowed by AND with the inner-product bitsets of
     every root placed.  Candidates are visited lowest index first, that is,
-    in lexicographic order; the returned embeddings are the first ``limit``
-    solutions of that fixed search.  With ``fix_first_root`` the first
-    vertex is pinned to the lexicographically smallest root, which is sound
-    for existence because the Weyl group acts transitively on roots.
+    in lexicographic order.  Level-0 rule: if no embedding puts the first
+    vertex on the lowest root, none exists and the search stops.  This needs
+    the ambient's Weyl group to be transitive on roots, as it is for every
+    ``build_root_system`` result but D2 = A1 x A1, where only A1 embeds.
 
     A malformed diagram raises CartanError.  One whose form is not positive
     definite has no embeddings: it is the Gram matrix of no vectors at all.
@@ -278,6 +270,7 @@ def find_embeddings(
         return []
     g = pc.gram
     order = _assignment_order(d)
+    at = sorted(range(l), key=order.__getitem__)  # vertex -> assignment position
     # target[q][p] + 1 indexes ip_bits for the pair of assignment positions
     target = [[g[order[p]][order[q]] + 1 for q in range(l)] for p in range(l)]
     ip_bits = ambient.ip_bits
@@ -286,18 +279,13 @@ def find_embeddings(
 
     def dfs(pos: int, masks: list[int]) -> bool:
         cand = masks[pos]
-        if pos == 0 and fix_first_root:
-            cand &= -cand
         while cand:
             low = cand & -cand
             cand ^= low
             r = low.bit_length() - 1
             chosen[pos] = r
             if pos + 1 == l:
-                roots = [None] * l
-                for p, v in enumerate(order):
-                    roots[v] = ambient.roots[chosen[p]]
-                results.append(Embedding(pc, ambient, tuple(roots)))
+                results.append(Embedding(pc, ambient, tuple(ambient.roots[chosen[p]] for p in at)))
                 if len(results) >= limit:
                     return True
                 continue
@@ -311,6 +299,8 @@ def find_embeddings(
             else:
                 if dfs(pos + 1, new_masks):
                     return True
+            if pos == 0 and not results:  # the level-0 rule
+                return False
         return False
 
     dfs(0, [(1 << len(ambient)) - 1] * l)
@@ -518,9 +508,12 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         records.append(rec)
         by_p.setdefault(lc, []).append(rec)
 
-    for lc, group in by_p.items():
-        if len({rec.mm for rec in group}) != 1:
-            raise VerificationError(f"|mu|^2 not constant on the p = {frac(lc, den)} class")
+    for lc, (a, *rest) in by_p.items():
+        for b in rest:
+            if b.mm != a.mm:
+                raise VerificationError(
+                    f"|mu|^2 not constant on the p = {frac(lc, den)} class: {a.r.mu_norm_sq} "
+                    f"at {a.r.gamma}, {b.r.mu_norm_sq} at {b.r.gamma}")
 
     by_index = {rec.i: rec for rec in records}
     unassigned = set(by_index)
@@ -598,7 +591,7 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
     d = e.diagram
     g = e.pc.gram
     n = len(d.vertices)
-    checked = with_d = without_d = 0
+    checked = with_d = 0
     pairs = []
     for u in range(n):
         for w in range(u + 1, n):
@@ -618,11 +611,8 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
                         f"square ({d.vertices[u]}, {d.vertices[m]}, {d.vertices[w]}, "
                         f"{r.gamma}): diagonal {r.labels[m]}, expected {expect}")
                 checked += 1
-                if expect:
-                    with_d += 1
-                else:
-                    without_d += 1
-    return SquareAudit(checked, with_d, without_d)
+                with_d += expect != 0
+    return SquareAudit(checked, with_d, checked - with_d)
 
 
 @dataclass(frozen=True)
@@ -647,11 +637,9 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     agree is left to the caller."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    # The pinned search settles existence; the unpinned one is exhaustive
-    # and slow when there is nothing to find.
-    if find_embedding(d, ambient) is None:
+    embs = find_embeddings(d, ambient, limit=trials)
+    if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
-    embs = find_embeddings(d, ambient, limit=trials, fix_first_root=False)
     # A root is in the span of the embedded roots exactly when mu = 0, that
     # is, when p = 2, since p + |mu|^2 = |gamma|^2 = 2; p is the form at the
     # labels over D, computed once per distinct label vector.

@@ -202,13 +202,12 @@ def ref_extension_orbit(e, seed) -> frozenset:
 
 
 class RefRootSystem:
-    """roots, root_set, doubled, index and ip_bits of one root system."""
+    """roots, doubled, index and ip_bits of one root system."""
 
     def __init__(self, name, roots):
         self.name = name
         self.roots = tuple(sorted(roots))
-        self.root_set = frozenset(self.roots)
-        assert len(self.root_set) == len(self.roots), "duplicate roots"
+        assert len(set(self.roots)) == len(self.roots), "duplicate roots"
         self.doubled = tuple(tuple(int(2 * c) for c in r) for r in self.roots)
         self.index = {x: i for i, x in enumerate(self.doubled)}
         bits = [[0, 0, 0] for _ in self.doubled]

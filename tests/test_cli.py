@@ -219,6 +219,49 @@ def test_empty_diagram_exit_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: x: diagram has no vertices\n")
 
 
+_D4 = json.loads(dg.to_json(cl.catalog("D4")))
+_D4_VERTICES = _D4["vertices"]
+
+
+def _d4_with(**changes):
+    """The D4 diagram JSON with some of its keys replaced or, given None, dropped."""
+    return {k: v for k, v in {**_D4, **changes}.items() if v is not None}
+
+
+def _e6a1_with_b3_dotted():
+    doc = json.loads(dg.to_json(cl.catalog("E6(a1)")))
+    next(e for e in doc["edges"] if "b3" in (e["u"], e["v"]))["sign"] = "dotted"
+    return doc
+
+
+# (command, document for its first argument, rest of the command, error line)
+INPUT_REJECTIONS = {
+    "not-an-object": ("cartan", [1, 2], (), "diagram JSON must be an object"),
+    "missing-edges": ("cartan", _d4_with(edges=None), (), "diagram JSON is missing 'edges'"),
+    "bad-color": ("cartan", _d4_with(vertices=[{"id": "a1", "color": "red"}] + _D4_VERTICES[1:]),
+                  (), "vertices[0]: color must be 'alpha' or 'beta', got 'red'"),
+    "bad-vertex-id": ("cartan", _d4_with(vertices=[{"id": "x1", "color": "alpha"}]
+                                         + _D4_VERTICES[1:]),
+                      (), "vertices[0]: bad id 'x1' (want a<k>, b<k>, t<k> or f<k>)"),
+    "edge-to-unknown-vertex": ("cartan", _d4_with(edges=[{"u": "a1", "v": "b9", "sign": "solid"}]),
+                               (), "edges[0]: unknown vertex 'b9'"),
+    "vertex-not-an-object": ("cartan", _d4_with(vertices=["a1"] + _D4_VERTICES[1:]),
+                             (), "vertices[0]: expected an object"),
+    "repeated-vertex": ("cartan", _d4_with(vertices=_D4_VERTICES + _D4_VERTICES[:1]),
+                        (), "D4: duplicate vertices"),
+    "project-dotted-leaf": ("project", _e6a1_with_b3_dotted(), ("D5(a1)", "--vertex", "b3"),
+                            "b3 is not a simple-extension leaf"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_REJECTIONS)
+def test_cli_rejects_bad_input(case, tmp_path, capsys):
+    command, doc, rest, message = INPUT_REJECTIONS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, command, str(path), *rest) == (1, "", f"error: {message}\n")
+
+
 def test_diagram_json_cli_roundtrip(tmp_path, capsys):
     # the JSON printed for a diagram parses back to an equal diagram
     d = cl.catalog("E7(a3)")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from fractions import Fraction
 from operator import mul
@@ -28,7 +29,7 @@ def test_root_counts():
 def test_roots_closed_under_negation():
     for name in ("E7", "A5", "D6"):
         rs = ambient(name)
-        assert all(tuple(-x for x in r) in rs.root_set for r in rs.roots)
+        assert all(tuple(-x for x in r) in rs.index for r in rs.doubled)
 
 
 def test_a_n_roots_are_coordinate_differences():
@@ -68,7 +69,8 @@ def _pm(*xs):
 @pytest.mark.parametrize("doubled,message", [
     ([(2, 2), (2, 2), (-2, -2)], "duplicate roots"),
     (_pm((2, 2), (2, 0)), r"doubled root \(-2, 0\) has squared norm != 8"),
-    ([(2, 2), (2, -2), (-2, -2)], "set not closed under negation"),
+    ([(2, 2), (2, -2), (-2, -2)],
+     r"set not closed under negation: doubled root \(2, -2\) has no negative"),
     # both have norm 2; their inner product is 6 / 4
     (_pm(_HALF_ONES, _HALF_ONES[:7] + (-1,)), "non-integral inner products"),
 ])
@@ -81,7 +83,7 @@ def test_root_system_checks(doubled, message):
                          + [f"D{n}" for n in range(2, 13)] + ["E6", "E7", "E8"])
 def test_root_systems_match_fraction_reference(name):
     got, want = ambient(name), ref_root_system(name)
-    for f in ("roots", "root_set", "doubled", "index", "ip_bits"):
+    for f in ("roots", "doubled", "index", "ip_bits"):
         assert getattr(got, f) == getattr(want, f), f
 
 
@@ -123,8 +125,7 @@ def test_e8_plus_leaf_does_not_embed():
 
 
 def test_find_embeddings_distinct():
-    embs = cl.find_embeddings(cl.catalog("D4(a1)"), ambient("D5"), limit=4,
-                              fix_first_root=False)
+    embs = cl.find_embeddings(cl.catalog("D4(a1)"), ambient("D5"), limit=4)
     assert len(embs) == 4
     assert len({e.roots for e in embs}) == 4
 
@@ -138,7 +139,7 @@ def test_embedding_rejects_roots_outside_the_ambient():
     emb = embedding_in("D4", "E8")
     roots = tuple(tuple(a - sum(map(mul, r, h)) * b for a, b in zip(r, h)) for r in emb.roots)
     assert any(c.denominator == 2 for r in roots for c in r)
-    assert all(r in e8.root_set for r in roots)
+    assert all(r in e8.roots for r in roots)
     rt.Embedding(emb.pc, e8, roots)
     with pytest.raises(rt.VerificationError, match="is not a root of D8"):
         rt.Embedding(emb.pc, ambient("D8"), roots)
@@ -328,7 +329,7 @@ def test_find_embeddings_of_an_indefinite_diagram_finds_none():
 
 def test_embeddings_share_one_partial_cartan():
     d = cl.catalog("D4(a1)")
-    embs = cl.find_embeddings(d, ambient("D5"), limit=4, fix_first_root=False)
+    embs = cl.find_embeddings(d, ambient("D5"), limit=4)
     assert len(embs) == 4
     assert all(e.pc is embs[0].pc and e.diagram is e.pc.diagram for e in embs)
     assert embs[0].pc == cl.build_partial_cartan(d)
@@ -340,19 +341,34 @@ def test_embedding_independence_rejects_trials_below_1():
             rt.embedding_independence(cl.catalog("D4(a1)"), ambient("D5"), trials)
 
 
-def test_embedding_independence_settles_existence_with_the_pinned_search(monkeypatch):
-    # D7(a1) does not embed into E7; the unpinned search would try every root first
+class _CountingRows(tuple):
+    """Inner-product bitsets that count the rows read, and those of root 0."""
+
+    reads = lowest = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        self.lowest += i == 0
+        return super().__getitem__(i)
+
+
+def test_a_diagram_that_does_not_embed_is_settled_below_the_lowest_root(monkeypatch):
+    # D7(a1) does not embed into E7; without the level-0 rule the search
+    # would go on to try each of the other 125 roots for the first vertex,
+    # and place root 0 again below some of them
+    d, e7 = cl.catalog("D7(a1)"), copy.copy(ambient("E7"))
+    e7.ip_bits = rows = _CountingRows(e7.ip_bits)
+    assert cl.find_embedding(d, e7) is None
+    one_subtree, rows.reads, rows.lowest = rows.reads, 0, 0
+    assert cl.find_embeddings(d, e7, limit=3) == []
+    assert rows.reads == one_subtree > 0 and rows.lowest == 1
     calls = []
     search = rt.find_embeddings
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("fix_first_root", True))
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(rt, "find_embeddings", recording)
-    with pytest.raises(rt.VerificationError, match="does not embed"):
-        rt.embedding_independence(cl.catalog("D7(a1)"), ambient("E7"), 3)
-    assert calls == [True]
+    monkeypatch.setattr(rt, "find_embeddings", lambda *a, **k: calls.append(a) or search(*a, **k))
+    rows.reads = 0
+    with pytest.raises(rt.VerificationError, match=r"^D7\(a1\) does not embed into E7$"):
+        rt.embedding_independence(d, e7, 3)
+    assert len(calls) == 1 and rows.reads == one_subtree
 
 
 # -- weight orbits ----------------------------------------------------------------
@@ -451,9 +467,11 @@ def test_realized_linkages_match_fraction_reference(name, amb):
 def check_against_coordinate_scan(d, amb, limit=10):
     """The labels read from the ambient's inner-product bitsets equal those of
     the coordinate label scan, on the first ``limit`` embeddings of ``d``."""
-    if cl.find_embedding(d, amb) is None:
-        return  # the unpinned search would only take longer to find nothing
-    embs = cl.find_embeddings(d, amb, limit=limit, fix_first_root=False)
+    embs = cl.find_embeddings(d, amb, limit=limit)
+    if not embs:
+        with pytest.raises(rt.VerificationError, match="does not embed"):
+            rt.embedding_independence(d, amb, limit)
+        return
     want_sets = []
     for e in embs:
         dl, want = cl.direct_linkage_labels(e), ref_realized(e)
@@ -512,9 +530,21 @@ def brute_force_embeddings(d, amb, limit):
 
 
 def test_find_embeddings_match_brute_force():
-    d, e8 = cl.catalog("D5(a1)"), ambient("E8")
-    got = [e.roots for e in cl.find_embeddings(d, e8, limit=3, fix_first_root=False)]
-    assert got == brute_force_embeddings(d, e8, 3)
+    # D4(a1) does not embed into A5: there the brute force tries every root first
+    for name, amb, count in [("D5(a1)", "E8", 3), ("A3", "A5", 3), ("E6(a1)", "E7", 3),
+                             ("D4(a1)", "D5", 3), ("D4(a1)", "A5", 0)]:
+        d, rs = cl.catalog(name), ambient(amb)
+        got = [e.roots for e in cl.find_embeddings(d, rs, limit=3)]
+        assert got == brute_force_embeddings(d, rs, 3), (name, amb)
+        assert len(got) == count, (name, amb)
+
+
+@pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
+def test_first_of_find_embeddings_is_find_embedding(amb):
+    for name in CATALOG + ["E8"]:
+        d, rs = cl.catalog(name), ambient(amb)
+        first = cl.find_embedding(d, rs)
+        assert cl.find_embeddings(d, rs, limit=3)[:1] == ([] if first is None else [first]), name
 
 
 # -- generated diagrams ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,18 @@ def test_loctet_members_must_be_linkage_vectors():
         orbit._generated_loctets(pc, index, orbit._pattern_indices(pc))
 
 
+def test_build_system_names_the_node_whose_form_differs(monkeypatch):
+    # the last node's form numerator off by 1; its component starts at (-1, -1, 0, 1)
+    pc = cl.build_partial_cartan(cl.catalog("D4"))
+    nodes, nums = _search(pc)
+    assert nodes[-1] == (1, 1, 0, -1) and Fraction(nums[-1], pc.inv_den) == 1
+    monkeypatch.setattr(orbit, "_search", lambda pc: (nodes, nums[:-1] + (nums[-1] + 1,)))
+    with pytest.raises(orbit.VerificationError, match=re.escape(
+            "D4: inverse form not constant on a component: "
+            "p = 1 at (-1, -1, 0, 1), p = 3/2 at (1, 1, 0, -1)")):
+        cl.build_system(pc)
+
+
 @pytest.mark.parametrize("name", [n for n in CATALOG if n != "D4(a1)"])
 def test_loctet_generating_relations(name):
     # gamma(7) = s*_{a_k} gamma(8), gamma(6) = s*_{b1} gamma(7),
@@ -465,12 +478,37 @@ SHAPE_CORRUPTIONS = {
 CORRUPTIONS.update(SHAPE_CORRUPTIONS)
 
 
+_LOCTET = system_of("D5(a1)").loctets[0]
+
+# each mismatch raises "system JSON of D5(a1): <field> differ from the rebuilt
+# system: <witness>"; the field and the witness of each
+REBUILT = "differ from the rebuilt system:"
+WITNESSES = {
+    "extra-node": f"nodes {REBUILT} 43 nodes in the document, 42 rebuilt",
+    "short-node":
+        f"nodes {REBUILT} nodes[0] is (1, 0) in the document, (-1, -1, 0, 1, -1) rebuilt",
+    "component-p": f"component_p {REBUILT} component_p[0] is 7/3 in the document, 5/4 rebuilt",
+    "no-edges": f"edges {REBUILT} 0 edges in the document, 50 rebuilt",
+    "edge-relabeled":
+        f"edges {REBUILT} edges[0] is (0, 3, 'a1') in the document, (0, 3, 'b2') rebuilt",
+    "edge-dropped-components-kept":
+        f"edges {REBUILT} edges[0] is (0, 8, 'a2') in the document, (0, 3, 'b2') rebuilt",
+    "loctet-permuted": f"loctets {REBUILT} loctets[0] is "
+                       f"{cl.Loctet(_LOCTET.kind, _LOCTET.members[::-1])} in the document, "
+                       f"{_LOCTET} rebuilt",
+}
+
+
 @pytest.mark.parametrize("probe", CORRUPTIONS)
 def test_system_json_rejects_corruption(probe):
     doc = json.loads(orbit.to_json(system_of("D5(a1)")))
     CORRUPTIONS[probe](doc)
-    expected = cl.diagram.DiagramError if probe in SHAPE_CORRUPTIONS else orbit.VerificationError
-    with pytest.raises(expected):
+    if probe in SHAPE_CORRUPTIONS:
+        with pytest.raises(cl.diagram.DiagramError):
+            orbit.from_json(json.dumps(doc))
+        return
+    message = f"system JSON of D5(a1): {WITNESSES[probe]}"
+    with pytest.raises(orbit.VerificationError, match=f"^{re.escape(message)}$"):
         orbit.from_json(json.dumps(doc))
 
 
