@@ -89,9 +89,10 @@ class CarterDiagram:
     _gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        if len(pos) != len(self.vertices):
-            raise DiagramError(f"{self.name}: duplicate vertices")
+        pos: dict[VertexId, int] = {}
+        for i, v in enumerate(self.vertices):
+            if pos.setdefault(v, i) != i:
+                raise DiagramError(f"{self.name}: duplicate vertex {v}")
         index = dict(pos)
         for v, i in pos.items():
             index.setdefault(v.id, i)

@@ -12,17 +12,20 @@ extension orbits are read from those bitsets by root index, not recomputed.
 With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
 mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
 checked as an integer identity; the public results carry the same values as
-exact Fractions.  ``find_embeddings`` builds the partial Cartan matrix of
-the diagram once; its embeddings share it and every oracle reads it from
-there.  The extension and weight orbits are ``diagram.closure`` under
-reflections.
+exact Fractions.  gamma_L and p depend on the label vector alone and mu
+takes few values, so the label scan and the laws work once per label vector
+and once per mu, and per root only on what involves gamma; the realized
+roots share those Fraction objects, taken from one table.
+``find_embeddings`` builds the partial Cartan matrix of the diagram once;
+its embeddings share it and every oracle reads it from there.  The extension
+and weight orbits are ``diagram.closure`` under reflections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -53,6 +56,8 @@ def _double(r: Sequence[Fraction]) -> Optional[Doubled]:
 
 # the coordinates of a root doubled are -2..2; each maps to one shared Fraction
 _HALVES = {c: Fraction(c, 2) for c in range(-2, 3)}
+# the label scan and the laws meet few distinct values; equal ones share one object
+_frac = lru_cache(maxsize=4096)(Fraction)
 
 
 class RootSystem:
@@ -318,7 +323,9 @@ def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embeddi
 
 @dataclass(frozen=True)
 class RealizedLinkage:
-    """One ambient root, independent of the embedding, with its label data."""
+    """One ambient root, independent of the embedding, with its label data.
+    Roots with one label vector share their ``gamma_L`` and ``p`` objects, and
+    roots with one mu their ``mu`` and ``mu_norm_sq``."""
 
     gamma: Root
     labels: Linkage
@@ -337,19 +344,21 @@ class DirectLabels:
     labels: tuple[Linkage, ...]
 
 
-def _projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]], den: int, x: Doubled,
-                labels: Linkage) -> tuple[list[int], int, list[int], list[int]]:
-    """Integer projection data of the root x / 2 with the given labels.
-
-    ``cols`` are the columns of the embedded roots in doubled coordinates.
-    Returns (c, lc, G, M): c = N labels, so B^-1 labels = c / D;
-    lc = labels . c, so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L; and
-    M = D x - G = 2D mu.
-    """
+def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]], den: int,
+                      labels: Linkage) -> tuple[list[int], int, list[int], Root, Fraction]:
+    """(c, lc, G, gamma_L, p) of a label vector, with ``cols`` the columns of
+    the embedded roots e_k doubled: c = N labels, so B^-1 labels = c / D;
+    lc = labels . c, so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L, so a
+    root x / 2 with these labels has M = D x - G = 2D mu."""
     c = [sum(map(mul, row, labels)) for row in n_mat]
-    lc = _dot(labels, c)
-    g = [sum(map(mul, c, col)) for col in cols]
-    return c, lc, g, [den * a - b for a, b in zip(x, g)]
+    lc, g = _dot(labels, c), [sum(map(mul, c, col)) for col in cols]
+    return c, lc, g, tuple(_frac(a, 2 * den) for a in g), _frac(lc, den)
+
+
+def _mu_data(m: Doubled, den: int) -> tuple[Root, Fraction, int]:
+    """mu and |mu|^2 as Fractions, and the integer |M|^2, from M = 2D mu."""
+    mm = _dot(m, m)
+    return tuple(_frac(a, 2 * den) for a in m), _frac(mm, 4 * den * den), mm
 
 
 def _labels(e: Embedding) -> list[Linkage]:
@@ -383,20 +392,25 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     Roots with mu = 0 lie in the span and are skipped; so are roots with an
     all-zero label vector (they are orthogonal to the whole subset and attach
     no bonds, and the zero vector is not a linkage by definition).
+
+    gamma_L and p are computed once per distinct label vector, the Fractions
+    of mu and |mu|^2 once per distinct mu, and mu itself per root.
     """
     cols = list(zip(*e.doubled))
     n_mat, den = e.pc.inv_num, e.pc.inv_den
-    s = 2 * den
-    frac = lru_cache(maxsize=None)(Fraction)  # a scan meets few distinct values
+    of_labels: dict[Linkage, tuple[list[int], int, list[int], Root, Fraction]] = {}
+    of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
     realized = []
     for gamma, x, labels in zip(e.ambient.roots, e.ambient.doubled, _labels(e)):
         if not any(labels):
             continue
-        _, lc, g, m = _projection(cols, n_mat, den, x, labels)
+        if labels not in of_labels:
+            of_labels[labels] = _label_projection(cols, n_mat, den, labels)
+        _, _, g, gamma_l, p = of_labels[labels]
+        m = tuple(den * a - b for a, b in zip(x, g))
         if any(m):
-            realized.append(RealizedLinkage(
-                gamma, labels, tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
-                frac(_dot(m, m), s * s), frac(lc, den)))
+            mu, mu2, _ = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
+            realized.append(RealizedLinkage(gamma, labels, gamma_l, mu, mu2, p))
     return DirectLabels(e, tuple(realized), tuple(sorted({r.labels for r in realized})))
 
 
@@ -427,14 +441,8 @@ def _extension_orbit(e: Embedding, seed: int) -> set[int]:
     return dg.closure(seed, images)
 
 
-def _equals(fracs: Sequence[Fraction], nums: Sequence[int], den: int) -> bool:
-    """Whether fracs == [a / den for a in nums], compared on integers."""
-    return len(fracs) == len(nums) and all(
-        f.numerator * den == a * f.denominator for f, a in zip(fracs, nums))
-
-
 class _LawData(NamedTuple):
-    """A realized root with its integer projection data (see ``_projection``)."""
+    """A realized root with its integer projection data (see ``_label_projection``)."""
 
     r: RealizedLinkage
     i: int  # ambient root index of gamma
@@ -467,14 +475,17 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     sharing one label vector are exactly {gamma_L + mu, gamma_L - mu}.  Per
     p-class: |mu|^2 is constant.
 
-    Each law is checked on the integer data of ``_projection`` recomputed
-    from gamma and the labels, which must match the Fractions in ``dl``.
+    Each law is checked on integer data recomputed from gamma and the labels,
+    which must match the fields in ``dl``.  The projection, p and the two form
+    checks are done once per distinct label vector, the Fractions of mu once
+    per distinct mu, and the rest on every realized root.
     """
     gram, n_mat, den = e.pc.gram, e.pc.inv_num, e.pc.inv_den
     s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
-    frac = lru_cache(maxsize=None)(Fraction)  # a scan meets few distinct values
+    of_labels: dict[Linkage, tuple[list[int], int, list[int], Root, Fraction]] = {}
+    of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
     by_p: dict[int, list[_LawData]] = {}  # keyed by lc = D p
     records = []
     mirrors = 0
@@ -482,15 +493,18 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         x = _double(r.gamma)
         if x not in amb.index:
             raise VerificationError(f"{r.gamma} is not a root of {amb.name}")
-        c, lc, g, m = _projection(cols, n_mat, den, x, r.labels)
-        mm = _dot(m, m)
-        if (not _equals(r.gamma_L, g, s) or not _equals(r.mu, m, s)
-                or r.mu_norm_sq != frac(mm, s * s)):
+        if r.labels not in of_labels:
+            c, lc, g, *_ = of_labels[r.labels] = _label_projection(cols, n_mat, den, r.labels)
+            if _dot(c, [_dot(row, c) for row in gram]) != den * lc:
+                raise VerificationError(f"form mismatch on labels of {r.gamma}")
+            if _dot(g, g) != 4 * den * lc:
+                raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
+        _, lc, g, gamma_l, p = of_labels[r.labels]
+        m = tuple(den * a - b for a, b in zip(x, g))
+        mu, mu2, mm = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
+        # equal values are mostly the same objects, which the tuple compares first
+        if (r.gamma_L, r.mu, r.mu_norm_sq, r.p) != (gamma_l, mu, mu2, p):
             raise VerificationError(f"projection data of {r.gamma} differ from a recomputation")
-        if _dot(c, [_dot(row, c) for row in gram]) != den * lc or r.p != frac(lc, den):
-            raise VerificationError(f"form mismatch on labels of {r.gamma}")
-        if _dot(g, g) != 4 * den * lc:
-            raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
         if 4 * den * lc + mm != 2 * s * s:
             raise VerificationError(f"p + |mu|^2 != 2 for {r.gamma}")
         bar = [a - b for a, b in zip(g, m)]  # 2D (gamma_L - mu)
@@ -504,7 +518,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             raise VerificationError(
                 f"norm-2 lattice test disagrees with root membership for {r.gamma}")
         mirrors += is_root
-        rec = _LawData(r, amb.index[x], x, lc, tuple(m), mm)
+        rec = _LawData(r, amb.index[x], x, lc, m, mm)
         records.append(rec)
         by_p.setdefault(lc, []).append(rec)
 
@@ -512,7 +526,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         for b in rest:
             if b.mm != a.mm:
                 raise VerificationError(
-                    f"|mu|^2 not constant on the p = {frac(lc, den)} class: {a.r.mu_norm_sq} "
+                    f"|mu|^2 not constant on the p = {_frac(lc, den)} class: {a.r.mu_norm_sq} "
                     f"at {a.r.gamma}, {b.r.mu_norm_sq} at {b.r.gamma}")
 
     by_index = {rec.i: rec for rec in records}
@@ -533,7 +547,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         for m in members:
             slices.setdefault(m.lc, []).append(m)
         for lc, group in sorted(slices.items()):
-            p = frac(lc, den)
+            p = _frac(lc, den)
             mu0 = group[0].m
             neg = tuple(-a for a in mu0)
             if not {m.m for m in group} <= {mu0, neg}:
@@ -554,9 +568,9 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
                     if diff not in (twice, neg_twice):
                         raise VerificationError(
                             f"orbit roots sharing labels {labs} do not differ by 2 mu")
-            orbits.append((p, frac(group[0].mm, s * s), len(group)))
+            orbits.append((p, _frac(group[0].mm, s * s), len(group)))
 
-    p_classes = tuple((frac(lc, den), len(group)) for lc, group in sorted(by_p.items()))
+    p_classes = tuple((_frac(lc, den), len(group)) for lc, group in sorted(by_p.items()))
     return LawsReport(p_classes, orbit_count, tuple(sorted(orbits)), mirrors)
 
 
@@ -642,12 +656,12 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
     # A root is in the span of the embedded roots exactly when mu = 0, that
     # is, when p = 2, since p + |mu|^2 = |gamma|^2 = 2; p is the form at the
-    # labels over D, computed once per distinct label vector.
-    span = 2 * embs[0].pc.inv_den
+    # labels over D.  The embeddings share one pc, so one cache serves them.
+    pc, span = embs[0].pc, 2 * embs[0].pc.inv_den
+    extends = cache(lambda labs: any(labs) and form_num(pc, labs) != span)
     sets: list[tuple[Linkage, ...]] = []
     for e in embs:
-        labels = tuple(sorted(labs for labs in set(_labels(e))
-                              if any(labs) and form_num(e.pc, labs) != span))
+        labels = tuple(sorted(filter(extends, set(_labels(e)))))
         if labels not in sets:
             sets.append(labels)
     return IndependenceReport(len(embs), sets[0], tuple(sets))

@@ -248,7 +248,7 @@ INPUT_REJECTIONS = {
     "vertex-not-an-object": ("cartan", _d4_with(vertices=["a1"] + _D4_VERTICES[1:]),
                              (), "vertices[0]: expected an object"),
     "repeated-vertex": ("cartan", _d4_with(vertices=_D4_VERTICES + _D4_VERTICES[:1]),
-                        (), "D4: duplicate vertices"),
+                        (), "D4: duplicate vertex a1"),
     "project-dotted-leaf": ("project", _e6a1_with_b3_dotted(), ("D5(a1)", "--vertex", "b3"),
                             "b3 is not a simple-extension leaf"),
 }

@@ -273,6 +273,12 @@ def test_edge_checks_and_their_order(edges, message):
         dg.CarterDiagram("x", (_A1, _A2, _B1), edges)
 
 
+def test_duplicate_vertex_names_the_first_repeat():
+    # b1 repeats before a1 does
+    with pytest.raises(dg.DiagramError, match="^x: duplicate vertex b1$"):
+        dg.CarterDiagram("x", (_A1, _B1, _A2, _B1, _A1), ())
+
+
 def _agrees_with_references(d, raw_edges) -> None:
     """d, built from raw_edges, against the edge-scanning references."""
     assert d.edges == ref_normalized_edges(d.vertices, raw_edges)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -164,6 +165,45 @@ def test_projection_laws_reject_a_gamma_that_is_not_half_integers():
     dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
     with pytest.raises(rt.VerificationError, match=r"is not a root of E8$"):
         rt.check_projection_laws(dl, dl.embedding)
+
+
+def _first_repeat(realized, key):
+    """Position of the first realized root whose key an earlier root had."""
+    seen = set()
+    for k, r in enumerate(realized):
+        if key(r) in seen:
+            return k
+        seen.add(key(r))
+    raise AssertionError("no repeated key")
+
+
+def _bumped(t):
+    return (t[0] + 1,) + t[1:]
+
+
+# field, its corrupted value and the key an earlier root must share
+_CORRUPTIONS = {
+    "gamma_L": (_bumped, lambda r: r.labels),
+    "mu": (_bumped, lambda r: r.mu),
+    "mu_norm_sq": (lambda f: f + 1, lambda r: r.mu),
+    "p": (lambda f: f + 1, lambda r: r.labels),
+}
+
+
+@pytest.mark.parametrize("name", _CORRUPTIONS)
+def test_projection_laws_catch_a_corrupted_field_of_a_repeated_key(name):
+    # the laws compute once per label vector and per mu; a root whose key an
+    # earlier root already had must still be compared field by field
+    bump, key = _CORRUPTIONS[name]
+    dl = labels_in("D5(a1)", "E8")
+    k = _first_repeat(dl.realized, key)
+    r = dl.realized[k]
+    bad = dataclasses.replace(r, **{name: bump(getattr(r, name))})
+    realized = dl.realized[:k] + (bad,) + dl.realized[k + 1:]
+    message = f"projection data of {r.gamma} differ from a recomputation"
+    with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
+        rt.check_projection_laws(rt.DirectLabels(dl.embedding, realized, dl.labels),
+                                 dl.embedding)
 
 
 # -- direct labels ----------------------------------------------------------------
@@ -452,8 +492,11 @@ def reference_realized(e):
     return out
 
 
-@pytest.mark.parametrize("name,amb", [("D4(a1)", "E8"), ("E6(a1)", "E8"), ("D7(a2)", "E8"),
-                                      ("E7(a4)", "E8"), ("D4(a1)", "D5")])
+_REFERENCE_CASES = [("D4(a1)", "E8"), ("E6(a1)", "E8"), ("D7(a2)", "E8"), ("E7(a4)", "E8"),
+                    ("D4(a1)", "D5")]
+
+
+@pytest.mark.parametrize("name,amb", _REFERENCE_CASES)
 def test_realized_linkages_match_fraction_reference(name, amb):
     dl = labels_in(name, amb)
     want = reference_realized(dl.embedding)
@@ -462,6 +505,18 @@ def test_realized_linkages_match_fraction_reference(name, amb):
         for f in dataclasses.fields(rt.RealizedLinkage):
             assert getattr(got, f.name) == getattr(ref, f.name), (f.name, ref.gamma)
     assert dl.labels == tuple(sorted({r.labels for r in want}))
+
+
+@pytest.mark.parametrize("name,amb", _REFERENCE_CASES)
+def test_projection_laws_accept_equal_fractions_that_are_not_shared(name, amb):
+    # the reference's Fractions are fresh objects, so no comparison in the
+    # laws can rely on identity
+    dl = labels_in(name, amb)
+    want = reference_realized(dl.embedding)
+    assert want[0].p == dl.realized[0].p and want[0].p is not dl.realized[0].p
+    fresh = rt.DirectLabels(dl.embedding, tuple(want), tuple(sorted({r.labels for r in want})))
+    assert rt.check_projection_laws(fresh, dl.embedding) == \
+        rt.check_projection_laws(dl, dl.embedding)
 
 
 def check_against_coordinate_scan(d, amb, limit=10):
