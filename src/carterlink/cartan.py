@@ -3,13 +3,13 @@
 The matrix B has 2 on the diagonal and the edge sign (-1 solid, +1 dotted)
 off it.  For Dynkin diagrams this is the classical Cartan matrix.  A single
 fraction-free elimination of [B | I] (Bareiss, Math. Comp. 22 (1968)
-565-578) yields everything the pipeline reads.  Its pivots are the leading
-minors of B, so B is positive definite exactly when every pivot is positive,
-and det B is the last pivot.  Its right half gives the prefix data of the
-linkage search and B^-1 = N / D with N and D integers.  All of it is
-computed once, on plain integers: B is ``gram``, B^-1 is ``inv_num`` over
-``inv_den``, and ``det`` is the one exact Fraction.  There is no floating
-point anywhere.
+565-578), with B in the diagram's ``search_order``, yields everything the
+pipeline reads.  Its pivots are the leading minors of B in that order, so B
+is positive definite exactly when every pivot is positive, and det B is the
+last pivot.  Its right half gives the prefix data of the linkage search and
+B^-1 = N / D with N and D integers.  All of it is computed once, on plain
+integers: B is ``gram``, B^-1 is ``inv_num`` over ``inv_den``, and ``det``
+is the one exact Fraction.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -37,18 +37,21 @@ class CartanError(ValueError):
 class PartialCartan:
     """A diagram with det B and the integer core of B and B^-1.
 
-    ``gram`` is B as integers.  ``prefix`` is (rows, weights, den): with
-    z_k = sum(rows[k][j] * v[j], j <= k), the form of the inverse of the
-    leading (k+1)x(k+1) block of B at v_0..v_k equals
+    ``gram`` is B as integers.  ``prefix`` is (order, rows, weights, den),
+    with ``order`` the diagram's ``search_order``.  Write u_j = v[order[j]]
+    and z_k = sum(rows[k][j] * u_j, j <= k).  Then the form of the inverse of
+    the block of B on the vertices order[0..k], at their entries of v, equals
     sum(weights[i] * z_i**2, i <= k) / den; at k = l-1 that is the form of
-    B^-1 at v.  B^-1 = inv_num / inv_den, where inv_den is the least common
-    denominator of the entries.  ``_linkages`` keeps ``linkage._search``.
+    B^-1 at v.  B^-1 = inv_num / inv_den in vertex order, where inv_den is
+    the least common denominator of the entries.  ``_linkages`` keeps
+    ``linkage._search``.
     """
 
     diagram: dg.CarterDiagram
     det: Fraction
     gram: IntMatrix = field(repr=False, compare=False)
-    prefix: tuple[IntMatrix, tuple[int, ...], int] = field(repr=False, compare=False)
+    prefix: tuple[tuple[int, ...], IntMatrix, tuple[int, ...], int] = field(
+        repr=False, compare=False)
     inv_num: IntMatrix = field(repr=False, compare=False)
     inv_den: int = field(repr=False, compare=False)
     _linkages: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
@@ -87,7 +90,8 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     if problems:
         raise CartanError(f"{d.name}: " + "; ".join(problems))
     gram = d.gram()
-    m = _eliminate(gram)
+    order = d.search_order
+    m = _eliminate([[gram[i][j] for j in order] for i in order])
     if m is None:
         raise CartanError(f"{d.name}: the partial Cartan matrix is not positive definite")
     l = len(gram)
@@ -96,16 +100,17 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     den = lcm(*products)
     rows = tuple(tuple(m[k][l:l + k + 1]) for k in range(l))
     weights = tuple(den // p for p in products)
-    # B^-1 = sum(weights[k] * z_k z_k^T) / den; cols[i] holds z_k[i] for k = l-1 .. i
-    cols = [[rows[k][i] for k in range(l - 1, i - 1, -1)] for i in range(l)]
+    # in search order B^-1 = sum(weights[k] * z_k z_k^T) / den; cols[p] holds z_k[p]
+    # for k = l-1 .. p, and entry (p, q) is B^-1 at the vertices order[p], order[q]
+    cols = [[rows[k][p] for k in range(l - 1, p - 1, -1)] for p in range(l)]
     wcols = [list(map(mul, weights[::-1], c)) for c in cols]
     num = [[0] * l for _ in range(l)]
-    for i in range(l):
-        for j in range(i, l):
-            num[i][j] = num[j][i] = sum(map(mul, wcols[i], cols[j]))
+    for p, i in enumerate(order):
+        for q in range(p, l):
+            num[i][order[q]] = num[order[q]][i] = sum(map(mul, wcols[p], cols[q]))
     g = gcd(den, *(x for row in num for x in row))
     inv_num = tuple(tuple(x // g for x in row) for row in num)
-    return PartialCartan(d, Fraction(minors[l]), gram, (rows, weights, den), inv_num,
+    return PartialCartan(d, Fraction(minors[l]), gram, (order, rows, weights, den), inv_num,
                          den // g)
 
 

@@ -146,6 +146,27 @@ class CarterDiagram:
         return all(s == SOLID for _, _, s in self.edges)
 
     @cached_property
+    def search_order(self) -> tuple[int, ...]:
+        """The vertex positions in connectivity-first order, read once from the
+        Gram rows: next comes the vertex with the most neighbors already
+        placed, then the most neighbors, then the lowest position.  Every
+        prefix of it induces a connected subdiagram of a connected diagram.
+        The linkage search and the embedding search both run in it."""
+        n = len(self._gram)
+        adj = [[j for j, s in enumerate(row) if s and j != i] for i, row in enumerate(self._gram)]
+        # (neighbors placed, neighbors, -position) as one integer per vertex
+        score = [len(a) * n + n - 1 - i for i, a in enumerate(adj)]
+        order = []
+        for _ in range(n):
+            i = max(range(n), key=score.__getitem__)
+            order.append(i)
+            score[i] = -1  # placed
+            for j in adj[i]:
+                if score[j] >= 0:
+                    score[j] += n * n
+        return tuple(order)
+
+    @cached_property
     def pattern(self) -> Optional[tuple[VertexId, VertexId, VertexId, VertexId]]:
         """The loctets' D5(a1)/D4 subdiagram as (a1, a2, a3, b1), or None."""
         return detect_pattern(self)
@@ -178,8 +199,11 @@ def validate(d: CarterDiagram) -> list[str]:
             problems.append(f"edge {u}-{v} joins two {u.color} vertices")
     if not d.vertices:
         problems.append("diagram has no vertices")
-    elif len(closure(d.vertices[0], lambda u: (w for w, _ in d.neighbors(u)))) != len(d):
-        problems.append("diagram is disconnected")
+    else:
+        # connected exactly when each vertex of the search order meets an earlier one
+        g, order = d.gram(), d.search_order
+        if not all(any(map(g[i].__getitem__, order[:k])) for k, i in enumerate(order) if k):
+            problems.append("diagram is disconnected")
     ids = [v.id for v in d.vertices]
     if len(set(ids)) != len(ids):
         problems.append("duplicate vertex ids")

@@ -3,17 +3,20 @@
 A vector v over {-1,0,1}, indexed by the diagram vertices, is a linkage
 label vector exactly when the quadratic form of B^-1 takes a value < 2 on
 it.  The vectors are found by a depth-first search over the coordinates in
-vertex order (Fincke and Pohst, Math. Comp. 44 (1985) 463-471): the least
-value of the form over real completions of a prefix v_0..v_k is the form of
-the inverse of the leading (k+1)x(k+1) block of B (a Schur complement), and
-that bound only grows with k, so a prefix is dropped as soon as it reaches
-2.  The search reads the integer prefix data of ``PartialCartan.prefix`` and
-the form values read ``B^-1 = N / D``, both from the one elimination in
-``cartan``; all arithmetic is on plain integers.  The search runs once per
+the diagram's connectivity-first ``search_order`` (Fincke and Pohst, Math.
+Comp. 44 (1985) 463-471): the least value of the form over real completions
+of the labels on the first k+1 vertices of that order is the form of the
+inverse of B's block on them (a Schur complement), and that bound only grows
+with k, so a prefix is dropped as soon as it reaches 2.  Every prefix of the
+order is a connected subdiagram, so the bound grows early.  The search reads
+the integer prefix data of ``PartialCartan.prefix`` and the form values read
+``B^-1 = N / D``, both from the one elimination in ``cartan``; all
+arithmetic is on plain integers.  The search runs once per
 ``PartialCartan``, which keeps the vectors with their form values, so
-``group_by_p`` and ``orbit.build_system`` recompute neither.  Results come out in
-lexicographic order (-1 < 0 < 1), so every downstream structure is
-deterministic.
+``group_by_p`` and ``orbit.build_system`` recompute neither.  Results are
+mapped back to vertex order and sorted lexicographically (-1 < 0 < 1), so
+every downstream structure is deterministic and no output depends on the
+search order.
 """
 
 from __future__ import annotations
@@ -59,35 +62,36 @@ def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
 
     Searched on the first call for ``pc`` and kept on it after that.  At a
     leaf the accumulated sum is den times the form, and den is g times D
-    for B^-1 = N / D, so the numerator over D is the sum divided by g.
+    for B^-1 = N / D, so the numerator over D is the sum divided by g.  Each
+    leaf is mapped back to vertex order, and the pairs are sorted once.
     """
     if pc._linkages is not None:
         return pc._linkages
     l = len(pc)
-    rows, weights, den = pc.prefix
-    off = [row[:k] for k, row in enumerate(rows)]  # map stops before the stale v[k:]
+    order, rows, weights, den = pc.prefix
+    at = sorted(range(l), key=order.__getitem__)  # vertex -> search position
+    off = [row[:k] for k, row in enumerate(rows)]  # map stops before the stale u[k:]
     bound = 2 * den
     g = den // pc.inv_den
-    v = [0] * l
-    out: list[Linkage] = []
-    nums: list[int] = []
+    u = [0] * l  # the labels in search order
+    found: list[tuple[Linkage, int]] = []
 
     def visit(k: int, acc: int) -> None:
         if k == l:
-            if any(v):
-                out.append(tuple(v))
-                nums.append(acc // g)
+            if any(u):
+                found.append((tuple(map(u.__getitem__, at)), acc // g))
             return
-        base = sum(map(mul, off[k], v))
+        base = sum(map(mul, off[k], u))
         for x in (-1, 0, 1):
             z = base + rows[k][k] * x
             s = acc + weights[k] * z * z
             if s < bound:
-                v[k] = x
+                u[k] = x
                 visit(k + 1, s)
 
     visit(0, 0)
-    object.__setattr__(pc, "_linkages", (tuple(out), tuple(nums)))
+    found.sort()
+    object.__setattr__(pc, "_linkages", (tuple(v for v, _ in found), tuple(n for _, n in found)))
     return pc._linkages
 
 

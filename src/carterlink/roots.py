@@ -234,28 +234,14 @@ class Embedding:
                         f"{self.diagram.vertices[j]})")
 
 
-def _assignment_order(d: dg.CarterDiagram) -> list[int]:
-    """Deterministic connectivity-first order: most-constrained vertex next."""
-    n = len(d.vertices)
-    adj = [[d.index_of(w) for w, _ in d.neighbors(v)] for v in d.vertices]
-    order: list[int] = []
-    placed = [False] * n
-    for _ in range(n):
-        i = max((i for i in range(n) if not placed[i]),
-                key=lambda i: (sum(placed[j] for j in adj[i]), len(adj[i]), -i))
-        order.append(i)
-        placed[i] = True
-    return order
-
-
 def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) -> list[Embedding]:
     """The first ``limit`` root subsets of one fixed search whose Gram matrix
     is the diagram's.
 
-    Vertices are assigned in a deterministic connectivity-first order with
-    forward checking: each unassigned vertex keeps a bitset of the roots
-    still possible for it, narrowed by AND with the inner-product bitsets of
-    every root placed.  Candidates are visited lowest index first, that is,
+    Vertices are assigned in the diagram's ``search_order`` with forward
+    checking: each unassigned vertex keeps a bitset of the roots still
+    possible for it, narrowed by AND with the inner-product bitsets of every
+    root placed.  Candidates are visited lowest index first, that is,
     in lexicographic order.  Level-0 rule: if no embedding puts the first
     vertex on the lowest root, none exists and the search stops.  This needs
     the ambient's Weyl group to be transitive on roots, as it is for every
@@ -274,7 +260,7 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
     if l > ambient.rank or limit < 1:
         return []
     g = pc.gram
-    order = _assignment_order(d)
+    order = d.search_order
     at = sorted(range(l), key=order.__getitem__)  # vertex -> assignment position
     # target[q][p] + 1 indexes ip_bits for the pair of assignment positions
     target = [[g[order[p]][order[q]] + 1 for q in range(l)] for p in range(l)]

@@ -1,10 +1,13 @@
 """Shared test support: cached constructors, so the suite builds each heavy
 object once, the Fraction reference linear algebra, coordinate references for
-the root-system oracles, edge-scanning references for the diagram, switched and
-color-swapped diagrams, and diagram generators."""
+the root-system oracles, edge-scanning references for the diagram, switched,
+color-swapped and shuffled diagrams, the prefix count of the linkage search,
+and diagram generators."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from hypothesis import strategies as st
 
@@ -22,6 +25,11 @@ CATALOG = [
 
 C4_CATALOG = CATALOG[:12]
 DYNKIN_CATALOG = CATALOG[12:]
+
+# The 30 diagrams of the large_rank benchmark workload.
+LARGE_RANK = [name for l in (10, 11, 12)
+              for name in [f"D{l}(a{k})" for k in range(1, l - 2)] + [f"D{l}", f"A{l}"]]
+SHUFFLE_SEEDS = (1, 2, 3)
 
 
 @lru_cache(maxsize=None)
@@ -287,6 +295,21 @@ def ref_neighbors(d, v) -> list:
     return out
 
 
+def ref_search_order(d) -> list:
+    """Connectivity-first order from edge scans: next the vertex with the most
+    neighbors placed, then the most neighbors, then the lowest position."""
+    n = len(d.vertices)
+    adj = [[d.vertices.index(w) for w, _ in ref_neighbors(d, v)] for v in d.vertices]
+    order: list = []
+    placed = [False] * n
+    for _ in range(n):
+        i = max((i for i in range(n) if not placed[i]),
+                key=lambda i: (sum(placed[j] for j in adj[i]), len(adj[i]), -i))
+        order.append(i)
+        placed[i] = True
+    return order
+
+
 def ref_detect_pattern(d):
     """The first beta center with three solid alpha legs, the square's
     dotted leg as a2 and its solid leg as a3, found by scanning the edges."""
@@ -325,6 +348,51 @@ def color_swapped(d):
         return cl.VertexId(kind, v.index, dg.BETA if v.color == dg.ALPHA else dg.ALPHA)
     edges = tuple((swap(a), swap(b), s) for a, b, s in d.edges)
     return cl.CarterDiagram(f"{d.name}~", tuple(map(swap, d.vertices)), edges)
+
+
+def shuffled(d, seed):
+    """d with its vertices in a seeded random order; the edges are the same."""
+    vertices = list(d.vertices)
+    random.Random(seed).shuffle(vertices)
+    return cl.CarterDiagram(d.name, tuple(vertices), d.edges)
+
+
+# -- the linkage search ------------------------------------------------------------
+
+
+def prefix_in_vertex_order(gram) -> tuple:
+    """``PartialCartan.prefix`` as it would be for a search over the
+    coordinates in vertex order: the same elimination on the unpermuted B."""
+    l = len(gram)
+    m = _eliminate(gram)
+    minors = [1] + [m[k][k] for k in range(l)]
+    products = [minors[k] * minors[k + 1] for k in range(l)]
+    den = lcm(*products)
+    return (tuple(range(l)), tuple(tuple(m[k][l:l + k + 1]) for k in range(l)),
+            tuple(den // p for p in products), den)
+
+
+def count_prefixes(prefix) -> int:
+    """The prefixes u_0..u_k, k >= 0, that the recursion of
+    ``linkage._search`` keeps below the bound when it runs along ``prefix``."""
+    _, rows, weights, den = prefix
+    l = len(rows)
+    u = [0] * l
+
+    def visit(k: int, acc: int) -> int:
+        if k == l:
+            return 0
+        base = sum(r * x for r, x in zip(rows[k][:k], u))
+        n = 0
+        for x in (-1, 0, 1):
+            z = base + rows[k][k] * x
+            s = acc + weights[k] * z * z
+            if s < 2 * den:
+                u[k] = x
+                n += 1 + visit(k + 1, s)
+        return n
+
+    return visit(0, 0)
 
 
 # -- generated diagrams -----------------------------------------------------------

@@ -7,9 +7,10 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink.cartan import CartanError
 
-from helpers import (C4_CATALOG, CATALOG, color_swapped, e8_root_subset_diagrams, pc_of,
-                     ref_detect_pattern, ref_gram, ref_neighbors, ref_normalized_edges,
-                     signed_bipartite_diagrams, switched)
+from helpers import (C4_CATALOG, CATALOG, LARGE_RANK, SHUFFLE_SEEDS, color_swapped,
+                     e8_root_subset_diagrams, pc_of, ref_detect_pattern, ref_gram, ref_neighbors,
+                     ref_normalized_edges, ref_search_order, shuffled, signed_bipartite_diagrams,
+                     switched)
 
 
 def test_catalog_d4a1_shape():
@@ -56,6 +57,16 @@ def test_validate_reports_disconnected():
     d = dg.CarterDiagram("two-edges", vs,
                          ((vs[0], vs[1], dg.SOLID), (vs[2], vs[3], dg.SOLID)))
     assert any("disconnected" in p for p in cl.validate(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_bipartite_diagrams(max_rank=8), st.data())
+def test_validate_connectivity_matches_an_edge_scan(d, data):
+    # dropping a drawn subset of the edges leaves a connected or a split diagram
+    kept = tuple(data.draw(st.lists(st.sampled_from(d.edges), unique=True))) if d.edges else ()
+    d = dg.CarterDiagram(d.name, d.vertices, kept)
+    reach = dg.closure(d.vertices[0], lambda v: (w for w, _ in ref_neighbors(d, v)))
+    assert ("diagram is disconnected" in cl.validate(d)) == (len(reach) < len(d))
 
 
 def test_validate_reports_empty_diagram():
@@ -287,6 +298,8 @@ def _agrees_with_references(d, raw_edges) -> None:
     for v in d.vertices:
         assert d.neighbors(v) == ref_neighbors(d, v)
     assert dg.detect_pattern(d) == d.pattern == ref_detect_pattern(d)
+    assert d.search_order is d.search_order
+    assert d.search_order == tuple(ref_search_order(d))
     try:
         pc = cl.build_partial_cartan(d)
     except CartanError:
@@ -326,3 +339,30 @@ def test_gram_rows_agree_with_edge_scans_on_catalog_variants(d):
     raw = tuple((v, u, s) for u, v, s in reversed(d.edges))
     _agrees_with_references(cl.CarterDiagram(d.name, d.vertices, raw), raw)
     _agrees_with_references(d, d.edges)
+
+
+def _assert_connectivity_first(d) -> None:
+    """The search order is a permutation, and each vertex after the first
+    meets an earlier one, so every prefix induces a connected subdiagram."""
+    order, g = d.search_order, d.gram()
+    assert sorted(order) == list(range(len(d)))
+    for k in range(1, len(order)):
+        assert any(g[order[k]][j] for j in order[:k]), (d.name, order[:k + 1])
+
+
+@pytest.mark.parametrize("name", dg.catalog_names() + LARGE_RANK)
+def test_search_order_prefixes_are_connected(name):
+    for seed in (None,) + SHUFFLE_SEEDS:
+        d = cl.catalog(name) if seed is None else shuffled(cl.catalog(name), seed)
+        _assert_connectivity_first(d)
+        assert d.search_order == tuple(ref_search_order(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(e8_root_subset_diagrams(), signed_bipartite_diagrams(max_rank=10)),
+       st.randoms(use_true_random=False))
+def test_search_order_prefixes_are_connected_on_generated_diagrams(d, rng):
+    vertices = list(d.vertices)
+    rng.shuffle(vertices)
+    _assert_connectivity_first(d)
+    _assert_connectivity_first(cl.CarterDiagram(d.name, tuple(vertices), d.edges))

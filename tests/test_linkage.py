@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 import carterlink as cl
 from carterlink.cartan import LinalgError
 from carterlink.diagram import catalog_names
-from carterlink.linkage import beta_unicolored, enumerate_linkages, form_value, group_by_p
+from carterlink.linkage import _search, beta_unicolored, enumerate_linkages, form_value, group_by_p
 
-from helpers import CATALOG, e8_root_subset_diagrams, links_of, pc_of, ref_inverse, ref_quad_form
+from helpers import (CATALOG, LARGE_RANK, SHUFFLE_SEEDS, count_prefixes, e8_root_subset_diagrams,
+                     links_of, pc_of, prefix_in_vertex_order, ref_inverse, ref_quad_form,
+                     shuffled)
 
 
 EXPECTED_TOTALS = {
@@ -179,16 +182,76 @@ def test_kept_search_leaves_repr_eq_and_hash():
     assert "_linkages" not in repr(pc)
 
 
-@pytest.mark.parametrize("name", ["D4(a1)", "E6(a2)", "E7(a4)", "A5"])
-def test_prefix_form_is_the_leading_block_inverse_form(name):
+@pytest.mark.parametrize("name, seed", [
+    *(pytest.param(name, None, id=name) for name in ["D4(a1)", "E6(a2)", "E7(a4)", "A5"]),
+    *(pytest.param(name, 1, id=f"{name}-shuffled") for name in ["D12(a1)", "A8"])])
+def test_prefix_form_is_the_leading_block_inverse_form(name, seed):
     # The search prunes on this value, the least of the form of B^-1 over
     # real completions of the prefix; at full length it is the form itself.
-    pc = pc_of(name)
-    b = pc.gram
-    rows, weights, den = pc.prefix
+    # The prefix runs in the search order, so the block is that of B permuted
+    # by it.  Past 3^7 prefixes of one length, a seeded sample is checked.
+    d = cl.catalog(name) if seed is None else shuffled(cl.catalog(name), seed)
+    pc = cl.build_partial_cartan(d)
+    order, rows, weights, den = pc.prefix
+    assert order == d.search_order
+    b = [[pc.gram[i][j] for j in order] for i in order]
+    rng = random.Random(seed)
     for k in range(1, len(b) + 1):
         lead_inv = ref_inverse([r[:k] for r in b[:k]])
-        for v in itertools.product((-1, 0, 1), repeat=k):
+        vectors = itertools.product((-1, 0, 1), repeat=k) if k <= 7 else \
+            [[rng.choice((-1, 0, 1)) for _ in range(k)] for _ in range(300)]
+        for v in vectors:
             z = [sum(r * x for r, x in zip(row, v)) for row in rows[:k]]
             scaled = sum(w * zk * zk for w, zk in zip(weights, z))
             assert Fraction(scaled, den) == ref_quad_form(lead_inv, v)
+
+
+@pytest.mark.parametrize("name", ["D4(a1)", "E7(a4)", "D12(a1)", "A8"])
+def test_prefix_is_the_vertex_order_prefix_of_the_permuted_matrix(name):
+    pc = cl.build_partial_cartan(shuffled(cl.catalog(name), 1))
+    order = pc.prefix[0]
+    b = [[pc.gram[i][j] for j in order] for i in order]
+    assert pc.prefix[1:] == prefix_in_vertex_order(b)[1:]
+
+
+# -- the search order ------------------------------------------------------------
+
+
+def relabelled_search(d, seed):
+    """``_search`` of d with its vertices shuffled by ``seed``, its vectors
+    mapped back to d's coordinates and the pairs re-sorted."""
+    s = shuffled(d, seed)
+    at = [s.index_of(v) for v in d.vertices]
+    found = zip(*_search(cl.build_partial_cartan(s)))
+    pairs = sorted((tuple(w[i] for i in at), n) for w, n in found)
+    return tuple(v for v, _ in pairs), tuple(n for _, n in pairs)
+
+
+def assert_search_is_relabelling_invariant(d):
+    want = _search(cl.build_partial_cartan(d))
+    for seed in SHUFFLE_SEEDS:
+        assert relabelled_search(d, seed) == want, (d.name, seed)
+        if len(d) <= 8:
+            pc = cl.build_partial_cartan(shuffled(d, seed))
+            assert enumerate_linkages(pc) == brute_force_linkages(pc), (d.name, seed)
+
+
+@pytest.mark.parametrize("name", catalog_names() + LARGE_RANK)
+def test_search_is_relabelling_invariant(name):
+    assert_search_is_relabelling_invariant(cl.catalog(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(e8_root_subset_diagrams())
+def test_generated_search_is_relabelling_invariant(d):
+    assert_search_is_relabelling_invariant(d)
+
+
+def test_search_order_visits_at_most_half_of_the_vertex_order_prefixes():
+    in_order = in_vertex_order = 0
+    for name in LARGE_RANK:
+        for seed in SHUFFLE_SEEDS:
+            pc = cl.build_partial_cartan(shuffled(cl.catalog(name), seed))
+            in_order += count_prefixes(pc.prefix)
+            in_vertex_order += count_prefixes(prefix_in_vertex_order(pc.gram))
+    assert 2 * in_order <= in_vertex_order, (in_order, in_vertex_order)

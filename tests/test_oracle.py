@@ -559,7 +559,7 @@ def test_extension_orbit_by_index_matches_coordinates(name):
 def brute_force_embeddings(d, amb, limit):
     """Plain backtracking in the search's vertex order and root order: each
     root is checked against every root already placed, with no look-ahead."""
-    order = rt._assignment_order(d)
+    order = d.search_order
     g = d.gram()
     l = len(order)
     found, chosen = [], []
