@@ -9,7 +9,7 @@ loctets), and verifies everything against brute-force root-system oracles.
 
 from .cartan import PartialCartan, build_partial_cartan, inverse_diagonal, simply_extendable
 from .diagram import CarterDiagram, VertexId, carter_D_ak, catalog, dynkin_A, dynkin_D, \
-    extend, find_isomorphism, isomorphic, validate
+    extend, find_isomorphism, isomorphic
 from .linkage import ExtensionSet, beta_unicolored, enumerate_linkages, group_by_p
 from .orbit import LinkageSystem, Loctet, build_system, dual_reflect, gamma8_candidates, \
     loctet_from_gamma8, project_system
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CarterDiagram", "VertexId", "catalog", "carter_D_ak", "dynkin_A", "dynkin_D",
-    "extend", "find_isomorphism", "isomorphic", "validate",
+    "extend", "find_isomorphism", "isomorphic",
     "PartialCartan", "build_partial_cartan", "inverse_diagonal", "simply_extendable",
     "ExtensionSet", "enumerate_linkages", "group_by_p", "beta_unicolored",
     "LinkageSystem", "Loctet", "build_system", "dual_reflect", "gamma8_candidates",

@@ -82,13 +82,10 @@ def _eliminate(b: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
 def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     """Build B from the diagram and its exact integer core.
 
-    Raises CartanError when the diagram is malformed or its form is not
-    positive definite (an extended Dynkin diagram, for example, has det 0
-    and corresponds to no linearly independent root subset).
+    The diagram was checked when built, so CartanError means one thing: the
+    form is not positive definite (an extended Dynkin diagram, for example,
+    has det 0 and corresponds to no linearly independent root subset).
     """
-    problems = dg.validate(d)
-    if problems:
-        raise CartanError(f"{d.name}: " + "; ".join(problems))
     gram = d.gram()
     order = d.search_order
     m = _eliminate([[gram[i][j] for j in order] for i in order])

@@ -79,12 +79,14 @@ class CarterDiagram:
     from them by ``detect_pattern``, so two equal diagrams never disagree on it.
     The integer Gram matrix is built once, while the edges are checked, and
     the normalized ``edges``, ``neighbors`` and the pattern are read from it.
+    It is checked here and nowhere else: one that is not a nonempty connected
+    bicolored graph with distinct vertex ids raises DiagramError.
     """
 
     name: str
     vertices: tuple[VertexId, ...]
     edges: tuple[Edge, ...]
-    # vertex and vertex id -> position; the first vertex wins a shared id
+    # vertex and vertex id -> position
     _index: dict = field(init=False, repr=False, compare=False)
     _gram: tuple = field(init=False, repr=False, compare=False)
 
@@ -93,9 +95,7 @@ class CarterDiagram:
         for i, v in enumerate(self.vertices):
             if pos.setdefault(v, i) != i:
                 raise DiagramError(f"{self.name}: duplicate vertex {v}")
-        index = dict(pos)
-        for v, i in pos.items():
-            index.setdefault(v.id, i)
+        index = {**pos, **{v.id: i for v, i in pos.items()}}
         object.__setattr__(self, "_index", index)
         n = len(self.vertices)
         g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -115,6 +115,18 @@ class CarterDiagram:
         object.__setattr__(self, "edges", tuple(
             (u, self.vertices[j], row[j])
             for i, (u, row) in enumerate(zip(self.vertices, g)) for j in range(i + 1, n) if row[j]))
+        problems = [f"edge {u}-{v} joins two {u.color} vertices"
+                    for u, v, _ in self.edges if u.color == v.color]
+        if not n:
+            problems.append("diagram has no vertices")
+        # connected exactly when each vertex of the search order meets an earlier one
+        elif not all(any(map(g[i].__getitem__, self.search_order[:k]))
+                     for k, i in enumerate(self.search_order) if k):
+            problems.append("diagram is disconnected")
+        if len(index) < 2 * n:  # two vertices share an id key
+            problems.append("duplicate vertex ids")
+        if problems:
+            raise DiagramError(f"{self.name}: " + "; ".join(problems))
 
     # -- lookups ------------------------------------------------------------
 
@@ -150,8 +162,8 @@ class CarterDiagram:
         """The vertex positions in connectivity-first order, read once from the
         Gram rows: next comes the vertex with the most neighbors already
         placed, then the most neighbors, then the lowest position.  Every
-        prefix of it induces a connected subdiagram of a connected diagram.
-        The linkage search and the embedding search both run in it."""
+        prefix of it induces a connected subdiagram.  The linkage search, the
+        embedding search and the constructor's connectivity check read it."""
         n = len(self._gram)
         adj = [[j for j, s in enumerate(row) if s and j != i] for i, row in enumerate(self._gram)]
         # (neighbors placed, neighbors, -position) as one integer per vertex
@@ -172,7 +184,7 @@ class CarterDiagram:
         return detect_pattern(self)
 
 
-# -- validation --------------------------------------------------------------
+# -- closure -----------------------------------------------------------------
 
 
 def closure(seed, images: Callable[[Any], Iterable]) -> set:
@@ -189,25 +201,6 @@ def closure(seed, images: Callable[[Any], Iterable]) -> set:
                     nxt.append(y)
         frontier = nxt
     return seen
-
-
-def validate(d: CarterDiagram) -> list[str]:
-    """Return a list of violations; empty means the diagram is well formed."""
-    problems: list[str] = []
-    for u, v, s in d.edges:
-        if u.color == v.color:
-            problems.append(f"edge {u}-{v} joins two {u.color} vertices")
-    if not d.vertices:
-        problems.append("diagram has no vertices")
-    else:
-        # connected exactly when each vertex of the search order meets an earlier one
-        g, order = d.gram(), d.search_order
-        if not all(any(map(g[i].__getitem__, order[:k])) for k, i in enumerate(order) if k):
-            problems.append("diagram is disconnected")
-    ids = [v.id for v in d.vertices]
-    if len(set(ids)) != len(ids):
-        problems.append("duplicate vertex ids")
-    return problems
 
 
 # -- catalog -----------------------------------------------------------------

@@ -90,6 +90,7 @@ def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
                 visit(k + 1, s)
 
     visit(0, 0)
+    del visit  # visit's closure refers to visit; without the name no cycle outlives the search
     found.sort()
     object.__setattr__(pc, "_linkages", (tuple(v for v, _ in found), tuple(n for _, n in found)))
     return pc._linkages

@@ -36,6 +36,7 @@ from .orbit import VerificationError, reflect_at
 
 Root = tuple[Fraction, ...]
 Doubled = tuple[int, ...]
+Projection = Optional[tuple[list[int], int, list[int], Root, Fraction]]  # see _label_projection
 
 
 class RootSystemError(ValueError):
@@ -247,14 +248,12 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
     the ambient's Weyl group to be transitive on roots, as it is for every
     ``build_root_system`` result but D2 = A1 x A1, where only A1 embeds.
 
-    A malformed diagram raises CartanError.  One whose form is not positive
-    definite has no embeddings: it is the Gram matrix of no vectors at all.
+    A diagram whose form is not positive definite has no embeddings: it is
+    the Gram matrix of no vectors at all.
     """
     try:
         pc = build_partial_cartan(d)
     except CartanError:
-        if dg.validate(d):
-            raise
         return []
     l = len(d.vertices)
     if l > ambient.rank or limit < 1:
@@ -295,6 +294,7 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
         return False
 
     dfs(0, [(1 << len(ambient)) - 1] * l)
+    del dfs  # dfs's closure refers to dfs; without the name no cycle outlives the search
     return results
 
 
@@ -330,14 +330,24 @@ class DirectLabels:
     labels: tuple[Linkage, ...]
 
 
+def _extends(lc: int, den: int) -> bool:
+    """Whether a root whose labels have p = lc / D extends the embedding: p = 0
+    only for zero labels, and p = 2 exactly when mu = 0, as p + |mu|^2 = 2."""
+    return 0 < lc != 2 * den
+
+
 def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]], den: int,
-                      labels: Linkage) -> tuple[list[int], int, list[int], Root, Fraction]:
+                      labels: Linkage) -> Projection:
     """(c, lc, G, gamma_L, p) of a label vector, with ``cols`` the columns of
     the embedded roots e_k doubled: c = N labels, so B^-1 labels = c / D;
     lc = labels . c, so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L, so a
-    root x / 2 with these labels has M = D x - G = 2D mu."""
+    root x / 2 with these labels has M = D x - G = 2D mu.  None, decided
+    from lc alone, when a root with these labels does not ``_extends``."""
     c = [sum(map(mul, row, labels)) for row in n_mat]
-    lc, g = _dot(labels, c), [sum(map(mul, c, col)) for col in cols]
+    lc = _dot(labels, c)
+    if not _extends(lc, den):
+        return None
+    g = [sum(map(mul, c, col)) for col in cols]
     return c, lc, g, tuple(_frac(a, 2 * den) for a in g), _frac(lc, den)
 
 
@@ -379,22 +389,20 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     all-zero label vector (they are orthogonal to the whole subset and attach
     no bonds, and the zero vector is not a linkage by definition).
 
-    gamma_L and p are computed once per distinct label vector, the Fractions
-    of mu and |mu|^2 once per distinct mu, and mu itself per root.
+    Both skips, gamma_L and p are decided once per distinct label vector, the
+    skips from p alone; the Fractions of mu and |mu|^2 once per distinct mu.
     """
     cols = list(zip(*e.doubled))
     n_mat, den = e.pc.inv_num, e.pc.inv_den
-    of_labels: dict[Linkage, tuple[list[int], int, list[int], Root, Fraction]] = {}
+    of_labels: dict[Linkage, Projection] = {}
     of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
     realized = []
     for gamma, x, labels in zip(e.ambient.roots, e.ambient.doubled, _labels(e)):
-        if not any(labels):
-            continue
         if labels not in of_labels:
             of_labels[labels] = _label_projection(cols, n_mat, den, labels)
-        _, _, g, gamma_l, p = of_labels[labels]
-        m = tuple(den * a - b for a, b in zip(x, g))
-        if any(m):
+        if of_labels[labels]:
+            _, _, g, gamma_l, p = of_labels[labels]
+            m = tuple(den * a - b for a, b in zip(x, g))
             mu, mu2, _ = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
             realized.append(RealizedLinkage(gamma, labels, gamma_l, mu, mu2, p))
     return DirectLabels(e, tuple(realized), tuple(sorted({r.labels for r in realized})))
@@ -470,7 +478,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
-    of_labels: dict[Linkage, tuple[list[int], int, list[int], Root, Fraction]] = {}
+    of_labels: dict[Linkage, Projection] = {}
     of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
     by_p: dict[int, list[_LawData]] = {}  # keyed by lc = D p
     records = []
@@ -480,7 +488,10 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         if x not in amb.index:
             raise VerificationError(f"{r.gamma} is not a root of {amb.name}")
         if r.labels not in of_labels:
-            c, lc, g, *_ = of_labels[r.labels] = _label_projection(cols, n_mat, den, r.labels)
+            of_labels[r.labels] = _label_projection(cols, n_mat, den, r.labels)
+            if of_labels[r.labels] is None:
+                raise VerificationError(f"{r.gamma} does not extend the embedding")
+            c, lc, g, *_ = of_labels[r.labels]
             if _dot(c, [_dot(row, c) for row in gram]) != den * lc:
                 raise VerificationError(f"form mismatch on labels of {r.gamma}")
             if _dot(g, g) != 4 * den * lc:
@@ -640,11 +651,8 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     embs = find_embeddings(d, ambient, limit=trials)
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
-    # A root is in the span of the embedded roots exactly when mu = 0, that
-    # is, when p = 2, since p + |mu|^2 = |gamma|^2 = 2; p is the form at the
-    # labels over D.  The embeddings share one pc, so one cache serves them.
-    pc, span = embs[0].pc, 2 * embs[0].pc.inv_den
-    extends = cache(lambda labs: any(labs) and form_num(pc, labs) != span)
+    pc = embs[0].pc  # the embeddings share one pc, so one cache serves them
+    extends = cache(lambda labs: _extends(form_num(pc, labs), pc.inv_den))
     sets: list[tuple[Linkage, ...]] = []
     for e in embs:
         labels = tuple(sorted(filter(extends, set(_labels(e)))))

@@ -2,8 +2,10 @@
 object once, the Fraction reference linear algebra, coordinate references for
 the root-system oracles, edge-scanning references for the diagram, switched,
 color-swapped and shuffled diagrams, the prefix count of the linkage search,
-and diagram generators."""
+the count of garbage a call leaves in reference cycles, and diagram
+generators."""
 
+import gc
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -393,6 +395,17 @@ def count_prefixes(prefix) -> int:
         return n
 
     return visit(0, 0)
+
+
+def cycles_left_by(call) -> int:
+    """The objects that only the cyclic collector frees after ``call()``."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 # -- generated diagrams -----------------------------------------------------------

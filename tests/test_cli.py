@@ -249,6 +249,10 @@ INPUT_REJECTIONS = {
                              (), "vertices[0]: expected an object"),
     "repeated-vertex": ("cartan", _d4_with(vertices=_D4_VERTICES + _D4_VERTICES[:1]),
                         (), "D4: duplicate vertex a1"),
+    "same-color-edge": ("cartan", _d4_with(edges=_D4["edges"] + [{"u": "a1", "v": "a2",
+                                                                  "sign": "solid"}]),
+                        (), "D4: edge a1-a2 joins two alpha vertices"),
+    "disconnected": ("cartan", _d4_with(edges=_D4["edges"][:2]), (), "D4: diagram is disconnected"),
     "project-dotted-leaf": ("project", _e6a1_with_b3_dotted(), ("D5(a1)", "--vertex", "b3"),
                             "b3 is not a simple-extension leaf"),
 }

@@ -42,38 +42,57 @@ def test_catalog_unknown_name():
 
 @pytest.mark.parametrize("name", CATALOG + ["E8", "A1", "A5", "D9", "D10(a3)"])
 def test_catalog_validates(name):
-    assert cl.validate(cl.catalog(name)) == []
+    # built, so checked: bicolored, connected, with distinct ids
+    d = cl.catalog(name)
+    assert all(u.color != v.color for u, v, _ in d.edges)
+    assert len(dg.closure(d.vertices[0], lambda v: (w for w, _ in ref_neighbors(d, v)))) == len(d)
+    assert len({v.id for v in d.vertices}) == len(d)
 
 
 def test_validate_reports_same_color_edge():
     a1, a2 = dg.VertexId("a", 1, dg.ALPHA), dg.VertexId("a", 2, dg.ALPHA)
-    d = dg.CarterDiagram("bad", (a1, a2), ((a1, a2, dg.SOLID),))
-    assert any("alpha" in p for p in cl.validate(d))
+    with pytest.raises(dg.DiagramError, match="^bad: edge a1-a2 joins two alpha vertices$"):
+        dg.CarterDiagram("bad", (a1, a2), ((a1, a2, dg.SOLID),))
 
 
 def test_validate_reports_disconnected():
     vs = (dg.VertexId("a", 1, dg.ALPHA), dg.VertexId("b", 1, dg.BETA),
           dg.VertexId("a", 2, dg.ALPHA), dg.VertexId("b", 2, dg.BETA))
-    d = dg.CarterDiagram("two-edges", vs,
-                         ((vs[0], vs[1], dg.SOLID), (vs[2], vs[3], dg.SOLID)))
-    assert any("disconnected" in p for p in cl.validate(d))
+    with pytest.raises(dg.DiagramError, match="^two-edges: diagram is disconnected$"):
+        dg.CarterDiagram("two-edges", vs, ((vs[0], vs[1], dg.SOLID), (vs[2], vs[3], dg.SOLID)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(signed_bipartite_diagrams(max_rank=8), st.data())
 def test_validate_connectivity_matches_an_edge_scan(d, data):
-    # dropping a drawn subset of the edges leaves a connected or a split diagram
+    # dropping a drawn subset of the edges leaves a connected or a split diagram;
+    # the constructor rejects exactly the split ones
     kept = tuple(data.draw(st.lists(st.sampled_from(d.edges), unique=True))) if d.edges else ()
-    d = dg.CarterDiagram(d.name, d.vertices, kept)
-    reach = dg.closure(d.vertices[0], lambda v: (w for w, _ in ref_neighbors(d, v)))
-    assert ("diagram is disconnected" in cl.validate(d)) == (len(reach) < len(d))
+    reach = dg.closure(d.vertices[0], lambda v: (w for e in kept if v in e[:2] for w in e[:2]))
+    if len(reach) < len(d):
+        with pytest.raises(dg.DiagramError, match="^generated: diagram is disconnected$"):
+            dg.CarterDiagram(d.name, d.vertices, kept)
+    else:
+        assert dg.CarterDiagram(d.name, d.vertices, kept).edges == ref_normalized_edges(
+            d.vertices, kept)
 
 
 def test_validate_reports_empty_diagram():
-    d = dg.from_json('{"name": "x", "vertices": [], "edges": []}')
-    assert cl.validate(d) == ["diagram has no vertices"]
-    with pytest.raises(CartanError, match="^x: diagram has no vertices$"):
-        cl.build_partial_cartan(d)
+    with pytest.raises(dg.DiagramError, match="^x: diagram has no vertices$"):
+        dg.from_json('{"name": "x", "vertices": [], "edges": []}')
+
+
+@pytest.mark.parametrize("vertices,message", [
+    ([("a1", "alpha"), ("b1", "beta"), ("a2", "alpha")], "diagram is disconnected"),
+    # the edge names t1 by id and reaches the beta copy, so the alpha one stays apart
+    ([("a1", "alpha"), ("t1", "alpha"), ("t1", "beta")],
+     "diagram is disconnected; duplicate vertex ids"),
+], ids=["disconnected", "t1-in-both-colors"])
+def test_json_rejects_a_malformed_graph(vertices, message):
+    text = json.dumps({"name": "x", "vertices": [{"id": i, "color": c} for i, c in vertices],
+                       "edges": [{"u": "a1", "v": vertices[1][0], "sign": "solid"}]})
+    with pytest.raises(dg.DiagramError, match=f"^x: {message}$"):
+        dg.from_json(text)
 
 
 @pytest.mark.parametrize("key", ["vertices", "edges"])
@@ -288,6 +307,15 @@ def test_duplicate_vertex_names_the_first_repeat():
     # b1 repeats before a1 does
     with pytest.raises(dg.DiagramError, match="^x: duplicate vertex b1$"):
         dg.CarterDiagram("x", (_A1, _B1, _A2, _B1, _A1), ())
+
+
+def test_construction_lists_every_problem_in_order():
+    # a same-color edge that also leaves b1 apart, and t1 listed in both colors
+    t1a, t1b = dg.VertexId("t", 1, dg.ALPHA), dg.VertexId("t", 1, dg.BETA)
+    with pytest.raises(dg.DiagramError, match="^x: edge a1-a2 joins two alpha vertices; "
+                                              "diagram is disconnected; duplicate vertex ids$"):
+        dg.CarterDiagram("x", (_A1, _A2, _B1, t1a, t1b),
+                         ((_A1, _A2, dg.SOLID), (t1a, t1b, dg.SOLID)))
 
 
 def _agrees_with_references(d, raw_edges) -> None:

@@ -10,9 +10,9 @@ from carterlink.cartan import LinalgError
 from carterlink.diagram import catalog_names
 from carterlink.linkage import _search, beta_unicolored, enumerate_linkages, form_value, group_by_p
 
-from helpers import (CATALOG, LARGE_RANK, SHUFFLE_SEEDS, count_prefixes, e8_root_subset_diagrams,
-                     links_of, pc_of, prefix_in_vertex_order, ref_inverse, ref_quad_form,
-                     shuffled)
+from helpers import (CATALOG, LARGE_RANK, SHUFFLE_SEEDS, count_prefixes, cycles_left_by,
+                     e8_root_subset_diagrams, links_of, pc_of, prefix_in_vertex_order, ref_inverse,
+                     ref_quad_form, shuffled)
 
 
 EXPECTED_TOTALS = {
@@ -170,6 +170,11 @@ def test_build_system_reads_the_enumerated_search():
     other = cl.build_partial_cartan(cl.catalog("D5(a1)"))
     assert cl.build_system(other).nodes is enumerate_linkages(other)
     assert enumerate_linkages(other) != nodes
+
+
+def test_search_leaves_no_reference_cycle():
+    pc = cl.build_partial_cartan(cl.catalog("A12"))  # a fresh pc, so the search runs
+    assert cycles_left_by(lambda: enumerate_linkages(pc)) == 0
 
 
 def test_kept_search_leaves_repr_eq_and_hash():

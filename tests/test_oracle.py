@@ -10,8 +10,9 @@ from hypothesis import assume, given, settings
 import carterlink as cl
 from carterlink import roots as rt
 from carterlink.cartan import CartanError
+from carterlink.diagram import DiagramError
 from carterlink.linkage import group_by_p
-from helpers import CATALOG, ambient, embedding_in, labels_in, links_of, pc_of, \
+from helpers import CATALOG, ambient, cycles_left_by, embedding_in, labels_in, links_of, pc_of, \
     ref_extension_orbit, ref_inverse, ref_mat_vec, ref_quad_form, ref_rank, \
     ref_realized, ref_root_system, signed_bipartite_diagrams, system_of
 
@@ -165,6 +166,22 @@ def test_projection_laws_reject_a_gamma_that_is_not_half_integers():
     dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
     with pytest.raises(rt.VerificationError, match=r"is not a root of E8$"):
         rt.check_projection_laws(dl, dl.embedding)
+
+
+@pytest.mark.parametrize("which", ["in-the-span", "orthogonal"])
+def test_projection_laws_reject_a_root_that_does_not_extend(which):
+    # an embedded root (p = 2, mu = 0) and a root with zero labels (p = 0,
+    # mu = gamma), with true projection data: both pass p + |mu|^2 = 2
+    dl = labels_in("D4(a1)", "E8")
+    e = dl.embedding
+    labels = rt._labels(e)
+    i = e.idx[0] if which == "in-the-span" else labels.index((0,) * len(e.idx))
+    gamma, zero = e.ambient.roots[i], (Fraction(0),) * e.ambient.dim
+    p = Fraction(2) if which == "in-the-span" else Fraction(0)
+    gamma_l, mu = (gamma, zero) if p else (zero, gamma)
+    bad = rt.RealizedLinkage(gamma, labels[i], gamma_l, mu, 2 - p, p)
+    with pytest.raises(rt.VerificationError, match=f"^{re.escape(str(gamma))} does not extend"):
+        rt.check_projection_laws(rt.DirectLabels(e, (bad,) + dl.realized, dl.labels), e)
 
 
 def _first_repeat(realized, key):
@@ -354,12 +371,13 @@ def test_find_embeddings_limit_below_1_finds_none():
 
 @pytest.mark.parametrize("amb", ["E8", "D4"])
 def test_find_embeddings_rejects_a_disconnected_diagram(amb):
-    # A2 + A2: its roots fit in E8 but not in D4; malformed either way
+    # A2 + A2: its roots fit in E8 but not in D4; malformed either way, so it
+    # is rejected when built and never reaches the search
     a1, b1, a2, b2 = (cl.VertexId(k, i, c) for k, i, c in
                       (("a", 1, "alpha"), ("b", 1, "beta"), ("a", 2, "alpha"), ("b", 2, "beta")))
-    d = cl.CarterDiagram("two-edges", (a1, b1, a2, b2), ((a1, b1, -1), (a2, b2, -1)))
-    with pytest.raises(CartanError, match="^two-edges: diagram is disconnected$"):
-        cl.find_embeddings(d, ambient(amb))
+    with pytest.raises(DiagramError, match="^two-edges: diagram is disconnected$"):
+        cl.find_embeddings(cl.CarterDiagram("two-edges", (a1, b1, a2, b2),
+                                            ((a1, b1, -1), (a2, b2, -1))), ambient(amb))
 
 
 def test_find_embeddings_of_an_indefinite_diagram_finds_none():
@@ -373,6 +391,11 @@ def test_embeddings_share_one_partial_cartan():
     assert len(embs) == 4
     assert all(e.pc is embs[0].pc and e.diagram is e.pc.diagram for e in embs)
     assert embs[0].pc == cl.build_partial_cartan(d)
+
+
+def test_embedding_search_leaves_no_reference_cycle():
+    d, e8 = cl.catalog("E6(a1)"), ambient("E8")
+    assert cycles_left_by(lambda: cl.find_embeddings(d, e8, limit=3)) == 0
 
 
 def test_embedding_independence_rejects_trials_below_1():

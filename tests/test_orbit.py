@@ -519,6 +519,13 @@ def test_from_json_rejects_invalid_json(parse, text):
         parse(text)
 
 
+def test_system_json_rejects_a_same_color_edge_in_its_diagram():
+    doc = json.loads(orbit.to_json(system_of("D5(a1)")))
+    doc["diagram"]["edges"].append({"u": "a1", "v": "a2", "sign": "solid"})
+    with pytest.raises(dg.DiagramError, match=r"^D5\(a1\): edge a1-a2 joins two alpha vertices$"):
+        orbit.from_json(json.dumps(doc))
+
+
 def test_system_json_rejects_unknown_key():
     doc = json.loads(orbit.to_json(system_of("D4")))
     doc["extra"] = 1
