@@ -194,9 +194,9 @@ def cmd_verify(args) -> int:
         realized = _realized_components(sys_, labels, "direct labels")
         print(f"  realized components: {realized} of {len(sys_.components)}")
     # Over E8 a diagram of rank <= 7 realizes every linkage vector in each of
-    # its embeddings.  Chains are exempt: A7 has two embedding classes in E8.
-    chain = len(d.edges) == len(d) - 1 and all(len(d.neighbors(v)) <= 2 for v in d.vertices)
-    e8_equality = amb.name == "E8" and len(d) <= 7 and not chain
+    # its embeddings, A7 (up to switching) excepted: it has two classes of
+    # embeddings in E8 (Carter 1972, Lemma 27).
+    e8_equality = amb.name == "E8" and len(d) <= 7 and not dg.isomorphic(d, dg.catalog("A7"))
     if e8_equality and labels != set(enum):
         raise orbit.VerificationError(
             f"direct labels over E8 differ from the enumerated set for {d.name}: "

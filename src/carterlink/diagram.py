@@ -418,6 +418,15 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
 
     Useful as the documented permutation between a parametric diagram and
     its tabled counterpart, e.g. carter_D_ak(6, 2) onto catalog('D6(a2)').
+
+    d1's vertices are placed in its ``search_order``, each on the first free
+    vertex of d2 of the same degree that fits, so every vertex after the
+    first meets an earlier one.  Each placed vertex u carries a switching
+    sign e_u: +1 for the first; with ``allow_switching``, vertex i takes the
+    sign that its first neighbor u in ``search_order`` forces on candidate j,
+    e_i = g2[j][pi u] g1[i][u] e_u, and without it every sign is +1.  The
+    candidate fits when g2[j][pi u] = e_i e_u g1[i][u] for every placed u,
+    non-edges (0 on both sides) included.
     """
     n = len(d1.vertices)
     if n != len(d2.vertices) or len(d1.edges) != len(d2.edges):
@@ -426,67 +435,43 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
     deg1, deg2 = ([sum(1 for x in row if x not in (0, 2)) for row in g] for g in (g1, g2))
     if sorted(deg1) != sorted(deg2):
         return None
-
+    order = d1.search_order
     used = [False] * n
     perm = [-1] * n
+    sign = [1] * n
 
-    def ok(i: int, j: int) -> bool:
-        for i2 in range(n):
-            if perm[i2] >= 0:
-                if allow_switching:
-                    if abs(g1[i][i2]) != abs(g2[j][perm[i2]]):
-                        return False
-                elif g1[i][i2] != g2[j][perm[i2]]:
-                    return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return not allow_switching or _switching_consistent(g1, g2, perm)
+    def rec(k: int) -> bool:
+        if k == n:
+            return True
+        i, placed = order[k], order[:k]
+        u0 = next((u for u in placed if g1[i][u]), None)
         for j in range(n):
-            if not used[j] and deg1[i] == deg2[j] and ok(i, j):
-                used[j] = True
-                perm[i] = j
-                if rec(i + 1):
+            if used[j] or deg1[i] != deg2[j]:
+                continue
+            # e = 0 when j is not joined to the image of u0
+            e = g2[j][perm[u0]] * g1[i][u0] * sign[u0] if allow_switching and k else 1
+            if e and all(g2[j][perm[u]] == e * sign[u] * g1[i][u] for u in placed):
+                used[j], perm[i], sign[i] = True, j, e
+                if rec(k + 1):
                     return True
                 used[j] = False
-                perm[i] = -1
         return False
 
-    if not rec(0):
-        return None
-    return {d1.vertices[i]: d2.vertices[perm[i]] for i in range(n)}
-
-
-def _switching_consistent(g1, g2, perm) -> bool:
-    """Check a sign assignment exists: g2[pi(u)][pi(v)] = e_u e_v g1[u][v].
-
-    The signs propagate along the edges as pairs (vertex, e_vertex); an
-    assignment exists exactly when no vertex is reached with both signs."""
-    n = len(g1)
-
-    def images(node):
-        u, e = node  # e_v = e_u * g2[pi(u)][pi(v)] * g1[u][v], each edge +-1
-        return ((v, e * g2[perm[u]][perm[v]] * g1[u][v]) for v in range(n)
-                if v != u and g1[u][v])
-
-    signed: set = set()
-    for start in range(n):
-        if not {(start, 1), (start, -1)} & signed:
-            signed |= closure((start, 1), images)
-    return all((v, -e) not in signed for v, e in signed)
+    found = rec(0)
+    del rec  # rec's closure refers to rec; without the name no cycle outlives the search
+    return {v: d2.vertices[j] for v, j in zip(d1.vertices, perm)} if found else None
 
 
 # -- JSON ----------------------------------------------------------------------
 
 
-def to_json(d: CarterDiagram, indent: Optional[int] = None) -> str:
+def to_json(d: CarterDiagram) -> str:
     doc = {
         "name": d.name,
         "vertices": [{"id": v.id, "color": v.color} for v in d.vertices],
         "edges": [{"u": u.id, "v": v.id, "sign": SIGN_NAMES[s]} for u, v, s in d.edges],
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc)
 
 
 def from_json(text: str) -> CarterDiagram:

@@ -83,11 +83,7 @@ class LinkageSystem:
     component_p: tuple[Fraction, ...]
     loctets: tuple[Loctet, ...]
     unicolored: tuple[Linkage, ...]
-    _index: Optional[dict] = field(default=None, repr=False, compare=False)  # node -> position
-
-    def __post_init__(self) -> None:
-        if self._index is None:
-            object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.nodes)})
+    _index: dict = field(repr=False, compare=False)  # node -> position
 
     def node_index(self, v: Linkage) -> int:
         i = self._index.get(tuple(v))
@@ -195,12 +191,12 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     if d.pattern is not None:
         pat = _pattern_indices(pc)
         loctets = _generated_loctets(pc, index, pat)
-        membership: dict[Linkage, int] = {}
-        for li, loc in enumerate(loctets):
+        membership: set[Linkage] = set()
+        for loc in loctets:
             for m in loc.members:
                 if m in membership:
                     raise VerificationError(f"{d.name}: {m} lies in two distinct loctets")
-                membership[m] = li
+                membership.add(m)
         for v in nodes:
             has_alpha = any(v[i] != 0 for i in pat[:3])
             if has_alpha and v not in membership:
@@ -274,15 +270,9 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
 def _generated_loctets(pc: PartialCartan, index: dict[Linkage, int],
                        pat: Indices) -> tuple[Loctet, ...]:
     out: list[Loctet] = []
-    seen: set = set()
     for kind in LOCTET_TYPES:
         ijkb = _kind_indices(pat, kind)
-        for g8 in _gamma8(pc, ijkb):
-            loc = _loctet(pc, g8, kind, ijkb, index.__contains__)
-            key = loc.member_set()
-            if key not in seen:
-                seen.add(key)
-                out.append(loc)
+        out += (_loctet(pc, g8, kind, ijkb, index.__contains__) for g8 in _gamma8(pc, ijkb))
     return tuple(out)
 
 

@@ -1,11 +1,12 @@
 """Shared test support: cached constructors, so the suite builds each heavy
 object once, the Fraction reference linear algebra, coordinate references for
 the root-system oracles, edge-scanning references for the diagram, switched,
-color-swapped and shuffled diagrams, the prefix count of the linkage search,
-the count of garbage a call leaves in reference cycles, and diagram
-generators."""
+color-swapped and shuffled diagrams, a brute-force isomorphism search, the
+prefix count of the linkage search, the count of garbage a call leaves in
+reference cycles, and diagram generators."""
 
 import gc
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -357,6 +358,49 @@ def shuffled(d, seed):
     vertices = list(d.vertices)
     random.Random(seed).shuffle(vertices)
     return cl.CarterDiagram(d.name, tuple(vertices), d.edges)
+
+
+# -- brute-force isomorphism -------------------------------------------------------
+
+
+def realizes_isomorphism(mapping, d1, d2, allow_switching=True) -> bool:
+    """Whether the bijection ``mapping`` carries d1's Gram matrix onto d2's:
+    exactly, or, with ``allow_switching``, up to the signs e_v that a
+    breadth-first spanning tree of d1 forces from e = +1 at its first vertex,
+    g2[pi u][pi v] = e_u e_v g1[u][v] for every pair u, v."""
+    g1, g2, n = d1.gram(), d2.gram(), len(d1)
+    pi = [d2.index_of(mapping[v]) for v in d1.vertices]
+    if len(mapping) != n or sorted(pi) != list(range(len(d2))):
+        return False
+    e = {0: 1}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop(0)
+        for v in range(n):
+            if g1[u][v] and v not in e:
+                e[v] = g2[pi[u]][pi[v]] * g1[u][v] * e[u] if allow_switching else 1
+                frontier.append(v)
+    return all(g2[pi[u]][pi[v]] == e[u] * e[v] * g1[u][v] for u in range(n) for v in range(n))
+
+
+def ref_find_isomorphism(d1, d2, allow_switching=True):
+    """The first bijection d1 -> d2, with signs e (all +1 without switching),
+    such that g2[pi u][pi v] = e_u e_v g1[u][v] for every pair, or None.  It
+    tries every permutation that matches the unsigned graphs with every sign
+    vector, so it is for rank <= 5."""
+    n = len(d1)
+    assert n <= 5, "the brute force is for rank 5 or less"
+    if n != len(d2):
+        return None
+    g1, g2 = d1.gram(), d2.gram()
+    signs = list(itertools.product((1, -1), repeat=n)) if allow_switching else [(1,) * n]
+    for pi in itertools.permutations(range(n)):
+        if any(abs(g2[pi[u]][pi[v]]) != abs(g1[u][v]) for u in range(n) for v in range(n)):
+            continue
+        for e in signs:
+            if all(g2[pi[u]][pi[v]] == e[u] * e[v] * g1[u][v] for u in range(n) for v in range(n)):
+                return dict(zip(d1.vertices, (d2.vertices[j] for j in pi)))
+    return None
 
 
 # -- the linkage search ------------------------------------------------------------

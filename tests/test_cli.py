@@ -373,6 +373,25 @@ def test_verify_trial_labels_must_cover_whole_components(capsys, monkeypatch):
     assert err.endswith(f": {_vec(witness)} is missing\n")
 
 
+@pytest.mark.parametrize("name", ["A5", "A6"])
+def test_verify_catches_a_dropped_component_of_a_short_chain(capsys, monkeypatch, name):
+    # only A7 has two classes of embeddings in E8, so the E8 equality holds for
+    # the shorter chains: direct labels that lose one whole component fail it
+    s = system_of(name)
+    dropped = {s.nodes[i] for i in s.components[0]}
+    real = rt.direct_linkage_labels
+
+    def drop(*args):
+        dl = real(*args)
+        return rt.DirectLabels(dl.embedding, dl.realized,
+                               tuple(v for v in dl.labels if v not in dropped))
+
+    monkeypatch.setattr(rt, "direct_linkage_labels", drop)
+    code, _, err = run(capsys, "verify", name)
+    assert (code, err) == (2, "verification failure: direct labels over E8 differ from the "
+                              f"enumerated set for {name}: {_vec(s.nodes[0])} is not realized\n")
+
+
 _OUTSIDE = (5, 0, 0, 0, 0, 0)  # an E6(a1) label vector that is no linkage
 
 

@@ -8,7 +8,8 @@ from carterlink import diagram as dg
 from carterlink.cartan import CartanError
 
 from helpers import (C4_CATALOG, CATALOG, LARGE_RANK, SHUFFLE_SEEDS, color_swapped,
-                     e8_root_subset_diagrams, pc_of, ref_detect_pattern, ref_gram, ref_neighbors,
+                     cycles_left_by, e8_root_subset_diagrams, pc_of, realizes_isomorphism,
+                     ref_detect_pattern, ref_find_isomorphism, ref_gram, ref_neighbors,
                      ref_normalized_edges, ref_search_order, shuffled, signed_bipartite_diagrams,
                      switched)
 
@@ -218,6 +219,51 @@ def test_find_isomorphism_gives_table_permutation():
 
 def test_find_isomorphism_none_for_mismatch():
     assert cl.find_isomorphism(cl.catalog("D4"), cl.catalog("D4(a1)")) is None
+
+
+def _small_variants():
+    """The catalog and family diagrams of rank <= 5, each with its
+    single-vertex switchings and two shuffles."""
+    names = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D4(a1)", "D5(a1)"]
+    for d in [cl.catalog(n) for n in names] + [cl.carter_D_ak(4, 1), cl.carter_D_ak(5, 1),
+                                               cl.carter_D_ak(5, 2)]:
+        yield d
+        yield from (switched(d, v) for v in d.vertices)
+        yield from (shuffled(d, seed) for seed in (1, 2))
+
+
+@pytest.mark.parametrize("allow_switching", [True, False])
+def test_find_isomorphism_verdicts_match_brute_force(allow_switching):
+    small = list(_small_variants())
+    verdicts = set()
+    for d1 in small:
+        for d2 in small:
+            m = cl.find_isomorphism(d1, d2, allow_switching)
+            found = ref_find_isomorphism(d1, d2, allow_switching) is not None
+            assert (m is not None) == found, (d1.name, d2.name)
+            assert m is None or realizes_isomorphism(m, d1, d2, allow_switching)
+            verdicts.add(found)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(e8_root_subset_diagrams(), signed_bipartite_diagrams(max_rank=10)), st.data())
+def test_find_isomorphism_mappings_realize_the_gram_equality(d, data):
+    # d against a drawn relabeling of itself: its vertices shuffled, then some switched
+    other = cl.CarterDiagram(d.name, tuple(data.draw(st.permutations(d.vertices))), d.edges)
+    m = cl.find_isomorphism(d, other, allow_switching=False)
+    assert m is not None and realizes_isomorphism(m, d, other, allow_switching=False)
+    for v in data.draw(st.lists(st.sampled_from(d.vertices), unique=True)):
+        other = switched(other, v)
+    m = cl.find_isomorphism(d, other)
+    assert m is not None and realizes_isomorphism(m, d, other)
+    m = cl.find_isomorphism(d, other, allow_switching=False)
+    assert m is None or realizes_isomorphism(m, d, other, allow_switching=False)
+
+
+def test_find_isomorphism_leaves_no_reference_cycle():
+    d1, d2 = cl.catalog("D12(a3)"), cl.catalog("D12(a7)")
+    assert cycles_left_by(lambda: cl.find_isomorphism(d1, d2)) == 0
 
 
 # -- JSON -----------------------------------------------------------------------

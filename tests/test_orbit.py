@@ -302,6 +302,13 @@ def test_loctet_members_must_be_linkage_vectors():
         orbit._generated_loctets(pc, index, orbit._pattern_indices(pc))
 
 
+def test_build_system_rejects_a_loctet_generated_twice(monkeypatch):
+    real = orbit._gamma8
+    monkeypatch.setattr(orbit, "_gamma8", lambda pc, ijkb: real(pc, ijkb) * 2)
+    with pytest.raises(orbit.VerificationError, match="^E6\\(a1\\): .* lies in two distinct loctets$"):
+        cl.build_system(cl.build_partial_cartan(cl.catalog("E6(a1)")))
+
+
 def test_build_system_names_the_node_whose_form_differs(monkeypatch):
     # the last node's form numerator off by 1; its component starts at (-1, -1, 0, 1)
     pc = cl.build_partial_cartan(cl.catalog("D4"))
