@@ -7,8 +7,10 @@ is on plain integers.  The E8 coordinates are half-integers, so every root
 system is built in doubled coordinates, where the inner product of two roots
 is the dot product divided by 4; ``roots`` is its one Fraction view, and its
 inner-product bitsets are bit-sliced by coordinate value.  A label is the
-inner product of two roots of one ambient system, so the labels and the
-extension orbits are read from those bitsets by root index, not recomputed.
+inner product of two roots of one ambient system, so the labels are read
+from those bitsets by root index, not recomputed, and so is each reflection,
+a permutation of root indices; the first call builds them all and the root
+system keeps them.
 With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
 mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
 checked as an integer identity; the public results carry the same values as
@@ -18,7 +20,8 @@ and once per mu, and per root only on what involves gamma; the realized
 roots share those Fraction objects, taken from one table.
 ``find_embeddings`` builds the partial Cartan matrix of the diagram once;
 its embeddings share it and every oracle reads it from there.  The extension
-and weight orbits are ``diagram.closure`` under reflections.
+orbits are ``diagram.closure`` under those kept reflections, looked up by root
+index; the weight orbits are ``diagram.closure`` under the dual reflections.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import add, mul, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from operator import mul, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import CartanError, PartialCartan, build_partial_cartan
@@ -68,10 +71,13 @@ class RootSystem:
     integers, and ``index`` maps it back to i; ``roots`` is their Fraction
     view.  ``ip_bits[i][t + 1]`` is a bitset over root indices:
     bit j is set when (root i, root j) = t, for t in -1, 0, 1.  The embedding
-    search narrows its candidates with them; the label scans and the
-    extension orbits read every inner product with an embedded root from
-    them.  The span test of ``embedding_independence`` on labels alone is
-    exact: p = 2 exactly when mu = 0, because |gamma|^2 = p + |mu|^2 = 2.
+    search narrows its candidates with them, and the label scans read every
+    inner product with an embedded root from them.  ``reflection(g)`` is the
+    reflection in root g as a tuple of root indices; the first call builds
+    every row from them, and they are kept.  The extension orbits follow
+    these rows.  The span test of
+    ``embedding_independence`` on labels alone is exact: p = 2 exactly when
+    mu = 0, because |gamma|^2 = p + |mu|^2 = 2.
     """
 
     def __init__(self, name: str, rank: int, dim: int, doubled: Iterable[Doubled]) -> None:
@@ -90,6 +96,7 @@ class RootSystem:
                     f"{name}: set not closed under negation: doubled root {x} has no negative")
         self.roots = tuple(tuple(_HALVES[c] for c in x) for x in self.doubled)
         self.ip_bits = self._ip_bits()
+        self._reflections: Optional[tuple[tuple[int, ...], ...]] = None
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
         """Bit-sliced: ``by_value[k][c]`` is the bitset of the roots whose
@@ -124,10 +131,53 @@ class RootSystem:
     def __len__(self) -> int:
         return len(self.roots)
 
+    def reflection(self, g: int) -> tuple[int, ...]:
+        """The reflection in root g as a permutation of root indices: x goes to
+        x + v or x - v when (x, v) = -1 or 1, v = root g, to -x when x = +-v,
+        and stays when (x, v) = 0.  The first call builds every row, so no
+        later call builds any."""
+        if not 0 <= g < len(self.doubled):
+            raise RootSystemError(f"{self.name}: no root of index {g}")
+        if self._reflections is None:
+            self._reflections = self._reflection_rows()
+        return self._reflections[g]
+
+    def _reflection_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every row of ``reflection``, from ``ip_bits``.  A root is keyed by
+        its doubled coordinates read as the digits of one balanced base-b
+        integer; the key is linear, so x -+ v, a root, is found by the key
+        of x -+ that of v, with no tuple built."""
+        b = 2 * max(abs(c) for x in self.doubled for c in x) + 1
+        keys = []
+        for x in self.doubled:
+            k = 0
+            for c in x:
+                k = k * b + c
+            keys.append(k)
+        at = {k: i for i, k in enumerate(keys)}
+        rows = []
+        for g, (minus, _, plus) in enumerate(self.ip_bits):
+            kg = keys[g]
+            row = list(range(len(keys)))  # (x, v) = 0
+            for bits, step in ((plus, -kg), (minus, kg)):
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    j = low.bit_length() - 1
+                    row[j] = at[keys[j] + step]
+            row[g] = neg = at[-kg]
+            row[neg] = g
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def in_root_lattice(self, x: Sequence[Fraction]) -> bool:
-        """Membership in the root lattice (a norm-2 lattice vector is a root)."""
+        """Membership in the root lattice (a norm-2 lattice vector is a root).
+        A vector outside the span is not in it; one of another length raises."""
+        if len(x) != self.dim:
+            raise RootSystemError(f"{self.name}: vector of length {len(x)}, expected {self.dim}")
         y = _double(x)
-        return y is not None and self._in_lattice(y)
+        return (y is not None and all(y[a] + y[b] == 0 for a, b in _E_SPAN.get(self.name, ()))
+                and self._in_lattice(y))
 
     def _in_lattice(self, y: Sequence[int]) -> bool:
         """Root-lattice membership of y / 2, for an integer vector y."""
@@ -148,6 +198,9 @@ class RootSystem:
 
 
 _EXPECTED_COUNTS = {"E6": 72, "E7": 126, "E8": 240}
+# the span of E7 in R^8 is x7 + x8 = 0, that of E6 also x6 + x7 = 0: the pairs of
+# coordinates, counted from 0, that sum to 0 on the span
+_E_SPAN = {"E6": ((6, 7), (5, 6)), "E7": ((6, 7),)}
 
 
 def build_root_system(name: str) -> RootSystem:
@@ -175,12 +228,9 @@ def build_root_system(name: str) -> RootSystem:
         assert len(rs) == 2 * n * (n - 1)
         return rs
     if family == "E" and n in (6, 7, 8):
-        roots = _e8_roots()
-        if n < 8:
-            roots = [x for x in roots if x[6] + x[7] == 0]  # orthogonal to e7 + e8
-        if n == 6:
-            roots = [x for x in roots if x[5] + x[6] == 0]  # and to e6 + e7
-        rs = RootSystem(f"E{n}", n, 8, roots)
+        span = _E_SPAN.get(f"E{n}", ())
+        rs = RootSystem(f"E{n}", n, 8, [x for x in _e8_roots()
+                                        if all(x[a] + x[b] == 0 for a, b in span)])
         assert len(rs) == _EXPECTED_COUNTS[f"E{n}"]
         return rs
     raise RootSystemError(f"unsupported root system {name!r}")
@@ -416,23 +466,10 @@ def _extension_orbit(e: Embedding, seed: int) -> set[int]:
     and in seed itself, as ambient root indices.  This is the orbit of the
     one added root; the orbit of the whole extended subset is strictly larger
     and mixes p-classes (images of the embedded roots can carry
-    mu-components of twice the length).  The reflection in v fixes x when
-    (x, v) = 0, maps it to x + v or x - v when (x, v) = -1 or 1, and to -x
-    when x = +-v; (x, v) is read from ``ip_bits``."""
-    amb = e.ambient
-    gens = [(amb.doubled[g], amb.ip_bits[g]) for g in (*e.idx, seed)]
-
-    def images(j: int) -> Iterator[int]:
-        x = amb.doubled[j]
-        for v, (minus, zero, plus) in gens:
-            if minus >> j & 1:
-                yield amb.index[tuple(map(add, x, v))]
-            elif plus >> j & 1:
-                yield amb.index[tuple(map(sub, x, v))]
-            elif not zero >> j & 1:  # x = +-v
-                yield amb.index[tuple(-c for c in x)]
-
-    return dg.closure(seed, images)
+    mu-components of twice the length).  Each reflection is the ambient's
+    kept row of root indices, ``RootSystem.reflection``."""
+    rows = [e.ambient.reflection(g) for g in (*e.idx, seed)]
+    return dg.closure(seed, lambda j: [row[j] for row in rows])
 
 
 class _LawData(NamedTuple):

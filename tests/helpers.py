@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -154,7 +155,7 @@ def ref_rank(vectors) -> int:
 
 
 def _dot(x, y) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def ref_realized(e) -> list:
@@ -186,6 +187,14 @@ def ref_realized(e) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _ref_reflect(x, v):
+    """x - (x, v) v for doubled x and v, by a dot product of coordinates."""
+    c, rem = divmod(_dot(x, v), 4)
+    assert rem == 0, "non-integral inner product"
+    return tuple(a - c * b for a, b in zip(x, v)) if c else x
+
+
 def ref_extension_orbit(e, seed) -> frozenset:
     """Orbit of the doubled root ``seed`` under the reflections in the
     embedded roots and in seed itself, by 8-coordinate dot products."""
@@ -196,9 +205,7 @@ def ref_extension_orbit(e, seed) -> frozenset:
         nxt = []
         for x in frontier:
             for v in gens:
-                c, rem = divmod(_dot(x, v), 4)
-                assert rem == 0, "non-integral inner product"
-                y = tuple(a - c * b for a, b in zip(x, v))
+                y = _ref_reflect(x, v)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)

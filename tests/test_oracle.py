@@ -12,8 +12,8 @@ from carterlink import roots as rt
 from carterlink.cartan import CartanError
 from carterlink.diagram import DiagramError
 from carterlink.linkage import group_by_p
-from helpers import CATALOG, ambient, cycles_left_by, embedding_in, labels_in, links_of, pc_of, \
-    ref_extension_orbit, ref_inverse, ref_mat_vec, ref_quad_form, ref_rank, \
+from helpers import CATALOG, _dot, ambient, cycles_left_by, embedding_in, labels_in, links_of, \
+    pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_quad_form, ref_rank, \
     ref_realized, ref_root_system, signed_bipartite_diagrams, system_of
 
 
@@ -97,6 +97,56 @@ def test_in_root_lattice():
     d5 = ambient("D5")
     assert d5.in_root_lattice((1, 1, 0, 0, 0))
     assert not d5.in_root_lattice((1, 0, 0, 0, 0))
+
+
+def test_in_root_lattice_is_false_off_the_span():
+    e7, e6 = ambient("E7"), ambient("E6")
+    assert ambient("E8").in_root_lattice((0,) * 6 + (1, 1))
+    assert not e7.in_root_lattice((0,) * 6 + (1, 1))  # e7 + e8: the span has x7 + x8 = 0
+    assert e7.in_root_lattice((0,) * 6 + (1, -1))
+    assert not e6.in_root_lattice((0,) * 5 + (1, 1, 0))  # e6 + e7
+    assert e7.in_root_lattice((0,) * 4 + (1, 1, 0, 0))
+    assert not e6.in_root_lattice((0,) * 4 + (1, 1, 0, 0))  # e5 + e6: the span has x6 + x7 = 0
+    assert e6.in_root_lattice((1, 1) + (0,) * 6)
+
+
+@pytest.mark.parametrize("name,x", [("E7", (1, -1)), ("E8", (1,) * 9), ("A4", (1, -1, 0, 0)),
+                                    ("D5", (1, 1, 0, 0, 0, 0))])
+def test_in_root_lattice_rejects_a_vector_of_another_length(name, x):
+    with pytest.raises(rt.RootSystemError, match=f"^{name}: vector of length {len(x)}, expected "):
+        ambient(name).in_root_lattice(x)
+
+
+@pytest.mark.parametrize("name", ["A4", "D5", "E6", "E7", "E8"])
+def test_reflection_rows_match_coordinates(name):
+    rs = ambient(name)
+    n = len(rs)
+    for g, v in enumerate(rs.doubled):
+        row = rs.reflection(g)
+        assert rs.reflection(g) is row  # kept
+        assert sorted(row) == list(range(n))
+        assert all(row[row[j]] == j for j in range(n))
+        assert row[g] == rs.index[tuple(-c for c in v)]
+        assert {j for j in range(n) if row[j] == j} == \
+            {j for j in range(n) if rs.ip_bits[g][1] >> j & 1}
+        for j, x in enumerate(rs.doubled):
+            c, rem = divmod(_dot(x, v), 4)
+            assert rem == 0
+            assert rs.doubled[row[j]] == tuple(a - c * b for a, b in zip(x, v)), (g, j)
+
+
+def test_first_reflection_call_builds_every_row():
+    # a warm-up that reaches one row leaves no row to build in a timed call
+    rs = rt.build_root_system("D5")
+    row = rs.reflection(3)
+    assert len(rs._reflections) == len(rs)
+    assert rs._reflections[3] is row
+
+
+@pytest.mark.parametrize("g", [-1, 20])
+def test_reflection_rejects_an_index_of_no_root(g):
+    with pytest.raises(rt.RootSystemError, match=f"^A4: no root of index {g}$"):
+        ambient("A4").reflection(g)
 
 
 # -- embeddings -------------------------------------------------------------------
@@ -569,14 +619,25 @@ def test_labels_match_coordinate_scan(name, amb):
     check_against_coordinate_scan(cl.catalog(name), ambient(amb))
 
 
-@pytest.mark.parametrize("name", ["D4(a1)", "D5(a1)", "E6(a1)", "D6(a2)", "E7(a4)", "D4"])
+@pytest.mark.parametrize("name", CATALOG + ["E8"])
 def test_extension_orbit_by_index_matches_coordinates(name):
-    e8 = ambient("E8")
-    dl = labels_in(name, "E8")
-    for r in dl.realized:
-        x = rt._double(r.gamma)
-        got = {e8.doubled[i] for i in rt._extension_orbit(dl.embedding, e8.index[x])}
-        assert got == ref_extension_orbit(dl.embedding, x), r.gamma
+    # on a fresh root system the rows are built during the calls; on the
+    # shared one they may be kept from earlier calls, in other ambients too
+    for amb in ("E8", "E7", "D8"):
+        fresh = cl.build_root_system(amb)
+        e = cl.find_embedding(cl.catalog(name), fresh)
+        if e is None:
+            assert embedding_in(name, amb) is None
+            continue
+        shared = labels_in(name, amb).embedding
+        assert (e.idx, e.roots) == (shared.idx, shared.roots)
+        for r in cl.direct_linkage_labels(e).realized:
+            x = rt._double(r.gamma)
+            want = ref_extension_orbit(e, x)
+            for emb in (e, shared):
+                got = {emb.ambient.doubled[i]
+                       for i in rt._extension_orbit(emb, emb.ambient.index[x])}
+                assert got == want, (r.gamma, emb.ambient)
 
 
 def brute_force_embeddings(d, amb, limit):
