@@ -64,10 +64,6 @@ class Loctet:
     kind: str
     members: tuple[Linkage, ...]
 
-    @property
-    def gamma8(self) -> Linkage:
-        return self.members[7]
-
     def member_set(self) -> frozenset:
         return frozenset(self.members)
 

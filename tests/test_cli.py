@@ -255,6 +255,9 @@ INPUT_REJECTIONS = {
     "disconnected": ("cartan", _d4_with(edges=_D4["edges"][:2]), (), "D4: diagram is disconnected"),
     "project-dotted-leaf": ("project", _e6a1_with_b3_dotted(), ("D5(a1)", "--vertex", "b3"),
                             "b3 is not a simple-extension leaf"),
+    "verify-ambient-above-max-rank": (
+        "verify", json.loads(dg.to_json(cl.catalog("A3"))), ("--ambient", f"D{dg.MAX_RANK + 1}"),
+        f"D_n supports 2 <= n <= {dg.MAX_RANK}, got {dg.MAX_RANK + 1}"),
 }
 
 
@@ -284,14 +287,19 @@ def test_missing_subcommand_exit_1(capsys):
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
+# --trials value: the reason argparse's error line gives
+_BAD_TRIALS = {"0": "must be at least 1, got 0", "-3": "must be at least 1, got -3",
+               "abc": "invalid int value: 'abc'"}
+
+
+@pytest.mark.parametrize("trials", _BAD_TRIALS)
 def test_verify_rejects_trials_below_1(capsys, trials):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "D4(a1)", "--trials", trials])
     out = capsys.readouterr()
     assert exc.value.code == 1
     assert out.out == ""
-    assert "--trials" in out.err
+    assert out.err.endswith(f"\nerror: argument --trials: {_BAD_TRIALS[trials]}\n")
 
 
 def test_verify_bad_ambient_prints_nothing(capsys):

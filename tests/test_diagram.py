@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,20 @@ def test_carter_d_ak_parameter_range():
         cl.carter_D_ak(4, 2)
     with pytest.raises(dg.DiagramError):
         cl.carter_D_ak(5, 0)
+
+
+_ABOVE = dg.MAX_RANK + 1
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (dg.dynkin_A, (_ABOVE,), f"A_l needs 1 <= l <= {dg.MAX_RANK}, got {_ABOVE}"),
+    (dg.dynkin_D, (_ABOVE,), f"D_l needs 4 <= l <= {dg.MAX_RANK}, got {_ABOVE}"),
+    (dg.carter_D_ak, (_ABOVE, 2),
+     f"D{_ABOVE}(a2): rank {_ABOVE} exceeds the supported bound {dg.MAX_RANK}"),
+], ids=["A", "D", "D(a2)"])
+def test_named_families_reject_a_rank_above_the_bound(build, args, message):
+    with pytest.raises(dg.DiagramError, match=f"^{re.escape(message)}$"):
+        build(*args)
 
 
 @pytest.mark.parametrize("l", range(4, 13))
