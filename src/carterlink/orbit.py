@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import diagram as dg
-from .cartan import PartialCartan, build_partial_cartan, simply_extendable
+from .cartan import PartialCartan, build_partial_cartan
 from .linkage import Linkage, _search, enumerate_linkages, form_num
 
 LOCTET_TYPES = ("L12", "L13", "L23")
@@ -297,10 +297,13 @@ class ProjectionReport:
 def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> ProjectionReport:
     """Drop one coordinate of every node of ``ext`` and verify the images.
 
-    Preconditions: the extended diagram must be the base plus one leaf at a
-    simply extendable vertex, ``dropped`` being the leaf.  Every nonzero
-    image must be a base linkage vector; the kernel must be exactly the two
-    unit vectors at the dropped coordinate; loctets must map onto loctets.
+    Preconditions: the extended diagram must be the base plus one solid
+    leaf, ``dropped`` being the leaf.  Every nonzero image must be a base
+    linkage vector; the kernel must be exactly the two unit vectors at the
+    dropped coordinate; loctets must map onto loctets.  That the base is
+    simply extendable at the leaf's neighbor v is not checked: B_ext is then
+    [[B, -e_v], [-e_v^T, 2]], so det B_ext = det B * (2 - (B^-1)_vv), and
+    both determinants are positive, so (B^-1)_vv < 2.
     """
     d_ext = ext.pc.diagram
     di = d_ext.index_of(dropped)
@@ -316,9 +319,6 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
     if len(column) != 1 or column[0][1] != dg.SOLID:
         raise dg.DiagramError(f"{dropped} is not a simple-extension leaf")
     attach = base.diagram.vertices[keep.index(column[0][0])]
-    if not simply_extendable(base, attach):
-        raise dg.DiagramError(
-            f"{base.diagram.name} is not simply extendable at {attach}")
 
     base_sys = build_system(base)
     base_nodes = set(base_sys.nodes)

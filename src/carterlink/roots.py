@@ -211,7 +211,10 @@ def build_root_system(name: str) -> RootSystem:
     of minus signs to D8.  E7 is the subset of E8 orthogonal to e7+e8; E6
     additionally orthogonal to e6+e7.
     """
-    family, n, k = dg.parse_name(name)
+    try:
+        family, n, k = dg.parse_name(name)
+    except dg.DiagramError:
+        raise RootSystemError(f"unsupported root system {name!r}") from None
     if k is not None:
         raise RootSystemError(f"{name!r} is not a root-system name")
     if family == "A":

@@ -258,6 +258,12 @@ INPUT_REJECTIONS = {
     "verify-ambient-above-max-rank": (
         "verify", json.loads(dg.to_json(cl.catalog("A3"))), ("--ambient", f"D{dg.MAX_RANK + 1}"),
         f"D_n supports 2 <= n <= {dg.MAX_RANK}, got {dg.MAX_RANK + 1}"),
+    "verify-ambient-empty": ("verify", json.loads(dg.to_json(cl.catalog("A3"))), ("--ambient", ""),
+                             "unsupported root system ''"),
+    "verify-ambient-unknown": ("verify", json.loads(dg.to_json(cl.catalog("A3"))),
+                               ("--ambient", "X9"), "unsupported root system 'X9'"),
+    "system-out-empty": ("system", _D4, ("--out", ""),
+                         "[Errno 2] No such file or directory: ''"),
 }
 
 
@@ -347,19 +353,21 @@ def test_verify_accepts_several_embedding_classes(capsys, argv):
 
 
 def test_verify_label_sets_must_agree_under_e8_equality(capsys, monkeypatch):
+    # a second class realizing one whole component of E6(a1): each set is held
+    # to the E8 equality, so the second fails it
     real = rt.embedding_independence
+    s = system_of("E6(a1)")
+    comp = tuple(sorted(s.nodes[i] for i in s.components[0]))
 
     def two_classes(d, amb, trials):
         rep = real(d, amb, trials)
-        return rt.IndependenceReport(rep.embeddings, rep.labels, (rep.labels, rep.labels[:8]))
+        return rt.IndependenceReport(rep.embeddings, rep.labels, (rep.labels, comp))
 
     monkeypatch.setattr(rt, "embedding_independence", two_classes)
     code, _, err = run(capsys, "verify", "E6(a1)", "--trials", "2")
-    assert code == 2
-    assert "distinct label sets differ between embeddings of E6(a1) in E8" in err
-    # the sets are the sorted enumeration and its first 8 vectors
-    witness = sorted(system_of("E6(a1)").nodes)[8]
-    assert err.endswith(f": {_vec(witness)} is in one set only\n")
+    assert (code, err) == (2, "verification failure: trial labels over E8 differ from the "
+                              "enumerated set for E6(a1): "
+                              f"{_vec(_first_node_outside_component_0())} is not realized\n")
 
 
 def test_verify_trial_labels_must_cover_whole_components(capsys, monkeypatch):

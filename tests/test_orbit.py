@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import orbit
+from carterlink.cartan import CartanError
 from carterlink.linkage import _search, form_num, form_value
 
 from helpers import CATALOG, e8_root_subset_diagrams, links_of, pc_of, system_of
@@ -235,6 +236,21 @@ def test_simple_extensions_build_with_a_derived_pattern(name):
         assert orbit.from_json(orbit.to_json(s)) == s, (name, v.id)
 
 
+@pytest.mark.parametrize("name", dg.catalog_names())
+def test_extension_determinant_law(name):
+    # det B_ext = det B * (2 - (B^-1)_vv) for a solid leaf at v, so B_ext is
+    # positive definite exactly where (B^-1)_vv < 2: project_system relies on it
+    pc = cl.build_partial_cartan(cl.catalog(name))
+    for v in pc.diagram.vertices:
+        law = pc.det * (2 - cl.inverse_diagonal(pc, v))
+        try:
+            ext = cl.build_partial_cartan(cl.extend(pc.diagram, v))
+        except CartanError:
+            assert law <= 0, (name, v.id)
+            continue
+        assert ext.det == law > 0, (name, v.id)
+
+
 def test_empty_system_is_legal():
     s = cl.build_system(cl.build_partial_cartan(cl.catalog("E8")))
     assert s.nodes == () and s.loctets == () and s.components == ()
@@ -319,6 +335,31 @@ def test_build_system_names_the_node_whose_form_differs(monkeypatch):
             "D4: inverse form not constant on a component: "
             "p = 1 at (-1, -1, 0, 1), p = 3/2 at (1, 1, 0, -1)")):
         cl.build_system(pc)
+
+
+# (call, error type, message): the input checks of the public orbit routines
+_INPUT_ERRORS = {
+    "dual-reflect-length": (lambda: cl.dual_reflect(pc_of("D4(a1)"), "a1", (1, 0)),
+                            ValueError, "vector of length 2 for rank 4"),
+    "node-index": (lambda: system_of("D4").node_index((2, 0, 0, 0)),
+                   ValueError, "(2, 0, 0, 0) is not a node of the linkage system"),
+    "gamma8-kind": (lambda: cl.gamma8_candidates(pc_of("E6(a1)"), "L14"), ValueError,
+                    "loctet kind must be one of ('L12', 'L13', 'L23'), got 'L14'"),
+    "loctet-length": (lambda: cl.loctet_from_gamma8(pc_of("E6(a1)"), (0, 0, 1), "L12"),
+                      ValueError, "vector of length 3 for rank 6"),
+    "json-not-an-object": (lambda: orbit.from_json("[1, 2]"),
+                           dg.DiagramError, "system JSON must be an object"),
+    "json-missing-edges": (lambda: orbit.from_json(json.dumps(
+        {k: v for k, v in json.loads(orbit.to_json(system_of("D4"))).items() if k != "edges"})),
+        dg.DiagramError, "system JSON is missing 'edges'"),
+}
+
+
+@pytest.mark.parametrize("case", _INPUT_ERRORS)
+def test_orbit_input_checks_name_the_fault(case):
+    call, error, message = _INPUT_ERRORS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("name", [n for n in CATALOG if n != "D4(a1)"])
