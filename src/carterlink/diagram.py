@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -34,9 +33,8 @@ class DiagramError(ValueError):
     """Unknown name, malformed construction, or bad JSON."""
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
-    """A diagram vertex: kind letter, index, and color.
+class VertexId(NamedTuple):
+    """A diagram vertex: kind letter, index, and color, ordered as that tuple.
 
     Kinds 'a'/'b' are the alpha/beta families of the canonical tables;
     kinds 't'/'f' are the two chains of the parametric D_l(a_k) family,
@@ -71,52 +69,45 @@ def _chain(kind: str, length: int) -> list[VertexId]:
 Edge = tuple[VertexId, VertexId, int]
 
 
-@dataclass(frozen=True)
 class CarterDiagram:
     """A named diagram with an ordered vertex tuple and signed edges.
 
-    The value is the name, the vertices and the edges; ``pattern`` is read
-    from them by ``detect_pattern``, so two equal diagrams never disagree on it.
+    The value is the name, the vertices and the edges: equality, hash and
+    repr read those three, and assigning an attribute raises AttributeError.
+    ``pattern`` is read from them by ``detect_pattern``, so two equal diagrams
+    never disagree on it.
     The integer Gram matrix is built once, while the edges are checked, and
     the normalized ``edges``, ``neighbors`` and the pattern are read from it.
     It is checked here and nowhere else: one that is not a nonempty connected
     bicolored graph with distinct vertex ids raises DiagramError.
     """
 
-    name: str
-    vertices: tuple[VertexId, ...]
-    edges: tuple[Edge, ...]
-    # vertex and vertex id -> position
-    _index: dict = field(init=False, repr=False, compare=False)
-    _gram: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, vertices: tuple[VertexId, ...], edges: tuple[Edge, ...]) -> None:
         pos: dict[VertexId, int] = {}
-        for i, v in enumerate(self.vertices):
+        for i, v in enumerate(vertices):
             if pos.setdefault(v, i) != i:
-                raise DiagramError(f"{self.name}: duplicate vertex {v}")
-        index = {**pos, **{v.id: i for v, i in pos.items()}}
-        object.__setattr__(self, "_index", index)
-        n = len(self.vertices)
+                raise DiagramError(f"{name}: duplicate vertex {v}")
+        index = {**pos, **{v.id: i for v, i in pos.items()}}  # vertex and vertex id -> position
+        n = len(vertices)
         g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for u, v, s in self.edges:
+        for u, v, s in edges:
             if u not in pos or v not in pos:
-                raise DiagramError(f"{self.name}: edge endpoint not a vertex")
+                raise DiagramError(f"{name}: edge endpoint not a vertex")
             if u == v:
-                raise DiagramError(f"{self.name}: self loop at {u}")
+                raise DiagramError(f"{name}: self loop at {u}")
             if type(s) is not int or s not in (SOLID, DOTTED):  # not -1.0, True
-                raise DiagramError(f"{self.name}: bad edge sign {s!r}")
+                raise DiagramError(f"{name}: bad edge sign {s!r}")
             i, j = pos[u], pos[v]
             if g[i][j]:
-                raise DiagramError(f"{self.name}: duplicate edge {u}-{v}")
+                raise DiagramError(f"{name}: duplicate edge {u}-{v}")
             g[i][j] = g[j][i] = s
-        object.__setattr__(self, "_gram", tuple(map(tuple, g)))
         # the upper triangle in row-major order is the normalized edge order
-        object.__setattr__(self, "edges", tuple(
-            (u, self.vertices[j], row[j])
-            for i, (u, row) in enumerate(zip(self.vertices, g)) for j in range(i + 1, n) if row[j]))
+        edges = tuple((u, vertices[j], row[j]) for i, (u, row) in enumerate(zip(vertices, g))
+                      for j in range(i + 1, n) if row[j])
+        self.__dict__.update(name=name, vertices=vertices, edges=edges, _index=index,
+                             _gram=tuple(map(tuple, g)))
         problems = [f"edge {u}-{v} joins two {u.color} vertices"
-                    for u, v, _ in self.edges if u.color == v.color]
+                    for u, v, _ in edges if u.color == v.color]
         if not n:
             problems.append("diagram has no vertices")
         # connected exactly when each vertex of the search order meets an earlier one
@@ -126,7 +117,22 @@ class CarterDiagram:
         if len(index) < 2 * n:  # two vertices share an id key
             problems.append("duplicate vertex ids")
         if problems:
-            raise DiagramError(f"{self.name}: " + "; ".join(problems))
+            raise DiagramError(f"{name}: " + "; ".join(problems))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.vertices, self.edges) == (other.name, other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return (f"CarterDiagram(name={self.name!r}, vertices={self.vertices!r}, "
+                f"edges={self.edges!r})")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     # -- lookups ------------------------------------------------------------
 
@@ -489,30 +495,34 @@ def from_json(text: str) -> CarterDiagram:
     for key in ("vertices", "edges"):
         if not isinstance(doc[key], list):
             raise DiagramError(f"diagram JSON: {key!r} must be a list")
+    if not isinstance(doc["name"], str):
+        raise DiagramError(f"diagram JSON: 'name' must be a string, got {doc['name']!r}")
     verts = []
     for i, v in enumerate(doc["vertices"]):
         _check_keys(v, {"id", "color"}, f"vertices[{i}]")
         vid, color = v.get("id"), v.get("color")
         if color not in (ALPHA, BETA):
             raise DiagramError(f"vertices[{i}]: color must be 'alpha' or 'beta', got {color!r}")
-        m = re.match(r"^([abtf])(\d+)$", str(vid))
-        if not m:
+        # an id is canonical exactly when it is the id of the vertex read from it
+        m = re.match(r"([abtf])(\d+)", str(vid))
+        vertex = VertexId(m.group(1), int(m.group(2)), color) if m else None
+        if vertex is None or vertex.id != vid:
             raise DiagramError(f"vertices[{i}]: bad id {vid!r} (want a<k>, b<k>, t<k> or f<k>)")
-        kind, idx = m.group(1), int(m.group(2))
-        if kind == "a" and color != ALPHA or kind == "b" and color != BETA:
+        if vertex.kind == "a" and color != ALPHA or vertex.kind == "b" and color != BETA:
             raise DiagramError(f"vertices[{i}]: id {vid!r} conflicts with color {color!r}")
-        verts.append(VertexId(kind, idx, color))
+        verts.append(vertex)
     byid = {v.id: v for v in verts}
     edges = []
     for i, e in enumerate(doc["edges"]):
         _check_keys(e, {"u", "v", "sign"}, f"edges[{i}]")
-        for end in ("u", "v"):
-            if e.get(end) not in byid:
-                raise DiagramError(f"edges[{i}]: unknown vertex {e.get(end)!r}")
-        if e.get("sign") not in SIGN_VALUES:
-            raise DiagramError(f"edges[{i}]: sign must be 'solid' or 'dotted', got {e.get('sign')!r}")
-        edges.append((byid[e["u"]], byid[e["v"]], SIGN_VALUES[e["sign"]]))
-    return CarterDiagram(str(doc["name"]), tuple(verts), tuple(edges))
+        u, v, sign = e.get("u"), e.get("v"), e.get("sign")
+        for end in (u, v):
+            if not isinstance(end, str) or end not in byid:  # a list or object is unhashable
+                raise DiagramError(f"edges[{i}]: unknown vertex {end!r}")
+        if not isinstance(sign, str) or sign not in SIGN_VALUES:
+            raise DiagramError(f"edges[{i}]: sign must be 'solid' or 'dotted', got {sign!r}")
+        edges.append((byid[u], byid[v], SIGN_VALUES[sign]))
+    return CarterDiagram(doc["name"], tuple(verts), tuple(edges))
 
 
 def _check_keys(obj, allowed: set, where: str) -> None:

@@ -21,10 +21,9 @@ search order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import LinalgError, PartialCartan
@@ -32,19 +31,34 @@ from .cartan import LinalgError, PartialCartan
 Linkage = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class ExtensionSet:
-    """All linkage vectors sharing one value p of the inverse form."""
+    """All linkage vectors sharing one value p of the inverse form.
 
-    p: Fraction
-    members: tuple[Linkage, ...]
+    Its length is its member count.  Equality, hash and repr read p and the
+    members, and assigning an attribute raises AttributeError."""
+
+    def __init__(self, p: Fraction, members: tuple[Linkage, ...]) -> None:
+        self.__dict__.update(p=p, members=members)
 
     def __len__(self) -> int:
         return len(self.members)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.members) == (other.p, other.members)
 
-@dataclass(frozen=True)
-class BetaUnicolored:
+    def __hash__(self) -> int:
+        return hash((self.p, self.members))
+
+    def __repr__(self) -> str:
+        return f"ExtensionSet(p={self.p!r}, members={self.members!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class BetaUnicolored(NamedTuple):
     """Linkage vectors whose alpha labels all vanish."""
 
     members: tuple[Linkage, ...]

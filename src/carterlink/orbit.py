@@ -15,9 +15,8 @@ components are ``diagram.closure`` over the edges.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan, build_partial_cartan
@@ -53,8 +52,7 @@ def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
     return reflect_at(pc, i, tuple(v))
 
 
-@dataclass(frozen=True)
-class Loctet:
+class Loctet(NamedTuple):
     """An 8-element spindle orbit.
 
     ``members`` is ordered gamma(1..8) for the generated kinds L12/L13/L23;
@@ -68,18 +66,39 @@ class Loctet:
         return frozenset(self.members)
 
 
-@dataclass(frozen=True)
 class LinkageSystem:
-    """The orbit graph of all linkage vectors under the dual reflections."""
+    """The orbit graph of all linkage vectors under the dual reflections.
 
-    pc: PartialCartan
-    nodes: tuple[Linkage, ...]
-    edges: tuple[tuple[int, int, str], ...]
-    components: tuple[tuple[int, ...], ...]
-    component_p: tuple[Fraction, ...]
-    loctets: tuple[Loctet, ...]
-    unicolored: tuple[Linkage, ...]
-    _index: dict = field(repr=False, compare=False)  # node -> position
+    Equality, hash and repr read every attribute but ``_index``, the node
+    positions, and assigning an attribute raises AttributeError."""
+
+    def __init__(self, pc: PartialCartan, nodes: tuple[Linkage, ...],
+                 edges: tuple[tuple[int, int, str], ...], components: tuple[tuple[int, ...], ...],
+                 component_p: tuple[Fraction, ...], loctets: tuple[Loctet, ...],
+                 unicolored: tuple[Linkage, ...], _index: dict) -> None:
+        self.__dict__.update(pc=pc, nodes=nodes, edges=edges, components=components,
+                             component_p=component_p, loctets=loctets, unicolored=unicolored,
+                             _index=_index)
+
+    def _value(self) -> tuple:
+        return (self.pc, self.nodes, self.edges, self.components, self.component_p,
+                self.loctets, self.unicolored)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def __repr__(self) -> str:
+        return (f"LinkageSystem(pc={self.pc!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
+                f"components={self.components!r}, component_p={self.component_p!r}, "
+                f"loctets={self.loctets!r}, unicolored={self.unicolored!r})")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def node_index(self, v: Linkage) -> int:
         i = self._index.get(tuple(v))
@@ -275,8 +294,7 @@ def _generated_loctets(pc: PartialCartan, index: dict[Linkage, int],
 # -- projection ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
+class ProjectionReport(NamedTuple):
     """Outcome of projecting an extended system onto its base."""
 
     dropped: dg.VertexId

@@ -26,7 +26,6 @@ index; the weight orbits are ``diagram.closure`` under the dual reflections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import mul, sub
@@ -255,37 +254,46 @@ def _e8_roots() -> list[Doubled]:
 # -- embeddings ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Embedding:
     """The vertices of ``pc.diagram`` realized as ambient roots, in canonical
     vertex order.  Every oracle below reads ``pc``; being positive definite,
     it makes the roots independent.  ``doubled`` holds the same roots in
-    doubled integer coordinates and ``idx`` their ambient root indices."""
+    doubled integer coordinates and ``idx`` their ambient root indices.
+    Equality, hash and repr read ``pc``, ``ambient`` and ``roots``, and
+    assigning an attribute raises AttributeError."""
 
-    pc: PartialCartan
-    ambient: RootSystem
-    roots: tuple[Root, ...]
-    doubled: tuple[Doubled, ...] = field(init=False, repr=False, compare=False)
-    idx: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    def __init__(self, pc: PartialCartan, ambient: RootSystem, roots: tuple[Root, ...]) -> None:
+        doubled = tuple(_double(r) for r in roots)
+        for v, x in zip(pc.diagram.vertices, doubled):
+            if x not in ambient.index:
+                raise VerificationError(f"root of {v} is not a root of {ambient.name}")
+        self.__dict__.update(pc=pc, ambient=ambient, roots=roots, doubled=doubled,
+                             idx=tuple(ambient.index[x] for x in doubled))
+        n = len(roots)
+        for i in range(n):  # each root is in the ambient, so the diagonal is 8 = 4 * 2
+            for j in range(i + 1, n):
+                if _dot(doubled[i], doubled[j]) != 4 * pc.gram[i][j]:
+                    raise VerificationError(
+                        f"embedding Gram mismatch at ({pc.diagram.vertices[i]}, "
+                        f"{pc.diagram.vertices[j]})")
 
     @property
     def diagram(self) -> dg.CarterDiagram:
         return self.pc.diagram
 
-    def __post_init__(self) -> None:
-        doubled = tuple(_double(r) for r in self.roots)
-        for v, x in zip(self.diagram.vertices, doubled):
-            if x not in self.ambient.index:
-                raise VerificationError(f"root of {v} is not a root of {self.ambient.name}")
-        object.__setattr__(self, "doubled", doubled)
-        object.__setattr__(self, "idx", tuple(self.ambient.index[x] for x in doubled))
-        n = len(self.roots)
-        for i in range(n):  # each root is in the ambient, so the diagonal is 8 = 4 * 2
-            for j in range(i + 1, n):
-                if _dot(doubled[i], doubled[j]) != 4 * self.pc.gram[i][j]:
-                    raise VerificationError(
-                        f"embedding Gram mismatch at ({self.diagram.vertices[i]}, "
-                        f"{self.diagram.vertices[j]})")
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pc, self.ambient, self.roots) == (other.pc, other.ambient, other.roots)
+
+    def __hash__(self) -> int:
+        return hash((self.pc, self.ambient, self.roots))
+
+    def __repr__(self) -> str:
+        return f"Embedding(pc={self.pc!r}, ambient={self.ambient!r}, roots={self.roots!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) -> list[Embedding]:
@@ -360,8 +368,7 @@ def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embeddi
 # -- direct labels -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealizedLinkage:
+class RealizedLinkage(NamedTuple):
     """One ambient root, independent of the embedding, with its label data.
     Roots with one label vector share their ``gamma_L`` and ``p`` objects, and
     roots with one mu their ``mu`` and ``mu_norm_sq``."""
@@ -374,8 +381,7 @@ class RealizedLinkage:
     p: Fraction
 
 
-@dataclass(frozen=True)
-class DirectLabels:
+class DirectLabels(NamedTuple):
     """All realized linkages of an embedding plus the distinct label set."""
 
     embedding: Embedding
@@ -483,8 +489,7 @@ class _LawData(NamedTuple):
     mm: int  # 4D^2 |mu|^2
 
 
-@dataclass(frozen=True)
-class LawsReport:
+class LawsReport(NamedTuple):
     """Projection-law verification summary."""
 
     p_classes: tuple[tuple[Fraction, int], ...]
@@ -602,8 +607,7 @@ def expected_square_diagonal(g_u: int, g_w: int, b_u: int, b_w: int) -> int:
     return g_u * b_u
 
 
-@dataclass(frozen=True)
-class SquareAudit:
+class SquareAudit(NamedTuple):
     """Count of square configurations checked, by forced diagonal value."""
 
     checked: int
@@ -645,8 +649,7 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
     return SquareAudit(checked, with_d, checked - with_d)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     """Distinct embeddings tried and the distinct-label sets they realize.
 
     ``label_sets`` lists each distinct set once, in the order of the

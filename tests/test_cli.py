@@ -228,6 +228,16 @@ def _d4_with(**changes):
     return {k: v for k, v in {**_D4, **changes}.items() if v is not None}
 
 
+def _d4_with_edge(**changes):
+    """The D4 diagram JSON with some keys of its first edge replaced."""
+    return _d4_with(edges=[{**_D4["edges"][0], **changes}] + _D4["edges"][1:])
+
+
+def _d4_with_id(vid):
+    """The D4 diagram JSON with ``vid`` in place of the id of its first vertex, a1."""
+    return _d4_with(vertices=[{"id": vid, "color": "alpha"}] + _D4_VERTICES[1:])
+
+
 def _e6a1_with_b3_dotted():
     doc = json.loads(dg.to_json(cl.catalog("E6(a1)")))
     next(e for e in doc["edges"] if "b3" in (e["u"], e["v"]))["sign"] = "dotted"
@@ -240,9 +250,8 @@ INPUT_REJECTIONS = {
     "missing-edges": ("cartan", _d4_with(edges=None), (), "diagram JSON is missing 'edges'"),
     "bad-color": ("cartan", _d4_with(vertices=[{"id": "a1", "color": "red"}] + _D4_VERTICES[1:]),
                   (), "vertices[0]: color must be 'alpha' or 'beta', got 'red'"),
-    "bad-vertex-id": ("cartan", _d4_with(vertices=[{"id": "x1", "color": "alpha"}]
-                                         + _D4_VERTICES[1:]),
-                      (), "vertices[0]: bad id 'x1' (want a<k>, b<k>, t<k> or f<k>)"),
+    "bad-vertex-id": ("cartan", _d4_with_id("x1"), (),
+                      "vertices[0]: bad id 'x1' (want a<k>, b<k>, t<k> or f<k>)"),
     "edge-to-unknown-vertex": ("cartan", _d4_with(edges=[{"u": "a1", "v": "b9", "sign": "solid"}]),
                                (), "edges[0]: unknown vertex 'b9'"),
     "vertex-not-an-object": ("cartan", _d4_with(vertices=["a1"] + _D4_VERTICES[1:]),
@@ -264,6 +273,27 @@ INPUT_REJECTIONS = {
                                ("--ambient", "X9"), "unsupported root system 'X9'"),
     "system-out-empty": ("system", _D4, ("--out", ""),
                          "[Errno 2] No such file or directory: ''"),
+    # a list or object where an edge needs a string
+    "edge-u-list": ("cartan", _d4_with_edge(u=["a1"]), (), "edges[0]: unknown vertex ['a1']"),
+    "edge-u-object": ("cartan", _d4_with_edge(u={"id": "a1"}), (),
+                      "edges[0]: unknown vertex {'id': 'a1'}"),
+    "edge-v-list": ("cartan", _d4_with_edge(v=["b1"]), (), "edges[0]: unknown vertex ['b1']"),
+    "edge-v-object": ("cartan", _d4_with_edge(v={"id": "b1"}), (),
+                      "edges[0]: unknown vertex {'id': 'b1'}"),
+    "edge-sign-list": ("cartan", _d4_with_edge(sign=["solid"]), (),
+                       "edges[0]: sign must be 'solid' or 'dotted', got ['solid']"),
+    "edge-sign-object": ("cartan", _d4_with_edge(sign={"solid": 1}), (),
+                         "edges[0]: sign must be 'solid' or 'dotted', got {'solid': 1}"),
+    # ids that are not the id of the vertex read from them, and a name that is no string
+    "vertex-id-trailing-newline": ("cartan", _d4_with_id("a1\n"), (),
+                                   "vertices[0]: bad id 'a1\\n' (want a<k>, b<k>, t<k> or f<k>)"),
+    "vertex-id-arabic-indic-digit": (
+        "cartan", _d4_with_id("a\u0661"), (),
+        "vertices[0]: bad id 'a\u0661' (want a<k>, b<k>, t<k> or f<k>)"),
+    "vertex-id-leading-zero": ("cartan", _d4_with_id("a01"), (),
+                               "vertices[0]: bad id 'a01' (want a<k>, b<k>, t<k> or f<k>)"),
+    "name-not-a-string": ("cartan", _d4_with(name={"k": 1}), (),
+                          "diagram JSON: 'name' must be a string, got {'k': 1}"),
 }
 
 
@@ -315,13 +345,22 @@ def test_verify_bad_ambient_prints_nothing(capsys):
     assert "E9" in err
 
 
-def test_cli_import_does_not_load_numpy():
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports carterlink from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    subprocess.run([sys.executable, "-c",
-                    "import carterlink.cli, sys; assert 'numpy' not in sys.modules"],
-                   env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
+
+
+def test_cli_import_does_not_load_numpy():
+    _run_fresh("import carterlink.cli, sys; assert 'numpy' not in sys.modules")
+
+
+@pytest.mark.parametrize("module", ["carterlink.cli", "carterlink"])
+def test_import_does_not_load_dataclasses_or_inspect(module):
+    # importing dataclasses, which imports inspect, cost each CLI call about 10 ms
+    _run_fresh(f"import {module}, sys; loaded = {{'dataclasses', 'inspect'}} & set(sys.modules); "
+               "assert not loaded, loaded")
 
 
 def _grid(rows):

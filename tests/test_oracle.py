@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import re
 from fractions import Fraction
 from operator import mul
@@ -219,7 +218,7 @@ def test_embedding_rejects_roots_that_are_not_half_integers():
 
 def test_projection_laws_reject_a_gamma_that_is_not_half_integers():
     dl = labels_in("D4(a1)", "E8")
-    bad = dataclasses.replace(dl.realized[0], gamma=_third_at_0(dl.realized[0].gamma))
+    bad = dl.realized[0]._replace(gamma=_third_at_0(dl.realized[0].gamma))
     dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
     with pytest.raises(rt.VerificationError, match=r"is not a root of E8$"):
         rt.check_projection_laws(dl, dl.embedding)
@@ -272,7 +271,7 @@ def test_projection_laws_catch_a_corrupted_field_of_a_repeated_key(name):
     dl = labels_in("D5(a1)", "E8")
     k = _first_repeat(dl.realized, key)
     r = dl.realized[k]
-    bad = dataclasses.replace(r, **{name: bump(getattr(r, name))})
+    bad = r._replace(**{name: bump(getattr(r, name))})
     realized = dl.realized[:k] + (bad,) + dl.realized[k + 1:]
     message = f"projection data of {r.gamma} differ from a recomputation"
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
@@ -582,8 +581,8 @@ def test_realized_linkages_match_fraction_reference(name, amb):
     want = reference_realized(dl.embedding)
     assert len(dl.realized) == len(want)
     for got, ref in zip(dl.realized, want):
-        for f in dataclasses.fields(rt.RealizedLinkage):
-            assert getattr(got, f.name) == getattr(ref, f.name), (f.name, ref.gamma)
+        for f in rt.RealizedLinkage._fields:
+            assert getattr(got, f) == getattr(ref, f), (f, ref.gamma)
     assert dl.labels == tuple(sorted({r.labels for r in want}))
 
 
