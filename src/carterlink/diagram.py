@@ -79,19 +79,22 @@ class CarterDiagram:
     The integer Gram matrix is built once, while the edges are checked, and
     the normalized ``edges``, ``neighbors`` and the pattern are read from it.
     It is checked here and nowhere else: one that is not a nonempty connected
-    bicolored graph with distinct vertex ids raises DiagramError.
+    bicolored graph with distinct vertex ids, whose vertices and edge endpoints
+    are ``VertexId``s, raises DiagramError.
     """
 
     def __init__(self, name: str, vertices: tuple[VertexId, ...], edges: tuple[Edge, ...]) -> None:
         pos: dict[VertexId, int] = {}
         for i, v in enumerate(vertices):
+            if not isinstance(v, VertexId):  # a plain tuple would equal one
+                raise DiagramError(f"{name}: vertex {v!r} is not a VertexId")
             if pos.setdefault(v, i) != i:
                 raise DiagramError(f"{name}: duplicate vertex {v}")
         index = {**pos, **{v.id: i for v, i in pos.items()}}  # vertex and vertex id -> position
         n = len(vertices)
         g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for u, v, s in edges:
-            if u not in pos or v not in pos:
+            if not (isinstance(u, VertexId) and isinstance(v, VertexId) and u in pos and v in pos):
                 raise DiagramError(f"{name}: edge endpoint not a vertex")
             if u == v:
                 raise DiagramError(f"{name}: self loop at {u}")

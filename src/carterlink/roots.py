@@ -20,8 +20,9 @@ and once per mu, and per root only on what involves gamma; the realized
 roots share those Fraction objects, taken from one table.
 ``find_embeddings`` builds the partial Cartan matrix of the diagram once;
 its embeddings share it and every oracle reads it from there.  The extension
-orbits are ``diagram.closure`` under those kept reflections, looked up by root
-index; the weight orbits are ``diagram.closure`` under the dual reflections.
+orbits follow a lattice law: they are dict lookups by (2D mu, N labels mod D),
+with no reflection applied (see ``_orbit_slices``); the weight orbits are
+``diagram.closure`` under the dual reflections.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ class RootSystem:
     search narrows its candidates with them, and the label scans read every
     inner product with an embedded root from them.  ``reflection(g)`` is the
     reflection in root g as a tuple of root indices; the first call builds
-    every row from them, and they are kept.  The extension orbits follow
-    these rows.  The span test of
+    every row from them, and they are kept.  The span test of
     ``embedding_independence`` on labels alone is exact: p = 2 exactly when
     mu = 0, because |gamma|^2 = p + |mu|^2 = 2.
     """
@@ -370,8 +370,9 @@ def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embeddi
 
 class RealizedLinkage(NamedTuple):
     """One ambient root, independent of the embedding, with its label data.
-    Roots with one label vector share their ``gamma_L`` and ``p`` objects, and
-    roots with one mu their ``mu`` and ``mu_norm_sq``."""
+    ``index`` is the ambient root index of ``gamma``, and ``gamma`` is the
+    ambient's own tuple.  Roots with one label vector share their ``gamma_L``
+    and ``p`` objects, and roots with one mu their ``mu`` and ``mu_norm_sq``."""
 
     gamma: Root
     labels: Linkage
@@ -379,6 +380,7 @@ class RealizedLinkage(NamedTuple):
     mu: Root
     mu_norm_sq: Fraction
     p: Fraction
+    index: int
 
 
 class DirectLabels(NamedTuple):
@@ -454,39 +456,49 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     of_labels: dict[Linkage, Projection] = {}
     of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
     realized = []
-    for gamma, x, labels in zip(e.ambient.roots, e.ambient.doubled, _labels(e)):
+    for i, (gamma, x, labels) in enumerate(zip(e.ambient.roots, e.ambient.doubled, _labels(e))):
         if labels not in of_labels:
             of_labels[labels] = _label_projection(cols, n_mat, den, labels)
         if of_labels[labels]:
             _, _, g, gamma_l, p = of_labels[labels]
             m = tuple(den * a - b for a, b in zip(x, g))
             mu, mu2, _ = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
-            realized.append(RealizedLinkage(gamma, labels, gamma_l, mu, mu2, p))
+            realized.append(RealizedLinkage(gamma, labels, gamma_l, mu, mu2, p, i))
     return DirectLabels(e, tuple(realized), tuple(sorted({r.labels for r in realized})))
 
 
 # -- verification laws -----------------------------------------------------------
 
 
-def _extension_orbit(e: Embedding, seed: int) -> set[int]:
-    """Orbit of the root ``seed`` under the reflections in the embedded roots
-    and in seed itself, as ambient root indices.  This is the orbit of the
-    one added root; the orbit of the whole extended subset is strictly larger
-    and mixes p-classes (images of the embedded roots can carry
-    mu-components of twice the length).  Each reflection is the ambient's
-    kept row of root indices, ``RootSystem.reflection``."""
-    rows = [e.ambient.reflection(g) for g in (*e.idx, seed)]
-    return dg.closure(seed, lambda j: [row[j] for row in rows])
+LatticeKey = tuple[Doubled, tuple[int, ...]]  # (M, c mod D), see _orbit_slices
 
 
-class _LawData(NamedTuple):
-    """A realized root with its integer projection data (see ``_label_projection``)."""
+def _orbit_slices(keyed: dict[LatticeKey, list], key: LatticeKey,
+                  den: int) -> list[list[LatticeKey]]:
+    """The keys in ``keyed`` of the extension orbit of a realized root gamma,
+    its orbit under the reflections in the embedded roots Gamma and in gamma,
+    one list per p-slice.  A key is (M, c mod D), with M = 2D mu and
+    c = N labels; ``key`` is gamma's.
 
-    r: RealizedLinkage
-    i: int  # ambient root index of gamma
-    lc: int  # D p
-    m: Doubled  # 2D mu
-    mm: int  # 4D^2 |mu|^2
+    The law: Gamma + gamma is connected, so its reflections generate an
+    irreducible simply-laced Weyl group, transitive on its roots, the norm-2
+    vectors of Z(Gamma + gamma).  So delta is in the orbit exactly when
+    delta - k gamma is in Z Gamma for an integer k != 0: M(delta) = k M(gamma)
+    and c(delta) = k c(gamma) mod D.  As |M|^2 = 4D^2 (2 - p) < 8D^2, only k
+    with k^2 |M(gamma)|^2 < 8D^2 occur, and one p-slice is one |k|, so mu is
+    constant up to sign on each slice.  The group depends on gamma, so for
+    |k| > 1 the relation is not symmetric."""
+    m, c = key
+    mm = _dot(m, m)
+    slices = []
+    k = 1
+    while k * k * mm < 8 * den * den:
+        ys = [(tuple(j * a for a in m), tuple(j * a % den for a in c)) for j in (k, -k)]
+        found = [y for y in ys if y in keyed]
+        if found:
+            slices.append(found)
+        k += 1
+    return slices
 
 
 class LawsReport(NamedTuple):
@@ -505,14 +517,16 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     under B restricted and under the ambient dot product) and p + |mu|^2 = 2.
     The mirror gamma_L - mu is a root exactly when it lies in the root
     lattice; that equivalence is verified (the mirror can leave the lattice:
-    2 gamma_L need not have integral root coefficients).  Per extension orbit
-    (closure of the embedded roots and one realized root under their
-    reflections): mu is constant up to sign on each p-slice.
+    2 gamma_L need not have integral root coefficients).  Each realized root
+    must be the ambient root its ``index`` names.  The extension orbits are
+    counted and sized per p-slice by the lattice law of ``_orbit_slices``.
 
-    Three more laws hold and are not checked, as the checks above force them:
+    Four more laws hold and are not checked, as the checks above force them:
     - the mirror has norm 2: |gamma|^2 = 2, |gamma_L|^2 = p and
       |mu|^2 = 2 - p give (gamma_L, mu) = 0, so |gamma_L - mu|^2 = 2;
     - |mu|^2 is constant on each p-class: it is 2 - p, root by root;
+    - mu is constant up to sign on each p-slice of an extension orbit: on one
+      slice |k| is fixed, so M = +-k M(gamma) (see ``_orbit_slices``);
     - realized roots of one orbit slice sharing a label vector are exactly
       {gamma_L + mu, gamma_L - mu}: they share gamma_L, their mu is +-mu of
       the slice, and distinct roots have distinct mu.
@@ -526,25 +540,26 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
-    of_labels: dict[Linkage, Projection] = {}
+    of_labels: dict[Linkage, tuple] = {}  # lc, G, gamma_L, p and c mod D
     of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
     by_p: dict[int, int] = {}  # realized roots per lc = D p
-    records = []
+    keyed: dict[LatticeKey, list[RealizedLinkage]] = {}
     mirrors = 0
     for r in dl.realized:
-        x = _double(r.gamma)
-        if x not in amb.index:
-            raise VerificationError(f"{r.gamma} is not a root of {amb.name}")
+        if not (0 <= r.index < len(amb) and amb.roots[r.index] == r.gamma):
+            raise VerificationError(f"{r.gamma} is not root {r.index} of {amb.name}")
+        x = amb.doubled[r.index]
         if r.labels not in of_labels:
-            of_labels[r.labels] = _label_projection(cols, n_mat, den, r.labels)
-            if of_labels[r.labels] is None:
+            proj = _label_projection(cols, n_mat, den, r.labels)
+            if proj is None:
                 raise VerificationError(f"{r.gamma} does not extend the embedding")
-            c, lc, g, *_ = of_labels[r.labels]
+            c, lc, g, gamma_l, p = proj
             if _dot(c, [_dot(row, c) for row in gram]) != den * lc:
                 raise VerificationError(f"form mismatch on labels of {r.gamma}")
             if _dot(g, g) != 4 * den * lc:
                 raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
-        _, lc, g, gamma_l, p = of_labels[r.labels]
+            of_labels[r.labels] = lc, g, gamma_l, p, tuple(a % den for a in c)
+        lc, g, gamma_l, p, c = of_labels[r.labels]
         m = tuple(den * a - b for a, b in zip(x, g))
         mu, mu2, mm = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
         # equal values are mostly the same objects, which the tuple compares first
@@ -561,35 +576,21 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             raise VerificationError(
                 f"norm-2 lattice test disagrees with root membership for {r.gamma}")
         mirrors += is_root
-        records.append(_LawData(r, amb.index[x], lc, m, mm))
+        keyed.setdefault((m, c), []).append(r)
         by_p[lc] = by_p.get(lc, 0) + 1
 
-    by_index = {rec.i: rec for rec in records}
-    unassigned = set(by_index)
+    # each root not yet in an orbit seeds one; its orbit counts every root in it
+    assigned: set[LatticeKey] = set()
     orbit_count = 0
     orbits = []
-    for r, i, *_ in records:
-        if i not in unassigned:
+    for key in keyed:
+        if key in assigned:
             continue
-        members = [by_index[j] for j in _extension_orbit(e, i) if j in by_index]
-        for m in members:
-            unassigned.discard(m.i)
         orbit_count += 1
-        # One orbit can mix extension types (the reflections of the extended
-        # subset may generate a group transitive on all ambient roots), so mu
-        # constancy is asserted per p-slice of the orbit.
-        slices: dict[int, list[_LawData]] = {}
-        for m in members:
-            slices.setdefault(m.lc, []).append(m)
-        for lc, group in sorted(slices.items()):
-            p = _frac(lc, den)
-            mu0 = group[0].m
-            neg = tuple(-a for a in mu0)
-            if not {m.m for m in group} <= {mu0, neg}:
-                raise VerificationError(
-                    f"mu not constant up to sign on the p = {p} slice of the "
-                    f"extension orbit of {r.gamma}")
-            orbits.append((p, _frac(group[0].mm, s * s), len(group)))
+        for ys in _orbit_slices(keyed, key, den):
+            assigned.update(ys)
+            r = keyed[ys[0]][0]
+            orbits.append((r.p, r.mu_norm_sq, sum(len(keyed[y]) for y in ys)))
 
     p_classes = tuple((_frac(lc, den), count) for lc, count in sorted(by_p.items()))
     return LawsReport(p_classes, orbit_count, tuple(sorted(orbits)), mirrors)

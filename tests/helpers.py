@@ -167,7 +167,7 @@ def ref_realized(e) -> list:
     frac = lru_cache(maxsize=None)(Fraction)
     cols = list(zip(*e.doubled))
     out = []
-    for root, x in zip(e.ambient.roots, e.ambient.doubled):
+    for i, (root, x) in enumerate(zip(e.ambient.roots, e.ambient.doubled)):
         labels = []
         for y in e.doubled:
             t, rem = divmod(_dot(x, y), 4)
@@ -183,7 +183,7 @@ def ref_realized(e) -> list:
         assert all(abs(t) <= 1 for t in labels), f"{root} has a label outside -1..1"
         out.append(rt.RealizedLinkage(
             root, tuple(labels), tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
-            frac(_dot(m, m), s * s), frac(_dot(labels, c), den)))
+            frac(_dot(m, m), s * s), frac(_dot(labels, c), den), i))
     return out
 
 

@@ -358,10 +358,19 @@ _A1, _A2, _B1 = dg.VertexId("a", 1, dg.ALPHA), dg.VertexId("a", 2, dg.ALPHA), dg
     (((_A1, _B1, -1.0),), "bad edge sign -1.0"),
     (((_A1, _B1, 1.0),), "bad edge sign 1.0"),
     (((_A1, _B1, dg.SOLID), (_A2, _B1, True)), "bad edge sign True"),
+    # a plain tuple equal to the VertexId b1
+    (((_A1, ("b", 1, dg.BETA), dg.SOLID),), "edge endpoint not a vertex"),
 ])
 def test_edge_checks_and_their_order(edges, message):
     with pytest.raises(dg.DiagramError, match=f"^x: {message}$"):
         dg.CarterDiagram("x", (_A1, _A2, _B1), edges)
+
+
+@pytest.mark.parametrize("vertex", ["a1", ("a", 1, dg.ALPHA)])
+def test_vertices_must_be_vertex_ids(vertex):
+    message = f"x: vertex {vertex!r} is not a VertexId"
+    with pytest.raises(dg.DiagramError, match=f"^{re.escape(message)}$"):
+        dg.CarterDiagram("x", (vertex,), ())
 
 
 def test_duplicate_vertex_names_the_first_repeat():

@@ -6,7 +6,8 @@ private routine, or the data one stage hands to the next.  Then it runs
 2 and the exact ``verification failure:`` line.  The entry computes the
 witness that line names from the data without the fault.  There is one entry
 for each check of ``check_projection_laws``, ``square_diagonal_audit`` and
-``Embedding``.
+``Embedding``, and two for the check that a realized root is the ambient root
+its index names: a gamma that is no root, and an index that names another.
 
 These laws of the projection hold but are not checked, because earlier
 checks on the same values force them, so no fault can reach a check of them:
@@ -18,9 +19,13 @@ checks on the same values force them, so no fault can reach a check of them:
   check |gamma_L|^2 = p and the check p + |mu|^2 = 2 give (gamma_L, mu) = 0,
   so |gamma_L - mu|^2 = p + |mu|^2 = 2;
 - |mu|^2 constant on each p-class: p + |mu|^2 = 2 fixes it root by root;
+- mu constant up to sign on each p-slice of an extension orbit: the orbits
+  are read from the lattice keys (2D mu, N labels mod D), and a root is in
+  the orbit of gamma when its key is k times gamma's for an integer k != 0;
+  on one p-slice |mu|^2 = 2 - p fixes |k|, so every mu there is +-k mu(gamma);
 - at most two roots of one orbit slice sharing a label vector, and those two
-  differing by 2 mu: roots with one label vector share gamma_L, the slice
-  check puts every mu in {mu0, -mu0}, and distinct roots have distinct mu.
+  differing by 2 mu: roots with one label vector share gamma_L, the slice law
+  puts every mu in {mu0, -mu0}, and distinct roots have distinct mu.
 """
 
 from fractions import Fraction
@@ -83,7 +88,16 @@ def _gamma_not_a_root(monkeypatch):
     gamma = (Fraction(1, 3),) + r.gamma[1:]
     _inject_realized(monkeypatch, lambda realized: _replaced(
         realized, 0, realized[0]._replace(gamma=gamma)))
-    return "D4(a1)", f"{gamma} is not a root of E8"
+    return "D4(a1)", f"{gamma} is not root {r.index} of E8"
+
+
+def _root_index(monkeypatch):
+    # check_projection_laws: the first realized root's index names the second
+    # realized root
+    first, second = labels_in("D4(a1)", "E8").realized[:2]
+    _inject_realized(monkeypatch, lambda realized: _replaced(
+        realized, 0, realized[0]._replace(index=second.index)))
+    return "D4(a1)", f"{first.gamma} is not root {second.index} of E8"
 
 
 def _root_in_the_span(monkeypatch):
@@ -93,7 +107,7 @@ def _root_in_the_span(monkeypatch):
     gamma = e.roots[0]
     zero = (Fraction(0),) * len(gamma)
     labels = tuple(e.pc.gram[0])
-    extra = rt.RealizedLinkage(gamma, labels, gamma, zero, Fraction(0), Fraction(2))
+    extra = rt.RealizedLinkage(gamma, labels, gamma, zero, Fraction(0), Fraction(2), e.idx[0])
     _inject_realized(monkeypatch, lambda realized: (extra,) + realized)
     return "D4(a1)", f"{gamma} does not extend the embedding"
 
@@ -152,7 +166,7 @@ def _p_plus_mu_norm(monkeypatch):
     gamma = realized[k].gamma
     mu = tuple(a - b for a, b in zip(gamma, donor.gamma_L))
     bad = rt.RealizedLinkage(gamma, donor.labels, donor.gamma_L, mu, sum(a * a for a in mu),
-                             donor.p)
+                             donor.p, realized[k].index)
     _inject_realized(monkeypatch, lambda realized: _replaced(realized, k, bad))
     return "E6(a1)", f"p + |mu|^2 != 2 for {gamma}"
 
@@ -165,16 +179,6 @@ def _lattice_test(monkeypatch):
     r = next(r for r in labels_in("D4(a1)", "E8").realized
              if tuple(a - b for a, b in zip(r.gamma_L, r.mu)) in e8)
     return "D4(a1)", f"norm-2 lattice test disagrees with root membership for {r.gamma}"
-
-
-def _mu_constancy(monkeypatch):
-    # check_projection_laws: every extension orbit is every ambient root; the
-    # first realized root's orbit then holds both p-classes of D5(a1), and the
-    # p = 1 class has mu of more than one length-1 value up to sign
-    monkeypatch.setattr(rt, "_extension_orbit", lambda e, seed: set(range(len(e.ambient))))
-    r = labels_in("D5(a1)", "E8").realized[0]
-    return "D5(a1)", ("mu not constant up to sign on the p = 1 slice of the extension orbit "
-                      f"of {r.gamma}")
 
 
 def _square_diagonal(monkeypatch):
@@ -206,13 +210,13 @@ FAULTS = {
     "root-not-in-the-ambient": _root_not_in_the_ambient,
     "embedding-gram": _embedding_gram,
     "gamma-not-a-root": _gamma_not_a_root,
+    "root-index": _root_index,
     "root-in-the-span": _root_in_the_span,
     "form-mismatch": _form_mismatch,
     "restricted-form": _restricted_form,
     "projection-field": _projection_field,
     "p-plus-mu-norm": _p_plus_mu_norm,
     "lattice-test": _lattice_test,
-    "mu-constancy": _mu_constancy,
     "square-diagonal": _square_diagonal,
 }
 

@@ -220,7 +220,20 @@ def test_projection_laws_reject_a_gamma_that_is_not_half_integers():
     dl = labels_in("D4(a1)", "E8")
     bad = dl.realized[0]._replace(gamma=_third_at_0(dl.realized[0].gamma))
     dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
-    with pytest.raises(rt.VerificationError, match=r"is not a root of E8$"):
+    with pytest.raises(rt.VerificationError, match=r" is not root \d+ of E8$"):
+        rt.check_projection_laws(dl, dl.embedding)
+
+
+@pytest.mark.parametrize("index", ["next", -1, 240])
+def test_projection_laws_reject_an_index_that_does_not_name_gamma(index):
+    # the laws read gamma's doubled coordinates by its index, so the index
+    # must name gamma; here it names the next root or no root at all
+    dl = labels_in("D4(a1)", "E8")
+    r = dl.realized[0]
+    bad = r._replace(index=r.index + 1 if index == "next" else index)
+    dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
+    message = f"{r.gamma} is not root {bad.index} of E8"
+    with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
         rt.check_projection_laws(dl, dl.embedding)
 
 
@@ -235,7 +248,7 @@ def test_projection_laws_reject_a_root_that_does_not_extend(which):
     gamma, zero = e.ambient.roots[i], (Fraction(0),) * e.ambient.dim
     p = Fraction(2) if which == "in-the-span" else Fraction(0)
     gamma_l, mu = (gamma, zero) if p else (zero, gamma)
-    bad = rt.RealizedLinkage(gamma, labels[i], gamma_l, mu, 2 - p, p)
+    bad = rt.RealizedLinkage(gamma, labels[i], gamma_l, mu, 2 - p, p, i)
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(str(gamma))} does not extend"):
         rt.check_projection_laws(rt.DirectLabels(e, (bad,) + dl.realized, dl.labels), e)
 
@@ -554,7 +567,8 @@ def reference_realized(e):
     """
     b_inv = ref_inverse(e.diagram.gram())
     out = []
-    for gamma in e.ambient.roots:
+    for i, root in enumerate(e.ambient.roots):
+        gamma = tuple(map(Fraction, root))  # equal to the ambient's root, not the same objects
         dots = [_fdot(gamma, r) for r in e.roots]
         assert all(x.denominator == 1 for x in dots)
         labels = tuple(int(x) for x in dots)
@@ -567,7 +581,7 @@ def reference_realized(e):
         if not any(mu):
             continue
         out.append(rt.RealizedLinkage(gamma, labels, gamma_l, mu, _fdot(mu, mu),
-                                      ref_quad_form(b_inv, labels)))
+                                      ref_quad_form(b_inv, labels), i))
     return out
 
 
@@ -625,25 +639,38 @@ def test_labels_match_coordinate_scan(name, amb):
     check_against_coordinate_scan(cl.catalog(name), ambient(amb))
 
 
-@pytest.mark.parametrize("name", CATALOG + ["E8"])
+@pytest.mark.parametrize("name", CATALOG + ["E8", "A7"])
 def test_extension_orbit_by_index_matches_coordinates(name):
-    # on a fresh root system the rows are built during the calls; on the
-    # shared one they may be kept from earlier calls, in other ambients too
+    # the orbit the lattice keys (M, c mod D) find for each realized root is
+    # the one the closure under reflections by coordinates finds, split into
+    # its p-slices, with mu constant up to sign on each; A7 in E8 has |k| = 3
     for amb in ("E8", "E7", "D8"):
-        fresh = cl.build_root_system(amb)
-        e = cl.find_embedding(cl.catalog(name), fresh)
+        e = embedding_in(name, amb)
         if e is None:
-            assert embedding_in(name, amb) is None
             continue
-        shared = labels_in(name, amb).embedding
-        assert (e.idx, e.roots) == (shared.idx, shared.roots)
-        for r in cl.direct_linkage_labels(e).realized:
-            x = rt._double(r.gamma)
-            want = ref_extension_orbit(e, x)
-            for emb in (e, shared):
-                got = {emb.ambient.doubled[i]
-                       for i in rt._extension_orbit(emb, emb.ambient.index[x])}
-                assert got == want, (r.gamma, emb.ambient)
+        realized = labels_in(name, amb).realized
+        assert all(e.ambient.roots[r.index] is r.gamma for r in realized)
+        den = e.pc.inv_den
+        keys = [(tuple(int(2 * den * a) for a in r.mu),
+                 tuple(_dot(row, r.labels) % den for row in e.pc.inv_num)) for r in realized]
+        keyed = {}
+        for r, key in zip(realized, keys):
+            keyed.setdefault(key, []).append(r)
+        doubled = {e.ambient.doubled[r.index] for r in realized}
+        for r, key in zip(realized, keys):
+            slices = [[x for y in ys for x in keyed[y]]
+                      for ys in rt._orbit_slices(keyed, key, den)]
+            got = {e.ambient.doubled[x.index] for group in slices for x in group}
+            assert got == ref_extension_orbit(e, e.ambient.doubled[r.index]) & doubled, \
+                (r.gamma, amb)
+            assert len({group[0].p for group in slices}) == len(slices)
+            for group in slices:
+                mu = group[0].mu
+                assert {x.mu for x in group} <= {mu, tuple(-a for a in mu)}
+                assert {x.p for x in group} == {group[0].p}
+            if (name, amb) == ("A7", "E8") and r.mu_norm_sq == Fraction(1, 8):
+                # |mu|^2 = k^2 / 8 on the slice of k
+                assert [8 * group[0].mu_norm_sq for group in slices] == [1, 4, 9]
 
 
 def brute_force_embeddings(d, amb, limit):

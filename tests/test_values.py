@@ -79,7 +79,7 @@ VALUES = {
         "RealizedLinkage(gamma=(Fraction(-1, 1), Fraction(1, 1), Fraction(0, 1)), labels=(1,), "
         "gamma_L=(Fraction(-1, 2), Fraction(0, 1), Fraction(1, 2)), "
         "mu=(Fraction(-1, 2), Fraction(1, 1), Fraction(-1, 2)), mu_norm_sq=Fraction(3, 2), "
-        "p=Fraction(1, 2))")),
+        "p=Fraction(1, 2), index=1)")),
     rt.DirectLabels: ("labels", f"DirectLabels(embedding={_E11}, realized=(), labels=())"),
     rt.LawsReport: ("orbit_count", (
         "LawsReport(p_classes=((Fraction(1, 2), 4),), orbit_count=1, "
