@@ -32,7 +32,7 @@ class CartanError(ValueError):
     """The diagram does not carry a positive definite form."""
 
 
-class PartialCartan:
+class PartialCartan(dg._Value):
     """A diagram with det B and the integer core of B and B^-1.
 
     ``gram`` is B as integers.  ``prefix`` is (order, rows, weights, den),
@@ -42,29 +42,17 @@ class PartialCartan:
     sum(weights[i] * z_i**2, i <= k) / den; at k = l-1 that is the form of
     B^-1 at v.  B^-1 = inv_num / inv_den in vertex order, where inv_den is
     the least common denominator of the entries.  ``_linkages`` keeps
-    ``linkage._search``.  The value is the diagram and det: equality, hash
-    and repr read those two, and assigning an attribute raises AttributeError.
+    ``linkage._search``.  The value is the diagram and det: the matrices are
+    derived from the diagram, and ``_linkages`` is a cache.
     """
+
+    _value = ("diagram", "det")
 
     def __init__(self, diagram: dg.CarterDiagram, det: Fraction, gram: IntMatrix,
                  prefix: tuple[tuple[int, ...], IntMatrix, tuple[int, ...], int],
                  inv_num: IntMatrix, inv_den: int) -> None:
         self.__dict__.update(diagram=diagram, det=det, gram=gram, prefix=prefix,
                              inv_num=inv_num, inv_den=inv_den, _linkages=None)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.diagram, self.det) == (other.diagram, other.det)
-
-    def __hash__(self) -> int:
-        return hash((self.diagram, self.det))
-
-    def __repr__(self) -> str:
-        return f"PartialCartan(diagram={self.diagram!r}, det={self.det!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
         return len(self.diagram)

@@ -69,21 +69,56 @@ def _chain(kind: str, length: int) -> list[VertexId]:
 Edge = tuple[VertexId, VertexId, int]
 
 
-class CarterDiagram:
+class _Value:
+    """A value: equality, hash and repr read the fields that the class
+    attribute ``_value`` names, in that order, and assigning or deleting an
+    attribute raises AttributeError.  An instance of another class is never
+    equal to one.  Constructors store with ``self.__dict__.update``; other
+    attributes they store are derived or cached, and are not part of it."""
+
+    _value: tuple[str, ...]
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._value))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={x!r}" for f, x in zip(self._value, self._fields()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CarterDiagram(_Value):
     """A named diagram with an ordered vertex tuple and signed edges.
 
-    The value is the name, the vertices and the edges: equality, hash and
-    repr read those three, and assigning an attribute raises AttributeError.
-    ``pattern`` is read from them by ``detect_pattern``, so two equal diagrams
-    never disagree on it.
+    ``pattern`` is read from the value by ``detect_pattern``, so two equal
+    diagrams never disagree on it.
     The integer Gram matrix is built once, while the edges are checked, and
     the normalized ``edges``, ``neighbors`` and the pattern are read from it.
     It is checked here and nowhere else: one that is not a nonempty connected
     bicolored graph with distinct vertex ids, whose vertices and edge endpoints
-    are ``VertexId``s, raises DiagramError.
+    are ``VertexId``s, raises DiagramError.  So does a name that is not
+    printable text free of ``"`` and ``\\``, which the DOT graph and the
+    first line of the ``system`` output could not quote.
     """
 
+    _value = ("name", "vertices", "edges")
+
     def __init__(self, name: str, vertices: tuple[VertexId, ...], edges: tuple[Edge, ...]) -> None:
+        if not (isinstance(name, str) and name.isprintable()) or '"' in name or "\\" in name:
+            raise DiagramError(f"bad diagram name {name!r} (want printable text without \" or \\)")
         pos: dict[VertexId, int] = {}
         for i, v in enumerate(vertices):
             if not isinstance(v, VertexId):  # a plain tuple would equal one
@@ -121,21 +156,6 @@ class CarterDiagram:
             problems.append("duplicate vertex ids")
         if problems:
             raise DiagramError(f"{name}: " + "; ".join(problems))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.vertices, self.edges) == (other.name, other.vertices, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.vertices, self.edges))
-
-    def __repr__(self) -> str:
-        return (f"CarterDiagram(name={self.name!r}, vertices={self.vertices!r}, "
-                f"edges={self.edges!r})")
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     # -- lookups ------------------------------------------------------------
 

@@ -31,31 +31,18 @@ from .cartan import LinalgError, PartialCartan
 Linkage = tuple[int, ...]
 
 
-class ExtensionSet:
+class ExtensionSet(dg._Value):
     """All linkage vectors sharing one value p of the inverse form.
 
-    Its length is its member count.  Equality, hash and repr read p and the
-    members, and assigning an attribute raises AttributeError."""
+    Its length is its member count."""
+
+    _value = ("p", "members")
 
     def __init__(self, p: Fraction, members: tuple[Linkage, ...]) -> None:
         self.__dict__.update(p=p, members=members)
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.members) == (other.p, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.members))
-
-    def __repr__(self) -> str:
-        return f"ExtensionSet(p={self.p!r}, members={self.members!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class BetaUnicolored(NamedTuple):

@@ -66,11 +66,13 @@ class Loctet(NamedTuple):
         return frozenset(self.members)
 
 
-class LinkageSystem:
+class LinkageSystem(dg._Value):
     """The orbit graph of all linkage vectors under the dual reflections.
 
-    Equality, hash and repr read every attribute but ``_index``, the node
-    positions, and assigning an attribute raises AttributeError."""
+    The value is every attribute but ``_index``, the node positions, which
+    are read from ``nodes``."""
+
+    _value = ("pc", "nodes", "edges", "components", "component_p", "loctets", "unicolored")
 
     def __init__(self, pc: PartialCartan, nodes: tuple[Linkage, ...],
                  edges: tuple[tuple[int, int, str], ...], components: tuple[tuple[int, ...], ...],
@@ -79,26 +81,6 @@ class LinkageSystem:
         self.__dict__.update(pc=pc, nodes=nodes, edges=edges, components=components,
                              component_p=component_p, loctets=loctets, unicolored=unicolored,
                              _index=_index)
-
-    def _value(self) -> tuple:
-        return (self.pc, self.nodes, self.edges, self.components, self.component_p,
-                self.loctets, self.unicolored)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
-    def __repr__(self) -> str:
-        return (f"LinkageSystem(pc={self.pc!r}, nodes={self.nodes!r}, edges={self.edges!r}, "
-                f"components={self.components!r}, component_p={self.component_p!r}, "
-                f"loctets={self.loctets!r}, unicolored={self.unicolored!r})")
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def node_index(self, v: Linkage) -> int:
         i = self._index.get(tuple(v))

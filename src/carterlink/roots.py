@@ -254,13 +254,14 @@ def _e8_roots() -> list[Doubled]:
 # -- embeddings ----------------------------------------------------------------
 
 
-class Embedding:
+class Embedding(dg._Value):
     """The vertices of ``pc.diagram`` realized as ambient roots, in canonical
     vertex order.  Every oracle below reads ``pc``; being positive definite,
     it makes the roots independent.  ``doubled`` holds the same roots in
-    doubled integer coordinates and ``idx`` their ambient root indices.
-    Equality, hash and repr read ``pc``, ``ambient`` and ``roots``, and
-    assigning an attribute raises AttributeError."""
+    doubled integer coordinates and ``idx`` their ambient root indices;
+    both are derived from the value."""
+
+    _value = ("pc", "ambient", "roots")
 
     def __init__(self, pc: PartialCartan, ambient: RootSystem, roots: tuple[Root, ...]) -> None:
         doubled = tuple(_double(r) for r in roots)
@@ -280,20 +281,6 @@ class Embedding:
     @property
     def diagram(self) -> dg.CarterDiagram:
         return self.pc.diagram
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pc, self.ambient, self.roots) == (other.pc, other.ambient, other.roots)
-
-    def __hash__(self) -> int:
-        return hash((self.pc, self.ambient, self.roots))
-
-    def __repr__(self) -> str:
-        return f"Embedding(pc={self.pc!r}, ambient={self.ambient!r}, roots={self.roots!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) -> list[Embedding]:

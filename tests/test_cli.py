@@ -238,6 +238,10 @@ def _d4_with_id(vid):
     return _d4_with(vertices=[{"id": vid, "color": "alpha"}] + _D4_VERTICES[1:])
 
 
+_QUOTED_NAME = 'D4 "x\\" y'
+_NAME_RULE = '(want printable text without " or \\)'
+
+
 def _e6a1_with_b3_dotted():
     doc = json.loads(dg.to_json(cl.catalog("E6(a1)")))
     next(e for e in doc["edges"] if "b3" in (e["u"], e["v"]))["sign"] = "dotted"
@@ -294,6 +298,11 @@ INPUT_REJECTIONS = {
                                "vertices[0]: bad id 'a01' (want a<k>, b<k>, t<k> or f<k>)"),
     "name-not-a-string": ("cartan", _d4_with(name={"k": 1}), (),
                           "diagram JSON: 'name' must be a string, got {'k': 1}"),
+    # names that the DOT graph and the first line of ``system`` could not quote
+    "name-with-quotes": ("system", _d4_with(name=_QUOTED_NAME), ("--format", "dot"),
+                         f"bad diagram name {_QUOTED_NAME!r} {_NAME_RULE}"),
+    "name-with-a-newline": ("system", _d4_with(name="D4\nz"), (),
+                            f"bad diagram name 'D4\\nz' {_NAME_RULE}"),
 }
 
 

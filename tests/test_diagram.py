@@ -373,6 +373,13 @@ def test_vertices_must_be_vertex_ids(vertex):
         dg.CarterDiagram("x", (vertex,), ())
 
 
+@pytest.mark.parametrize("name", [1, None, b"x", "x\ty", 'x"', "x\\"])
+def test_names_must_be_printable_text_without_quotes(name):
+    message = f'bad diagram name {name!r} (want printable text without " or \\)'
+    with pytest.raises(dg.DiagramError, match=f"^{re.escape(message)}$"):
+        dg.CarterDiagram(name, (_A1,), ())
+
+
 def test_duplicate_vertex_names_the_first_repeat():
     # b1 repeats before a1 does
     with pytest.raises(dg.DiagramError, match="^x: duplicate vertex b1$"):

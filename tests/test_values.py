@@ -1,9 +1,11 @@
 """The value classes of the package: equal values compare and hash equal,
-the repr is the text the package has always printed, assigning a field
-raises AttributeError, and a named tuple's ``_replace`` gives an equal value.
+the repr is the text the package has always printed, assigning or deleting
+a field raises AttributeError, and a named tuple's ``_replace`` gives an
+equal value.
 
 The records are named tuples; the classes that validate, derive or cache
-(and ``ExtensionSet``, whose length is its member count) are plain classes.
+(and ``ExtensionSet``, whose length is its member count) are plain classes,
+and ``diagram._Value`` writes their value methods once.
 """
 
 import pytest
@@ -113,9 +115,20 @@ def test_value_semantics(cls):
     assert repr(a) == text
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
     assert isinstance(a, tuple) == (cls in NAMED_TUPLES)
     if cls in NAMED_TUPLES:
         assert a._replace(**{field: getattr(b, field)}) == a
+
+
+def test_the_plain_classes_take_their_value_methods_from_one_base():
+    plain = set(VALUES) - NAMED_TUPLES
+    assert len(plain) == 5 and all(issubclass(c, dg._Value) for c in plain)
+    for cls in plain:
+        own = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"} & set(vars(cls))
+        assert not own, (cls.__name__, own)
 
 
 def test_extension_set_length_is_its_member_count():
