@@ -14,8 +14,7 @@ from collections import Counter
 from . import diagram as dg
 from . import orbit
 from . import roots as rt
-from .cartan import CartanError, LinalgError, build_partial_cartan, inverse_diagonal, \
-    simply_extendable
+from .cartan import build_partial_cartan, inverse_diagonal, simply_extendable
 from .linkage import beta_unicolored, enumerate_linkages, group_by_p
 
 EXIT_OK = 0
@@ -131,12 +130,11 @@ def cmd_system(args) -> int:
 
 def cmd_loctets(args) -> int:
     pc = build_partial_cartan(load_diagram(args.src))
+    loctets = orbit.build_system(pc).loctets
     for kind in orbit.LOCTET_TYPES:
-        cands = orbit.gamma8_candidates(pc, kind)
-        print(f"{kind}: {len(cands)} gamma(8) candidates")
-        for g8 in cands:
-            loc = orbit.loctet_from_gamma8(pc, g8, kind)
-            print(f"  gamma(8) = {_vec(g8)}")
+        print(f"{kind}: {len(orbit.gamma8_candidates(pc, kind))} gamma(8) candidates")
+        for loc in (loc for loc in loctets if loc.kind == kind):
+            print(f"  gamma(8) = {_vec(loc.members[7])}")
             for n, m in enumerate(loc.members, start=1):
                 print(f"    gamma({n}) = {_vec(m)}")
     return EXIT_OK
@@ -313,8 +311,7 @@ def main(argv=None) -> int:
     except orbit.VerificationError as e:
         sys.stderr.write(f"verification failure: {e}\n")
         return EXIT_VERIFY
-    except (dg.DiagramError, CartanError, LinalgError, rt.RootSystemError,
-            orbit.UnsupportedDiagram, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
 

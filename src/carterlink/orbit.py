@@ -9,18 +9,19 @@ pattern, every node with a nonzero label on the pattern alphas a1, a2, a3
 falls into exactly one 8-element loctet, and the other nodes have zero
 labels on all of them; without a pattern there are no loctets.  The
 reflection is written once, by vertex index, in ``reflect_at``; the
-components are ``diagram.closure`` over the edges.
+components are ``diagram.closure`` over the edges.  Loctets are grown and
+checked once, in ``build_system``, and ``loctet_from_gamma8`` reads them there.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan, build_partial_cartan
-from .linkage import Linkage, _search, enumerate_linkages, form_num
+from .linkage import Linkage, _search, enumerate_linkages
 
 LOCTET_TYPES = ("L12", "L13", "L23")
 Indices = tuple[int, int, int, int]  # vertex indices of a pattern's roles
@@ -31,8 +32,8 @@ class VerificationError(RuntimeError):
 
 
 class UnsupportedDiagram(ValueError):
-    """The loctet API (``gamma8_candidates``, ``loctet_from_gamma8``) was given
-    a diagram with no D5(a1)/D4 pattern, such as a chain or the bare 4-cycle."""
+    """The loctet API (``gamma8_candidates``, ``loctet_from_gamma8``) was given a diagram
+    with no D5(a1)/D4 pattern, such as a chain or the bare 4-cycle, that ``build_system`` builds."""
 
 
 def reflect_at(pc: PartialCartan, i: int, v: Linkage) -> Linkage:
@@ -132,44 +133,24 @@ def _gamma8(pc: PartialCartan, ijkb: Indices) -> tuple[Linkage, ...]:
 
 
 def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Loctet:
-    """Grow the full loctet from its eighth member by dual reflections.
-
-    gamma(7) = s*_{a_k} gamma(8); gamma(6) = s*_{b1} gamma(7);
-    gamma(4) = s*_{a_i} gamma(6); gamma(5) = s*_{a_j} gamma(6);
-    gamma(1..3) are the negatives of gamma(8..6).
-    """
+    """The loctet of ``build_system(pc)`` whose gamma(8) is g8.  Raises
+    ValueError when g8 is not one of ``gamma8_candidates(pc, kind)``."""
     if len(g8) != len(pc):
         raise ValueError(f"vector of length {len(g8)} for rank {len(pc)}")
-    return _loctet(pc, tuple(g8), kind, _kind_indices(_pattern_indices(pc), kind),
-                   lambda m: form_num(pc, m) < 2 * pc.inv_den)
-
-
-def _loctet(pc: PartialCartan, g8: Linkage, kind: str, ijkb: Indices,
-            is_linkage: Callable[[Linkage], bool]) -> Loctet:
-    """``loctet_from_gamma8`` with the kind's indices and the members' linkage test passed in."""
-    i, j, k, b = ijkb
-    g7 = reflect_at(pc, k, g8)
-    g6 = reflect_at(pc, b, g7)
-    g4 = reflect_at(pc, i, g6)
-    g5 = reflect_at(pc, j, g6)
-    neg = lambda v: tuple(-x for x in v)
-    members = (neg(g8), neg(g7), neg(g6), g4, g5, g6, g7, g8)
-    if len(set(members)) != 8:
-        raise VerificationError(f"loctet from {g8} ({kind}): members not distinct")
-    for m in members:
-        if not is_linkage(m):
-            raise VerificationError(f"loctet from {g8} ({kind}): {m} is not a linkage vector")
-    return Loctet(kind, members)
+    _kind_indices(_pattern_indices(pc), kind)  # the pattern and kind checks
+    for loc in build_system(pc).loctets:
+        if loc.kind == kind and loc.members[7] == tuple(g8):
+            return loc
+    raise ValueError(f"{tuple(g8)} is not a gamma(8) candidate of kind {kind}")
 
 
 def build_system(pc: PartialCartan) -> LinkageSystem:
     """Enumerate nodes, close them under the generators, find components,
-    collect loctets, and verify the loctet partition, in one pass: p comes
-    from the search's form values and loctet members are looked up among the
-    nodes.  Every positive definite diagram builds.  Loctets come from the
-    diagram's pattern, or are the components of the bare 4-cycle; a diagram
-    with neither (a chain, say) gets none, and all its nodes are unicolored.
-    The empty system (E8) is legal; ``from_json`` checks by this."""
+    collect loctets, and verify the loctet partition, in one pass; p comes from
+    the search's form values.  Every positive definite diagram builds.  Loctets
+    come from the diagram's pattern, or are the components of the bare 4-cycle;
+    a diagram with neither (a chain, say) gets none, and all its nodes are
+    unicolored.  The empty system (E8) is legal; ``from_json`` checks by this."""
     d = pc.diagram
     nodes, nums = _search(pc)
     index = {v: i for i, v in enumerate(nodes)}
@@ -187,7 +168,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
 
     if d.pattern is not None:
         pat = _pattern_indices(pc)
-        loctets = _generated_loctets(pc, index, pat)
+        loctets = _generated_loctets(pc, pat)
         membership: set[Linkage] = set()
         for loc in loctets:
             for m in loc.members:
@@ -195,11 +176,8 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
                     raise VerificationError(f"{d.name}: {m} lies in two distinct loctets")
                 membership.add(m)
         for v in nodes:
-            has_alpha = any(v[i] != 0 for i in pat[:3])
-            if has_alpha and v not in membership:
+            if v not in membership and any(v[i] != 0 for i in pat[:3]):
                 raise VerificationError(f"{d.name}: {v} has a pattern alpha label but no loctet")
-            if not has_alpha and v in membership:
-                raise VerificationError(f"{d.name}: {v} is pattern-alpha free yet in a loctet")
         unicolored = tuple(v for v in nodes if v not in membership)
     elif _is_bare_square(d):
         sizes = {len(c) for c in components}
@@ -228,15 +206,18 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
 def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...],
            index: dict[Linkage, int]) -> list[tuple[int, int, str]]:
     """Every (i, j, vertex id), i < j, where the dual reflection at the vertex
-    sends node i to node j; raises VerificationError when one leaves the nodes.
+    sends node i to node j; raises VerificationError when the negative or a
+    reflection of a node is not a node.
 
     The reflection at t negates v_t, so each edge is found once, from its end
     with v_t > 0.  No reflection is left unchecked: the nodes are closed under
-    negation, and the reflection of -v is the negative of that of v.
+    negation, as checked here, and the reflection of -v is the negative of that of v.
     """
     d = pc.diagram
     edges = []
     for i, v in enumerate(nodes):
+        if tuple(-x for x in v) not in index:
+            raise VerificationError(f"{d.name}: the negative of {v} is not a linkage vector")
         for k, x in enumerate(v):
             if x > 0:
                 w = reflect_at(pc, k, v)
@@ -264,12 +245,28 @@ def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
-def _generated_loctets(pc: PartialCartan, index: dict[Linkage, int],
-                       pat: Indices) -> tuple[Loctet, ...]:
+def _generated_loctets(pc: PartialCartan, pat: Indices) -> tuple[Loctet, ...]:
+    """The loctet of each gamma(8) candidate of each kind L_ij: gamma(7) =
+    s*_{a_k} gamma(8), gamma(6) = s*_{b1} gamma(7), gamma(4) = s*_{a_i} gamma(6),
+    gamma(5) = s*_{a_j} gamma(6), and gamma(1..3) = -gamma(8..6).
+
+    These laws hold unchecked.  On the pattern's solid star (a_i, a_j, a_k, b1),
+    gamma(1..8) read (0,0,-1,0), (0,0,1,-1), (-1,-1,0,1), (-1,1,0,0),
+    (1,-1,0,0), (1,1,0,-1), (0,0,-1,1), (0,0,1,0) for every g8, so the members
+    are distinct and each has a pattern alpha label.  Every member is a node:
+    g8 is searched, gamma(7), gamma(6), gamma(4) and gamma(5) reflect a node
+    at a label equal to 1, and gamma(1..3) negate nodes; ``_edges`` checked both.
+    """
+    neg = lambda v: tuple(-x for x in v)
     out: list[Loctet] = []
     for kind in LOCTET_TYPES:
-        ijkb = _kind_indices(pat, kind)
-        out += (_loctet(pc, g8, kind, ijkb, index.__contains__) for g8 in _gamma8(pc, ijkb))
+        i, j, k, b = _kind_indices(pat, kind)
+        for g8 in _gamma8(pc, (i, j, k, b)):
+            g7 = reflect_at(pc, k, g8)
+            g6 = reflect_at(pc, b, g7)
+            g4 = reflect_at(pc, i, g6)
+            g5 = reflect_at(pc, j, g6)
+            out.append(Loctet(kind, (neg(g8), neg(g7), neg(g6), g4, g5, g6, g7, g8)))
     return tuple(out)
 
 

@@ -248,6 +248,16 @@ def _e6a1_with_b3_dotted():
     return doc
 
 
+def _solid_4_cycle():
+    """The 4-cycle a1-b1-a2-b2 with every edge solid: a Carter diagram whose
+    form is not positive definite."""
+    return {"name": "C4",
+            "vertices": [{"id": v, "color": "alpha" if v[0] == "a" else "beta"}
+                         for v in ("a1", "a2", "b1", "b2")],
+            "edges": [{"u": a, "v": b, "sign": "solid"}
+                      for a in ("a1", "a2") for b in ("b1", "b2")]}
+
+
 # (command, document for its first argument, rest of the command, error line)
 INPUT_REJECTIONS = {
     "not-an-object": ("cartan", [1, 2], (), "diagram JSON must be an object"),
@@ -303,6 +313,8 @@ INPUT_REJECTIONS = {
                          f"bad diagram name {_QUOTED_NAME!r} {_NAME_RULE}"),
     "name-with-a-newline": ("system", _d4_with(name="D4\nz"), (),
                             f"bad diagram name 'D4\\nz' {_NAME_RULE}"),
+    "not-positive-definite": ("cartan", _solid_4_cycle(), (),
+                              "C4: the partial Cartan matrix is not positive definite"),
 }
 
 

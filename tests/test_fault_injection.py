@@ -1,13 +1,20 @@
-"""Every check of the root-system oracle fires: the fault table.
+"""Every check of the root-system oracle and of the linkage system fires:
+the fault table.
 
 Each entry installs one small fault with ``monkeypatch``: it changes a
-private routine, or the data one stage hands to the next.  Then it runs
-``carterlink verify`` in process on a named diagram in E8, and expects exit
-2 and the exact ``verification failure:`` line.  The entry computes the
+private routine, or the data one stage hands to the next.  Then it runs one
+command in process, ``carterlink verify`` on a named diagram in E8 or
+``carterlink system`` or ``project`` on catalog diagrams, and expects exit 2
+and the exact ``verification failure:`` line.  The entry computes the
 witness that line names from the data without the fault.  There is one entry
 for each check of ``check_projection_laws``, ``square_diagonal_audit`` and
 ``Embedding``, and two for the check that a realized root is the ambient root
 its index names: a gamma that is no root, and an index that names another.
+There is one entry for each check of ``orbit`` that no other test reaches:
+the loctet coverage and the bare-square sizes of ``build_system``, the
+negation and reflection closure of ``_edges``, and the three checks of
+``project_system``.  The loctet laws that ``build_system`` does not check
+are stated in the docstring of ``orbit._generated_loctets``.
 
 These laws of the projection hold but are not checked, because earlier
 checks on the same values force them, so no fault can reach a check of them:
@@ -33,10 +40,13 @@ from fractions import Fraction
 import pytest
 
 import carterlink as cl
+from carterlink import diagram as dg
+from carterlink import orbit
 from carterlink import roots as rt
 from carterlink.cli import main
+from carterlink.linkage import _search
 
-from helpers import embedding_in, labels_in, pc_of
+from helpers import embedding_in, labels_in, links_of, pc_of, system_of
 
 
 def _inject(monkeypatch, fn, change):
@@ -63,7 +73,7 @@ def _root_not_in_the_ambient(monkeypatch):
         return rt.Embedding(e.pc, e.ambient, _replaced(e.roots, 0, bad))
 
     _inject(monkeypatch, "find_embedding", change)
-    return "D4(a1)", "root of a1 is not a root of E8"
+    return ["verify", "D4(a1)"], "root of a1 is not a root of E8"
 
 
 def _embedding_gram(monkeypatch):
@@ -79,7 +89,7 @@ def _embedding_gram(monkeypatch):
         return rt.Embedding(e.pc, e.ambient, tuple(roots))
 
     _inject(monkeypatch, "find_embedding", change)
-    return "E6(a1)", "embedding Gram mismatch at (a1, a2)"
+    return ["verify", "E6(a1)"], "embedding Gram mismatch at (a1, a2)"
 
 
 def _gamma_not_a_root(monkeypatch):
@@ -88,7 +98,7 @@ def _gamma_not_a_root(monkeypatch):
     gamma = (Fraction(1, 3),) + r.gamma[1:]
     _inject_realized(monkeypatch, lambda realized: _replaced(
         realized, 0, realized[0]._replace(gamma=gamma)))
-    return "D4(a1)", f"{gamma} is not root {r.index} of E8"
+    return ["verify", "D4(a1)"], f"{gamma} is not root {r.index} of E8"
 
 
 def _root_index(monkeypatch):
@@ -97,7 +107,7 @@ def _root_index(monkeypatch):
     first, second = labels_in("D4(a1)", "E8").realized[:2]
     _inject_realized(monkeypatch, lambda realized: _replaced(
         realized, 0, realized[0]._replace(index=second.index)))
-    return "D4(a1)", f"{first.gamma} is not root {second.index} of E8"
+    return ["verify", "D4(a1)"], f"{first.gamma} is not root {second.index} of E8"
 
 
 def _root_in_the_span(monkeypatch):
@@ -109,7 +119,7 @@ def _root_in_the_span(monkeypatch):
     labels = tuple(e.pc.gram[0])
     extra = rt.RealizedLinkage(gamma, labels, gamma, zero, Fraction(0), Fraction(2), e.idx[0])
     _inject_realized(monkeypatch, lambda realized: (extra,) + realized)
-    return "D4(a1)", f"{gamma} does not extend the embedding"
+    return ["verify", "D4(a1)"], f"{gamma} does not extend the embedding"
 
 
 def _form_mismatch(monkeypatch):
@@ -126,7 +136,7 @@ def _form_mismatch(monkeypatch):
 
     _inject(monkeypatch, "find_embedding", change)
     r = next(r for r in labels_in("E6(a1)", "E8").realized if r.labels[:2] != (0, 0))
-    return "E6(a1)", f"form mismatch on labels of {r.gamma}"
+    return ["verify", "E6(a1)"], f"form mismatch on labels of {r.gamma}"
 
 
 def _restricted_form(monkeypatch):
@@ -144,7 +154,7 @@ def _restricted_form(monkeypatch):
 
     monkeypatch.setattr(rt, "_label_projection", offset)
     r = labels_in("E6(a1)", "E8").realized[0]
-    return "E6(a1)", f"restricted form differs from ambient on {r.gamma}"
+    return ["verify", "E6(a1)"], f"restricted form differs from ambient on {r.gamma}"
 
 
 def _projection_field(monkeypatch):
@@ -152,7 +162,7 @@ def _projection_field(monkeypatch):
     r = labels_in("E6(a1)", "E8").realized[0]
     _inject_realized(monkeypatch, lambda realized: _replaced(
         realized, 0, realized[0]._replace(p=realized[0].p + 1)))
-    return "E6(a1)", f"projection data of {r.gamma} differ from a recomputation"
+    return ["verify", "E6(a1)"], f"projection data of {r.gamma} differ from a recomputation"
 
 
 def _p_plus_mu_norm(monkeypatch):
@@ -168,7 +178,7 @@ def _p_plus_mu_norm(monkeypatch):
     bad = rt.RealizedLinkage(gamma, donor.labels, donor.gamma_L, mu, sum(a * a for a in mu),
                              donor.p, realized[k].index)
     _inject_realized(monkeypatch, lambda realized: _replaced(realized, k, bad))
-    return "E6(a1)", f"p + |mu|^2 != 2 for {gamma}"
+    return ["verify", "E6(a1)"], f"p + |mu|^2 != 2 for {gamma}"
 
 
 def _lattice_test(monkeypatch):
@@ -178,7 +188,7 @@ def _lattice_test(monkeypatch):
     e8 = set(cl.build_root_system("E8").roots)
     r = next(r for r in labels_in("D4(a1)", "E8").realized
              if tuple(a - b for a, b in zip(r.gamma_L, r.mu)) in e8)
-    return "D4(a1)", f"norm-2 lattice test disagrees with root membership for {r.gamma}"
+    return ["verify", "D4(a1)"], f"norm-2 lattice test disagrees with root membership for {r.gamma}"
 
 
 def _square_diagonal(monkeypatch):
@@ -201,11 +211,116 @@ def _square_diagonal(monkeypatch):
         return real(dl._replace(realized=_replaced(dl.realized, k, bad)), e)
 
     monkeypatch.setattr(rt, "square_diagonal_audit", flipped)
-    return "E6(a1)", (f"square ({d.vertices[u]}, {d.vertices[m]}, {d.vertices[w]}, {r.gamma}): "
-                      f"diagonal {labels[m]}, expected {r.labels[m]}")
+    return ["verify", "E6(a1)"], (
+        f"square ({d.vertices[u]}, {d.vertices[m]}, {d.vertices[w]}, {r.gamma}): "
+        f"diagonal {labels[m]}, expected {r.labels[m]}")
 
 
-# id: fault; each returns the diagram name and the failure line's message
+# -- the checks of orbit: build_system, _edges and project_system ---------------
+
+
+def _system_with(s, **fields):
+    """The linkage system ``s`` with some of its fields replaced."""
+    return orbit.LinkageSystem(**{**{f: getattr(s, f) for f in s._value}, **fields},
+                               _index=s._index)
+
+
+def _inject_system(monkeypatch, name, change):
+    """Make ``orbit.build_system`` pass the system of the diagram ``name``
+    through ``change``; the systems of other diagrams stay as they are."""
+    real = orbit.build_system
+    monkeypatch.setattr(orbit, "build_system",
+                        lambda pc: change(real(pc)) if pc.diagram.name == name else real(pc))
+
+
+def _coverage(monkeypatch):
+    # build_system: the last gamma(8) candidate of each kind is dropped, so its
+    # loctet is never grown; the least of those loctets' members is the witness
+    loctets = system_of("E6(a1)").loctets
+    last = [[loc for loc in loctets if loc.kind == kind][-1] for kind in orbit.LOCTET_TYPES]
+    v = min(m for loc in last for m in loc.members)
+    real = orbit._gamma8
+    monkeypatch.setattr(orbit, "_gamma8", lambda pc, ijkb: real(pc, ijkb)[:-1])
+    return ["system", "E6(a1)"], f"E6(a1): {v} has a pattern alpha label but no loctet"
+
+
+def _bare_square_sizes(monkeypatch):
+    # build_system: _components merges its first two components, which share p
+    real = orbit._components
+
+    def merged(n, edges):
+        comps = real(n, edges)
+        return (tuple(sorted(comps[0] + comps[1])),) + comps[2:]
+
+    s = system_of("D4(a1)")
+    assert s.component_p[0] == s.component_p[1]
+    sizes = {len(c) for c in merged(len(s.nodes), s.edges)}
+    monkeypatch.setattr(orbit, "_components", merged)
+    return ["system", "D4(a1)"], f"D4(a1): bare-square components of sizes {sizes}"
+
+
+def _negation(monkeypatch):
+    # _edges: the search loses its last vector, the negative of its first, and
+    # the first is checked before any node is reflected
+    nodes, nums = _search(pc_of("D4(a1)"))
+    assert nodes[-1] == tuple(-x for x in nodes[0])
+    monkeypatch.setattr(orbit, "_search", lambda pc: (nodes[:-1], nums[:-1]))
+    return ["system", "D4(a1)"], f"D4(a1): the negative of {nodes[0]} is not a linkage vector"
+
+
+def _reflection(monkeypatch):
+    # _edges: reflect_at with the sign of dotted edges flipped; the first node
+    # and vertex, in _edges' order, whose reflection is not a node are the witness
+    def flipped(pc, i, v):
+        return tuple(x - v[i] * (-b if b == dg.DOTTED else b) for x, b in zip(v, pc.gram[i]))
+
+    pc, d = pc_of("D5(a1)"), cl.catalog("D5(a1)")
+    nodes = set(links_of("D5(a1)"))
+    v, k, w = next((v, k, flipped(pc, k, v)) for v in links_of("D5(a1)")
+                   for k in range(len(v)) if v[k] > 0 and flipped(pc, k, v) not in nodes)
+    monkeypatch.setattr(orbit, "reflect_at", flipped)
+    return ["system", "D5(a1)"], \
+        f"D5(a1): reflection at {d.vertices[k]} leaves the linkage set: {v} -> {w}"
+
+
+_PROJECT = ["project", "D6(a1)", "D5(a1)", "--vertex", "b3"]
+
+
+def _dropping_b3(v):
+    """v without its label at b3, the last vertex of D6(a1)."""
+    assert cl.catalog("D6(a1)").vertices[-1].id == "b3"
+    return v[:-1]
+
+
+def _projection_image(monkeypatch):
+    # project_system: the base system loses its first node; the first node of
+    # the extended system that projects onto it is the witness
+    gone = system_of("D5(a1)").nodes[0]
+    v = next(v for v in system_of("D6(a1)").nodes if _dropping_b3(v) == gone)
+    _inject_system(monkeypatch, "D5(a1)", lambda s: _system_with(s, nodes=s.nodes[1:]))
+    return _PROJECT, f"projection of {v} gives {gone}, not a linkage vector of D5(a1)"
+
+
+def _projection_kernel(monkeypatch):
+    # project_system: the extended system loses its two unit vectors at b3
+    units = {(0,) * 5 + (1,), (0,) * 5 + (-1,)}
+    assert units <= set(system_of("D6(a1)").nodes)
+    _inject_system(monkeypatch, "D6(a1)", lambda s: _system_with(
+        s, nodes=tuple(v for v in s.nodes if v not in units)))
+    return _PROJECT, "kernel is [], expected the two unit vectors at b3"
+
+
+def _projection_loctet(monkeypatch):
+    # project_system: the base system loses its first loctet; the first loctet
+    # of the extended system that projects onto it is the witness
+    first = system_of("D5(a1)").loctets[0].member_set()
+    ei, loc = next((ei, loc) for ei, loc in enumerate(system_of("D6(a1)").loctets)
+                   if frozenset(map(_dropping_b3, loc.members)) == first)
+    _inject_system(monkeypatch, "D5(a1)", lambda s: _system_with(s, loctets=s.loctets[1:]))
+    return _PROJECT, f"loctet {ei} ({loc.kind}) of D6(a1) does not project onto a loctet of D5(a1)"
+
+
+# id: fault; each returns the command line and the failure line's message
 FAULTS = {
     "root-not-in-the-ambient": _root_not_in_the_ambient,
     "embedding-gram": _embedding_gram,
@@ -218,11 +333,18 @@ FAULTS = {
     "p-plus-mu-norm": _p_plus_mu_norm,
     "lattice-test": _lattice_test,
     "square-diagonal": _square_diagonal,
+    "loctet-coverage": _coverage,
+    "bare-square-sizes": _bare_square_sizes,
+    "negation-closure": _negation,
+    "reflection-closure": _reflection,
+    "projection-image": _projection_image,
+    "projection-kernel": _projection_kernel,
+    "projection-loctet": _projection_loctet,
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_each_check_fires_and_names_a_witness(fault, monkeypatch, capsys):
-    name, message = FAULTS[fault](monkeypatch)
-    code = main(["verify", name])
+    argv, message = FAULTS[fault](monkeypatch)
+    code = main(argv)
     assert (code, capsys.readouterr().err) == (2, f"verification failure: {message}\n")

@@ -306,16 +306,72 @@ def test_d4_loctet_is_the_four_coordinate_spindle():
         (1, -1, 0, 0), (1, 1, 0, -1), (0, 0, -1, 1), (0, 0, 1, 0))
 
 
-def test_loctet_members_must_be_linkage_vectors():
-    # the public constructor checks the form; build_system checks the node index
+def test_loctet_members_must_be_linkage_vectors(monkeypatch):
+    # the public constructor rejects a vector that grows no loctet of the
+    # system; build_system's _edges names a member dropped from the search
     pc = pc_of("E6(a1)")
-    with pytest.raises(orbit.VerificationError, match="is not a linkage vector"):
+    with pytest.raises(ValueError, match=re.escape(
+            "(0, 0, 1, 0, 2, 0) is not a gamma(8) candidate of kind L12")):
         cl.loctet_from_gamma8(pc, (0, 0, 1, 0, 2, 0), "L12")
-    nodes = links_of("E6(a1)")
     gone = cl.loctet_from_gamma8(pc, cl.gamma8_candidates(pc, "L12")[0], "L12").members[0]
-    index = {v: i for i, v in enumerate(nodes) if v != gone}
-    with pytest.raises(orbit.VerificationError, match="is not a linkage vector"):
-        orbit._generated_loctets(pc, index, orbit._pattern_indices(pc))
+    nodes, nums = _search(pc)
+    kept = [k for k, v in enumerate(nodes) if v != gone]
+    monkeypatch.setattr(orbit, "_search", lambda pc: (
+        tuple(nodes[k] for k in kept), tuple(nums[k] for k in kept)))
+    with pytest.raises(orbit.VerificationError, match=re.escape(
+            f"E6(a1): reflection at a3 leaves the linkage set: (0, 0, 1, -1, 0, 0) -> {gone}")):
+        cl.build_system(pc)
+
+
+# (diagram, g8 of kind L12): vectors that are not gamma(8) candidates; the
+# first two grow eight linkage vectors that are no loctet of the system
+_NON_CANDIDATES = {
+    "e6a1-negated-labels": ("E6(a1)", (0, 0, -1, 0, 0, 1)),
+    "d7a1-negated-labels": ("D7(a1)", (0, 0, -1, -1, 0, 0, 1)),
+    "e6a1-label-at-a1": ("E6(a1)", (1, 0, 0, 0, 0, 0)),
+    "e6a1-label-2": ("E6(a1)", (0, 0, 1, 0, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("case", _NON_CANDIDATES)
+def test_loctet_from_gamma8_rejects_a_non_candidate(case):
+    name, g8 = _NON_CANDIDATES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(g8))} is not a gamma\\(8\\) "
+                                         "candidate of kind L12$"):
+        cl.loctet_from_gamma8(pc_of(name), g8, "L12")
+
+
+@pytest.mark.parametrize("name", [n for n in dg.catalog_names() if cl.catalog(n).pattern])
+def test_loctet_from_gamma8_is_the_systems_loctet(name):
+    pc = pc_of(name)
+    for kind in orbit.LOCTET_TYPES:
+        grown = [cl.loctet_from_gamma8(pc, g8, kind) for g8 in cl.gamma8_candidates(pc, kind)]
+        assert grown == [loc for loc in system_of(name).loctets if loc.kind == kind]
+
+
+# gamma(1..8) on (a_i, a_j, a_k, b1) for a loctet of kind L_ij, whatever the
+# other labels of gamma(8) are
+_LOCTET_SIGNATURE = ((0, 0, -1, 0), (0, 0, 1, -1), (-1, -1, 0, 1), (-1, 1, 0, 0),
+                     (1, -1, 0, 0), (1, 1, 0, -1), (0, 0, -1, 1), (0, 0, 1, 0))
+
+
+def test_every_generated_loctet_reads_the_signature_table():
+    # the law that lets build_system drop its distinctness and pattern-alpha
+    # checks: eight distinct rows, each nonzero on a pattern alpha
+    assert len(set(_LOCTET_SIGNATURE)) == 8 and all(any(r[:3]) for r in _LOCTET_SIGNATURE)
+    names = dg.catalog_names() + [n for l in range(4, 13)
+                                  for n in [f"D{l}(a{k})" for k in range(1, l - 2)] + [f"D{l}"]]
+    count = 0
+    for name in names:
+        d = cl.catalog(name)
+        for loc in system_of(name).loctets:
+            if loc.kind == "D4":
+                continue
+            i, j = (int(c) - 1 for c in loc.kind[1:])
+            roles = [d.index_of(d.pattern[r]) for r in (i, j, 3 - i - j, 3)]
+            assert tuple(tuple(m[r] for r in roles) for m in loc.members) == _LOCTET_SIGNATURE
+            count += 1
+    assert count == 318  # 139 in the catalog, 179 in the D_l(a_k) and D_l (D4-D7 twice)
 
 
 def test_build_system_rejects_a_loctet_generated_twice(monkeypatch):
