@@ -109,9 +109,10 @@ class CarterDiagram(_Value):
     the normalized ``edges``, ``neighbors`` and the pattern are read from it.
     It is checked here and nowhere else: one that is not a nonempty connected
     bicolored graph with distinct vertex ids, whose vertices and edge endpoints
-    are ``VertexId``s, raises DiagramError.  So does a name that is not
-    printable text free of ``"`` and ``\\``, which the DOT graph and the
-    first line of the ``system`` output could not quote.
+    are ``VertexId``s of kind a, b, t or f, an int index >= 0 and color alpha
+    (always for a) or beta (always for b), raises DiagramError.  So does a name
+    that is not printable text free of ``"`` and ``\\``, which the DOT graph
+    and the first line of the ``system`` output could not quote.
     """
 
     _value = ("name", "vertices", "edges")
@@ -123,6 +124,15 @@ class CarterDiagram(_Value):
         for i, v in enumerate(vertices):
             if not isinstance(v, VertexId):  # a plain tuple would equal one
                 raise DiagramError(f"{name}: vertex {v!r} is not a VertexId")
+            # before v is hashed: an index or color that is a list would leak TypeError
+            if v.kind not in ("a", "b", "t", "f") or type(v.index) is not int or v.index < 0:
+                raise DiagramError(
+                    f"vertices[{i}]: bad id {v.id!r} (want a<k>, b<k>, t<k> or f<k>)")
+            if v.color not in (ALPHA, BETA):
+                raise DiagramError(
+                    f"vertices[{i}]: color must be 'alpha' or 'beta', got {v.color!r}")
+            if (v.kind, v.color) in (("a", BETA), ("b", ALPHA)):
+                raise DiagramError(f"vertices[{i}]: id {v.id!r} conflicts with color {v.color!r}")
             if pos.setdefault(v, i) != i:
                 raise DiagramError(f"{name}: duplicate vertex {v}")
         index = {**pos, **{v.id: i for v, i in pos.items()}}  # vertex and vertex id -> position
@@ -523,16 +533,12 @@ def from_json(text: str) -> CarterDiagram:
     verts = []
     for i, v in enumerate(doc["vertices"]):
         _check_keys(v, {"id", "color"}, f"vertices[{i}]")
-        vid, color = v.get("id"), v.get("color")
-        if color not in (ALPHA, BETA):
-            raise DiagramError(f"vertices[{i}]: color must be 'alpha' or 'beta', got {color!r}")
+        vid = v.get("id")
         # an id is canonical exactly when it is the id of the vertex read from it
         m = re.match(r"([abtf])(\d+)", str(vid))
-        vertex = VertexId(m.group(1), int(m.group(2)), color) if m else None
+        vertex = VertexId(m.group(1), int(m.group(2)), v.get("color")) if m else None
         if vertex is None or vertex.id != vid:
             raise DiagramError(f"vertices[{i}]: bad id {vid!r} (want a<k>, b<k>, t<k> or f<k>)")
-        if vertex.kind == "a" and color != ALPHA or vertex.kind == "b" and color != BETA:
-            raise DiagramError(f"vertices[{i}]: id {vid!r} conflicts with color {color!r}")
         verts.append(vertex)
     byid = {v.id: v for v in verts}
     edges = []

@@ -133,8 +133,8 @@ class RootSystem:
     def reflection(self, g: int) -> tuple[int, ...]:
         """The reflection in root g as a permutation of root indices: x goes to
         x + v or x - v when (x, v) = -1 or 1, v = root g, to -x when x = +-v,
-        and stays when (x, v) = 0.  The first call builds every row, so no
-        later call builds any."""
+        and stays when (x, v) = 0.  The first call builds every row; a set not
+        closed under a reflection raises RootSystemError there."""
         if not 0 <= g < len(self.doubled):
             raise RootSystemError(f"{self.name}: no root of index {g}")
         if self._reflections is None:
@@ -142,29 +142,24 @@ class RootSystem:
         return self._reflections[g]
 
     def _reflection_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Every row of ``reflection``, from ``ip_bits``.  A root is keyed by
-        its doubled coordinates read as the digits of one balanced base-b
-        integer; the key is linear, so x -+ v, a root, is found by the key
-        of x -+ that of v, with no tuple built."""
-        b = 2 * max(abs(c) for x in self.doubled for c in x) + 1
-        keys = []
-        for x in self.doubled:
-            k = 0
-            for c in x:
-                k = k * b + c
-            keys.append(k)
-        at = {k: i for i, k in enumerate(keys)}
+        """Every row of ``reflection``, read from ``ip_bits``.  For (x, v) = +-1,
+        x -+ v is the one root y with (y, x) = 1 and (y, v) = -+1, since then
+        (y, x -+ v) = 2 = |y| |x -+ v|: row[j] is the one bit of x's 1-set in
+        v's -+1-set.  An empty intersection means x -+ v is no root."""
         rows = []
         for g, (minus, _, plus) in enumerate(self.ip_bits):
-            kg = keys[g]
-            row = list(range(len(keys)))  # (x, v) = 0
-            for bits, step in ((plus, -kg), (minus, kg)):
+            row = list(range(len(self.doubled)))  # (x, v) = 0
+            for bits, meets in ((plus, minus), (minus, plus)):
                 while bits:
                     low = bits & -bits
                     bits ^= low
                     j = low.bit_length() - 1
-                    row[j] = at[keys[j] + step]
-            row[g] = neg = at[-kg]
+                    y = self.ip_bits[j][2] & meets
+                    if not y:
+                        raise RootSystemError(
+                            f"{self.name}: not closed under the reflection in root {g}")
+                    row[j] = y.bit_length() - 1
+            row[g] = neg = self.index[tuple(-c for c in self.doubled[g])]
             row[neg] = g
             rows.append(tuple(row))
         return tuple(rows)
@@ -500,15 +495,17 @@ class LawsReport(NamedTuple):
 def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     """Verify the exact laws tying labels, projections and mu together.
 
-    Per realized root: p = form of labels = squared length of gamma_L (both
-    under B restricted and under the ambient dot product) and p + |mu|^2 = 2.
-    The mirror gamma_L - mu is a root exactly when it lies in the root
-    lattice; that equivalence is verified (the mirror can leave the lattice:
-    2 gamma_L need not have integral root coefficients).  Each realized root
-    must be the ambient root its ``index`` names.  The extension orbits are
-    counted and sized per p-slice by the lattice law of ``_orbit_slices``.
+    Per realized root: p = form of labels = |gamma_L|^2 under the ambient dot
+    product, p + |mu|^2 = 2, and the mirror gamma_L - mu is a root exactly when
+    it lies in the root lattice (it can leave it: 2 gamma_L need not have
+    integral root coefficients).  Each realized root must be the ambient root
+    its ``index`` names.  The extension orbits are counted and sized per
+    p-slice by the lattice law of ``_orbit_slices``.
 
-    Four more laws hold and are not checked, as the checks above force them:
+    Five more laws hold and are not checked, as the checks above force them:
+    - c.B.c = D lc, with c = N labels: ``Embedding`` checks E_i.E_j = 4 B_ij off
+      the diagonal, and E.E = 8 for a doubled root E, so G = sum c_k E_k has
+      |G|^2 = 4 c.B.c, and the restricted-form check is |G|^2 = 4 D lc;
     - the mirror has norm 2: |gamma|^2 = 2, |gamma_L|^2 = p and
       |mu|^2 = 2 - p give (gamma_L, mu) = 0, so |gamma_L - mu|^2 = 2;
     - |mu|^2 is constant on each p-class: it is 2 - p, root by root;
@@ -518,12 +515,11 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
       {gamma_L + mu, gamma_L - mu}: they share gamma_L, their mu is +-mu of
       the slice, and distinct roots have distinct mu.
 
-    Each law is checked on integer data recomputed from gamma and the labels,
-    which must match the fields in ``dl``.  The projection, p and the two form
-    checks are done once per distinct label vector, the Fractions of mu once
-    per distinct mu, and the rest on every realized root.
+    Integer data recomputed from gamma and the labels must match ``dl``; the
+    projection, p and the form check run once per label vector, the Fractions
+    of mu once per mu, and the rest on every realized root.
     """
-    gram, n_mat, den = e.pc.gram, e.pc.inv_num, e.pc.inv_den
+    n_mat, den = e.pc.inv_num, e.pc.inv_den
     s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
@@ -541,8 +537,6 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             if proj is None:
                 raise VerificationError(f"{r.gamma} does not extend the embedding")
             c, lc, g, gamma_l, p = proj
-            if _dot(c, [_dot(row, c) for row in gram]) != den * lc:
-                raise VerificationError(f"form mismatch on labels of {r.gamma}")
             if _dot(g, g) != 4 * den * lc:
                 raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
             of_labels[r.labels] = lc, g, gamma_l, p, tuple(a % den for a in c)

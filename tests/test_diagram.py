@@ -373,6 +373,30 @@ def test_vertices_must_be_vertex_ids(vertex):
         dg.CarterDiagram("x", (vertex,), ())
 
 
+_ID_RULE = "(want a<k>, b<k>, t<k> or f<k>)"
+
+
+@pytest.mark.parametrize("vertices,message", [
+    ((dg.VertexId("a", 1, "gamma"),), "vertices[0]: color must be 'alpha' or 'beta', got 'gamma'"),
+    ((dg.VertexId("a", 1, dg.BETA), dg.VertexId("b", 1, dg.ALPHA)),
+     "vertices[0]: id 'a1' conflicts with color 'beta'"),
+    ((dg.VertexId("q", 1, dg.ALPHA),), f"vertices[0]: bad id 'q1' {_ID_RULE}"),
+    ((dg.VertexId("a", -1, dg.ALPHA),), f"vertices[0]: bad id 'a-1' {_ID_RULE}"),
+    ((dg.VertexId("a", True, dg.ALPHA),), f"vertices[0]: bad id 'aTrue' {_ID_RULE}"),
+    ((dg.VertexId("t", 1, "gamma"), dg.VertexId("t", 2, "delta")),
+     "vertices[0]: color must be 'alpha' or 'beta', got 'gamma'"),
+    # checked before the vertex is hashed, which would leak TypeError
+    ((dg.VertexId("a", [1], dg.ALPHA),), f"vertices[0]: bad id 'a[1]' {_ID_RULE}"),
+], ids=["gamma", "a-beta-b-alpha", "kind-q", "index-minus-one", "index-true", "gamma-delta",
+        "index-list"])
+def test_vertices_obey_the_json_rules(vertices, message):
+    # each vertex obeys the rules from_json reads ids and colors by, so
+    # to_json never writes a document that from_json rejects
+    edges = ((vertices[0], vertices[1], dg.SOLID),) if len(vertices) > 1 else ()
+    with pytest.raises(dg.DiagramError, match=f"^{re.escape(message)}$"):
+        dg.CarterDiagram("x", vertices, edges)
+
+
 @pytest.mark.parametrize("name", [1, None, b"x", "x\ty", 'x"', "x\\"])
 def test_names_must_be_printable_text_without_quotes(name):
     message = f'bad diagram name {name!r} (want printable text without " or \\)'
@@ -444,6 +468,12 @@ def test_gram_rows_agree_with_edge_scans_on_catalog_variants(d):
     raw = tuple((v, u, s) for u, v, s in reversed(d.edges))
     _agrees_with_references(cl.CarterDiagram(d.name, d.vertices, raw), raw)
     _agrees_with_references(d, d.edges)
+
+
+def test_json_reads_back_every_catalog_variant():
+    # the constructor accepts only what from_json reads back
+    for d in _catalog_variants():
+        assert dg.from_json(dg.to_json(d)) == d, d.name
 
 
 def _assert_connectivity_first(d) -> None:

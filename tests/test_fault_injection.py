@@ -14,11 +14,24 @@ There is one entry for each check of ``orbit`` that no other test reaches:
 the loctet coverage and the bare-square sizes of ``build_system``, the
 negation and reflection closure of ``_edges``, and the three checks of
 ``project_system``.  The loctet laws that ``build_system`` does not check
-are stated in the docstring of ``orbit._generated_loctets``.
+are stated in the docstring of ``orbit._generated_loctets``.  The
+restricted-form check is reached by two faults: a wrong B^-1 and a wrong G.
+
+Three entries fault the data that the checks read rather than a check: the
+search keeping the vectors of form exactly 2 (``_edges`` finds a reflection
+that leaves them), one label of a realized root negated in ``roots._labels``,
+and one bit of E8's ``ip_bits`` moved from a 0-set to a +1-set (``verify``
+finds a direct label vector outside the enumeration).  Not every label flip
+is caught: one that puts a realized root's labels at p = 2 drops the root
+from the scan, and ``verify A5`` still exits 0 (ROADMAP item 8).
 
 These laws of the projection hold but are not checked, because earlier
 checks on the same values force them, so no fault can reach a check of them:
 
+- c.B.c = D lc for c = N labels, the form of the labels under B restricted:
+  ``Embedding`` checks E_i.E_j = 4 B_ij off the diagonal, and every doubled
+  root E has E.E = 8, so G = sum c_k E_k has |G|^2 = 4 c.B.c, and the
+  restricted-form check |G|^2 = 4 D lc is the same identity;
 - a label outside -1..1 in ``roots._labels``: ``RootSystem`` admits only
   roots of norm 2 with integral inner products, so |(x, y)| <= 2, with
   equality only for y = +-x, the two roots the scan labels 2 and -2;
@@ -35,6 +48,7 @@ checks on the same values force them, so no fault can reach a check of them:
   puts every mu in {mu0, -mu0}, and distinct roots have distinct mu.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -43,8 +57,9 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import orbit
 from carterlink import roots as rt
-from carterlink.cli import main
-from carterlink.linkage import _search
+from carterlink.cli import _vec, main
+from carterlink.linkage import _search, form_num
+from carterlink.orbit import reflect_at
 
 from helpers import embedding_in, labels_in, links_of, pc_of, system_of
 
@@ -122,10 +137,11 @@ def _root_in_the_span(monkeypatch):
     return ["verify", "D4(a1)"], f"{gamma} does not extend the embedding"
 
 
-def _form_mismatch(monkeypatch):
+def _inverse_form(monkeypatch):
     # check_projection_laws: B^-1 changed by an antisymmetric +-1 at (0, 1) and
-    # (1, 0), which leaves every form labels . B^-1 labels, so p, as it is; the
-    # first root with a nonzero label at a1 or a2 is the witness
+    # (1, 0), which leaves every form labels . B^-1 labels, so p, as it is, but
+    # not c = N labels, so G = sum c_k E_k and |G|^2 = 4 c.B.c differ from
+    # 4 D lc; the first root with a nonzero label at a1 or a2 is the witness
     def change(e):
         num = [list(row) for row in e.pc.inv_num]
         num[0][1] += 1
@@ -136,7 +152,7 @@ def _form_mismatch(monkeypatch):
 
     _inject(monkeypatch, "find_embedding", change)
     r = next(r for r in labels_in("E6(a1)", "E8").realized if r.labels[:2] != (0, 0))
-    return ["verify", "E6(a1)"], f"form mismatch on labels of {r.gamma}"
+    return ["verify", "E6(a1)"], f"restricted form differs from ambient on {r.gamma}"
 
 
 def _restricted_form(monkeypatch):
@@ -320,6 +336,74 @@ def _projection_loctet(monkeypatch):
     return _PROJECT, f"loctet {ei} ({loc.kind}) of D6(a1) does not project onto a loctet of D5(a1)"
 
 
+# -- faults in the data the checks read: the search, the label scan, ip_bits ----
+
+
+def _form_at_most_two(pc):
+    """The vectors and form numerators the search would keep with its bound
+    < 2 turned into <= 2: every nonzero v in {-1, 0, 1}^l with form <= 2,
+    sorted, found as ``brute_force_linkages`` finds the linkage vectors."""
+    found = [(v, form_num(pc, v)) for v in itertools.product((-1, 0, 1), repeat=len(pc))
+             if any(v) and form_num(pc, v) <= 2 * pc.inv_den]
+    return tuple(v for v, _ in found), tuple(n for _, n in found)
+
+
+def _search_admits_form_two(monkeypatch):
+    # _edges: the search keeps the vectors of form exactly 2 too; the first node
+    # and vertex, in _edges' order, whose reflection is not a node are the witness
+    pc, d = pc_of("E6(a1)"), cl.catalog("E6(a1)")
+    nodes = _form_at_most_two(pc)[0]
+    v, k, w = next((v, k, reflect_at(pc, k, v)) for v in nodes for k in range(len(v))
+                   if v[k] > 0 and reflect_at(pc, k, v) not in nodes)
+    monkeypatch.setattr(orbit, "_search", _form_at_most_two)
+    return ["system", "E6(a1)"], \
+        f"E6(a1): reflection at {d.vertices[k]} leaves the linkage set: {v} -> {w}"
+
+
+def _label_flip(monkeypatch):
+    # roots._labels: the first nonzero label of the first realized root negated;
+    # the flipped label vector is outside the enumeration, and the witness
+    r = labels_in("E6(a1)", "E8").realized[0]
+    k = next(k for k, x in enumerate(r.labels) if x)
+    flipped = _replaced(r.labels, k, -r.labels[k])
+    assert flipped not in links_of("E6(a1)")
+    real = rt._labels
+
+    def change(e):
+        labels = real(e)
+        labels[r.index] = flipped
+        return labels
+
+    monkeypatch.setattr(rt, "_labels", change)
+    return ["verify", "E6(a1)"], \
+        f"direct labels of E6(a1) in E8 leave the enumerated set: {_vec(flipped)}"
+
+
+def _ip_bit(monkeypatch):
+    # RootSystem._ip_bits of E8: the first root j of root 0's 0-set moved to its
+    # +1-set, and root 0 likewise in j's row; root 0 is embedded, so j's label
+    # vector gains a 1 at root 0's vertex, which puts it outside the enumeration
+    e = embedding_in("E6(a1)", "E8")
+    zero = e.ambient.ip_bits[0][1]
+    j, k = (zero & -zero).bit_length() - 1, e.idx.index(0)
+    labels = rt._labels(e)[j]
+    assert labels[k] == 0 and j not in e.idx
+    moved = _replaced(labels, k, 1)
+    real = rt.RootSystem._ip_bits
+
+    def change(self):
+        rows = real(self)
+        if self.name == "E8":
+            for a, b in ((0, j), (j, 0)):
+                minus, orth, plus = rows[a]
+                rows = _replaced(rows, a, (minus, orth ^ 1 << b, plus | 1 << b))
+        return rows
+
+    monkeypatch.setattr(rt.RootSystem, "_ip_bits", change)
+    return ["verify", "E6(a1)"], \
+        f"direct labels of E6(a1) in E8 leave the enumerated set: {_vec(moved)}"
+
+
 # id: fault; each returns the command line and the failure line's message
 FAULTS = {
     "root-not-in-the-ambient": _root_not_in_the_ambient,
@@ -327,7 +411,7 @@ FAULTS = {
     "gamma-not-a-root": _gamma_not_a_root,
     "root-index": _root_index,
     "root-in-the-span": _root_in_the_span,
-    "form-mismatch": _form_mismatch,
+    "inverse-form": _inverse_form,
     "restricted-form": _restricted_form,
     "projection-field": _projection_field,
     "p-plus-mu-norm": _p_plus_mu_norm,
@@ -340,6 +424,9 @@ FAULTS = {
     "projection-image": _projection_image,
     "projection-kernel": _projection_kernel,
     "projection-loctet": _projection_loctet,
+    "search-admits-form-two": _search_admits_form_two,
+    "label-flip": _label_flip,
+    "ip-bit": _ip_bit,
 }
 
 

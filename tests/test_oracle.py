@@ -123,7 +123,9 @@ def test_in_root_lattice_rejects_a_vector_of_another_length(name, x):
         ambient(name).in_root_lattice(x)
 
 
-@pytest.mark.parametrize("name", ["A4", "D5", "E6", "E7", "E8"])
+# A1, A2 and D2 have empty +-1 bitsets; A12 and D12 are the largest A and D
+@pytest.mark.parametrize("name", ["A4", "D5", "E6", "E7", "E8", "A1", "A2", "D2", "D4", "A8",
+                                  "D8", "A12", "D12"])
 def test_reflection_rows_match_coordinates(name):
     rs = ambient(name)
     n = len(rs)
@@ -147,6 +149,14 @@ def test_first_reflection_call_builds_every_row():
     row = rs.reflection(3)
     assert len(rs._reflections) == len(rs)
     assert rs._reflections[3] is row
+
+
+def test_reflection_rows_reject_a_set_not_closed_under_a_reflection():
+    # (1, 1, 0) and (1, 0, 1) have inner product 1, and their difference is no root
+    rs = rt.RootSystem("x", 2, 3, [(2, 2, 0), (-2, -2, 0), (2, 0, 2), (-2, 0, -2)])
+    with pytest.raises(rt.RootSystemError,
+                       match=r"^x: not closed under the reflection in root 0$"):
+        rs.reflection(0)
 
 
 @pytest.mark.parametrize("g", [-1, 20])
