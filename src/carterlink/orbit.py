@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import diagram as dg
-from .cartan import PartialCartan, build_partial_cartan
+from .cartan import PartialCartan, build_partial_cartan, inverse_diagonal
 from .linkage import Linkage, _search, enumerate_linkages
 
 LOCTET_TYPES = ("L12", "L13", "L23")
@@ -37,11 +37,10 @@ class UnsupportedDiagram(ValueError):
 
 
 def reflect_at(pc: PartialCartan, i: int, v: Linkage) -> Linkage:
-    """The dual reflection at the vertex of index i.  Unchecked: ``v`` must be
+    """The dual reflection at the vertex of index i, a copy of v where v_i = 0,
+    though the package reflects only where v_i > 0.  Unchecked: ``v`` must be
     a tuple of length len(pc); ``dual_reflect`` is the checked form."""
     vi = v[i]
-    if vi == 0:
-        return v
     return tuple(x - vi * b for x, b in zip(v, pc.gram[i]))
 
 
@@ -294,13 +293,22 @@ class ProjectionReport(NamedTuple):
 def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> ProjectionReport:
     """Drop one coordinate of every node of ``ext`` and verify the images.
 
-    Preconditions: the extended diagram must be the base plus one solid
-    leaf, ``dropped`` being the leaf.  Every nonzero image must be a base
-    linkage vector; the kernel must be exactly the two unit vectors at the
-    dropped coordinate; loctets must map onto loctets.  That the base is
-    simply extendable at the leaf's neighbor v is not checked: B_ext is then
-    [[B, -e_v], [-e_v^T, 2]], so det B_ext = det B * (2 - (B^-1)_vv), and
-    both determinants are positive, so (B^-1)_vv < 2.
+    Hypotheses, decided from the diagrams before the base system is built;
+    an input that breaks one raises DiagramError naming it and its value:
+    - the extended diagram is the base plus one solid leaf, ``dropped``;
+    - (B^-1)_vv < 3/2 at the leaf's neighbor v;
+    - the base has a pattern when the extension has one.
+    The claims: every nonzero image is a base linkage vector, the kernel is
+    exactly the two unit vectors at the dropped coordinate, and loctets map
+    onto loctets.
+
+    B_ext is [[B, -e_v], [-e_v^T, 2]], so det B_ext = det B * (2 - (B^-1)_vv)
+    and (B_ext^-1)_nn = 1 / (2 - (B^-1)_vv) at the leaf n.  Both determinants
+    are positive, so (B^-1)_vv < 2: the base is simply extendable at v,
+    unchecked.  The leaf's unit vector is a linkage, of form < 2, exactly when
+    (B^-1)_vv < 3/2; otherwise the kernel is empty.  An extension with a
+    pattern has generated loctets, and a base without one has no loctets (a
+    chain) or the components of the bare 4-cycle, onto which none projects.
     """
     d_ext = ext.pc.diagram
     di = d_ext.index_of(dropped)
@@ -316,6 +324,15 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
     if len(column) != 1 or column[0][1] != dg.SOLID:
         raise dg.DiagramError(f"{dropped} is not a simple-extension leaf")
     attach = base.diagram.vertices[keep.index(column[0][0])]
+    vv = inverse_diagonal(base, attach)
+    if vv >= Fraction(3, 2):
+        raise dg.DiagramError(
+            f"projection needs (B^-1)_vv < 3/2 at the attach vertex; "
+            f"{base.diagram.name} has (B^-1)_vv = {vv} at {attach}")
+    if d_ext.pattern is not None and base.diagram.pattern is None:
+        raise dg.DiagramError(
+            f"projection needs a pattern in the base when the extension has one; "
+            f"{d_ext.name} has one, {base.diagram.name} has none")
 
     base_sys = build_system(base)
     base_nodes = set(base_sys.nodes)

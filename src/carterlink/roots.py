@@ -22,13 +22,13 @@ roots share those Fraction objects, taken from one table.
 its embeddings share it and every oracle reads it from there.  The extension
 orbits follow a lattice law: they are dict lookups by (2D mu, N labels mod D),
 with no reflection applied (see ``_orbit_slices``); the weight orbits are
-``diagram.closure`` under the dual reflections.
+``diagram.closure`` under the dual reflections at positive coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -95,7 +95,6 @@ class RootSystem:
                     f"{name}: set not closed under negation: doubled root {x} has no negative")
         self.roots = tuple(tuple(_HALVES[c] for c in x) for x in self.doubled)
         self.ip_bits = self._ip_bits()
-        self._reflections: Optional[tuple[tuple[int, ...], ...]] = None
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
         """Bit-sliced: ``by_value[k][c]`` is the bitset of the roots whose
@@ -137,11 +136,10 @@ class RootSystem:
         closed under a reflection raises RootSystemError there."""
         if not 0 <= g < len(self.doubled):
             raise RootSystemError(f"{self.name}: no root of index {g}")
-        if self._reflections is None:
-            self._reflections = self._reflection_rows()
         return self._reflections[g]
 
-    def _reflection_rows(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def _reflections(self) -> tuple[tuple[int, ...], ...]:
         """Every row of ``reflection``, read from ``ip_bits``.  For (x, v) = +-1,
         x -+ v is the one root y with (y, x) = 1 and (y, v) = -+1, since then
         (y, x -+ v) = 2 = |y| |x -+ v|: row[j] is the one bit of x's 1-set in
@@ -516,14 +514,14 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
       the slice, and distinct roots have distinct mu.
 
     Integer data recomputed from gamma and the labels must match ``dl``; the
-    projection, p and the form check run once per label vector, the Fractions
-    of mu once per mu, and the rest on every realized root.
+    projection, p, the form check and the mirror's integrality run once per
+    label vector (doubled, the mirror is (G - M) / D = 2G / D - x for the root
+    x / 2), the Fractions of mu once per mu, and the rest on every realized root.
     """
     n_mat, den = e.pc.inv_num, e.pc.inv_den
-    s = 2 * den
     amb = e.ambient
     cols = list(zip(*e.doubled))
-    of_labels: dict[Linkage, tuple] = {}  # lc, G, gamma_L, p and c mod D
+    of_labels: dict[Linkage, tuple] = {}  # lc, G, gamma_L, p, c mod D and 2G / D or None
     of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
     by_p: dict[int, int] = {}  # realized roots per lc = D p
     keyed: dict[LatticeKey, list[RealizedLinkage]] = {}
@@ -539,24 +537,23 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             c, lc, g, gamma_l, p = proj
             if _dot(g, g) != 4 * den * lc:
                 raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
-            of_labels[r.labels] = lc, g, gamma_l, p, tuple(a % den for a in c)
-        lc, g, gamma_l, p, c = of_labels[r.labels]
+            g2 = None if any(2 * a % den for a in g) else tuple(2 * a // den for a in g)
+            of_labels[r.labels] = lc, g, gamma_l, p, tuple(a % den for a in c), g2
+        lc, g, gamma_l, p, c, g2 = of_labels[r.labels]
         m = tuple(den * a - b for a, b in zip(x, g))
         mu, mu2, mm = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
         # equal values are mostly the same objects, which the tuple compares first
         if (r.gamma_L, r.mu, r.mu_norm_sq, r.p) != (gamma_l, mu, mu2, p):
             raise VerificationError(f"projection data of {r.gamma} differ from a recomputation")
-        if 4 * den * lc + mm != 2 * s * s:
+        if 4 * den * lc + mm != 8 * den * den:
             raise VerificationError(f"p + |mu|^2 != 2 for {r.gamma}")
-        # gamma_L - mu doubled is (G - M) / D: a root or a lattice vector only when integral
-        bar = [a - b for a, b in zip(g, m)]
-        integral = all(a % den == 0 for a in bar)
-        bar = tuple(a // den for a in bar)
-        is_root = integral and bar in amb.index
-        if is_root != (integral and amb._in_lattice(bar)):
-            raise VerificationError(
-                f"norm-2 lattice test disagrees with root membership for {r.gamma}")
-        mirrors += is_root
+        if g2 is not None:  # the mirror is a root or a lattice vector only when integral
+            bar = tuple(a - b for a, b in zip(g2, x))
+            is_root = bar in amb.index
+            if is_root != amb._in_lattice(bar):
+                raise VerificationError(
+                    f"norm-2 lattice test disagrees with root membership for {r.gamma}")
+            mirrors += is_root
         keyed.setdefault((m, c), []).append(r)
         by_p[lc] = by_p.get(lc, 0) + 1
 
@@ -672,12 +669,15 @@ def weight_orbit(pc: PartialCartan, v) -> tuple[tuple[int, ...], ...]:
     """Orbit of the unit label vector at v under the dual reflections.
 
     Defined for Dynkin diagrams only (no dotted edges), where the dual
-    reflections generate the honest Weyl group action on weights.
+    reflections act as W on weights in fundamental-weight coordinates.  The
+    start e_v is omega_v, the orbit's one dominant member; any other mu has a
+    mu_t < 0, and s*_t mu is higher, with coordinate t > 0.  So climbing from
+    any mu ends at e_v, and the closure steps only at positive coordinates.
     """
     d = pc.diagram
     if not d.is_dynkin():
         raise dg.DiagramError(f"{d.name}: weight orbits need a Dynkin diagram (no dotted edges)")
     i = d.index_of(v)
     start = tuple(1 if j == i else 0 for j in range(len(pc)))
-    step = lambda x: (reflect_at(pc, k, x) for k in range(len(x)) if x[k])
+    step = lambda x: (reflect_at(pc, k, x) for k in range(len(x)) if x[k] > 0)
     return tuple(sorted(dg.closure(start, step)))

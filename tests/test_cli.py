@@ -278,6 +278,14 @@ INPUT_REJECTIONS = {
     "disconnected": ("cartan", _d4_with(edges=_D4["edges"][:2]), (), "D4: diagram is disconnected"),
     "project-dotted-leaf": ("project", _e6a1_with_b3_dotted(), ("D5(a1)", "--vertex", "b3"),
                             "b3 is not a simple-extension leaf"),
+    # inputs outside the projection's hypotheses, which exited 2 as if a claim had failed
+    "project-leaf-not-a-linkage": (
+        "project", json.loads(dg.to_json(cl.catalog("E8"))), ("E7", "--vertex", "b4"),
+        "projection needs (B^-1)_vv < 3/2 at the attach vertex; E7 has (B^-1)_vv = 3/2 at a4"),
+    "project-base-without-pattern": (
+        "project", json.loads(dg.to_json(cl.catalog("D4"))), ("A3", "--vertex", "a3"),
+        "projection needs a pattern in the base when the extension has one; "
+        "D4 has one, A3 has none"),
     "verify-ambient-above-max-rank": (
         "verify", json.loads(dg.to_json(cl.catalog("A3"))), ("--ambient", f"D{dg.MAX_RANK + 1}"),
         f"D_n supports 2 <= n <= {dg.MAX_RANK}, got {dg.MAX_RANK + 1}"),

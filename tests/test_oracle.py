@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import carterlink as cl
+from carterlink import diagram as dg
 from carterlink import roots as rt
 from carterlink.cartan import CartanError
 from carterlink.diagram import DiagramError
@@ -393,6 +394,22 @@ def test_mirror_root_can_leave_lattice():
     assert rep.mirror_roots == dict(rep.p_classes)[1] == 60
 
 
+@pytest.mark.parametrize("amb,embedded", [("E8", 19), ("E7", 15), ("D8", 10)])
+def test_mirror_roots_match_the_record_fractions(amb, embedded):
+    # the laws decide the mirror's integrality once per label vector; here
+    # gamma_L - mu is formed root by root from the record's Fractions
+    roots = set(ambient(amb).roots)
+    checked = 0
+    for name in dg.catalog_names():
+        if embedding_in(name, amb) is None:
+            continue
+        dl = labels_in(name, amb)
+        want = sum(tuple(a - b for a, b in zip(r.gamma_L, r.mu)) in roots for r in dl.realized)
+        assert rt.check_projection_laws(dl, dl.embedding).mirror_roots == want, name
+        checked += 1
+    assert checked == embedded
+
+
 # -- square audit -----------------------------------------------------------------
 
 
@@ -526,11 +543,12 @@ def test_weight_orbit_sizes():
         assert len(cl.weight_orbit(pc, v)) == 2 * l
 
 
-# Every vertex of D4..D7, E6 and E7.  E8 is checked at its four vertices with
-# orbits of at most 17280 vectors; the other four (60480 to 483840 vectors)
-# take seconds each and about 100 MB in this pure-Python closure.
-WEIGHT_CASES = [(name, v.id) for name in ("D4", "D5", "D6", "D7", "E6", "E7")
-                for v in cl.catalog(name).vertices] + [("E8", v) for v in ("a3", "a4", "b2", "b4")]
+# Every vertex of A1..A8, D4..D8, E6 and E7.  E8 is checked at its four
+# vertices with orbits of at most 17280 vectors; the other four (60480 to
+# 483840 vectors) take seconds each and about 100 MB in this pure-Python closure.
+WEIGHT_CASES = [(name, v.id) for name in [f"A{l}" for l in range(1, 9)] +
+                ["D4", "D5", "D6", "D7", "D8", "E6", "E7"] for v in cl.catalog(name).vertices] \
+    + [("E8", v) for v in ("a3", "a4", "b2", "b4")]
 
 
 @pytest.mark.parametrize("name,vertex", WEIGHT_CASES)

@@ -26,6 +26,11 @@ def test_dual_reflect_fixes_zero_coordinate():
     pc = pc_of("E6(a2)")
     v = (0, 1, -1, 0, 1, 0)
     assert cl.dual_reflect(pc, "a1", v) == v
+    # reflect_at has no branch for v_t = 0: its formula subtracts 0 * column t
+    for v in (*links_of("E6(a2)"), (0,) * 6, (0, 3, -5, 0, 7, 0)):
+        for t, x in zip(pc.diagram.vertices, v):
+            if x == 0:
+                assert cl.dual_reflect(pc, t, v) == v, (v, t)
 
 
 def test_dual_reflect_gamma8_to_gamma7():
@@ -471,6 +476,42 @@ def test_projection_rejects_wrong_base():
 def test_projection_rejects_non_leaf():
     with pytest.raises(Exception):
         cl.project_system(system_of("E7(a1)"), "b1", pc_of("E6(a1)"))
+
+
+# every positive definite leaf extension of these projects or breaks a hypothesis
+_EXTENDED = dg.catalog_names() + [f"A{l}" for l in range(1, 8)] + \
+    ["D8"] + [f"D8(a{k})" for k in (1, 2, 3)]
+
+
+def test_projection_of_every_leaf_extension_is_a_result_or_a_broken_hypothesis():
+    # (B_ext^-1)_nn = 1 / (2 - (B^-1)_vv) at the leaf n, so its unit vector is
+    # a linkage exactly when (B^-1)_vv < 3/2; no input ends in VerificationError
+    outcomes = {"projects": 0, "inverse-diagonal": 0, "pattern": 0}
+    for name in _EXTENDED:
+        base = pc_of(name)
+        for v in base.diagram.vertices:
+            try:
+                ext = cl.build_partial_cartan(cl.extend(base.diagram, v))
+            except CartanError:
+                continue
+            vv = cl.inverse_diagonal(base, v)
+            if vv >= Fraction(3, 2):
+                broken, message = "inverse-diagonal", (
+                    f"projection needs (B^-1)_vv < 3/2 at the attach vertex; "
+                    f"{name} has (B^-1)_vv = {vv} at {v}")
+            elif ext.diagram.pattern and not base.diagram.pattern:
+                broken, message = "pattern", (
+                    f"projection needs a pattern in the base when the extension has one; "
+                    f"{ext.diagram.name} has one, {name} has none")
+            else:
+                rep = cl.project_system(cl.build_system(ext), ext.diagram.vertices[-1], base)
+                assert len(rep.kernel) == 2, (name, v.id)
+                outcomes["projects"] += 1
+                continue
+            with pytest.raises(dg.DiagramError, match=f"^{re.escape(message)}$"):
+                cl.project_system(cl.build_system(ext), ext.diagram.vertices[-1], base)
+            outcomes[broken] += 1
+    assert outcomes == {"projects": 55, "inverse-diagonal": 30, "pattern": 6}
 
 
 def _chain_ends(d):
