@@ -13,11 +13,10 @@ a permutation of root indices; the first call builds them all and the root
 system keeps them.
 With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
 mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
-checked as an integer identity; the public results carry the same values as
-exact Fractions.  gamma_L and p depend on the label vector alone and mu
-takes few values, so the label scan and the laws work once per label vector
-and once per mu, and per root only on what involves gamma; the realized
-roots share those Fraction objects, taken from one table.
+checked as an integer identity.  p depends on the label vector alone: the
+label scan decides once per label vector which roots extend the embedding
+and their p, the one Fraction a realized root carries; the laws compute the
+projection once per label vector, and per root only what involves gamma.
 ``find_embeddings`` builds the partial Cartan matrix of the diagram once;
 its embeddings share it and every oracle reads it from there.  The extension
 orbits follow a lattice law: they are dict lookups by (2D mu, N labels mod D),
@@ -39,7 +38,6 @@ from .orbit import VerificationError, reflect_at
 
 Root = tuple[Fraction, ...]
 Doubled = tuple[int, ...]
-Projection = Optional[tuple[list[int], int, list[int], Root, Fraction]]  # see _label_projection
 
 
 class RootSystemError(ValueError):
@@ -349,16 +347,11 @@ def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embeddi
 
 
 class RealizedLinkage(NamedTuple):
-    """One ambient root, independent of the embedding, with its label data.
-    ``index`` is the ambient root index of ``gamma``, and ``gamma`` is the
-    ambient's own tuple.  Roots with one label vector share their ``gamma_L``
-    and ``p`` objects, and roots with one mu their ``mu`` and ``mu_norm_sq``."""
+    """An ambient root that extends the embedding, with its labels and
+    p = form of labels; ``index`` names ``gamma``, the ambient's own tuple."""
 
     gamma: Root
     labels: Linkage
-    gamma_L: Root
-    mu: Root
-    mu_norm_sq: Fraction
     p: Fraction
     index: int
 
@@ -377,25 +370,21 @@ def _extends(lc: int, den: int) -> bool:
     return 0 < lc != 2 * den
 
 
-def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]], den: int,
-                      labels: Linkage) -> Projection:
-    """(c, lc, G, gamma_L, p) of a label vector, with ``cols`` the columns of
-    the embedded roots e_k doubled: c = N labels, so B^-1 labels = c / D;
-    lc = labels . c, so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L, so a
-    root x / 2 with these labels has M = D x - G = 2D mu.  None, decided
-    from lc alone, when a root with these labels does not ``_extends``."""
+def _extension_p(pc: PartialCartan, labels: Linkage) -> Optional[Fraction]:
+    """p = form of ``labels`` if a root with them ``_extends`` the embedding,
+    else None: the rule of the label scan and of ``embedding_independence``."""
+    lc = form_num(pc, labels)
+    return _frac(lc, pc.inv_den) if _extends(lc, pc.inv_den) else None
+
+
+def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]],
+                      labels: Linkage) -> tuple[list[int], int, list[int]]:
+    """(c, lc, G) of a label vector, with ``cols`` the columns of the embedded
+    roots e_k doubled: c = N labels, so B^-1 labels = c / D; lc = labels . c,
+    so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L, so a root x / 2 with
+    these labels has M = D x - G = 2D mu."""
     c = [sum(map(mul, row, labels)) for row in n_mat]
-    lc = _dot(labels, c)
-    if not _extends(lc, den):
-        return None
-    g = [sum(map(mul, c, col)) for col in cols]
-    return c, lc, g, tuple(_frac(a, 2 * den) for a in g), _frac(lc, den)
-
-
-def _mu_data(m: Doubled, den: int) -> tuple[Root, Fraction, int]:
-    """mu and |mu|^2 as Fractions, and the integer |M|^2, from M = 2D mu."""
-    mm = _dot(m, m)
-    return tuple(_frac(a, 2 * den) for a in m), _frac(mm, 4 * den * den), mm
+    return c, _dot(labels, c), [sum(map(mul, c, col)) for col in cols]
 
 
 def _labels(e: Embedding) -> list[Linkage]:
@@ -421,30 +410,39 @@ def _labels(e: Embedding) -> list[Linkage]:
 def direct_linkage_labels(e: Embedding) -> DirectLabels:
     """Labels of every ambient root that genuinely extends the embedding.
 
-    The label vector is the inner products with the embedded roots; the
-    projection gamma_L is the combination of embedded roots with coefficients
-    B^-1 * labels, and mu = gamma - gamma_L is orthogonal to all of them.
-    Roots with mu = 0 lie in the span and are skipped; so are roots with an
-    all-zero label vector (they are orthogonal to the whole subset and attach
-    no bonds, and the zero vector is not a linkage by definition).
+    A root's label vector is its inner products with the embedded roots, and
+    p = labels . B^-1 labels = |gamma_L|^2, for gamma_L its projection onto
+    their span.  Roots with p = 2 lie in the span, and roots with zero labels
+    (p = 0) attach no bonds; both are skipped, decided with p once per
+    distinct label vector.  ``check_projection_laws`` computes the projection.
 
-    Both skips, gamma_L and p are decided once per distinct label vector, the
-    skips from p alone; the Fractions of mu and |mu|^2 once per distinct mu.
+    First the label matrix L (a row per ambient root, a column per vertex)
+    must obey two moment laws of the ambient Phi of rank n:
+    - L^T 1 = 0, as Phi = -Phi;
+    - L^T L = (2|Phi| / n) B: sum_r r r^T is Weyl-invariant, so a scalar on the
+      span of an irreducible Phi (Schur's lemma), fixed by its trace 2|Phi|.
+      It is 60 in E8, 36 in E7, 24 in E6, 4(n - 1) in D_n, 2(n + 1) in A_n and
+      4 in D2 = A1 x A1, whose two factors are equal.
+    One wrong label breaks the first; the same label wrong on a root and on
+    its negative breaks the second off the diagonal if the root has another
+    nonzero label.
     """
-    cols = list(zip(*e.doubled))
-    n_mat, den = e.pc.inv_num, e.pc.inv_den
-    of_labels: dict[Linkage, Projection] = {}
-    of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
-    realized = []
-    for i, (gamma, x, labels) in enumerate(zip(e.ambient.roots, e.ambient.doubled, _labels(e))):
-        if labels not in of_labels:
-            of_labels[labels] = _label_projection(cols, n_mat, den, labels)
-        if of_labels[labels]:
-            _, _, g, gamma_l, p = of_labels[labels]
-            m = tuple(den * a - b for a, b in zip(x, g))
-            mu, mu2, _ = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
-            realized.append(RealizedLinkage(gamma, labels, gamma_l, mu, mu2, p, i))
-    return DirectLabels(e, tuple(realized), tuple(sorted({r.labels for r in realized})))
+    amb, vs, gram = e.ambient, e.diagram.vertices, e.pc.gram
+    rows = _labels(e)
+    cols = list(zip(*rows))
+    for v, col in zip(vs, cols):
+        if sum(col):
+            raise VerificationError(f"labels at {v} sum to {sum(col)}, not 0")
+    for i, col in enumerate(cols):
+        for j in range(i, len(cols)):
+            moment = _dot(col, cols[j])
+            if amb.rank * moment != 2 * len(amb) * gram[i][j]:  # n L^T L = 2|Phi| B
+                raise VerificationError(f"label moment at ({vs[i]}, {vs[j]}) is {moment}, "
+                                        f"not {Fraction(2 * len(amb) * gram[i][j], amb.rank)}")
+    p_of = {labels: _extension_p(e.pc, labels) for labels in set(rows)}
+    realized = tuple(RealizedLinkage(gamma, labels, p_of[labels], i)
+                     for i, (gamma, labels) in enumerate(zip(amb.roots, rows)) if p_of[labels])
+    return DirectLabels(e, realized, tuple(sorted(k for k, p in p_of.items() if p)))
 
 
 # -- verification laws -----------------------------------------------------------
@@ -486,43 +484,47 @@ class LawsReport(NamedTuple):
 
     p_classes: tuple[tuple[Fraction, int], ...]
     orbit_count: int
-    orbits: tuple[tuple[Fraction, Fraction, int], ...]  # (p, mu_norm_sq, size)
+    orbits: tuple[tuple[Fraction, Fraction, int], ...]  # (p, |mu|^2 = 2 - p, size)
     mirror_roots: int
 
 
 def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     """Verify the exact laws tying labels, projections and mu together.
 
-    Per realized root: p = form of labels = |gamma_L|^2 under the ambient dot
-    product, p + |mu|^2 = 2, and the mirror gamma_L - mu is a root exactly when
-    it lies in the root lattice (it can leave it: 2 gamma_L need not have
-    integral root coefficients).  Each realized root must be the ambient root
-    its ``index`` names.  The extension orbits are counted and sized per
-    p-slice by the lattice law of ``_orbit_slices``.
+    Per realized root: it extends the embedding (p is neither 0 nor 2),
+    p = form of labels = |gamma_L|^2 under the ambient dot product,
+    p + |mu|^2 = 2, and the mirror gamma_L - mu is a root exactly when it lies
+    in the root lattice (it can leave it: 2 gamma_L need not have integral
+    root coefficients).  Each realized root must be the ambient root its
+    ``index`` names.  The extension orbits are counted and sized per p-slice
+    by the lattice law of ``_orbit_slices``.
 
-    Five more laws hold and are not checked, as the checks above force them:
+    Six more laws hold and are not checked, as the checks above force them:
     - c.B.c = D lc, with c = N labels: ``Embedding`` checks E_i.E_j = 4 B_ij off
       the diagonal, and E.E = 8 for a doubled root E, so G = sum c_k E_k has
       |G|^2 = 4 c.B.c, and the restricted-form check is |G|^2 = 4 D lc;
     - the mirror has norm 2: |gamma|^2 = 2, |gamma_L|^2 = p and
       |mu|^2 = 2 - p give (gamma_L, mu) = 0, so |gamma_L - mu|^2 = 2;
-    - |mu|^2 is constant on each p-class: it is 2 - p, root by root;
+    - |mu|^2 is constant on each p-class: it is 2 - p, root by root, which is
+      the |mu|^2 that ``orbits`` reports;
     - mu is constant up to sign on each p-slice of an extension orbit: on one
       slice |k| is fixed, so M = +-k M(gamma) (see ``_orbit_slices``);
     - realized roots of one orbit slice sharing a label vector are exactly
       {gamma_L + mu, gamma_L - mu}: they share gamma_L, their mu is +-mu of
-      the slice, and distinct roots have distinct mu.
+      the slice, and distinct roots have distinct mu;
+    - sum_p p n_p + 2 (roots in the span) = (2|Phi| / n) l for the scan's
+      ``dl``: summed over every root, p = labels . B^-1 labels is
+      trace(B^-1 L^T L) = (2|Phi| / n) l by the scan's moment law.
 
-    Integer data recomputed from gamma and the labels must match ``dl``; the
-    projection, p, the form check and the mirror's integrality run once per
-    label vector (doubled, the mirror is (G - M) / D = 2G / D - x for the root
-    x / 2), the Fractions of mu once per mu, and the rest on every realized root.
+    The laws read only the public fields of ``dl``, however it was built.
+    The projection (c, lc, G), p, the form check and the mirror's integrality
+    run once per label vector (doubled, the mirror is (G - M) / D = 2G / D - x
+    for the root x / 2), and the rest on every realized root.
     """
     n_mat, den = e.pc.inv_num, e.pc.inv_den
     amb = e.ambient
     cols = list(zip(*e.doubled))
-    of_labels: dict[Linkage, tuple] = {}  # lc, G, gamma_L, p, c mod D and 2G / D or None
-    of_mu: dict[Doubled, tuple[Root, Fraction, int]] = {}  # keyed by M = 2D mu
+    of_labels: dict[Linkage, tuple] = {}  # lc, G, p, c mod D and 2G / D or None
     by_p: dict[int, int] = {}  # realized roots per lc = D p
     keyed: dict[LatticeKey, list[RealizedLinkage]] = {}
     mirrors = 0
@@ -531,21 +533,18 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             raise VerificationError(f"{r.gamma} is not root {r.index} of {amb.name}")
         x = amb.doubled[r.index]
         if r.labels not in of_labels:
-            proj = _label_projection(cols, n_mat, den, r.labels)
-            if proj is None:
+            c, lc, g = _label_projection(cols, n_mat, r.labels)
+            if not _extends(lc, den):
                 raise VerificationError(f"{r.gamma} does not extend the embedding")
-            c, lc, g, gamma_l, p = proj
             if _dot(g, g) != 4 * den * lc:
                 raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
             g2 = None if any(2 * a % den for a in g) else tuple(2 * a // den for a in g)
-            of_labels[r.labels] = lc, g, gamma_l, p, tuple(a % den for a in c), g2
-        lc, g, gamma_l, p, c, g2 = of_labels[r.labels]
+            of_labels[r.labels] = lc, g, _frac(lc, den), tuple(a % den for a in c), g2
+        lc, g, p, c, g2 = of_labels[r.labels]
+        if r.p is not p and r.p != p:  # the scan's p is mostly the same object
+            raise VerificationError(f"p of {r.gamma} is not the form of its labels")
         m = tuple(den * a - b for a, b in zip(x, g))
-        mu, mu2, mm = of_mu.get(m) or of_mu.setdefault(m, _mu_data(m, den))
-        # equal values are mostly the same objects, which the tuple compares first
-        if (r.gamma_L, r.mu, r.mu_norm_sq, r.p) != (gamma_l, mu, mu2, p):
-            raise VerificationError(f"projection data of {r.gamma} differ from a recomputation")
-        if 4 * den * lc + mm != 8 * den * den:
+        if 4 * den * lc + _dot(m, m) != 8 * den * den:
             raise VerificationError(f"p + |mu|^2 != 2 for {r.gamma}")
         if g2 is not None:  # the mirror is a root or a lattice vector only when integral
             bar = tuple(a - b for a, b in zip(g2, x))
@@ -568,7 +567,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         for ys in _orbit_slices(keyed, key, den):
             assigned.update(ys)
             r = keyed[ys[0]][0]
-            orbits.append((r.p, r.mu_norm_sq, sum(len(keyed[y]) for y in ys)))
+            orbits.append((r.p, 2 - r.p, sum(len(keyed[y]) for y in ys)))
 
     p_classes = tuple((_frac(lc, den), count) for lc, count in sorted(by_p.items()))
     return LawsReport(p_classes, orbit_count, tuple(sorted(orbits)), mirrors)
@@ -653,7 +652,7 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
     pc = embs[0].pc  # the embeddings share one pc, so one cache serves them
-    extends = cache(lambda labs: _extends(form_num(pc, labs), pc.inv_den))
+    extends = cache(lambda labs: _extension_p(pc, labs))  # None or p > 0
     sets: list[tuple[Linkage, ...]] = []
     for e in embs:
         labels = tuple(sorted(filter(extends, set(_labels(e)))))

@@ -125,7 +125,7 @@ def inverse_is(pc, den, num) -> bool:
 
 
 def ref_mat_vec(m, v) -> list:
-    return [sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in m]
+    return [sum((Fraction(x) * y for x, y in zip(row, v) if y), Fraction(0)) for row in m]
 
 
 def ref_quad_form(m, v) -> Fraction:
@@ -159,9 +159,10 @@ def _dot(x, y) -> int:
 
 
 def ref_realized(e) -> list:
-    """The realized linkages of an embedding, in ambient root order: every
-    root with a nonzero label vector, labels from 8-coordinate dot products,
-    and mu != 0 (outside the span of the embedded roots)."""
+    """(record, gamma_L, mu) for the realized linkages of an embedding, in
+    ambient root order: every root with a nonzero label vector, labels from
+    8-coordinate dot products, and mu != 0 (outside the span of the embedded
+    roots); gamma_L and mu are Fraction tuples kept beside the record."""
     n_mat, den = e.pc.inv_num, e.pc.inv_den
     s = 2 * den
     frac = lru_cache(maxsize=None)(Fraction)
@@ -181,9 +182,8 @@ def ref_realized(e) -> list:
         if not any(m):
             continue
         assert all(abs(t) <= 1 for t in labels), f"{root} has a label outside -1..1"
-        out.append(rt.RealizedLinkage(
-            root, tuple(labels), tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m),
-            frac(_dot(m, m), s * s), frac(_dot(labels, c), den), i))
+        out.append((rt.RealizedLinkage(root, tuple(labels), frac(_dot(labels, c), den), i),
+                    tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m)))
     return out
 
 

@@ -10,6 +10,8 @@ witness that line names from the data without the fault.  There is one entry
 for each check of ``check_projection_laws``, ``square_diagonal_audit`` and
 ``Embedding``, and two for the check that a realized root is the ambient root
 its index names: a gamma that is no root, and an index that names another.
+The two moment laws of ``direct_linkage_labels`` are reached by the faults in
+the labels below.
 There is one entry for each check of ``orbit`` that no other test reaches:
 the loctet coverage and the bare-square sizes of ``build_system``, the
 negation and reflection closure of ``_edges``, and the three checks of
@@ -17,13 +19,18 @@ negation and reflection closure of ``_edges``, and the three checks of
 are stated in the docstring of ``orbit._generated_loctets``.  The
 restricted-form check is reached by two faults: a wrong B^-1 and a wrong G.
 
-Three entries fault the data that the checks read rather than a check: the
+Four entries fault the data that the checks read rather than a check: the
 search keeping the vectors of form exactly 2 (``_edges`` finds a reflection
 that leaves them), one label of a realized root negated in ``roots._labels``,
-and one bit of E8's ``ip_bits`` moved from a 0-set to a +1-set (``verify``
-finds a direct label vector outside the enumeration).  Not every label flip
-is caught: one that puts a realized root's labels at p = 2 drops the root
-from the scan, and ``verify A5`` still exits 0 (ROADMAP item 8).
+the same label negated on a realized root and on its negative, and one bit of
+E8's ``ip_bits`` moved from a 0-set to a +1-set.  The moment laws of the label
+matrix L catch the last three before any root is skipped: one wrong label
+breaks L^T 1 = 0, and the flip on a root and its negative keeps it but breaks
+L^T L = 60 B off the diagonal.  So a flip that puts a realized root's labels
+at p = 2, which the scan would drop, is caught too; ``test_oracle`` checks
+every single flip of A5 and A6 in E8.  The line of a direct label vector
+outside the enumeration is reached by the ``DirectLabels`` fakes of
+``test_cli``.
 
 These laws of the projection hold but are not checked, because earlier
 checks on the same values force them, so no fault can reach a check of them:
@@ -57,11 +64,11 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import orbit
 from carterlink import roots as rt
-from carterlink.cli import _vec, main
+from carterlink.cli import main
 from carterlink.linkage import _search, form_num
 from carterlink.orbit import reflect_at
 
-from helpers import embedding_in, labels_in, links_of, pc_of, system_of
+from helpers import _dot, embedding_in, labels_in, links_of, pc_of, ref_realized, system_of
 
 
 def _inject(monkeypatch, fn, change):
@@ -126,13 +133,11 @@ def _root_index(monkeypatch):
 
 
 def _root_in_the_span(monkeypatch):
-    # check_projection_laws: an embedded root (p = 2, mu = 0) with its true
-    # projection data put first among the realized roots
+    # check_projection_laws: an embedded root, with its labels and their p = 2,
+    # put first among the realized roots
     e = embedding_in("D4(a1)", "E8")
     gamma = e.roots[0]
-    zero = (Fraction(0),) * len(gamma)
-    labels = tuple(e.pc.gram[0])
-    extra = rt.RealizedLinkage(gamma, labels, gamma, zero, Fraction(0), Fraction(2), e.idx[0])
+    extra = rt.RealizedLinkage(gamma, tuple(e.pc.gram[0]), Fraction(2), e.idx[0])
     _inject_realized(monkeypatch, lambda realized: (extra,) + realized)
     return ["verify", "D4(a1)"], f"{gamma} does not extend the embedding"
 
@@ -156,17 +161,13 @@ def _inverse_form(monkeypatch):
 
 
 def _restricted_form(monkeypatch):
-    # check_projection_laws: gamma_L offset by 1 / 2D in its first coordinate
-    # (G, which is 2D gamma_L, by 1) in the one routine both the label scan
-    # and the laws use; the first realized root is the witness
+    # check_projection_laws: G, which is 2D gamma_L, offset by 1 in its first
+    # coordinate in the laws' projection; the first realized root is the witness
     real = rt._label_projection
 
     def offset(*args):
-        proj = real(*args)
-        if proj is None:
-            return None
-        c, lc, g, gamma_l, p = proj
-        return c, lc, [g[0] + 1] + g[1:], gamma_l, p
+        c, lc, g = real(*args)
+        return c, lc, [g[0] + 1] + g[1:]
 
     monkeypatch.setattr(rt, "_label_projection", offset)
     r = labels_in("E6(a1)", "E8").realized[0]
@@ -178,32 +179,31 @@ def _projection_field(monkeypatch):
     r = labels_in("E6(a1)", "E8").realized[0]
     _inject_realized(monkeypatch, lambda realized: _replaced(
         realized, 0, realized[0]._replace(p=realized[0].p + 1)))
-    return ["verify", "E6(a1)"], f"projection data of {r.gamma} differ from a recomputation"
+    return ["verify", "E6(a1)"], f"p of {r.gamma} is not the form of its labels"
 
 
 def _p_plus_mu_norm(monkeypatch):
     # check_projection_laws: one realized root given the label vector of another
-    # with the same p, its gamma_L, mu and |mu|^2 recomputed from those labels;
-    # as B^-1 is positive definite and the label vectors differ,
-    # (gamma, gamma_L) < p, so |mu|^2 > 2 - p
+    # with the same p; the laws project gamma by those labels, and as B^-1 is
+    # positive definite and the label vectors differ, (gamma, gamma_L) < p for
+    # that gamma_L, so |mu|^2 > 2 - p
     realized = labels_in("E6(a1)", "E8").realized
     k, donor = next((k, b) for k, a in enumerate(realized) for b in realized
                     if b.p == a.p and b.labels != a.labels)
     gamma = realized[k].gamma
-    mu = tuple(a - b for a, b in zip(gamma, donor.gamma_L))
-    bad = rt.RealizedLinkage(gamma, donor.labels, donor.gamma_L, mu, sum(a * a for a in mu),
-                             donor.p, realized[k].index)
+    bad = realized[k]._replace(labels=donor.labels)
     _inject_realized(monkeypatch, lambda realized: _replaced(realized, k, bad))
     return ["verify", "E6(a1)"], f"p + |mu|^2 != 2 for {gamma}"
 
 
 def _lattice_test(monkeypatch):
     # check_projection_laws: the lattice test says no to every vector; the
-    # first realized root whose mirror gamma_L - mu is a root is the witness
+    # first realized root whose mirror gamma_L - mu, by the coordinate
+    # reference, is a root is the witness
     monkeypatch.setattr(rt.RootSystem, "_in_lattice", lambda self, y: False)
     e8 = set(cl.build_root_system("E8").roots)
-    r = next(r for r in labels_in("D4(a1)", "E8").realized
-             if tuple(a - b for a, b in zip(r.gamma_L, r.mu)) in e8)
+    r = next(r for r, gamma_l, mu in ref_realized(embedding_in("D4(a1)", "E8"))
+             if tuple(a - b for a, b in zip(gamma_l, mu)) in e8)
     return ["verify", "D4(a1)"], f"norm-2 lattice test disagrees with root membership for {r.gamma}"
 
 
@@ -361,34 +361,56 @@ def _search_admits_form_two(monkeypatch):
 
 
 def _label_flip(monkeypatch):
-    # roots._labels: the first nonzero label of the first realized root negated;
-    # the flipped label vector is outside the enumeration, and the witness
+    # roots._labels: the first nonzero label of the first realized root
+    # negated, which moves the sum of the labels at its vertex off 0
     r = labels_in("E6(a1)", "E8").realized[0]
     k = next(k for k, x in enumerate(r.labels) if x)
-    flipped = _replaced(r.labels, k, -r.labels[k])
-    assert flipped not in links_of("E6(a1)")
     real = rt._labels
 
     def change(e):
         labels = real(e)
-        labels[r.index] = flipped
+        labels[r.index] = _replaced(r.labels, k, -r.labels[k])
         return labels
 
     monkeypatch.setattr(rt, "_labels", change)
+    v = cl.catalog("E6(a1)").vertices[k]
+    return ["verify", "E6(a1)"], f"labels at {v} sum to {-2 * r.labels[k]}, not 0"
+
+
+def _antipodal_flip(monkeypatch):
+    # roots._labels: the first nonzero label of the first realized root with
+    # two nonzero labels negated on the root and on its negative; the sums
+    # stay 0, and the first moment of two vertices that moves off
+    # (2|Phi| / n) B = 60 B is the witness
+    e = embedding_in("E6(a1)", "E8")
+    r = next(r for r in labels_in("E6(a1)", "E8").realized if sum(map(bool, r.labels)) > 1)
+    k = next(k for k, x in enumerate(r.labels) if x)
+    neg = e.ambient.index[tuple(-c for c in e.ambient.doubled[r.index])]
+    real = rt._labels
+
+    def change(e):
+        labels = real(e)
+        for i in (r.index, neg):
+            labels[i] = _replaced(labels[i], k, -labels[i][k])
+        return labels
+
+    cols, g, vs = list(zip(*change(e))), e.pc.gram, e.diagram.vertices
+    i, j, moment = next((i, j, m) for i in range(len(g)) for j in range(i, len(g))
+                        for m in [_dot(cols[i], cols[j])] if m != 60 * g[i][j])
+    assert i != j
+    monkeypatch.setattr(rt, "_labels", change)
     return ["verify", "E6(a1)"], \
-        f"direct labels of E6(a1) in E8 leave the enumerated set: {_vec(flipped)}"
+        f"label moment at ({vs[i]}, {vs[j]}) is {moment}, not {60 * g[i][j]}"
 
 
 def _ip_bit(monkeypatch):
     # RootSystem._ip_bits of E8: the first root j of root 0's 0-set moved to its
     # +1-set, and root 0 likewise in j's row; root 0 is embedded, so j's label
-    # vector gains a 1 at root 0's vertex, which puts it outside the enumeration
+    # vector gains a 1 at root 0's vertex, which moves the sum there off 0
     e = embedding_in("E6(a1)", "E8")
     zero = e.ambient.ip_bits[0][1]
     j, k = (zero & -zero).bit_length() - 1, e.idx.index(0)
-    labels = rt._labels(e)[j]
-    assert labels[k] == 0 and j not in e.idx
-    moved = _replaced(labels, k, 1)
+    assert rt._labels(e)[j][k] == 0 and j not in e.idx
     real = rt.RootSystem._ip_bits
 
     def change(self):
@@ -400,8 +422,7 @@ def _ip_bit(monkeypatch):
         return rows
 
     monkeypatch.setattr(rt.RootSystem, "_ip_bits", change)
-    return ["verify", "E6(a1)"], \
-        f"direct labels of E6(a1) in E8 leave the enumerated set: {_vec(moved)}"
+    return ["verify", "E6(a1)"], f"labels at {e.diagram.vertices[k]} sum to 1, not 0"
 
 
 # id: fault; each returns the command line and the failure line's message
@@ -426,6 +447,7 @@ FAULTS = {
     "projection-loctet": _projection_loctet,
     "search-admits-form-two": _search_admits_form_two,
     "label-flip": _label_flip,
+    "antipodal-flip": _antipodal_flip,
     "ip-bit": _ip_bit,
 }
 

@@ -1,6 +1,8 @@
 import copy
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 import pytest
@@ -13,7 +15,7 @@ from carterlink.cartan import CartanError
 from carterlink.diagram import DiagramError
 from carterlink.linkage import group_by_p
 from helpers import CATALOG, _dot, ambient, cycles_left_by, embedding_in, labels_in, links_of, \
-    pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_quad_form, ref_rank, \
+    pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_rank, \
     ref_realized, ref_root_system, signed_bipartite_diagrams, system_of
 
 
@@ -251,15 +253,13 @@ def test_projection_laws_reject_an_index_that_does_not_name_gamma(index):
 @pytest.mark.parametrize("which", ["in-the-span", "orthogonal"])
 def test_projection_laws_reject_a_root_that_does_not_extend(which):
     # an embedded root (p = 2, mu = 0) and a root with zero labels (p = 0,
-    # mu = gamma), with true projection data: both pass p + |mu|^2 = 2
+    # mu = gamma), each with p the form of its labels: both pass p + |mu|^2 = 2
     dl = labels_in("D4(a1)", "E8")
     e = dl.embedding
     labels = rt._labels(e)
     i = e.idx[0] if which == "in-the-span" else labels.index((0,) * len(e.idx))
-    gamma, zero = e.ambient.roots[i], (Fraction(0),) * e.ambient.dim
-    p = Fraction(2) if which == "in-the-span" else Fraction(0)
-    gamma_l, mu = (gamma, zero) if p else (zero, gamma)
-    bad = rt.RealizedLinkage(gamma, labels[i], gamma_l, mu, 2 - p, p, i)
+    gamma = e.ambient.roots[i]
+    bad = rt.RealizedLinkage(gamma, labels[i], Fraction(2 if which == "in-the-span" else 0), i)
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(str(gamma))} does not extend"):
         rt.check_projection_laws(rt.DirectLabels(e, (bad,) + dl.realized, dl.labels), e)
 
@@ -274,30 +274,16 @@ def _first_repeat(realized, key):
     raise AssertionError("no repeated key")
 
 
-def _bumped(t):
-    return (t[0] + 1,) + t[1:]
-
-
-# field, its corrupted value and the key an earlier root must share
-_CORRUPTIONS = {
-    "gamma_L": (_bumped, lambda r: r.labels),
-    "mu": (_bumped, lambda r: r.mu),
-    "mu_norm_sq": (lambda f: f + 1, lambda r: r.mu),
-    "p": (lambda f: f + 1, lambda r: r.labels),
-}
-
-
-@pytest.mark.parametrize("name", _CORRUPTIONS)
+@pytest.mark.parametrize("name", ["p"])  # the one field the laws compare with their own
 def test_projection_laws_catch_a_corrupted_field_of_a_repeated_key(name):
-    # the laws compute once per label vector and per mu; a root whose key an
-    # earlier root already had must still be compared field by field
-    bump, key = _CORRUPTIONS[name]
+    # the laws compute once per label vector; a root whose labels an earlier
+    # root already had must still have its own p checked
     dl = labels_in("D5(a1)", "E8")
-    k = _first_repeat(dl.realized, key)
+    k = _first_repeat(dl.realized, lambda r: r.labels)
     r = dl.realized[k]
-    bad = r._replace(**{name: bump(getattr(r, name))})
+    bad = r._replace(**{name: getattr(r, name) + 1})
     realized = dl.realized[:k] + (bad,) + dl.realized[k + 1:]
-    message = f"projection data of {r.gamma} differ from a recomputation"
+    message = f"p of {r.gamma} is not the form of its labels"
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
         rt.check_projection_laws(rt.DirectLabels(dl.embedding, realized, dl.labels),
                                  dl.embedding)
@@ -309,9 +295,53 @@ def test_projection_laws_catch_a_corrupted_field_of_a_repeated_key(name):
 def test_d4a1_in_d5_labels():
     dl = labels_in("D4(a1)", "D5")
     assert len(dl.labels) == 8
-    assert all(r.p == 1 and r.mu_norm_sq == 1 for r in dl.realized)
+    assert all(r.p == 1 for r in dl.realized)
     # sixteen roots +-e_i +- e_5 fold onto the 8 labels pairwise
     assert len(dl.realized) == 16
+
+
+def _flipped(rows, k, *indices):
+    """``rows`` with the label at vertex k negated on the roots ``indices``."""
+    rows = list(rows)
+    for i in indices:
+        rows[i] = rows[i][:k] + (-rows[i][k],) + rows[i][k + 1:]
+    return rows
+
+
+@pytest.mark.parametrize("name,flips", [("A5", 480), ("A6", 552)])
+def test_every_label_flip_is_caught(name, flips, monkeypatch):
+    # a nonzero label of a realized root negated breaks L^T 1 = 0; negated on
+    # the root's negative too, it breaks L^T L = (2|Phi| / n) B when the root
+    # has another nonzero label, and otherwise swaps the label vectors of the
+    # two roots, which p + |mu|^2 = 2 catches
+    e = embedding_in(name, "E8")
+    rows, amb = rt._labels(e), e.ambient
+    cases = [(r, k) for r in labels_in(name, "E8").realized for k, x in enumerate(r.labels) if x]
+    assert len(cases) == flips
+    for r, k in cases:
+        neg = amb.index[tuple(-c for c in amb.doubled[r.index])]
+        monkeypatch.setattr(rt, "_labels", lambda e: _flipped(rows, k, r.index))
+        with pytest.raises(rt.VerificationError, match=f"^labels at {e.diagram.vertices[k]} "):
+            rt.direct_linkage_labels(e)
+        monkeypatch.setattr(rt, "_labels", lambda e: _flipped(rows, k, r.index, neg))
+        if sum(map(bool, r.labels)) > 1:
+            with pytest.raises(rt.VerificationError, match="^label moment at "):
+                rt.direct_linkage_labels(e)
+        else:
+            with pytest.raises(rt.VerificationError, match=r"^p \+ \|mu\|\^2 != 2 for "):
+                rt.check_projection_laws(rt.direct_linkage_labels(e), e)
+
+
+def test_moment_law_constants_are_integers_and_hold_for_a1_in_d2():
+    # 2|Phi| / n is an integer for every root system built; D2 = A1 x A1 is
+    # reducible, but its two factors are equal, so sum_r r r^T = 4 I still:
+    # the labels 2, -2, 0, 0 of A1 have L^T L = 8 = 4 B
+    for name in [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 13)] + \
+            ["E6", "E7", "E8"]:
+        assert 2 * len(ambient(name)) % ambient(name).rank == 0, name
+    dl = cl.direct_linkage_labels(embedding_in("A1", "D2"))
+    assert sorted(rt._labels(dl.embedding)) == [(-2,), (0,), (0,), (2,)]
+    assert (dl.realized, dl.labels) == ((), ())
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -397,17 +427,50 @@ def test_mirror_root_can_leave_lattice():
 @pytest.mark.parametrize("amb,embedded", [("E8", 19), ("E7", 15), ("D8", 10)])
 def test_mirror_roots_match_the_record_fractions(amb, embedded):
     # the laws decide the mirror's integrality once per label vector; here
-    # gamma_L - mu is formed root by root from the record's Fractions
+    # gamma_L - mu is formed root by root from the Fractions of the reference
     roots = set(ambient(amb).roots)
     checked = 0
     for name in dg.catalog_names():
         if embedding_in(name, amb) is None:
             continue
         dl = labels_in(name, amb)
-        want = sum(tuple(a - b for a, b in zip(r.gamma_L, r.mu)) in roots for r in dl.realized)
+        want = sum(tuple(a - b for a, b in zip(gamma_l, mu)) in roots
+                   for _, gamma_l, mu in reference_realized(dl.embedding))
         assert rt.check_projection_laws(dl, dl.embedding).mirror_roots == want, name
         checked += 1
     assert checked == embedded
+
+
+@pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
+def test_laws_report_orbits_match_the_fraction_reference(amb):
+    # orbits reports |mu|^2 as 2 - p, by the law p + |mu|^2 = 2 that the laws
+    # check root by root; the reference computes |mu|^2 from mu.  Per
+    # (p, |mu|^2), the slice sizes add up to the reference's roots
+    for name in dg.catalog_names():
+        if embedding_in(name, amb) is None:
+            continue
+        dl = labels_in(name, amb)
+        got = Counter()
+        for p, mu2, size in rt.check_projection_laws(dl, dl.embedding).orbits:
+            got[p, mu2] += size
+        assert got == Counter((r.p, _fdot(mu, mu))
+                              for r, _, mu in reference_realized(dl.embedding)), name
+
+
+@pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
+def test_p_classes_add_up_to_the_moment_law(amb):
+    # sum_p p n_p + 2 (roots in the span) = (2|Phi| / n) l, which the moment
+    # law of the label scan forces; the roots with nonzero labels that are not
+    # realized are the roots in the span
+    rs = ambient(amb)
+    for name in dg.catalog_names():
+        e = embedding_in(name, amb)
+        if e is None:
+            continue
+        dl = labels_in(name, amb)
+        span = sum(any(_dot(x, y) for y in e.doubled) for x in rs.doubled) - len(dl.realized)
+        total = sum(p * n for p, n in rt.check_projection_laws(dl, e).p_classes) + 2 * span
+        assert total == Fraction(2 * len(rs), rs.rank) * len(e.roots), name
 
 
 # -- square audit -----------------------------------------------------------------
@@ -583,17 +646,21 @@ def test_weight_orbit_rejects_dotted():
 
 
 def _fdot(x, y):
-    return sum((Fraction(a) * b for a, b in zip(x, y)), Fraction(0))
+    return sum((a * b for a, b in zip(x, y) if a and b), Fraction(0))
 
 
+@lru_cache(maxsize=None)
 def reference_realized(e):
-    """The realized linkages of ``e`` by the Fraction formulas.
+    """(record, gamma_L, mu) for the realized linkages of ``e`` by the
+    Fraction formulas.
 
     labels_k = (gamma, e_k); gamma_L = sum((B^-1 labels)_k e_k);
     mu = gamma - gamma_L; p = labels^T B^-1 labels.  Roots with zero labels
-    or mu = 0 are skipped.
+    or mu = 0 are skipped.  gamma_L and p depend on the labels alone, so they
+    are computed once per label vector.
     """
     b_inv = ref_inverse(e.diagram.gram())
+    of_labels = {}
     out = []
     for i, root in enumerate(e.ambient.roots):
         gamma = tuple(map(Fraction, root))  # equal to the ambient's root, not the same objects
@@ -602,14 +669,17 @@ def reference_realized(e):
         labels = tuple(int(x) for x in dots)
         if not any(labels):
             continue
-        coeff = ref_mat_vec(b_inv, labels)
-        gamma_l = tuple(sum((c * r[k] for c, r in zip(coeff, e.roots)), Fraction(0))
-                        for k in range(e.ambient.dim))
+        if labels not in of_labels:
+            coeff = ref_mat_vec(b_inv, labels)
+            of_labels[labels] = (
+                tuple(sum((c * r[k] for c, r in zip(coeff, e.roots) if r[k]), Fraction(0))
+                      for k in range(e.ambient.dim)),
+                sum((x * c for x, c in zip(labels, coeff)), Fraction(0)))
+        gamma_l, p = of_labels[labels]
         mu = tuple(g - h for g, h in zip(gamma, gamma_l))
         if not any(mu):
             continue
-        out.append(rt.RealizedLinkage(gamma, labels, gamma_l, mu, _fdot(mu, mu),
-                                      ref_quad_form(b_inv, labels), i))
+        out.append((rt.RealizedLinkage(gamma, labels, p, i), gamma_l, mu))
     return out
 
 
@@ -620,7 +690,7 @@ _REFERENCE_CASES = [("D4(a1)", "E8"), ("E6(a1)", "E8"), ("D7(a2)", "E8"), ("E7(a
 @pytest.mark.parametrize("name,amb", _REFERENCE_CASES)
 def test_realized_linkages_match_fraction_reference(name, amb):
     dl = labels_in(name, amb)
-    want = reference_realized(dl.embedding)
+    want = [r for r, _, _ in reference_realized(dl.embedding)]
     assert len(dl.realized) == len(want)
     for got, ref in zip(dl.realized, want):
         for f in rt.RealizedLinkage._fields:
@@ -633,7 +703,7 @@ def test_projection_laws_accept_equal_fractions_that_are_not_shared(name, amb):
     # the reference's Fractions are fresh objects, so no comparison in the
     # laws can rely on identity
     dl = labels_in(name, amb)
-    want = reference_realized(dl.embedding)
+    want = [r for r, _, _ in reference_realized(dl.embedding)]
     assert want[0].p == dl.realized[0].p and want[0].p is not dl.realized[0].p
     fresh = rt.DirectLabels(dl.embedding, tuple(want), tuple(sorted({r.labels for r in want})))
     assert rt.check_projection_laws(fresh, dl.embedding) == \
@@ -650,7 +720,7 @@ def check_against_coordinate_scan(d, amb, limit=10):
         return
     want_sets = []
     for e in embs:
-        dl, want = cl.direct_linkage_labels(e), ref_realized(e)
+        dl, want = cl.direct_linkage_labels(e), [r for r, _, _ in ref_realized(e)]
         want_labels = tuple(sorted({r.labels for r in want}))
         assert list(dl.realized) == want
         assert dl.labels == want_labels
@@ -678,8 +748,9 @@ def test_extension_orbit_by_index_matches_coordinates(name):
             continue
         realized = labels_in(name, amb).realized
         assert all(e.ambient.roots[r.index] is r.gamma for r in realized)
+        mu = {r.index: m for r, _, m in ref_realized(e)}  # the coordinate reference's mu
         den = e.pc.inv_den
-        keys = [(tuple(int(2 * den * a) for a in r.mu),
+        keys = [(tuple(int(2 * den * a) for a in mu[r.index]),
                  tuple(_dot(row, r.labels) % den for row in e.pc.inv_num)) for r in realized]
         keyed = {}
         for r, key in zip(realized, keys):
@@ -693,12 +764,12 @@ def test_extension_orbit_by_index_matches_coordinates(name):
                 (r.gamma, amb)
             assert len({group[0].p for group in slices}) == len(slices)
             for group in slices:
-                mu = group[0].mu
-                assert {x.mu for x in group} <= {mu, tuple(-a for a in mu)}
+                m = mu[group[0].index]
+                assert {mu[x.index] for x in group} <= {m, tuple(-a for a in m)}
                 assert {x.p for x in group} == {group[0].p}
-            if (name, amb) == ("A7", "E8") and r.mu_norm_sq == Fraction(1, 8):
+            if (name, amb) == ("A7", "E8") and _fdot(mu[r.index], mu[r.index]) == Fraction(1, 8):
                 # |mu|^2 = k^2 / 8 on the slice of k
-                assert [8 * group[0].mu_norm_sq for group in slices] == [1, 4, 9]
+                assert [8 * _fdot(mu[g[0].index], mu[g[0].index]) for g in slices] == [1, 4, 9]
 
 
 def brute_force_embeddings(d, amb, limit):

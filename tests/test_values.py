@@ -79,8 +79,6 @@ VALUES = {
     rt.Embedding: ("roots", _E11),
     rt.RealizedLinkage: ("p", (
         "RealizedLinkage(gamma=(Fraction(-1, 1), Fraction(1, 1), Fraction(0, 1)), labels=(1,), "
-        "gamma_L=(Fraction(-1, 2), Fraction(0, 1), Fraction(1, 2)), "
-        "mu=(Fraction(-1, 2), Fraction(1, 1), Fraction(-1, 2)), mu_norm_sq=Fraction(3, 2), "
         "p=Fraction(1, 2), index=1)")),
     rt.DirectLabels: ("labels", f"DirectLabels(embedding={_E11}, realized=(), labels=())"),
     rt.LawsReport: ("orbit_count", (
