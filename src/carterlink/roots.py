@@ -86,6 +86,8 @@ class RootSystem:
         if len(self.index) != len(self.doubled):
             raise RootSystemError(f"{name}: duplicate roots")
         for x in self.doubled:
+            if len(x) != dim:
+                raise RootSystemError(f"{name}: doubled root {x} has length != {dim}")
             if _dot(x, x) != 8:
                 raise RootSystemError(f"{name}: doubled root {x} has squared norm != 8")
             if tuple(-c for c in x) not in self.index:
@@ -159,6 +161,22 @@ class RootSystem:
             row[neg] = g
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def _scalar_moment(self) -> bool:
+        """Whether sum_r r r^T is the scalar 2|Phi| / n on the span, the
+        hypothesis of the moment laws of ``direct_linkage_labels``; raises
+        RootSystemError naming the first root that breaks it.  For a set closed
+        under its reflections, sum_r r r^T is a scalar on each irreducible
+        factor (Schur's lemma), so it is one scalar exactly when every root y
+        has sum_r (r, y)^2 = 4|Phi| / n; that sum is 1 per root in y's -1- and
+        +1-sets, plus 4 each for y and -y."""
+        for i, (minus, _, plus) in enumerate(self.ip_bits):
+            s = minus.bit_count() + plus.bit_count() + 8
+            if s * self.rank != 4 * len(self.doubled):
+                raise RootSystemError(f"{self.name}: sum_r (r, y)^2 is {s} at root {i}, not "
+                                      f"4|Phi| / n = {Fraction(4 * len(self.doubled), self.rank)}")
+        return True
 
     def in_root_lattice(self, x: Sequence[Fraction]) -> bool:
         """Membership in the root lattice (a norm-2 lattice vector is a root).
@@ -425,9 +443,12 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
       4 in D2 = A1 x A1, whose two factors are equal.
     One wrong label breaks the first; the same label wrong on a root and on
     its negative breaks the second off the diagonal if the root has another
-    nonzero label.
+    nonzero label.  An ambient whose irreducible factors give sum_r r r^T two
+    scalars, such as A1 x A2, breaks the hypothesis of the second, so
+    ``RootSystem._scalar_moment`` raises RootSystemError before it is read.
     """
     amb, vs, gram = e.ambient, e.diagram.vertices, e.pc.gram
+    amb._scalar_moment  # raises unless the moment law below can hold
     rows = _labels(e)
     cols = list(zip(*rows))
     for v, col in zip(vs, cols):
@@ -465,7 +486,15 @@ def _orbit_slices(keyed: dict[LatticeKey, list], key: LatticeKey,
     and c(delta) = k c(gamma) mod D.  As |M|^2 = 4D^2 (2 - p) < 8D^2, only k
     with k^2 |M(gamma)|^2 < 8D^2 occur, and one p-slice is one |k|, so mu is
     constant up to sign on each slice.  The group depends on gamma, so for
-    |k| > 1 the relation is not symmetric."""
+    |k| > 1 the relation is not symmetric.
+
+    The seeding law: a key that gamma reaches has M(delta) = k M(gamma), so
+    |M(delta)| >= |M(gamma)| and Z Gamma + Z delta lies in Z Gamma + Z gamma;
+    keys of equal |M| reach each other with k = +-1 and share one lattice.
+    So when the seeds come in ascending |M|^2, which is descending p as
+    |M|^2 = 4D^2 (2 - p), and each seed takes the keys it reaches, there is
+    one seed per lattice Z Gamma + Z gamma of a realized root that lies in no
+    larger such lattice."""
     m, c = key
     mm = _dot(m, m)
     slices = []
@@ -497,7 +526,12 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     in the root lattice (it can leave it: 2 gamma_L need not have integral
     root coefficients).  Each realized root must be the ambient root its
     ``index`` names.  The extension orbits are counted and sized per p-slice
-    by the lattice law of ``_orbit_slices``.
+    by the lattice law of ``_orbit_slices``, in one pass over the keys in
+    ascending |M|^2 that pops each key as its slice takes it.  So the slices
+    partition the realized roots, and ``orbit_count`` is the number of
+    maximal lattices Z Gamma + Z gamma of the seeding law: an invariant of the
+    embedding's W-class, whatever the order of the diagram's vertices.  A key
+    that two seeds reach goes to the first.
 
     Six more laws hold and are not checked, as the checks above force them:
     - c.B.c = D lc, with c = N labels: ``Embedding`` checks E_i.E_j = 4 B_ij off
@@ -556,18 +590,15 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         keyed.setdefault((m, c), []).append(r)
         by_p[lc] = by_p.get(lc, 0) + 1
 
-    # each root not yet in an orbit seeds one; its orbit counts every root in it
-    assigned: set[LatticeKey] = set()
+    # seeds in ascending |M|^2; each slice pops its keys, so no root is counted twice
     orbit_count = 0
     orbits = []
-    for key in keyed:
-        if key in assigned:
-            continue
-        orbit_count += 1
-        for ys in _orbit_slices(keyed, key, den):
-            assigned.update(ys)
-            r = keyed[ys[0]][0]
-            orbits.append((r.p, 2 - r.p, sum(len(keyed[y]) for y in ys)))
+    for key in sorted(keyed, key=lambda y: _dot(y[0], y[0])):
+        if key in keyed:
+            orbit_count += 1
+            for ys in _orbit_slices(keyed, key, den):
+                rs = [r for y in ys for r in keyed.pop(y)]
+                orbits.append((rs[0].p, 2 - rs[0].p, len(rs)))
 
     p_classes = tuple((_frac(lc, den), count) for lc, count in sorted(by_p.items()))
     return LawsReport(p_classes, orbit_count, tuple(sorted(orbits)), mirrors)

@@ -12,7 +12,7 @@ from carterlink import orbit
 from carterlink import roots as rt
 from carterlink.cli import _vec, main
 
-from helpers import CATALOG, ref_det, system_of
+from helpers import CATALOG, ref_det, shuffled, system_of
 from reference_tables import TABLES
 
 
@@ -182,6 +182,13 @@ def test_switched_diagram_is_checked_like_its_catalog_twin(capsys, tmp_path):
     assert code == 0 and "loctets: 0" in out
     code, _, err = run(capsys, "loctets", str(path))
     assert code == 1 and "pattern" in err
+
+
+def test_verify_of_a_shuffled_file_prints_what_verify_of_the_name_prints(capsys, tmp_path):
+    # the extension orbits are counted per embedding class, not per vertex order
+    path = tmp_path / "d7a1_shuffled.json"
+    path.write_text(dg.to_json(shuffled(cl.catalog("D7(a1)"), 1)))
+    assert run(capsys, "verify", str(path)) == run(capsys, "verify", "D7(a1)")
 
 
 def test_weights(capsys):

@@ -22,11 +22,14 @@ restricted-form check is reached by two faults: a wrong B^-1 and a wrong G.
 Four entries fault the data that the checks read rather than a check: the
 search keeping the vectors of form exactly 2 (``_edges`` finds a reflection
 that leaves them), one label of a realized root negated in ``roots._labels``,
-the same label negated on a realized root and on its negative, and one bit of
-E8's ``ip_bits`` moved from a 0-set to a +1-set.  The moment laws of the label
-matrix L catch the last three before any root is skipped: one wrong label
-breaks L^T 1 = 0, and the flip on a root and its negative keeps it but breaks
-L^T L = 60 B off the diagonal.  So a flip that puts a realized root's labels
+the same label negated on a realized root and on its negative, and two bits
+of root 0's row of E8's ``ip_bits`` moved, one from the 0-set to the +1-set
+and one from the -1-set to the 0-set.  The moment laws of the label matrix L
+catch the last three before any root is skipped: one wrong label breaks
+L^T 1 = 0, and the flip on a root and its negative keeps it but breaks
+L^T L = 60 B off the diagonal.  The two moved bits keep the row's counts; a
+moved bit that changes them breaks the hypothesis of the moment laws, which
+``RootSystem._scalar_moment`` checks, and exits 1 (tested after the table).  So a flip that puts a realized root's labels
 at p = 2, which the scan would drop, is caught too; ``test_oracle`` checks
 every single flip of A5 and A6 in E8.  The line of a direct label vector
 outside the enumeration is reached by the ``DirectLabels`` fakes of
@@ -52,7 +55,10 @@ checks on the same values force them, so no fault can reach a check of them:
   on one p-slice |mu|^2 = 2 - p fixes |k|, so every mu there is +-k mu(gamma);
 - at most two roots of one orbit slice sharing a label vector, and those two
   differing by 2 mu: roots with one label vector share gamma_L, the slice law
-  puts every mu in {mu0, -mu0}, and distinct roots have distinct mu.
+  puts every mu in {mu0, -mu0}, and distinct roots have distinct mu;
+- the orbit slices partitioning the realized roots, with sizes that add up
+  per p to the p-classes: one pass over the keys in ascending |M|^2 pops
+  each key as its slice takes it, so no root is counted twice or left out.
 """
 
 import itertools
@@ -403,26 +409,35 @@ def _antipodal_flip(monkeypatch):
         f"label moment at ({vs[i]}, {vs[j]}) is {moment}, not {60 * g[i][j]}"
 
 
-def _ip_bit(monkeypatch):
-    # RootSystem._ip_bits of E8: the first root j of root 0's 0-set moved to its
-    # +1-set, and root 0 likewise in j's row; root 0 is embedded, so j's label
-    # vector gains a 1 at root 0's vertex, which moves the sum there off 0
-    e = embedding_in("E6(a1)", "E8")
-    zero = e.ambient.ip_bits[0][1]
-    j, k = (zero & -zero).bit_length() - 1, e.idx.index(0)
-    assert rt._labels(e)[j][k] == 0 and j not in e.idx
+def _move_ip_bits(monkeypatch, moves):
+    """Make ``RootSystem._ip_bits`` of E8 move bit j of row i from its t-set to
+    its u-set, for each (i, j, t, u) in ``moves``; t and u are -1, 0 or 1."""
     real = rt.RootSystem._ip_bits
 
     def change(self):
         rows = real(self)
         if self.name == "E8":
-            for a, b in ((0, j), (j, 0)):
-                minus, orth, plus = rows[a]
-                rows = _replaced(rows, a, (minus, orth ^ 1 << b, plus | 1 << b))
+            for i, j, t, u in moves:
+                row = list(rows[i])
+                row[t + 1] ^= 1 << j
+                row[u + 1] |= 1 << j
+                rows = _replaced(rows, i, tuple(row))
         return rows
 
     monkeypatch.setattr(rt.RootSystem, "_ip_bits", change)
-    return ["verify", "E6(a1)"], f"labels at {e.diagram.vertices[k]} sum to 1, not 0"
+
+
+def _ip_bit(monkeypatch):
+    # root 0's row of E8's ip_bits: its first root j of the 0-set moved to the
+    # +1-set and its first root i of the -1-set to the 0-set, neither embedded;
+    # the row keeps its counts, so RootSystem._scalar_moment holds, but root
+    # 0 is embedded, and the sum of the labels at its vertex gains 2
+    e = embedding_in("E6(a1)", "E8")
+    minus, zero, _ = e.ambient.ip_bits[0]
+    j = next(j for j in range(len(e.ambient)) if zero >> j & 1 and j not in e.idx)
+    i = next(i for i in range(len(e.ambient)) if minus >> i & 1 and i not in e.idx)
+    _move_ip_bits(monkeypatch, [(0, j, 0, 1), (0, i, -1, 0)])
+    return ["verify", "E6(a1)"], f"labels at {e.diagram.vertices[e.idx.index(0)]} sum to 2, not 0"
 
 
 # id: fault; each returns the command line and the failure line's message
@@ -457,3 +472,15 @@ def test_each_check_fires_and_names_a_witness(fault, monkeypatch, capsys):
     argv, message = FAULTS[fault](monkeypatch)
     code = main(argv)
     assert (code, capsys.readouterr().err) == (2, f"verification failure: {message}\n")
+
+
+def test_a_moved_ip_bit_that_changes_a_count_is_an_ambient_error(monkeypatch, capsys):
+    # the bit of a root j moved from the 0-set to the +1-set of root 0, and
+    # root 0's likewise in j's row: both rows have sum_r (r, y)^2 = 121, not
+    # 120, and the label scan stops at root 0 before it reads a label
+    zero = embedding_in("E6(a1)", "E8").ambient.ip_bits[0][1]
+    j = (zero & -zero).bit_length() - 1
+    _move_ip_bits(monkeypatch, [(0, j, 0, 1), (j, 0, 0, 1)])
+    assert main(["verify", "E6(a1)"]) == 1
+    assert capsys.readouterr().err == \
+        "error: E8: sum_r (r, y)^2 is 121 at root 0, not 4|Phi| / n = 120\n"

@@ -16,7 +16,7 @@ from carterlink.diagram import DiagramError
 from carterlink.linkage import group_by_p
 from helpers import CATALOG, _dot, ambient, cycles_left_by, embedding_in, labels_in, links_of, \
     pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_rank, \
-    ref_realized, ref_root_system, signed_bipartite_diagrams, system_of
+    ref_realized, ref_root_system, shuffled, signed_bipartite_diagrams, system_of
 
 
 # -- root systems -----------------------------------------------------------------
@@ -84,6 +84,8 @@ def _pm(*xs):
      r"set not closed under negation: doubled root \(2, -2\) has no negative"),
     # both have norm 2; their inner product is 6 / 4
     (_pm(_HALF_ONES, _HALF_ONES[:7] + (-1,)), "non-integral inner products"),
+    # a root shorter than the rest: unchecked, ip_bits would misread its missing coordinate
+    ([(2, 2, 0), (-2, -2, 0), (2, 2)], r"doubled root \(2, 2\) has length != 3"),
 ])
 def test_root_system_checks(doubled, message):
     with pytest.raises(rt.RootSystemError, match=f"^x: {message}$"):
@@ -333,15 +335,43 @@ def test_every_label_flip_is_caught(name, flips, monkeypatch):
 
 
 def test_moment_law_constants_are_integers_and_hold_for_a1_in_d2():
-    # 2|Phi| / n is an integer for every root system built; D2 = A1 x A1 is
-    # reducible, but its two factors are equal, so sum_r r r^T = 4 I still:
-    # the labels 2, -2, 0, 0 of A1 have L^T L = 8 = 4 B
+    # 2|Phi| / n is an integer for every root system built, and each meets the
+    # law's hypothesis; D2 = A1 x A1 is reducible, but its two factors are
+    # equal, so sum_r r r^T = 4 I still: the labels 2, -2, 0, 0 of A1 have
+    # L^T L = 8 = 4 B
     for name in [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 13)] + \
             ["E6", "E7", "E8"]:
         assert 2 * len(ambient(name)) % ambient(name).rank == 0, name
+        assert ambient(name)._scalar_moment, name
     dl = cl.direct_linkage_labels(embedding_in("A1", "D2"))
     assert sorted(rt._labels(dl.embedding)) == [(-2,), (0,), (0,), (2,)]
     assert (dl.realized, dl.labels) == ((), ())
+
+
+def test_moment_law_hypothesis_rejects_factors_of_two_scalars():
+    # A1 x A2: sum_r r r^T is 4 on the span of A1 and 6 on that of A2, so no
+    # one scalar 2|Phi| / n = 16 / 3 exists; the scan of A1 stops before the
+    # moment law it cannot meet, and says the ambient is at fault
+    a1xa2 = rt.RootSystem("A1xA2", 3, 5, _pm((2, 2, 0, 0, 0), (0, 0, 2, -2, 0),
+                                             (0, 0, 2, 0, -2), (0, 0, 0, 2, -2)))
+    e = cl.find_embedding(cl.catalog("A1"), a1xa2)
+    assert e.idx == (0,)
+    with pytest.raises(rt.RootSystemError, match=r"^A1xA2: sum_r \(r, y\)\^2 is 8 at root 0, "
+                                                 r"not 4\|Phi\| / n = 32/3$"):
+        cl.direct_linkage_labels(e)
+
+
+def test_moment_law_hypothesis_holds_for_equal_factors():
+    # A2 x A2 is reducible, but its factors are equal: sum_r (r, y)^2 = 12 =
+    # 4 * 12 / 4 at every root, and A1 and A2 scan cleanly in it; A1 meets 4
+    # roots of its factor off its span, and A2 spans its factor
+    a2xa2 = rt.RootSystem("A2xA2", 4, 6, _pm(*[
+        tuple(2 if k == i else -2 if k == j else 0 for k in range(6))
+        for base in (0, 3) for i in range(base, base + 3) for j in range(i + 1, base + 3)]))
+    assert a2xa2._scalar_moment
+    for name, realized in (("A1", 4), ("A2", 0)):
+        e = cl.find_embedding(cl.catalog(name), a2xa2)
+        assert len(cl.direct_linkage_labels(e).realized) == realized, name
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -471,6 +501,54 @@ def test_p_classes_add_up_to_the_moment_law(amb):
         span = sum(any(_dot(x, y) for y in e.doubled) for x in rs.doubled) - len(dl.realized)
         total = sum(p * n for p, n in rt.check_projection_laws(dl, e).p_classes) + 2 * span
         assert total == Fraction(2 * len(rs), rs.rank) * len(e.roots), name
+
+
+SWEEP_NAMES = dg.catalog_names() + ["A7", "D8"] + [f"D8(a{k})" for k in range(1, 6)]
+
+
+@lru_cache(maxsize=None)
+def vertex_order_sweep():
+    """(ambient, name, labels, dl, laws) for each name of ``SWEEP_NAMES`` that
+    embeds, in E8, E7, E6 and D8, in its catalog vertex order and under
+    ``shuffled`` seeds 1-5; ``labels`` is the direct label set mapped back
+    to the catalog vertex order, which tells the embedding classes apart."""
+    runs = []
+    for amb in ("E8", "E7", "E6", "D8"):
+        for name in SWEEP_NAMES:
+            canon = cl.catalog(name)
+            for d in [canon] + [shuffled(canon, seed) for seed in range(1, 6)]:
+                e = cl.find_embedding(d, ambient(amb))
+                if e is None:
+                    continue
+                dl = cl.direct_linkage_labels(e)
+                at = [d.vertices.index(v) for v in canon.vertices]
+                labels = frozenset(tuple(lab[i] for i in at) for lab in dl.labels)
+                runs.append((amb, name, labels, dl, rt.check_projection_laws(dl, e)))
+    return runs
+
+
+def test_extension_orbits_do_not_depend_on_the_vertex_order():
+    # orbit_count, the slices and the p-classes are properties of the
+    # embedding's class: equal for every vertex order that gives one direct
+    # label set.  A7 in E8 has two classes, of 184 and 56 labels
+    seen = {}
+    for amb, name, labels, _, laws in vertex_order_sweep():
+        got = (laws.orbit_count, laws.orbits, laws.p_classes)
+        assert seen.setdefault((amb, name, labels), got) == got, (amb, name)
+    a7 = {len(labels): got[0] for (amb, name, labels), got in seen.items()
+          if (amb, name) == ("E8", "A7")}
+    assert a7 == {184: 1, 56: 2}
+
+
+def test_extension_orbit_slices_partition_the_realized_roots():
+    # each realized root lands in exactly one slice: the sizes add up to the
+    # realized roots, and per p to the p-classes
+    for amb, name, _, dl, laws in vertex_order_sweep():
+        per_p = Counter()
+        for p, _, size in laws.orbits:
+            per_p[p] += size
+        assert sum(per_p.values()) == len(dl.realized), (amb, name)
+        assert per_p == dict(laws.p_classes), (amb, name)
 
 
 # -- square audit -----------------------------------------------------------------
