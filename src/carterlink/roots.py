@@ -27,7 +27,7 @@ with no reflection applied (see ``_orbit_slices``); the weight orbits are
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -67,10 +67,12 @@ class RootSystem:
 
     It is built from the doubled roots: ``doubled[i]`` is twice root i, as
     integers, and ``index`` maps it back to i; ``roots`` is their Fraction
-    view.  ``ip_bits[i][t + 1]`` is a bitset over root indices:
-    bit j is set when (root i, root j) = t, for t in -1, 0, 1.  The embedding
-    search narrows its candidates with them, and the label scans read every
-    inner product with an embedded root from them.  ``reflection(g)`` is the
+    view.  ``doubled`` is sorted and closed under negation, which reverses
+    the order, so the negative of root i is root n - 1 - i of n.
+    ``ip_bits[i][t + 1]`` is a bitset over root indices: bit j is set when
+    (root i, root j) = t, for t in -1, 0, 1.  The embedding search narrows
+    its candidates with them, and the label scans read every inner product
+    with an embedded root from them.  ``reflection(g)`` is the
     reflection in root g as a tuple of root indices; the first call builds
     every row from them, and they are kept.  The span test of
     ``embedding_independence`` on labels alone is exact: p = 2 exactly when
@@ -157,7 +159,7 @@ class RootSystem:
                         raise RootSystemError(
                             f"{self.name}: not closed under the reflection in root {g}")
                     row[j] = y.bit_length() - 1
-            row[g] = neg = self.index[tuple(-c for c in self.doubled[g])]
+            row[g] = neg = len(row) - 1 - g  # the negative of root g
             row[neg] = g
             rows.append(tuple(row))
         return tuple(rows)
@@ -265,21 +267,23 @@ def _e8_roots() -> list[Doubled]:
 
 class Embedding(dg._Value):
     """The vertices of ``pc.diagram`` realized as ambient roots, in canonical
-    vertex order.  Every oracle below reads ``pc``; being positive definite,
-    it makes the roots independent.  ``doubled`` holds the same roots in
-    doubled integer coordinates and ``idx`` their ambient root indices;
-    both are derived from the value."""
+    vertex order: ``idx`` holds their ambient root indices, the value.  Every
+    oracle below reads ``pc``; being positive definite, it makes the roots
+    independent.  ``roots`` and ``doubled`` are the same roots read from the
+    ambient by index, as Fractions and doubled integers; both are derived."""
 
-    _value = ("pc", "ambient", "roots")
+    _value = ("pc", "ambient", "idx")
 
-    def __init__(self, pc: PartialCartan, ambient: RootSystem, roots: tuple[Root, ...]) -> None:
-        doubled = tuple(_double(r) for r in roots)
-        for v, x in zip(pc.diagram.vertices, doubled):
-            if x not in ambient.index:
+    def __init__(self, pc: PartialCartan, ambient: RootSystem, idx: Sequence[int]) -> None:
+        if len(idx) != len(pc):
+            raise VerificationError(f"{len(idx)} roots for {len(pc)} vertices of {pc.diagram.name}")
+        for v, i in zip(pc.diagram.vertices, idx):
+            if type(i) is not int or not 0 <= i < len(ambient):
                 raise VerificationError(f"root of {v} is not a root of {ambient.name}")
-        self.__dict__.update(pc=pc, ambient=ambient, roots=roots, doubled=doubled,
-                             idx=tuple(ambient.index[x] for x in doubled))
-        n = len(roots)
+        doubled = tuple(ambient.doubled[i] for i in idx)
+        self.__dict__.update(pc=pc, ambient=ambient, idx=tuple(idx), doubled=doubled,
+                             roots=tuple(ambient.roots[i] for i in idx))
+        n = len(idx)
         for i in range(n):  # each root is in the ambient, so the diagonal is 8 = 4 * 2
             for j in range(i + 1, n):
                 if _dot(doubled[i], doubled[j]) != 4 * pc.gram[i][j]:
@@ -332,7 +336,7 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
             r = low.bit_length() - 1
             chosen[pos] = r
             if pos + 1 == l:
-                results.append(Embedding(pc, ambient, tuple(ambient.roots[chosen[p]] for p in at)))
+                results.append(Embedding(pc, ambient, tuple(chosen[p] for p in at)))
                 if len(results) >= limit:
                     return True
                 continue
@@ -382,17 +386,18 @@ class DirectLabels(NamedTuple):
     labels: tuple[Linkage, ...]
 
 
+def _same_embedding(dl: DirectLabels, e: Embedding) -> None:
+    """The checks below take ``e`` next to ``dl``: it must equal, by value, the
+    embedding the labels were read from, or ValueError names both diagrams."""
+    if e != dl.embedding:
+        raise ValueError(f"labels of {dl.embedding.diagram.name} were not read from "
+                         f"this embedding of {e.diagram.name}")
+
+
 def _extends(lc: int, den: int) -> bool:
     """Whether a root whose labels have p = lc / D extends the embedding: p = 0
     only for zero labels, and p = 2 exactly when mu = 0, as p + |mu|^2 = 2."""
     return 0 < lc != 2 * den
-
-
-def _extension_p(pc: PartialCartan, labels: Linkage) -> Optional[Fraction]:
-    """p = form of ``labels`` if a root with them ``_extends`` the embedding,
-    else None: the rule of the label scan and of ``embedding_independence``."""
-    lc = form_num(pc, labels)
-    return _frac(lc, pc.inv_den) if _extends(lc, pc.inv_den) else None
 
 
 def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]],
@@ -408,19 +413,18 @@ def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]],
 def _labels(e: Embedding) -> list[Linkage]:
     """The label vector of every ambient root, by root index, read from the
     inner-product bitsets of the embedded roots.  A root in none of the three
-    bitsets of an embedded root is that root (label 2) or its negative (-2),
-    both in the span.  No other label occurs, so none is checked for:
-    ``RootSystem`` admits only roots of norm 2 with integral inner products,
-    and |(x, y)| <= 2 with equality only for y = +-x."""
+    bitsets of an embedded root i is that root (label 2) or its negative
+    n - 1 - i (-2), both in the span.  No other label occurs, so none is
+    checked for: ``RootSystem`` admits only roots of norm 2 with integral
+    inner products, and |(x, y)| <= 2 with equality only for y = +-x."""
     amb = e.ambient
     n = len(amb)
     cols = []
     for i in e.idx:
-        neg = amb.index[tuple(-c for c in amb.doubled[i])]
         minus, _, plus = amb.ip_bits[i]
         # per root, its bit in plus minus its bit in minus: the ASCII digits of both, lowest first
         col = list(map(sub, f"{plus:0{n}b}".encode()[::-1], f"{minus:0{n}b}".encode()[::-1]))
-        col[i], col[neg] = 2, -2
+        col[i], col[n - 1 - i] = 2, -2
         cols.append(col)
     return list(zip(*cols))
 
@@ -460,10 +464,11 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
             if amb.rank * moment != 2 * len(amb) * gram[i][j]:  # n L^T L = 2|Phi| B
                 raise VerificationError(f"label moment at ({vs[i]}, {vs[j]}) is {moment}, "
                                         f"not {Fraction(2 * len(amb) * gram[i][j], amb.rank)}")
-    p_of = {labels: _extension_p(e.pc, labels) for labels in set(rows)}
+    den = e.pc.inv_den
+    p_of = {v: _frac(lc, den) for v in set(rows) if _extends(lc := form_num(e.pc, v), den)}
     realized = tuple(RealizedLinkage(gamma, labels, p_of[labels], i)
-                     for i, (gamma, labels) in enumerate(zip(amb.roots, rows)) if p_of[labels])
-    return DirectLabels(e, realized, tuple(sorted(k for k, p in p_of.items() if p)))
+                     for i, (gamma, labels) in enumerate(zip(amb.roots, rows)) if labels in p_of)
+    return DirectLabels(e, realized, tuple(sorted(p_of)))
 
 
 # -- verification laws -----------------------------------------------------------
@@ -550,11 +555,13 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
       ``dl``: summed over every root, p = labels . B^-1 labels is
       trace(B^-1 L^T L) = (2|Phi| / n) l by the scan's moment law.
 
-    The laws read only the public fields of ``dl``, however it was built.
+    The laws read only the public fields of ``dl``, however it was built,
+    and ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
     The projection (c, lc, G), p, the form check and the mirror's integrality
     run once per label vector (doubled, the mirror is (G - M) / D = 2G / D - x
     for the root x / 2), and the rest on every realized root.
     """
+    _same_embedding(dl, e)
     n_mat, den = e.pc.inv_num, e.pc.inv_den
     amb = e.ambient
     cols = list(zip(*e.doubled))
@@ -630,7 +637,9 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
     u and w run over same-color vertex pairs (hence orthogonal), the center
     over opposite-color vertices joined to both; gamma must be joined to u
     and w.  The label at the center must match expected_square_diagonal.
+    ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
     """
+    _same_embedding(dl, e)
     d = e.diagram
     g = e.pc.gram
     n = len(d.vertices)
@@ -682,13 +691,10 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     embs = find_embeddings(d, ambient, limit=trials)
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
-    pc = embs[0].pc  # the embeddings share one pc, so one cache serves them
-    extends = cache(lambda labs: _extension_p(pc, labs))  # None or p > 0
-    sets: list[tuple[Linkage, ...]] = []
-    for e in embs:
-        labels = tuple(sorted(filter(extends, set(_labels(e)))))
-        if labels not in sets:
-            sets.append(labels)
+    pc = embs[0].pc  # the embeddings share one pc, so one filter serves them
+    rows = [set(_labels(e)) for e in embs]
+    ext = {v for v in set().union(*rows) if _extends(form_num(pc, v), pc.inv_den)}
+    sets = list(dict.fromkeys(tuple(sorted(row & ext)) for row in rows))  # first seen first
     return IndependenceReport(len(embs), sets[0], tuple(sets))
 
 

@@ -94,13 +94,17 @@ def _inject_realized(monkeypatch, change):
             lambda dl: dl._replace(realized=change(dl.realized)))
 
 
-def _root_not_in_the_ambient(monkeypatch):
-    # Embedding: a first root whose first coordinate is 1/3
-    def change(e):
-        bad = (Fraction(1, 3),) + e.roots[0][1:]
-        return rt.Embedding(e.pc, e.ambient, _replaced(e.roots, 0, bad))
+def _embedding_length(monkeypatch):
+    # Embedding: the root of the last vertex left out
+    _inject(monkeypatch, "find_embedding",
+            lambda e: rt.Embedding(e.pc, e.ambient, e.idx[:-1]))
+    return ["verify", "E6(a1)"], "5 roots for 6 vertices of E6(a1)"
 
-    _inject(monkeypatch, "find_embedding", change)
+
+def _root_not_in_the_ambient(monkeypatch):
+    # Embedding: a first root index one past the ambient's last root
+    _inject(monkeypatch, "find_embedding",
+            lambda e: rt.Embedding(e.pc, e.ambient, _replaced(e.idx, 0, len(e.ambient))))
     return ["verify", "D4(a1)"], "root of a1 is not a root of E8"
 
 
@@ -112,9 +116,9 @@ def _embedding_gram(monkeypatch):
     assert cl.catalog("E6(a1)").vertices[1].id == "a2" and gram[0][1] == 0
 
     def change(e):
-        roots = list(e.roots)
-        roots[1], roots[k] = roots[k], roots[1]
-        return rt.Embedding(e.pc, e.ambient, tuple(roots))
+        idx = list(e.idx)
+        idx[1], idx[k] = idx[k], idx[1]
+        return rt.Embedding(e.pc, e.ambient, idx)
 
     _inject(monkeypatch, "find_embedding", change)
     return ["verify", "E6(a1)"], "embedding Gram mismatch at (a1, a2)"
@@ -159,7 +163,7 @@ def _inverse_form(monkeypatch):
         num[1][0] -= 1
         pc = cl.PartialCartan(e.pc.diagram, e.pc.det, e.pc.gram, e.pc.prefix,
                               tuple(map(tuple, num)), e.pc.inv_den)
-        return rt.Embedding(pc, e.ambient, e.roots)
+        return rt.Embedding(pc, e.ambient, e.idx)
 
     _inject(monkeypatch, "find_embedding", change)
     r = next(r for r in labels_in("E6(a1)", "E8").realized if r.labels[:2] != (0, 0))
@@ -442,6 +446,7 @@ def _ip_bit(monkeypatch):
 
 # id: fault; each returns the command line and the failure line's message
 FAULTS = {
+    "embedding-length": _embedding_length,
     "root-not-in-the-ambient": _root_not_in_the_ambient,
     "embedding-gram": _embedding_gram,
     "gamma-not-a-root": _gamma_not_a_root,

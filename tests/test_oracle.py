@@ -3,7 +3,6 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +19,10 @@ from helpers import CATALOG, _dot, ambient, cycles_left_by, embedding_in, labels
 
 
 # -- root systems -----------------------------------------------------------------
+
+# every name build_root_system accepts
+ROOT_SYSTEM_NAMES = [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 13)] + \
+    ["E6", "E7", "E8"]
 
 
 def test_root_counts():
@@ -92,12 +95,13 @@ def test_root_system_checks(doubled, message):
         rt.RootSystem("x", len(doubled[0]), len(doubled[0]), doubled)
 
 
-@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 13)]
-                         + [f"D{n}" for n in range(2, 13)] + ["E6", "E7", "E8"])
+@pytest.mark.parametrize("name", ROOT_SYSTEM_NAMES)
 def test_root_systems_match_fraction_reference(name):
     got, want = ambient(name), ref_root_system(name)
     for f in ("roots", "doubled", "index", "ip_bits"):
         assert getattr(got, f) == getattr(want, f), f
+    # the order law: doubled[n - 1 - i] is the negative of doubled[i]
+    assert got.doubled[::-1] == tuple(tuple(-c for c in x) for x in got.doubled)
 
 
 def test_in_root_lattice():
@@ -105,6 +109,7 @@ def test_in_root_lattice():
     h = Fraction(1, 2)
     assert e8.in_root_lattice((h,) * 8)
     assert not e8.in_root_lattice((-h,) * 5 + (h,) * 3)  # odd number of minus halves
+    assert not e8.in_root_lattice((Fraction(1, 3), -Fraction(1, 3)) + (0,) * 6)  # not halves
     d5 = ambient("D5")
     assert d5.in_root_lattice((1, 1, 0, 0, 0))
     assert not d5.in_root_lattice((1, 0, 0, 0, 0))
@@ -203,19 +208,48 @@ def test_find_embeddings_distinct():
     assert len({e.roots for e in embs}) == 4
 
 
+@pytest.mark.parametrize("amb,count", [("E8", 19), ("E7", 15), ("D8", 10)])
+def test_an_embedding_is_its_root_indices(amb, count):
+    embs = [e for name in dg.catalog_names() if (e := embedding_in(name, amb))]
+    assert len(embs) == count  # the catalog names that embed
+    for e in embs:
+        again = rt.Embedding(e.pc, e.ambient, e.idx)
+        assert again == e and hash(again) == hash(e) and type(again.idx) is tuple
+        assert again.roots == e.roots == tuple(e.ambient.roots[i] for i in e.idx)
+        assert again.doubled == e.doubled == tuple(e.ambient.doubled[i] for i in e.idx)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda idx, n: idx[:-1], "3 roots for 4 vertices of D4"),
+    (lambda idx, n: idx + (0,), "5 roots for 4 vertices of D4"),
+    (lambda idx, n: (n,) + idx[1:], "root of a1 is not a root of E8"),
+    (lambda idx, n: idx[:-1] + (-1,), "root of b1 is not a root of E8"),
+    (lambda idx, n: idx[:1] + (1.0,) + idx[2:], "root of a2 is not a root of E8"),
+], ids=["short", "long", "past-the-end", "minus-one", "float"])
+def test_embedding_rejects_indices_that_name_no_vertex_root(change, message):
+    emb = embedding_in("D4", "E8")
+    assert [v.id for v in emb.diagram.vertices] == ["a1", "a2", "a3", "b1"]
+    with pytest.raises(rt.VerificationError, match=f"^{message}$"):
+        rt.Embedding(emb.pc, emb.ambient, change(emb.idx, len(emb.ambient)))
+
+
 def test_embedding_rejects_roots_outside_the_ambient():
     # Reflecting an embedding of D4 in the all-halves root h keeps its Gram
     # matrix and turns roots with (r, h) != 0 into half-integer roots of E8,
-    # which D8 does not have.
-    e8 = ambient("E8")
-    h = (Fraction(1, 2),) * 8
+    # which D8 does not have.  An index names a root of its own ambient only.
+    e8, d8 = ambient("E8"), ambient("D8")
     emb = embedding_in("D4", "E8")
-    roots = tuple(tuple(a - sum(map(mul, r, h)) * b for a, b in zip(r, h)) for r in emb.roots)
-    assert any(c.denominator == 2 for r in roots for c in r)
-    assert all(r in e8.roots for r in roots)
-    rt.Embedding(emb.pc, e8, roots)
-    with pytest.raises(rt.VerificationError, match="is not a root of D8"):
-        rt.Embedding(emb.pc, ambient("D8"), roots)
+    row = e8.reflection(e8.index[(1,) * 8])
+    idx = tuple(row[i] for i in emb.idx)
+    reflected = rt.Embedding(emb.pc, e8, idx)
+    assert reflected != emb and any(c.denominator == 2 for r in reflected.roots for c in r)
+    with pytest.raises(rt.VerificationError, match="^root of a1 is not a root of D8$"):
+        rt.Embedding(emb.pc, d8, idx)  # E8's index of a1's root is past D8's last root
+    in_d8 = [d8.index.get(x) for x in reflected.doubled]
+    k = in_d8.index(None)
+    v = emb.diagram.vertices[k]
+    with pytest.raises(rt.VerificationError, match=f"^root of {v} is not a root of D8$"):
+        rt.Embedding(emb.pc, d8, [len(d8) if i is None else i for i in in_d8])
 
 
 def _third_at_0(r):
@@ -223,12 +257,26 @@ def _third_at_0(r):
     return (Fraction(1, 3),) + tuple(r[1:])
 
 
-def test_embedding_rejects_roots_that_are_not_half_integers():
-    emb = embedding_in("D4", "E8")
-    roots = (_third_at_0(emb.roots[0]),) + emb.roots[1:]
-    v = emb.diagram.vertices[0]
-    with pytest.raises(rt.VerificationError, match=f"^root of {v} is not a root of E8$"):
-        rt.Embedding(emb.pc, ambient("E8"), roots)
+@pytest.mark.parametrize("of_labels,of_embedding", [
+    ("A6", "A5"), ("E6(a1)", "D4"), ("A5", "A6"), ("D4", "E6(a1)"), ("A3", "D4")])
+def test_laws_and_audit_reject_an_embedding_that_is_not_the_labels(of_labels, of_embedding):
+    dl, e = labels_in(of_labels, "E8"), embedding_in(of_embedding, "E8")
+    message = f"labels of {of_labels} were not read from this embedding of {of_embedding}"
+    for check in (rt.check_projection_laws, rt.square_diagonal_audit):
+        with pytest.raises(ValueError) as info:
+            check(dl, e)
+        assert (info.type, str(info.value)) == (ValueError, message)
+
+
+def test_laws_and_audit_compare_embeddings_by_value():
+    # a second embedding of the same diagram is another embedding; a copy of
+    # the first is the same one
+    first, second = cl.find_embeddings(cl.catalog("A7"), ambient("E8"), limit=2)
+    dl = cl.direct_linkage_labels(first)
+    for check in (rt.check_projection_laws, rt.square_diagonal_audit):
+        with pytest.raises(ValueError, match="^labels of A7 were not read from this embedding of A7$"):
+            check(dl, second)
+        assert check(dl, rt.Embedding(first.pc, first.ambient, first.idx)) == check(dl, first)
 
 
 def test_projection_laws_reject_a_gamma_that_is_not_half_integers():
@@ -339,8 +387,7 @@ def test_moment_law_constants_are_integers_and_hold_for_a1_in_d2():
     # law's hypothesis; D2 = A1 x A1 is reducible, but its two factors are
     # equal, so sum_r r r^T = 4 I still: the labels 2, -2, 0, 0 of A1 have
     # L^T L = 8 = 4 B
-    for name in [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2, 13)] + \
-            ["E6", "E7", "E8"]:
+    for name in ROOT_SYSTEM_NAMES:
         assert 2 * len(ambient(name)) % ambient(name).rank == 0, name
         assert ambient(name)._scalar_moment, name
     dl = cl.direct_linkage_labels(embedding_in("A1", "D2"))

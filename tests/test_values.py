@@ -52,8 +52,7 @@ _PC1 = (f"PartialCartan(diagram=CarterDiagram(name='A1', vertices=({_A},), edges
         "det=Fraction(2, 1))")
 _A2 = f"CarterDiagram(name='A2', vertices=({_A}, {_B}), edges=(({_A}, {_B}, -1),))"
 _PC2 = f"PartialCartan(diagram={_A2}, det=Fraction(3, 1))"
-_E11 = (f"Embedding(pc={_PC1}, ambient=RootSystem(A1, 2 roots), "
-        "roots=((Fraction(-1, 1), Fraction(1, 1)),))")
+_E11 = f"Embedding(pc={_PC1}, ambient=RootSystem(A1, 2 roots), idx=(0,))"
 _VECTORS = "((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))"
 
 # class -> (a field, the repr of its instance in ``_values``)
