@@ -519,6 +519,12 @@ def from_json(text: str) -> CarterDiagram:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DiagramError(f"invalid JSON: {e}") from None
+    return from_doc(doc)
+
+
+def from_doc(doc) -> CarterDiagram:
+    """The diagram of a decoded diagram JSON document, checked as ``from_json``
+    checks it; a system document's "diagram" is read by this."""
     if not isinstance(doc, dict):
         raise DiagramError("diagram JSON must be an object")
     _check_keys(doc, {"name", "vertices", "edges"}, "diagram")

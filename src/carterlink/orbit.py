@@ -8,16 +8,19 @@ system; every positive definite diagram has one.  Given the diagram's
 pattern, every node with a nonzero label on the pattern alphas a1, a2, a3
 falls into exactly one 8-element loctet, and the other nodes have zero
 labels on all of them; without a pattern there are no loctets.  The
-reflection is written once, by vertex index, in ``reflect_at``; the
-components are ``diagram.closure`` over the edges.  Loctets are grown and
-checked once, in ``build_system``, and ``loctet_from_gamma8`` reads them there.
+reflection is written once, by vertex index, in ``reflect_at``; ``_edges``
+reads it as one integer step per vertex, the key of column t of B, and finds
+each reflected node by its key; the components are ``diagram.closure`` over
+the edges.  Loctets are grown and checked once, in ``build_system``, and
+``loctet_from_gamma8`` reads them there.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan, build_partial_cartan, inverse_diagonal
@@ -153,7 +156,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     d = pc.diagram
     nodes, nums = _search(pc)
     index = {v: i for i, v in enumerate(nodes)}
-    edges = _edges(pc, nodes, index)
+    edges = _edges(pc, nodes)
     components = _components(len(nodes), edges)
     component_p = []
     for comp in components:
@@ -202,8 +205,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     )
 
 
-def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...],
-           index: dict[Linkage, int]) -> list[tuple[int, int, str]]:
+def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...]) -> list[tuple[int, int, str]]:
     """Every (i, j, vertex id), i < j, where the dual reflection at the vertex
     sends node i to node j; raises VerificationError when the negative or a
     reflection of a node is not a node.
@@ -211,21 +213,49 @@ def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...],
     The reflection at t negates v_t, so each edge is found once, from its end
     with v_t > 0.  No reflection is left unchecked: the nodes are closed under
     negation, as checked here, and the reflection of -v is the negative of that of v.
+
+    Nodes are found by their key K(v) = sum_i v_i 5^i (``_keying``), so no
+    reflected tuple is built.  A node lies in {-1, 0, 1}^l, so v_k > 0 means
+    v_k = 1 and its reflection at k is v - B_k, of key K(v) - s_k; its negative
+    has key -K(v).  Both lie in [-2, 2]^l, as B's off-diagonal entries are in
+    {-1, 0, 1}, and balanced base 5 is one-to-one on [-2, 2]^l, so a key is
+    found exactly when the vector is a node.  (Base 3 is not: (2, 0) and
+    (-1, 1) share the key 2.)
     """
     d = pc.diagram
+    key, steps = _keying(pc)
+    keys = list(map(key, nodes))
+    index = {x: i for i, x in enumerate(keys)}
+    ids = [t.id for t in d.vertices]
     edges = []
-    for i, v in enumerate(nodes):
-        if tuple(-x for x in v) not in index:
+    for i, (v, kv) in enumerate(zip(nodes, keys)):
+        if -kv not in index:
             raise VerificationError(f"{d.name}: the negative of {v} is not a linkage vector")
-        for k, x in enumerate(v):
+        for x, s, t in zip(v, steps, ids):
             if x > 0:
-                w = reflect_at(pc, k, v)
-                j = index.get(w)
+                j = index.get(kv - s)
                 if j is None:
+                    k = d.index_of(t)
+                    w = reflect_at(pc, k, v)
                     raise VerificationError(f"{d.name}: reflection at {d.vertices[k]} "
                                             f"leaves the linkage set: {v} -> {w}")
-                edges.append((min(i, j), max(i, j), d.vertices[k].id))
+                edges.append((i, j, t) if i < j else (j, i, t))
     return edges
+
+
+def _keying(pc: PartialCartan) -> tuple[Callable[[Sequence[int]], int], list[int]]:
+    """The key K(v) = sum_i v_i 5^i of a vector of length l = len(pc), and the
+    step s_k = K(B_k) of each vertex k, read from ``reflect_at`` at the unit
+    vector e_k: s_k = 5^k - K(reflect_at(pc, k, e_k)).  K is linear and
+    ``reflect_at`` subtracts v_k B_k, so K(reflect_at(pc, k, v)) = K(v) - v_k s_k."""
+    l = len(pc)
+    powers = [5 ** k for k in range(l)]
+
+    def key(v: Sequence[int]) -> int:
+        return sum(map(mul, v, powers))
+
+    return key, [p - key(reflect_at(pc, k, (0,) * k + (1,) + (0,) * (l - 1 - k)))
+                 for k, p in enumerate(powers)]
 
 
 def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
@@ -450,7 +480,7 @@ def from_json(text: str) -> LinkageSystem:
     for key in _SYSTEM_KEYS:
         if key not in doc:
             raise dg.DiagramError(f"system JSON is missing {key!r}")
-    d = dg.from_json(json.dumps(doc["diagram"]))
+    d = dg.from_doc(doc["diagram"])
     nodes = tuple(_ints(v, "node") for v in _list(doc, "nodes"))
 
     def at(x, where: str) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import roots as rt
 from carterlink.cartan import _eliminate
+from carterlink.linkage import form_num
 
 # The 18 diagrams with tabulated matrices, in table order.
 CATALOG = [
@@ -49,6 +50,16 @@ def system_of(name: str) -> cl.LinkageSystem:
 @lru_cache(maxsize=None)
 def links_of(name: str):
     return cl.enumerate_linkages(pc_of(name))
+
+
+def form_at_most_two(pc):
+    """The vectors and form numerators the search would keep with its bound
+    < 2 turned into <= 2: every nonzero v in {-1, 0, 1}^l with form <= 2,
+    sorted, found as ``test_linkage.brute_force_linkages`` finds the linkage
+    vectors.  Some of their dual reflections are not among them."""
+    found = [(v, form_num(pc, v)) for v in itertools.product((-1, 0, 1), repeat=len(pc))
+             if any(v) and form_num(pc, v) <= 2 * pc.inv_den]
+    return tuple(v for v, _ in found), tuple(n for _, n in found)
 
 
 @lru_cache(maxsize=None)

@@ -61,7 +61,6 @@ checks on the same values force them, so no fault can reach a check of them:
   each key as its slice takes it, so no root is counted twice or left out.
 """
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -71,10 +70,11 @@ from carterlink import diagram as dg
 from carterlink import orbit
 from carterlink import roots as rt
 from carterlink.cli import main
-from carterlink.linkage import _search, form_num
+from carterlink.linkage import _search
 from carterlink.orbit import reflect_at
 
-from helpers import _dot, embedding_in, labels_in, links_of, pc_of, ref_realized, system_of
+from helpers import (_dot, embedding_in, form_at_most_two, labels_in, links_of, pc_of,
+                     ref_realized, system_of)
 
 
 def _inject(monkeypatch, fn, change):
@@ -349,23 +349,14 @@ def _projection_loctet(monkeypatch):
 # -- faults in the data the checks read: the search, the label scan, ip_bits ----
 
 
-def _form_at_most_two(pc):
-    """The vectors and form numerators the search would keep with its bound
-    < 2 turned into <= 2: every nonzero v in {-1, 0, 1}^l with form <= 2,
-    sorted, found as ``brute_force_linkages`` finds the linkage vectors."""
-    found = [(v, form_num(pc, v)) for v in itertools.product((-1, 0, 1), repeat=len(pc))
-             if any(v) and form_num(pc, v) <= 2 * pc.inv_den]
-    return tuple(v for v, _ in found), tuple(n for _, n in found)
-
-
 def _search_admits_form_two(monkeypatch):
     # _edges: the search keeps the vectors of form exactly 2 too; the first node
     # and vertex, in _edges' order, whose reflection is not a node are the witness
     pc, d = pc_of("E6(a1)"), cl.catalog("E6(a1)")
-    nodes = _form_at_most_two(pc)[0]
+    nodes = form_at_most_two(pc)[0]
     v, k, w = next((v, k, reflect_at(pc, k, v)) for v in nodes for k in range(len(v))
                    if v[k] > 0 and reflect_at(pc, k, v) not in nodes)
-    monkeypatch.setattr(orbit, "_search", _form_at_most_two)
+    monkeypatch.setattr(orbit, "_search", form_at_most_two)
     return ["system", "E6(a1)"], \
         f"E6(a1): reflection at {d.vertices[k]} leaves the linkage set: {v} -> {w}"
 

@@ -11,7 +11,8 @@ from carterlink import orbit
 from carterlink.cartan import CartanError
 from carterlink.linkage import _search, form_num, form_value
 
-from helpers import CATALOG, e8_root_subset_diagrams, links_of, pc_of, system_of
+from helpers import (CATALOG, e8_root_subset_diagrams, form_at_most_two, links_of, pc_of,
+                     system_of)
 
 
 # -- dual reflections -----------------------------------------------------------
@@ -90,11 +91,56 @@ def test_build_system_edges_match_public_reflection(name):
     assert s.edges == _reflection_edges(s.pc, s.nodes)
 
 
+def _assert_key_law(pc, nodes):
+    """The law by which ``_edges`` finds nodes: for every node v and k with
+    v_k > 0, K(v) - s_k = K(reflect_at(pc, k, v)), K(-v) = -K(v), and over
+    the nodes with these reflections and negatives, keys are distinct exactly
+    when the vectors are.  Returns the reflections that are not nodes."""
+    key, steps = orbit._keying(pc)
+    node_set = frozenset(nodes)
+    vectors, leaving = set(nodes), []
+    for v in nodes:
+        neg = tuple(-x for x in v)
+        assert key(neg) == -key(v), v
+        vectors.add(neg)
+        for k, x in enumerate(v):
+            if x > 0:
+                w = orbit.reflect_at(pc, k, v)
+                assert key(v) - steps[k] == key(w), (v, k, w)
+                vectors.add(w)
+                if w not in node_set:
+                    leaving.append(w)
+    assert len({key(u) for u in vectors}) == len(vectors)
+    return leaving
+
+
 @settings(max_examples=60, deadline=None)
 @given(e8_root_subset_diagrams())
 def test_edges_match_public_reflection_on_generated_diagrams(d):
     pc = cl.build_partial_cartan(d)
     assert cl.build_system(pc).edges == _reflection_edges(pc, cl.enumerate_linkages(pc))
+    assert _assert_key_law(pc, cl.enumerate_linkages(pc)) == []
+
+
+PIPELINE_NAMES = dg.catalog_names() + ["D8(a1)", "D9(a2)"]  # the catalog_pipeline benchmark's
+
+
+@pytest.mark.parametrize("name", PIPELINE_NAMES)
+def test_key_law_on_catalog(name):
+    assert _assert_key_law(pc_of(name), links_of(name)) == []
+
+
+@pytest.mark.parametrize("name, base3_aliases", [("D4(a1)", 2), ("D4", 1), ("D5", 1), ("E6", 1)])
+def test_key_law_on_sets_that_reflections_leave(name, base3_aliases):
+    # the form <= 2 sets, which some reflections leave: their keys must differ
+    # from every node's; a base-3 key, one-to-one on {-1, 0, 1}^l only, would
+    # alias this many of them with a node
+    pc = pc_of(name)
+    nodes = form_at_most_two(pc)[0]
+    leaving = _assert_key_law(pc, nodes)
+    key3 = lambda v: sum(x * 3 ** i for i, x in enumerate(v))
+    node_keys3 = set(map(key3, nodes))
+    assert sum(key3(w) in node_keys3 for w in leaving) == base3_aliases
 
 
 # -- systems ---------------------------------------------------------------------
@@ -410,6 +456,9 @@ _INPUT_ERRORS = {
                       ValueError, "vector of length 3 for rank 6"),
     "json-not-an-object": (lambda: orbit.from_json("[1, 2]"),
                            dg.DiagramError, "system JSON must be an object"),
+    "json-diagram-not-an-object": (lambda: orbit.from_json(json.dumps(
+        {**json.loads(orbit.to_json(system_of("D4"))), "diagram": [1, 2]})),
+        dg.DiagramError, "diagram JSON must be an object"),
     "json-missing-edges": (lambda: orbit.from_json(json.dumps(
         {k: v for k, v in json.loads(orbit.to_json(system_of("D4"))).items() if k != "edges"})),
         dg.DiagramError, "system JSON is missing 'edges'"),
