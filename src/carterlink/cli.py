@@ -183,8 +183,11 @@ def cmd_verify(args) -> int:
     print(f"embedded {d.name} into {amb.name}")
     # Over E8 a diagram of rank <= 7 realizes every linkage vector in each of
     # its embeddings, A7 (up to switching) excepted: it has two classes of
-    # embeddings in E8 (Carter 1972, Lemma 27).
-    exact = amb.name == "E8" and len(d) <= 7 and not dg.isomorphic(d, dg.catalog("A7"))
+    # embeddings in E8 (Carter 1972, Lemma 27).  A7 is read from B: the roots
+    # of a connected positive definite diagram generate an irreducible root
+    # lattice of its rank; at rank 7, det 8 means A7 (E7 has 2, D7 4); and 7
+    # independent roots of A7 whose graph has no triangle form a chain.
+    exact = amb.name == "E8" and len(d) <= 7 and not (len(d) == 7 and pc.det == 8)
     dl = rt.direct_linkage_labels(emb)
     realized = _check_labels("direct labels", dl.labels, sys_, amb.name, exact)
     print(f"  distinct direct labels: {len(dl.labels)} (of {len(enum)} enumerated)")

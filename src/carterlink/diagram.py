@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -223,7 +223,7 @@ class CarterDiagram(_Value):
         return detect_pattern(self)
 
 
-# -- closure -----------------------------------------------------------------
+# -- closure and placement ---------------------------------------------------
 
 
 def closure(seed, images: Callable[[Any], Iterable]) -> set:
@@ -240,6 +240,44 @@ def closure(seed, images: Callable[[Any], Iterable]) -> set:
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def placements(gram: Sequence[Sequence[int]], order: Sequence[int],
+               ip_bits: Sequence[Sequence[int]], masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every tuple x of members with (x_i, x_j) = gram[i][j] for i != j, where
+    ``ip_bits[m][t + 1]`` is the bitset of the members whose inner product with
+    member m is t, for t in -1, 0, 1; a member in none of its own sets is placed
+    once at most.  The vertices are placed in ``order``, the one at position p
+    on a member of ``masks[p]``, and each later position keeps the members
+    still possible for it, narrowed by AND with the bitsets of each member
+    placed.  Lowest member first: the tuples come in lexicographic order of x
+    read in ``order``."""
+    n = len(order)
+    at = sorted(range(n), key=order.__getitem__)  # vertex -> position
+    # want[p][k] + 1 indexes ip_bits for the members at positions p and p + 1 + k
+    want = [[gram[i][j] + 1 for j in order[p + 1:]] for p, i in enumerate(order)]
+    chosen = [0] * n
+    stack = [list(masks)]  # per depth p: the members left at positions p, p + 1, ...
+    while stack:
+        left = stack[-1]
+        pos, cand = n - len(left), left[0]
+        if not cand:
+            stack.pop()
+            continue
+        low = cand & -cand
+        left[0] = cand ^ low
+        chosen[pos] = m = low.bit_length() - 1
+        if pos + 1 == n:
+            yield tuple(chosen[p] for p in at)
+            continue
+        row, narrowed = ip_bits[m], []
+        for k, w in enumerate(want[pos], 1):
+            hit = left[k] & row[w]
+            if not hit:
+                break
+            narrowed.append(hit)
+        else:
+            stack.append(narrowed)
 
 
 # -- catalog -----------------------------------------------------------------
@@ -458,14 +496,12 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
     Useful as the documented permutation between a parametric diagram and
     its tabled counterpart, e.g. carter_D_ak(6, 2) onto catalog('D6(a2)').
 
-    d1's vertices are placed in its ``search_order``, each on the first free
-    vertex of d2 of the same degree that fits, so every vertex after the
-    first meets an earlier one.  Each placed vertex u carries a switching
-    sign e_u: +1 for the first; with ``allow_switching``, vertex i takes the
-    sign that its first neighbor u in ``search_order`` forces on candidate j,
-    e_i = g2[j][pi u] g1[i][u] e_u, and without it every sign is +1.  The
-    candidate fits when g2[j][pi u] = e_i e_u g1[i][u] for every placed u,
-    non-edges (0 on both sides) included.
+    It is the first of ``placements`` of d1's Gram matrix on the signed
+    vertices of d2: member j is vertex j, and with ``allow_switching``
+    member n + j is its negative, whose inner products are those of j with
+    the sign flipped.  Two members of one vertex have inner product +-2,
+    which no entry of d1 asks for, so every placement is a bijection.  Each
+    vertex of d1 starts on the vertices of d2 of its degree.
     """
     n = len(d1.vertices)
     if n != len(d2.vertices) or len(d1.edges) != len(d2.edges):
@@ -474,43 +510,31 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
     deg1, deg2 = ([sum(1 for x in row if x not in (0, 2)) for row in g] for g in (g1, g2))
     if sorted(deg1) != sorted(deg2):
         return None
-    order = d1.search_order
-    used = [False] * n
-    perm = [-1] * n
-    sign = [1] * n
-
-    def rec(k: int) -> bool:
-        if k == n:
-            return True
-        i, placed = order[k], order[:k]
-        u0 = next((u for u in placed if g1[i][u]), None)
-        for j in range(n):
-            if used[j] or deg1[i] != deg2[j]:
-                continue
-            # e = 0 when j is not joined to the image of u0
-            e = g2[j][perm[u0]] * g1[i][u0] * sign[u0] if allow_switching and k else 1
-            if e and all(g2[j][perm[u]] == e * sign[u] * g1[i][u] for u in placed):
-                used[j], perm[i], sign[i] = True, j, e
-                if rec(k + 1):
-                    return True
-                used[j] = False
-        return False
-
-    found = rec(0)
-    del rec  # rec's closure refers to rec; without the name no cycle outlives the search
-    return {v: d2.vertices[j] for v, j in zip(d1.vertices, perm)} if found else None
+    # the vertices of d2 whose inner product with vertex j is -1, 0 and 1
+    rows = [[sum(1 << k for k, x in enumerate(row) if x == t) for t in (-1, 0, 1)] for row in g2]
+    table = [(minus | plus << n, zero | zero << n, plus | minus << n) for minus, zero, plus in rows]
+    table += [bits[::-1] for bits in table]  # the negatives
+    members = (1 << (2 * n if allow_switching else n)) - 1
+    masks = [sum(1 << j | 1 << n + j for j in range(n) if deg2[j] == deg1[i]) & members
+             for i in d1.search_order]
+    found = next(placements(g1, d1.search_order, table, masks), None)
+    return None if found is None else {v: d2.vertices[m % n] for v, m in zip(d1.vertices, found)}
 
 
 # -- JSON ----------------------------------------------------------------------
 
 
 def to_json(d: CarterDiagram) -> str:
-    doc = {
+    return json.dumps(to_doc(d))
+
+
+def to_doc(d: CarterDiagram) -> dict:
+    """The diagram JSON document: ``to_json`` encodes it, ``from_doc`` reads it."""
+    return {
         "name": d.name,
         "vertices": [{"id": v.id, "color": v.color} for v in d.vertices],
         "edges": [{"u": u.id, "v": v.id, "sign": SIGN_NAMES[s]} for u, v, s in d.edges],
     }
-    return json.dumps(doc)
 
 
 def from_json(text: str) -> CarterDiagram:

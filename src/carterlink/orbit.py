@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -80,10 +81,13 @@ class LinkageSystem(dg._Value):
     def __init__(self, pc: PartialCartan, nodes: tuple[Linkage, ...],
                  edges: tuple[tuple[int, int, str], ...], components: tuple[tuple[int, ...], ...],
                  component_p: tuple[Fraction, ...], loctets: tuple[Loctet, ...],
-                 unicolored: tuple[Linkage, ...], _index: dict) -> None:
+                 unicolored: tuple[Linkage, ...]) -> None:
         self.__dict__.update(pc=pc, nodes=nodes, edges=edges, components=components,
-                             component_p=component_p, loctets=loctets, unicolored=unicolored,
-                             _index=_index)
+                             component_p=component_p, loctets=loctets, unicolored=unicolored)
+
+    @cached_property
+    def _index(self) -> dict[Linkage, int]:
+        return {v: i for i, v in enumerate(self.nodes)}
 
     def node_index(self, v: Linkage) -> int:
         i = self._index.get(tuple(v))
@@ -155,7 +159,6 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     unicolored.  The empty system (E8) is legal; ``from_json`` checks by this."""
     d = pc.diagram
     nodes, nums = _search(pc)
-    index = {v: i for i, v in enumerate(nodes)}
     edges = _edges(pc, nodes)
     components = _components(len(nodes), edges)
     component_p = []
@@ -201,7 +204,6 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
         component_p=tuple(component_p),
         loctets=loctets,
         unicolored=unicolored,
-        _index=index,
     )
 
 
@@ -365,7 +367,6 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
             f"{d_ext.name} has one, {base.diagram.name} has none")
 
     base_sys = build_system(base)
-    base_nodes = set(base_sys.nodes)
 
     def project(v: Linkage) -> Linkage:
         return tuple(x for i, x in enumerate(v) if i != di)
@@ -377,7 +378,7 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
         if all(x == 0 for x in img):
             kernel.append(v)
             continue
-        if img not in base_nodes:
+        if img not in base_sys._index:
             raise VerificationError(
                 f"projection of {v} gives {img}, not a linkage vector of "
                 f"{base.diagram.name}")
@@ -441,7 +442,7 @@ def to_dot(sys: LinkageSystem) -> str:
 
 def to_json(sys: LinkageSystem, indent: Optional[int] = None) -> str:
     doc = {
-        "diagram": json.loads(dg.to_json(sys.pc.diagram)),
+        "diagram": dg.to_doc(sys.pc.diagram),
         "nodes": [list(v) for v in sys.nodes],
         "edges": [[i, j, gen] for i, j, gen in sys.edges],
         "components": [list(c) for c in sys.components],

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -300,14 +301,11 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
     """The first ``limit`` root subsets of one fixed search whose Gram matrix
     is the diagram's.
 
-    Vertices are assigned in the diagram's ``search_order`` with forward
-    checking: each unassigned vertex keeps a bitset of the roots still
-    possible for it, narrowed by AND with the inner-product bitsets of every
-    root placed.  Candidates are visited lowest index first, that is,
-    in lexicographic order.  Level-0 rule: if no embedding puts the first
-    vertex on the lowest root, none exists and the search stops.  This needs
-    the ambient's Weyl group to be transitive on roots, as it is for every
-    ``build_root_system`` result but D2 = A1 x A1, where only A1 embeds.
+    They are the ``placements`` of the Gram matrix on the ambient roots, in
+    the diagram's ``search_order``.  Level-0 rule: if no embedding puts the
+    first vertex on the lowest root, none exists and the search stops.  This
+    needs the ambient's Weyl group to be transitive on roots, as it is for
+    every ``build_root_system`` result but D2 = A1 x A1, where only A1 embeds.
 
     A diagram whose form is not positive definite has no embeddings: it is
     the Gram matrix of no vectors at all.
@@ -319,44 +317,13 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
     l = len(d.vertices)
     if l > ambient.rank or limit < 1:
         return []
-    g = pc.gram
-    order = d.search_order
-    at = sorted(range(l), key=order.__getitem__)  # vertex -> assignment position
-    # target[q][p] + 1 indexes ip_bits for the pair of assignment positions
-    target = [[g[order[p]][order[q]] + 1 for q in range(l)] for p in range(l)]
-    ip_bits = ambient.ip_bits
-    results: list[Embedding] = []
-    chosen = [0] * l
-
-    def dfs(pos: int, masks: list[int]) -> bool:
-        cand = masks[pos]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            r = low.bit_length() - 1
-            chosen[pos] = r
-            if pos + 1 == l:
-                results.append(Embedding(pc, ambient, tuple(chosen[p] for p in at)))
-                if len(results) >= limit:
-                    return True
-                continue
-            row = ip_bits[r]
-            new_masks = masks[: pos + 1]
-            for q in range(pos + 1, l):
-                nm = masks[q] & row[target[q][pos]]
-                if not nm:
-                    break
-                new_masks.append(nm)
-            else:
-                if dfs(pos + 1, new_masks):
-                    return True
-            if pos == 0 and not results:  # the level-0 rule
-                return False
-        return False
-
-    dfs(0, [(1 << len(ambient)) - 1] * l)
-    del dfs  # dfs's closure refers to dfs; without the name no cycle outlives the search
-    return results
+    full = (1 << len(ambient)) - 1
+    search = lambda first: dg.placements(pc.gram, d.search_order, ambient.ip_bits,
+                                         [first] + [full] * (l - 1))
+    found = list(islice(search(1), limit))
+    if found:  # the level-0 rule
+        found += islice(search(full ^ 1), limit - len(found))
+    return [Embedding(pc, ambient, idx) for idx in found]
 
 
 def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embedding]:

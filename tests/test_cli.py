@@ -10,9 +10,10 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import orbit
 from carterlink import roots as rt
+from carterlink.cartan import CartanError
 from carterlink.cli import _vec, main
 
-from helpers import CATALOG, ref_det, shuffled, system_of
+from helpers import CATALOG, ref_det, shuffled, switched, system_of
 from reference_tables import TABLES
 
 
@@ -415,6 +416,28 @@ def test_cartan_inverse_det_matches_reference_tables(capsys, name):
     code, out, err = run(capsys, "cartan", name, "--inverse", "--det")
     assert (code, err) == (0, "")
     assert out == "\n".join(want) + "\n"
+
+
+def test_rank_7_diagrams_are_a7_exactly_when_det_is_8():
+    # verify reads A7 from det B; the table: the rank-6 names extended at every
+    # vertex, and the rank-7 names with a shuffle and every single-vertex switching
+    names = [n for n in dg.catalog_names() + ["A6", "A7"] if len(cl.catalog(n)) in (6, 7)]
+    ds = []
+    for d in map(cl.catalog, names):
+        if len(d) == 6:
+            ds += [dg.extend(d, v) for v in d.vertices]
+        else:
+            ds += [d, shuffled(d, 1)] + [switched(d, v) for v in d.vertices]
+    pcs = []
+    for d in ds:
+        try:
+            pcs.append(cl.build_partial_cartan(d))
+        except CartanError:
+            pass
+    a7 = cl.catalog("A7")
+    assert len(pcs) == 108 and sum(pc.det == 8 for pc in pcs) == 11
+    for pc in pcs:
+        assert dg.isomorphic(pc.diagram, a7) == (pc.det == 8), pc.diagram.name
 
 
 @pytest.mark.parametrize("argv", [("A7",), ("D6(a1)", "--ambient", "E7")])

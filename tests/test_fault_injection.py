@@ -247,8 +247,7 @@ def _square_diagonal(monkeypatch):
 
 def _system_with(s, **fields):
     """The linkage system ``s`` with some of its fields replaced."""
-    return orbit.LinkageSystem(**{**{f: getattr(s, f) for f in s._value}, **fields},
-                               _index=s._index)
+    return orbit.LinkageSystem(**{**{f: getattr(s, f) for f in s._value}, **fields})
 
 
 def _inject_system(monkeypatch, name, change):

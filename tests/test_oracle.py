@@ -1,4 +1,5 @@
 import copy
+import itertools
 import re
 from collections import Counter
 from fractions import Fraction
@@ -926,13 +927,31 @@ def brute_force_embeddings(d, amb, limit):
 
 
 def test_find_embeddings_match_brute_force():
-    # D4(a1) does not embed into A5: there the brute force tries every root first
-    for name, amb, count in [("D5(a1)", "E8", 3), ("A3", "A5", 3), ("E6(a1)", "E7", 3),
-                             ("D4(a1)", "D5", 3), ("D4(a1)", "A5", 0)]:
+    # D4(a1) does not embed into A5: there the brute force tries every root first;
+    # A3 has 576 embeddings into D4, so a limit above that lists them all
+    for name, amb, limit, count in [("D5(a1)", "E8", 3, 3), ("A3", "A5", 3, 3),
+                                    ("E6(a1)", "E7", 3, 3), ("D4(a1)", "D5", 3, 3),
+                                    ("D4(a1)", "A5", 3, 0), ("A3", "D4", 600, 576)]:
         d, rs = cl.catalog(name), ambient(amb)
-        got = [e.roots for e in cl.find_embeddings(d, rs, limit=3)]
-        assert got == brute_force_embeddings(d, rs, 3), (name, amb)
+        got = [e.roots for e in cl.find_embeddings(d, rs, limit=limit)]
+        assert got == brute_force_embeddings(d, rs, limit), (name, amb)
         assert len(got) == count, (name, amb)
+
+
+@pytest.mark.parametrize("name, amb, count", [("A2", "A3", 48), ("A3", "D4", 576),
+                                              ("D4", "D4", 1152)])
+def test_placements_in_full_match_a_scan_of_root_tuples(name, amb, count):
+    d, rs = cl.catalog(name), ambient(amb)
+    g, l = d.gram(), len(d)
+    full = (1 << len(rs)) - 1
+    got = list(dg.placements(g, d.search_order, rs.ip_bits, [full] * l))
+    ip = [[_fdot(x, y) for y in rs.roots] for x in rs.roots]
+    scan = {x for x in itertools.permutations(range(len(rs)), l)
+            if all(ip[x[i]][x[j]] == g[i][j] for i in range(l) for j in range(i))}
+    assert len(got) == len(set(got)) == count
+    assert set(got) == scan
+    # lowest member first: lexicographic in the search order
+    assert got == sorted(got, key=lambda x: [x[i] for i in d.search_order])
 
 
 @pytest.mark.parametrize("amb", ["E8", "E7", "D8"])

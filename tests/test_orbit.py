@@ -604,6 +604,14 @@ def test_system_json_roundtrip():
         assert orbit.to_json(back) == text, name
 
 
+@pytest.mark.parametrize("name", ["D4", "D5(a1)", "E6(a1)"])
+def test_a_system_built_from_its_value_serializes_alike(name):
+    # the node positions that loctets and unicolored nodes are written by are read from nodes
+    s = system_of(name)
+    again = orbit.LinkageSystem(**{f: getattr(s, f) for f in s._value})
+    assert again == s and orbit.to_json(again) == orbit.to_json(s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(e8_root_subset_diagrams())
 def test_generated_systems_roundtrip_and_search_numerators(d):
