@@ -64,16 +64,40 @@ def _eliminate(b: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
     Row k of the result has the leading minor of order k+1 as its pivot
     [k][k].  Returns None at the first pivot <= 0, which by Sylvester's
     criterion means B is not positive definite.
+
+    Step k of Bareiss' elimination replaces each row i > k by
+    (p_k m_i - m_ik m_k) / p_{k-1}, where p_k is the pivot of step k and
+    p_{-1} = 1.  Where m_ik = 0 the step only scales row i by p_k / p_{k-1},
+    and over the skipped steps a..k-1 these factors telescope to
+    p_{k-1} / p_{a-1}.  So a row is touched only at a step where its
+    multiplier is nonzero, and when it becomes the pivot row.  The pivot row
+    is brought current by that one factor, and a row with a nonzero
+    multiplier takes the step straight from its stale values x and multiplier
+    c: (p_k x - c m_k) / p_{a-1}.  Both divisions are exact, because each
+    entry of a row, stale or current, is a minor of [B | I] (Sylvester's
+    identity), so the result is entry for entry the dense elimination's.  The
+    pivot row is rescaled before its pivot is read, and the scale factor is
+    positive, so the rejection comes at the same step.
     """
     l = len(b)
     m = [list(row) + [int(i == j) for j in range(l)] for i, row in enumerate(b)]
-    prev = 1
+    piv = [1]  # piv[k] = p_{k-1}, the divisor of step k
+    at = [0] * l  # row i holds its values after step at[i] - 1
     for k in range(l):
-        if m[k][k] <= 0:
+        row = m[k]
+        if at[k] < k:
+            f, g = piv[k], piv[at[k]]
+            row = m[k] = [f * x // g for x in row]
+        p = row[k]
+        if p <= 0:
             return None
         for i in range(k + 1, l):
-            m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
-        prev = m[k][k]
+            c = m[i][k]
+            if c:
+                g = piv[at[i]]
+                m[i] = [(p * x - c * y) // g for x, y in zip(m[i], row)]
+                at[i] = k + 1
+        piv.append(p)
     return m
 
 

@@ -17,12 +17,18 @@ arithmetic is on plain integers.  The search runs once per
 mapped back to vertex order and sorted lexicographically (-1 < 0 < 1), so
 every downstream structure is deterministic and no output depends on the
 search order.
+
+The sign law: the form is even, so -v is a linkage vector with the same
+value whenever v is.  The search walks one sign of each pair, the one whose
+first nonzero label in search order is +1, and keeps both.  Negation
+reverses the lexicographic order with -1 < 0 < 1, so in the sorted tuple of
+n vectors entry n-1-i is the negative of entry i.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
@@ -63,8 +69,13 @@ def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
 
     Searched on the first call for ``pc`` and kept on it after that.  At a
     leaf the accumulated sum is den times the form, and den is g times D
-    for B^-1 = N / D, so the numerator over D is the sum divided by g.  Each
-    leaf is mapped back to vertex order, and the pairs are sorted once.
+    for B^-1 = N / D, so the numerator over D is the sum divided by g.
+
+    The form is even, so v and -v have the same value: the search walks only
+    the vectors whose first nonzero label in search order is +1, and each
+    leaf gives v and -v.  The lead j of such a vector has u_0..u_{j-1} = 0,
+    so z_0..z_{j-1} vanish and its prefix sum is weights[j] * rows[j][j]**2.
+    Each pair is mapped back to vertex order, and the pairs are sorted once.
     """
     if pc._linkages is not None:
         return pc._linkages
@@ -79,8 +90,9 @@ def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
 
     def visit(k: int, acc: int) -> None:
         if k == l:
-            if any(u):
-                found.append((tuple(map(u.__getitem__, at)), acc // g))
+            v, n = tuple(map(u.__getitem__, at)), acc // g
+            found.append((v, n))
+            found.append((tuple(map(neg, v)), n))
             return
         base = sum(map(mul, off[k], u))
         for x in (-1, 0, 1):
@@ -90,7 +102,12 @@ def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
                 u[k] = x
                 visit(k + 1, s)
 
-    visit(0, 0)
+    for j in range(l):
+        s = weights[j] * rows[j][j] ** 2
+        if s < bound:
+            u[j] = 1
+            visit(j + 1, s)
+        u[j] = 0  # a deeper visit of an earlier lead may have left it nonzero
     del visit  # visit's closure refers to visit; without the name no cycle outlives the search
     found.sort()
     object.__setattr__(pc, "_linkages", (tuple(v for v, _ in found), tuple(n for _, n in found)))

@@ -159,7 +159,8 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     unicolored.  The empty system (E8) is legal; ``from_json`` checks by this."""
     d = pc.diagram
     nodes, nums = _search(pc)
-    edges = _edges(pc, nodes)
+    key, steps = _keying(pc)
+    edges = _edges(pc, nodes, key, steps)
     components = _components(len(nodes), edges)
     component_p = []
     for comp in components:
@@ -176,6 +177,12 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
         loctets = _generated_loctets(pc, pat)
         membership: set[Linkage] = set()
         for loc in loctets:
+            i, j = _kind_indices(pat, loc.kind)[:2]
+            k4, k5, k6 = map(key, loc.members[3:6])
+            if k4 != k6 - steps[i] or k5 != k6 - steps[j]:
+                raise VerificationError(
+                    f"{d.name}: in the {loc.kind} loctet of gamma(8) = {loc.members[7]}, gamma(4) "
+                    f"and gamma(5) are not gamma(6) reflected at {d.vertices[i]} and {d.vertices[j]}")
             for m in loc.members:
                 if m in membership:
                     raise VerificationError(f"{d.name}: {m} lies in two distinct loctets")
@@ -207,7 +214,8 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     )
 
 
-def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...]) -> list[tuple[int, int, str]]:
+def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...], key: Callable[[Sequence[int]], int],
+           steps: list[int]) -> list[tuple[int, int, str]]:
     """Every (i, j, vertex id), i < j, where the dual reflection at the vertex
     sends node i to node j; raises VerificationError when the negative or a
     reflection of a node is not a node.
@@ -216,7 +224,8 @@ def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...]) -> list[tuple[int, int
     with v_t > 0.  No reflection is left unchecked: the nodes are closed under
     negation, as checked here, and the reflection of -v is the negative of that of v.
 
-    Nodes are found by their key K(v) = sum_i v_i 5^i (``_keying``), so no
+    Nodes are found by their key K(v) = sum_i v_i 5^i, with the steps s_k
+    that ``build_system`` reads from ``_keying`` once and passes in, so no
     reflected tuple is built.  A node lies in {-1, 0, 1}^l, so v_k > 0 means
     v_k = 1 and its reflection at k is v - B_k, of key K(v) - s_k; its negative
     has key -K(v).  Both lie in [-2, 2]^l, as B's off-diagonal entries are in
@@ -225,7 +234,6 @@ def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...]) -> list[tuple[int, int
     (-1, 1) share the key 2.)
     """
     d = pc.diagram
-    key, steps = _keying(pc)
     keys = list(map(key, nodes))
     index = {x: i for i, x in enumerate(keys)}
     ids = [t.id for t in d.vertices]
@@ -281,8 +289,11 @@ def _generated_loctets(pc: PartialCartan, pat: Indices) -> tuple[Loctet, ...]:
     s*_{a_k} gamma(8), gamma(6) = s*_{b1} gamma(7), gamma(4) = s*_{a_i} gamma(6),
     gamma(5) = s*_{a_j} gamma(6), and gamma(1..3) = -gamma(8..6).
 
-    These laws hold unchecked.  On the pattern's solid star (a_i, a_j, a_k, b1),
-    gamma(1..8) read (0,0,-1,0), (0,0,1,-1), (-1,-1,0,1), (-1,1,0,0),
+    ``build_system`` checks the places of gamma(4) and gamma(5) by key:
+    K(gamma(4)) = K(gamma(6)) - s_{a_i} and K(gamma(5)) = K(gamma(6)) - s_{a_j},
+    as gamma(6) is 1 at a_i and a_j.  The other laws hold unchecked.  On the
+    pattern's solid star (a_i, a_j, a_k, b1), gamma(1..8) read
+    (0,0,-1,0), (0,0,1,-1), (-1,-1,0,1), (-1,1,0,0),
     (1,-1,0,0), (1,1,0,-1), (0,0,-1,1), (0,0,1,0) for every g8, so the members
     are distinct and each has a pattern alpha label.  Every member is a node:
     g8 is searched, gamma(7), gamma(6), gamma(4) and gamma(5) reflect a node

@@ -2,8 +2,9 @@
 object once, the Fraction reference linear algebra, coordinate references for
 the root-system oracles, edge-scanning references for the diagram, switched,
 color-swapped and shuffled diagrams, a brute-force isomorphism search, the
-prefix count of the linkage search, the count of garbage a call leaves in
-reference cycles, and diagram generators."""
+dense elimination of the Cartan core, the prefix count of the linkage
+search, the count of garbage a call leaves in reference cycles, and diagram
+generators."""
 
 import gc
 import itertools
@@ -424,6 +425,22 @@ def ref_find_isomorphism(d1, d2, allow_switching=True):
 # -- the linkage search ------------------------------------------------------------
 
 
+def ref_eliminate(b):
+    """The dense fraction-free elimination of [B | I] (Bareiss, Math. Comp. 22
+    (1968) 565-578) without row swaps: every step updates every row below
+    the pivot.  None at the first pivot <= 0."""
+    l = len(b)
+    m = [list(row) + [int(i == j) for j in range(l)] for i, row in enumerate(b)]
+    prev = 1
+    for k in range(l):
+        if m[k][k] <= 0:
+            return None
+        for i in range(k + 1, l):
+            m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return m
+
+
 def prefix_in_vertex_order(gram) -> tuple:
     """``PartialCartan.prefix`` as it would be for a search over the
     coordinates in vertex order: the same elimination on the unpermuted B."""
@@ -438,7 +455,9 @@ def prefix_in_vertex_order(gram) -> tuple:
 
 def count_prefixes(prefix) -> int:
     """The prefixes u_0..u_k, k >= 0, that the recursion of
-    ``linkage._search`` keeps below the bound when it runs along ``prefix``."""
+    ``linkage._search`` keeps below the bound when it runs along ``prefix``:
+    those whose first nonzero label is +1, each lead j counted once with its
+    zeros before it."""
     _, rows, weights, den = prefix
     l = len(rows)
     u = [0] * l
@@ -456,7 +475,14 @@ def count_prefixes(prefix) -> int:
                 n += 1 + visit(k + 1, s)
         return n
 
-    return visit(0, 0)
+    n = 0
+    for j in range(l):
+        s = weights[j] * rows[j][j] ** 2
+        if s < 2 * den:
+            u[j] = 1
+            n += 1 + visit(j + 1, s)
+        u[j] = 0
+    return n
 
 
 def cycles_left_by(call) -> int:

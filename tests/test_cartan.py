@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 import carterlink as cl
-from carterlink.cartan import CartanError
+from carterlink.cartan import CartanError, _eliminate
 
-from helpers import CATALOG, inverse_is, pc_of, ref_det, ref_inverse, signed_bipartite_diagrams
+from helpers import (CATALOG, SHUFFLE_SEEDS, inverse_is, pc_of, ref_det, ref_eliminate, ref_inverse,
+                     shuffled, signed_bipartite_diagrams)
 from reference_tables import TABLES
 
 
@@ -120,6 +121,19 @@ FAMILIES = ([f"A{l}" for l in range(1, 13)] + [f"D{l}" for l in range(4, 13)]
 @pytest.mark.parametrize("name", FAMILIES)
 def test_core_matches_fraction_reference(name):
     _assert_core_matches_reference(cl.build_partial_cartan(cl.catalog(name)))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_elimination_matches_the_dense_reference(name):
+    # the diagram, 3 shuffles, and each one-leaf extension of all four, most
+    # of which are not positive definite, so rejection at the same step is
+    # exercised too; B is taken in vertex order and in search order
+    d = cl.catalog(name)
+    for s in [d] + [shuffled(d, seed) for seed in SHUFFLE_SEEDS]:
+        for e in [s] + [cl.extend(s, v) for v in s.vertices]:
+            g, order = e.gram(), e.search_order
+            for b in (g, [[g[i][j] for j in order] for i in order]):
+                assert _eliminate(b) == ref_eliminate(b), (e.name, e.vertices)
 
 
 @settings(max_examples=60, deadline=None)

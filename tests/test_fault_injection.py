@@ -13,11 +13,12 @@ its index names: a gamma that is no root, and an index that names another.
 The two moment laws of ``direct_linkage_labels`` are reached by the faults in
 the labels below.
 There is one entry for each check of ``orbit`` that no other test reaches:
-the loctet coverage and the bare-square sizes of ``build_system``, the
-negation and reflection closure of ``_edges``, and the three checks of
-``project_system``.  The loctet laws that ``build_system`` does not check
-are stated in the docstring of ``orbit._generated_loctets``.  The
-restricted-form check is reached by two faults: a wrong B^-1 and a wrong G.
+the places of gamma(4) and gamma(5) in a loctet, the loctet coverage and the
+bare-square sizes of ``build_system``, the negation and reflection closure
+of ``_edges``, and the three checks of ``project_system``.  The loctet laws
+that ``build_system`` does not check are stated in the docstring of
+``orbit._generated_loctets``.  The restricted-form check is reached by two
+faults: a wrong B^-1 and a wrong G.
 
 Four entries fault the data that the checks read rather than a check: the
 search keeping the vectors of form exactly 2 (``_edges`` finds a reflection
@@ -269,6 +270,24 @@ def _coverage(monkeypatch):
     return ["system", "E6(a1)"], f"E6(a1): {v} has a pattern alpha label but no loctet"
 
 
+def _loctet_swap(monkeypatch):
+    # build_system: gamma(4) and gamma(5) swapped in every generated loctet,
+    # which keeps each member set; the first loctet is the witness
+    first = system_of("E6(a1)").loctets[0]
+    a1, a2 = cl.catalog("E6(a1)").pattern[:2]
+    assert first.kind == "L12"
+    real = orbit._generated_loctets
+
+    def swapped(pc, pat):
+        return tuple(loc._replace(members=loc.members[:3] + loc.members[4:2:-1] + loc.members[5:])
+                     for loc in real(pc, pat))
+
+    monkeypatch.setattr(orbit, "_generated_loctets", swapped)
+    return ["system", "E6(a1)"], (
+        f"E6(a1): in the L12 loctet of gamma(8) = {first.members[7]}, gamma(4) and gamma(5) "
+        f"are not gamma(6) reflected at {a1} and {a2}")
+
+
 def _bare_square_sizes(monkeypatch):
     # build_system: _components merges its first two components, which share p
     real = orbit._components
@@ -449,6 +468,7 @@ FAULTS = {
     "lattice-test": _lattice_test,
     "square-diagonal": _square_diagonal,
     "loctet-coverage": _coverage,
+    "loctet-swap": _loctet_swap,
     "bare-square-sizes": _bare_square_sizes,
     "negation-closure": _negation,
     "reflection-closure": _reflection,

@@ -246,6 +246,17 @@ def test_search_is_relabelling_invariant(name):
     assert_search_is_relabelling_invariant(cl.catalog(name))
 
 
+@pytest.mark.parametrize("name", catalog_names() + LARGE_RANK)
+def test_sorted_vectors_obey_the_sign_law(name):
+    # negation reverses the order with -1 < 0 < 1, so entry n-1-i of the
+    # sorted tuple is the negative of entry i, in any vertex order
+    d = cl.catalog(name)
+    for s in [d] + [shuffled(d, seed) for seed in SHUFFLE_SEEDS]:
+        links = enumerate_linkages(cl.build_partial_cartan(s))
+        assert all(w == tuple(-x for x in v) for v, w in zip(links, reversed(links))), \
+            (name, s.vertices)
+
+
 @settings(max_examples=100, deadline=None)
 @given(e8_root_subset_diagrams())
 def test_generated_search_is_relabelling_invariant(d):
