@@ -5,7 +5,7 @@ backtracking search for diagram embeddings constrained by the Gram matrix,
 and direct computation of linkage labels as inner products.  All arithmetic
 is on plain integers.  The E8 coordinates are half-integers, so every root
 system is built in doubled coordinates, where the inner product of two roots
-is the dot product divided by 4; ``roots`` is its one Fraction view, and its
+is the dot product divided by 4, and a root is named by its index; the
 inner-product bitsets are bit-sliced by coordinate value.  A label is the
 inner product of two roots of one ambient system, so the labels are read
 from those bitsets by root index, not recomputed, and so is each reflection,
@@ -37,7 +37,6 @@ from .cartan import CartanError, PartialCartan, build_partial_cartan
 from .linkage import Linkage, form_num
 from .orbit import VerificationError, reflect_at
 
-Root = tuple[Fraction, ...]
 Doubled = tuple[int, ...]
 
 
@@ -49,16 +48,6 @@ def _dot(x: Sequence, y: Sequence):
     return sum(map(mul, x, y))
 
 
-def _double(r: Sequence[Fraction]) -> Optional[Doubled]:
-    """2r as integers, or None when r has a coordinate that is not a
-    half-integer; None is in no root system's ``index``."""
-    if any(2 % c.denominator for c in r):
-        return None
-    return tuple(c.numerator * 2 // c.denominator for c in r)
-
-
-# the coordinates of a root doubled are -2..2; each maps to one shared Fraction
-_HALVES = {c: Fraction(c, 2) for c in range(-2, 3)}
 # the label scan and the laws meet few distinct values; equal ones share one object
 _frac = lru_cache(maxsize=4096)(Fraction)
 
@@ -67,17 +56,15 @@ class RootSystem:
     """An explicit simply-laced root system with deterministic root order.
 
     It is built from the doubled roots: ``doubled[i]`` is twice root i, as
-    integers, and ``index`` maps it back to i; ``roots`` is their Fraction
-    view.  ``doubled`` is sorted and closed under negation, which reverses
-    the order, so the negative of root i is root n - 1 - i of n.
+    integers, and ``index`` maps it back to i; ``name_root(i)`` writes it for
+    a witness.  ``doubled`` is sorted and closed under negation, which
+    reverses the order, so the negative of root i is root n - 1 - i of n.
     ``ip_bits[i][t + 1]`` is a bitset over root indices: bit j is set when
     (root i, root j) = t, for t in -1, 0, 1.  The embedding search narrows
     its candidates with them, and the label scans read every inner product
     with an embedded root from them.  ``reflection(g)`` is the
     reflection in root g as a tuple of root indices; the first call builds
-    every row from them, and they are kept.  The span test of
-    ``embedding_independence`` on labels alone is exact: p = 2 exactly when
-    mu = 0, because |gamma|^2 = p + |mu|^2 = 2.
+    every row from them, and they are kept.
     """
 
     def __init__(self, name: str, rank: int, dim: int, doubled: Iterable[Doubled]) -> None:
@@ -96,7 +83,6 @@ class RootSystem:
             if tuple(-c for c in x) not in self.index:
                 raise RootSystemError(
                     f"{name}: set not closed under negation: doubled root {x} has no negative")
-        self.roots = tuple(tuple(_HALVES[c] for c in x) for x in self.doubled)
         self.ip_bits = self._ip_bits()
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
@@ -130,7 +116,13 @@ class RootSystem:
         return tuple(bits)
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.doubled)
+
+    def name_root(self, i: int) -> str:
+        """Root i as a witness names it: its index and its coordinates, halves
+        written 1/2, as in ``root 3 (-1,0,0,0,-1,0,0,0)``."""
+        coords = (str(c // 2) if c % 2 == 0 else f"{c}/2" for c in self.doubled[i])
+        return f"root {i} ({','.join(coords)})"
 
     def reflection(self, g: int) -> tuple[int, ...]:
         """The reflection in root g as a permutation of root indices: x goes to
@@ -181,31 +173,24 @@ class RootSystem:
                                       f"4|Phi| / n = {Fraction(4 * len(self.doubled), self.rank)}")
         return True
 
-    def in_root_lattice(self, x: Sequence[Fraction]) -> bool:
-        """Membership in the root lattice (a norm-2 lattice vector is a root).
-        A vector outside the span is not in it; one of another length raises."""
-        if len(x) != self.dim:
-            raise RootSystemError(f"{self.name}: vector of length {len(x)}, expected {self.dim}")
-        y = _double(x)
-        return (y is not None and all(y[a] + y[b] == 0 for a, b in _E_SPAN.get(self.name, ()))
-                and self._in_lattice(y))
-
-    def _in_lattice(self, y: Sequence[int]) -> bool:
-        """Root-lattice membership of y / 2, for an integer vector y."""
+    def in_root_lattice(self, y: Sequence[int]) -> bool:
+        """Whether y / 2 is in the root lattice, for a doubled integer vector y
+        (a norm-2 lattice vector is a root).  A vector outside the span is not
+        in it; one of another length raises."""
+        if len(y) != self.dim:
+            raise RootSystemError(f"{self.name}: vector of length {len(y)}, expected {self.dim}")
         total = sum(y)  # twice the coordinate sum, which must be even
-        if self.name.startswith("A"):
+        if self.name.startswith("A"):  # the span has coordinate sum 0
             return all(c % 2 == 0 for c in y) and total == 0
         if self.name.startswith("D"):
             return all(c % 2 == 0 for c in y) and total % 4 == 0
-        # E6/E7/E8 share the E8 lattice intersected with their span; y is
-        # assumed to lie in the span already.  The coordinates are all
-        # integers or all halves of odd integers.
-        if len({c % 2 for c in y}) > 1:
-            return False
-        return total % 4 == 0
+        # E6/E7/E8 share the E8 lattice intersected with their span: the
+        # coordinates are all integers or all halves of odd integers
+        return (len({c % 2 for c in y}) == 1 and total % 4 == 0
+                and all(y[a] + y[b] == 0 for a, b in _E_SPAN.get(self.name, ())))
 
     def __repr__(self) -> str:
-        return f"RootSystem({self.name}, {len(self.roots)} roots)"
+        return f"RootSystem({self.name}, {len(self)} roots)"
 
 
 _EXPECTED_COUNTS = {"E6": 72, "E7": 126, "E8": 240}
@@ -270,8 +255,8 @@ class Embedding(dg._Value):
     """The vertices of ``pc.diagram`` realized as ambient roots, in canonical
     vertex order: ``idx`` holds their ambient root indices, the value.  Every
     oracle below reads ``pc``; being positive definite, it makes the roots
-    independent.  ``roots`` and ``doubled`` are the same roots read from the
-    ambient by index, as Fractions and doubled integers; both are derived."""
+    independent.  ``doubled`` holds the same roots read from the ambient by
+    index, derived."""
 
     _value = ("pc", "ambient", "idx")
 
@@ -282,8 +267,7 @@ class Embedding(dg._Value):
             if type(i) is not int or not 0 <= i < len(ambient):
                 raise VerificationError(f"root of {v} is not a root of {ambient.name}")
         doubled = tuple(ambient.doubled[i] for i in idx)
-        self.__dict__.update(pc=pc, ambient=ambient, idx=tuple(idx), doubled=doubled,
-                             roots=tuple(ambient.roots[i] for i in idx))
+        self.__dict__.update(pc=pc, ambient=ambient, idx=tuple(idx), doubled=doubled)
         n = len(idx)
         for i in range(n):  # each root is in the ambient, so the diagonal is 8 = 4 * 2
             for j in range(i + 1, n):
@@ -336,13 +320,12 @@ def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embeddi
 
 
 class RealizedLinkage(NamedTuple):
-    """An ambient root that extends the embedding, with its labels and
-    p = form of labels; ``index`` names ``gamma``, the ambient's own tuple."""
+    """An ambient root that extends the embedding, named by its ``index``, with
+    its labels and p = form of labels."""
 
-    gamma: Root
+    index: int
     labels: Linkage
     p: Fraction
-    index: int
 
 
 class DirectLabels(NamedTuple):
@@ -363,7 +346,8 @@ def _same_embedding(dl: DirectLabels, e: Embedding) -> None:
 
 def _extends(lc: int, den: int) -> bool:
     """Whether a root whose labels have p = lc / D extends the embedding: p = 0
-    only for zero labels, and p = 2 exactly when mu = 0, as p + |mu|^2 = 2."""
+    only for zero labels, and p = 2 exactly when mu = 0, as p + |mu|^2 = 2.  So
+    the span test of ``embedding_independence`` on labels alone is exact."""
     return 0 < lc != 2 * den
 
 
@@ -433,8 +417,8 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
                                         f"not {Fraction(2 * len(amb) * gram[i][j], amb.rank)}")
     den = e.pc.inv_den
     p_of = {v: _frac(lc, den) for v in set(rows) if _extends(lc := form_num(e.pc, v), den)}
-    realized = tuple(RealizedLinkage(gamma, labels, p_of[labels], i)
-                     for i, (gamma, labels) in enumerate(zip(amb.roots, rows)) if labels in p_of)
+    realized = tuple(RealizedLinkage(i, labels, p_of[labels])
+                     for i, labels in enumerate(rows) if labels in p_of)
     return DirectLabels(e, realized, tuple(sorted(p_of)))
 
 
@@ -496,14 +480,15 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     p = form of labels = |gamma_L|^2 under the ambient dot product,
     p + |mu|^2 = 2, and the mirror gamma_L - mu is a root exactly when it lies
     in the root lattice (it can leave it: 2 gamma_L need not have integral
-    root coefficients).  Each realized root must be the ambient root its
-    ``index`` names.  The extension orbits are counted and sized per p-slice
-    by the lattice law of ``_orbit_slices``, in one pass over the keys in
-    ascending |M|^2 that pops each key as its slice takes it.  So the slices
-    partition the realized roots, and ``orbit_count`` is the number of
-    maximal lattices Z Gamma + Z gamma of the seeding law: an invariant of the
-    embedding's W-class, whatever the order of the diagram's vertices.  A key
-    that two seeds reach goes to the first.
+    root coefficients).  Each realized root's ``index`` must name an ambient
+    root, and each witness names a root by ``RootSystem.name_root``.  The
+    extension orbits are counted and sized per p-slice by the lattice law of
+    ``_orbit_slices``, in one pass over the keys in ascending |M|^2 that pops
+    each key as its slice takes it.  So the slices partition the realized
+    roots, and ``orbit_count`` is the number of maximal lattices
+    Z Gamma + Z gamma of the seeding law: an invariant of the embedding's
+    W-class, whatever the order of the diagram's vertices.  A key that two
+    seeds reach goes to the first.
 
     Six more laws hold and are not checked, as the checks above force them:
     - c.B.c = D lc, with c = N labels: ``Embedding`` checks E_i.E_j = 4 B_ij off
@@ -537,29 +522,31 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     keyed: dict[LatticeKey, list[RealizedLinkage]] = {}
     mirrors = 0
     for r in dl.realized:
-        if not (0 <= r.index < len(amb) and amb.roots[r.index] == r.gamma):
-            raise VerificationError(f"{r.gamma} is not root {r.index} of {amb.name}")
-        x = amb.doubled[r.index]
+        i = r.index
+        if not (type(i) is int and 0 <= i < len(amb)):
+            raise VerificationError(f"{amb.name}: no root of index {i!r}")
+        x = amb.doubled[i]
         if r.labels not in of_labels:
             c, lc, g = _label_projection(cols, n_mat, r.labels)
             if not _extends(lc, den):
-                raise VerificationError(f"{r.gamma} does not extend the embedding")
+                raise VerificationError(f"{amb.name_root(i)} does not extend the embedding")
             if _dot(g, g) != 4 * den * lc:
-                raise VerificationError(f"restricted form differs from ambient on {r.gamma}")
+                raise VerificationError(
+                    f"restricted form differs from ambient on {amb.name_root(i)}")
             g2 = None if any(2 * a % den for a in g) else tuple(2 * a // den for a in g)
             of_labels[r.labels] = lc, g, _frac(lc, den), tuple(a % den for a in c), g2
         lc, g, p, c, g2 = of_labels[r.labels]
         if r.p is not p and r.p != p:  # the scan's p is mostly the same object
-            raise VerificationError(f"p of {r.gamma} is not the form of its labels")
+            raise VerificationError(f"p of {amb.name_root(i)} is not the form of its labels")
         m = tuple(den * a - b for a, b in zip(x, g))
         if 4 * den * lc + _dot(m, m) != 8 * den * den:
-            raise VerificationError(f"p + |mu|^2 != 2 for {r.gamma}")
+            raise VerificationError(f"p + |mu|^2 != 2 for {amb.name_root(i)}")
         if g2 is not None:  # the mirror is a root or a lattice vector only when integral
             bar = tuple(a - b for a, b in zip(g2, x))
             is_root = bar in amb.index
-            if is_root != amb._in_lattice(bar):
+            if is_root != amb.in_root_lattice(bar):
                 raise VerificationError(
-                    f"norm-2 lattice test disagrees with root membership for {r.gamma}")
+                    f"norm-2 lattice test disagrees with root membership for {amb.name_root(i)}")
             mirrors += is_root
         keyed.setdefault((m, c), []).append(r)
         by_p[lc] = by_p.get(lc, 0) + 1
@@ -578,20 +565,8 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     return LawsReport(p_classes, orbit_count, tuple(sorted(orbits)), mirrors)
 
 
-def expected_square_diagonal(g_u: int, g_w: int, b_u: int, b_w: int) -> int:
-    """Diagonal label forced by the four sides of a square configuration.
-
-    Sides are the inner products (gamma, u), (gamma, w), (center, u),
-    (center, w), all nonzero.  An odd number of dotted (+1) sides forces no
-    diagonal; an even number forces (gamma, center) = (gamma, u)(center, u).
-    """
-    if g_u * g_w * b_u * b_w < 0:
-        return 0
-    return g_u * b_u
-
-
 class SquareAudit(NamedTuple):
-    """Count of square configurations checked, by forced diagonal value."""
+    """Count of square configurations, by whether the diagonal label is nonzero."""
 
     checked: int
     with_diagonal: int
@@ -599,12 +574,23 @@ class SquareAudit(NamedTuple):
 
 
 def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
-    """Audit every square {u, center, w, gamma} over all realized linkages.
+    """Count every square {u, center, w, gamma} over all realized linkages.
 
     u and w run over same-color vertex pairs (hence orthogonal), the center
     over opposite-color vertices joined to both; gamma must be joined to u
-    and w.  The label at the center must match expected_square_diagonal.
-    ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
+    and w.  ``with_diagonal`` counts the squares whose label at the center is
+    nonzero.  ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
+
+    The square law holds and is not checked, as p < 2 forces it: with the
+    sides (gamma, u), (gamma, w), (center, u) and (center, w), an odd number
+    of dotted (+1) sides gives (gamma, center) = 0, and an even number gives
+    (gamma, center) = (gamma, u)(center, u).  The Gram matrix of
+    (u, center, w, gamma) is a principal minor of [[B, v], [v^T, 2]], v the
+    labels, which is positive definite exactly when p < 2; over the 48 cases
+    (four side signs, three diagonal values) the minor is positive definite
+    exactly when the law holds.  ``verify`` audits only after
+    ``_check_labels`` has put every label vector among the linkage vectors,
+    of form < 2, and after the laws have checked p != 2 and p + |mu|^2 = 2.
     """
     _same_embedding(dl, e)
     d = e.diagram
@@ -621,16 +607,10 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
                 pairs.append((u, w, centers))
     for r in dl.realized:
         for u, w, centers in pairs:
-            if r.labels[u] == 0 or r.labels[w] == 0:
-                continue
-            for m in centers:
-                expect = expected_square_diagonal(r.labels[u], r.labels[w], g[u][m], g[w][m])
-                if r.labels[m] != expect:
-                    raise VerificationError(
-                        f"square ({d.vertices[u]}, {d.vertices[m]}, {d.vertices[w]}, "
-                        f"{r.gamma}): diagonal {r.labels[m]}, expected {expect}")
-                checked += 1
-                with_d += expect != 0
+            if r.labels[u] and r.labels[w]:
+                checked += len(centers)
+                for m in centers:
+                    with_d += r.labels[m] != 0
     return SquareAudit(checked, with_d, checked - with_d)
 
 

@@ -170,6 +170,16 @@ def _dot(x, y) -> int:
     return sum(map(mul, x, y))
 
 
+def ref_root(x) -> tuple:
+    """The doubled root x as Fractions."""
+    return tuple(Fraction(c, 2) for c in x)
+
+
+def ref_root_text(amb, i) -> str:
+    """Root i of ``amb`` as the witnesses name it, written from its Fractions."""
+    return f"root {i} ({','.join(map(str, ref_root(amb.doubled[i])))})"
+
+
 def ref_realized(e) -> list:
     """(record, gamma_L, mu) for the realized linkages of an embedding, in
     ambient root order: every root with a nonzero label vector, labels from
@@ -180,7 +190,7 @@ def ref_realized(e) -> list:
     frac = lru_cache(maxsize=None)(Fraction)
     cols = list(zip(*e.doubled))
     out = []
-    for i, (root, x) in enumerate(zip(e.ambient.roots, e.ambient.doubled)):
+    for i, x in enumerate(e.ambient.doubled):
         labels = []
         for y in e.doubled:
             t, rem = divmod(_dot(x, y), 4)
@@ -193,8 +203,8 @@ def ref_realized(e) -> list:
         m = [den * a - b for a, b in zip(x, g)]
         if not any(m):
             continue
-        assert all(abs(t) <= 1 for t in labels), f"{root} has a label outside -1..1"
-        out.append((rt.RealizedLinkage(root, tuple(labels), frac(_dot(labels, c), den), i),
+        assert all(abs(t) <= 1 for t in labels), f"root {i} has a label outside -1..1"
+        out.append((rt.RealizedLinkage(i, tuple(labels), frac(_dot(labels, c), den)),
                     tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m)))
     return out
 

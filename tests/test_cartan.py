@@ -91,9 +91,9 @@ def test_gram_restriction_consistency():
     from helpers import embedding_in
     emb = embedding_in("D6(a2)", "E8")
     g = cl.catalog("D6(a2)").gram()
-    for i, x in enumerate(emb.roots):
-        for j, y in enumerate(emb.roots):
-            assert sum(a * b for a, b in zip(x, y)) == g[i][j]
+    for i, x in enumerate(emb.doubled):  # doubled roots: the dot product is 4 times (x, y)
+        for j, y in enumerate(emb.doubled):
+            assert sum(a * b for a, b in zip(x, y)) == 4 * g[i][j]
 
 
 # -- the integer core ------------------------------------------------------------

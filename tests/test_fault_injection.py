@@ -6,12 +6,12 @@ private routine, or the data one stage hands to the next.  Then it runs one
 command in process, ``carterlink verify`` on a named diagram in E8 or
 ``carterlink system`` or ``project`` on catalog diagrams, and expects exit 2
 and the exact ``verification failure:`` line.  The entry computes the
-witness that line names from the data without the fault.  There is one entry
-for each check of ``check_projection_laws``, ``square_diagonal_audit`` and
-``Embedding``, and two for the check that a realized root is the ambient root
-its index names: a gamma that is no root, and an index that names another.
-The two moment laws of ``direct_linkage_labels`` are reached by the faults in
-the labels below.
+witness that line names from the data without the fault; a root is named as
+``RootSystem.name_root`` names it, here written by the test-side
+``ref_root_text``.  There is one entry for each check of
+``check_projection_laws`` and ``Embedding``, the check that a realized root's
+index names an ambient root included.  The two moment laws of
+``direct_linkage_labels`` are reached by the faults in the labels below.
 There is one entry for each check of ``orbit`` that no other test reaches:
 the places of gamma(4) and gamma(5) in a loctet, the loctet coverage and the
 bare-square sizes of ``build_system``, the negation and reflection closure
@@ -59,7 +59,14 @@ checks on the same values force them, so no fault can reach a check of them:
   puts every mu in {mu0, -mu0}, and distinct roots have distinct mu;
 - the orbit slices partitioning the realized roots, with sizes that add up
   per p to the p-classes: one pass over the keys in ascending |M|^2 pops
-  each key as its slice takes it, so no root is counted twice or left out.
+  each key as its slice takes it, so no root is counted twice or left out;
+- the square law of ``square_diagonal_audit``, which counts and checks
+  nothing: the 4 x 4 Gram matrix of a square (u, center, w, gamma) is a
+  principal minor of [[B, v], [v^T, 2]], positive definite exactly when
+  p < 2, and the law holds exactly when that minor is positive definite.
+  ``verify`` audits after the label check, which puts every label vector
+  among the linkage vectors (form < 2), and after the laws (p != 2 and
+  p + |mu|^2 = 2); a flipped label is caught by the moment laws first.
 """
 
 from fractions import Fraction
@@ -74,8 +81,8 @@ from carterlink.cli import main
 from carterlink.linkage import _search
 from carterlink.orbit import reflect_at
 
-from helpers import (_dot, embedding_in, form_at_most_two, labels_in, links_of, pc_of,
-                     ref_realized, system_of)
+from helpers import (_dot, ambient, embedding_in, form_at_most_two, labels_in, links_of, pc_of,
+                     ref_realized, ref_root, ref_root_text, system_of)
 
 
 def _inject(monkeypatch, fn, change):
@@ -93,6 +100,11 @@ def _inject_realized(monkeypatch, change):
     ``change``, to the checks; its distinct labels stay as they are."""
     _inject(monkeypatch, "direct_linkage_labels",
             lambda dl: dl._replace(realized=change(dl.realized)))
+
+
+def _e8_root(r):
+    """The witness text of the realized root ``r`` of an embedding in E8."""
+    return ref_root_text(ambient("E8"), r.index)
 
 
 def _embedding_length(monkeypatch):
@@ -125,32 +137,22 @@ def _embedding_gram(monkeypatch):
     return ["verify", "E6(a1)"], "embedding Gram mismatch at (a1, a2)"
 
 
-def _gamma_not_a_root(monkeypatch):
-    # check_projection_laws: the first realized root with a coordinate 1/3
-    r = labels_in("D4(a1)", "E8").realized[0]
-    gamma = (Fraction(1, 3),) + r.gamma[1:]
-    _inject_realized(monkeypatch, lambda realized: _replaced(
-        realized, 0, realized[0]._replace(gamma=gamma)))
-    return ["verify", "D4(a1)"], f"{gamma} is not root {r.index} of E8"
-
-
 def _root_index(monkeypatch):
-    # check_projection_laws: the first realized root's index names the second
-    # realized root
-    first, second = labels_in("D4(a1)", "E8").realized[:2]
+    # check_projection_laws: the first realized root's index one past the
+    # ambient's last root
     _inject_realized(monkeypatch, lambda realized: _replaced(
-        realized, 0, realized[0]._replace(index=second.index)))
-    return ["verify", "D4(a1)"], f"{first.gamma} is not root {second.index} of E8"
+        realized, 0, realized[0]._replace(index=240)))
+    return ["verify", "D4(a1)"], "E8: no root of index 240"
 
 
 def _root_in_the_span(monkeypatch):
     # check_projection_laws: an embedded root, with its labels and their p = 2,
     # put first among the realized roots
     e = embedding_in("D4(a1)", "E8")
-    gamma = e.roots[0]
-    extra = rt.RealizedLinkage(gamma, tuple(e.pc.gram[0]), Fraction(2), e.idx[0])
+    extra = rt.RealizedLinkage(e.idx[0], tuple(e.pc.gram[0]), Fraction(2))
     _inject_realized(monkeypatch, lambda realized: (extra,) + realized)
-    return ["verify", "D4(a1)"], f"{gamma} does not extend the embedding"
+    return ["verify", "D4(a1)"], \
+        f"{ref_root_text(e.ambient, e.idx[0])} does not extend the embedding"
 
 
 def _inverse_form(monkeypatch):
@@ -168,7 +170,7 @@ def _inverse_form(monkeypatch):
 
     _inject(monkeypatch, "find_embedding", change)
     r = next(r for r in labels_in("E6(a1)", "E8").realized if r.labels[:2] != (0, 0))
-    return ["verify", "E6(a1)"], f"restricted form differs from ambient on {r.gamma}"
+    return ["verify", "E6(a1)"], f"restricted form differs from ambient on {_e8_root(r)}"
 
 
 def _restricted_form(monkeypatch):
@@ -182,7 +184,7 @@ def _restricted_form(monkeypatch):
 
     monkeypatch.setattr(rt, "_label_projection", offset)
     r = labels_in("E6(a1)", "E8").realized[0]
-    return ["verify", "E6(a1)"], f"restricted form differs from ambient on {r.gamma}"
+    return ["verify", "E6(a1)"], f"restricted form differs from ambient on {_e8_root(r)}"
 
 
 def _projection_field(monkeypatch):
@@ -190,7 +192,7 @@ def _projection_field(monkeypatch):
     r = labels_in("E6(a1)", "E8").realized[0]
     _inject_realized(monkeypatch, lambda realized: _replaced(
         realized, 0, realized[0]._replace(p=realized[0].p + 1)))
-    return ["verify", "E6(a1)"], f"p of {r.gamma} is not the form of its labels"
+    return ["verify", "E6(a1)"], f"p of {_e8_root(r)} is not the form of its labels"
 
 
 def _p_plus_mu_norm(monkeypatch):
@@ -201,46 +203,21 @@ def _p_plus_mu_norm(monkeypatch):
     realized = labels_in("E6(a1)", "E8").realized
     k, donor = next((k, b) for k, a in enumerate(realized) for b in realized
                     if b.p == a.p and b.labels != a.labels)
-    gamma = realized[k].gamma
     bad = realized[k]._replace(labels=donor.labels)
     _inject_realized(monkeypatch, lambda realized: _replaced(realized, k, bad))
-    return ["verify", "E6(a1)"], f"p + |mu|^2 != 2 for {gamma}"
+    return ["verify", "E6(a1)"], f"p + |mu|^2 != 2 for {_e8_root(realized[k])}"
 
 
 def _lattice_test(monkeypatch):
     # check_projection_laws: the lattice test says no to every vector; the
     # first realized root whose mirror gamma_L - mu, by the coordinate
     # reference, is a root is the witness
-    monkeypatch.setattr(rt.RootSystem, "_in_lattice", lambda self, y: False)
-    e8 = set(cl.build_root_system("E8").roots)
+    monkeypatch.setattr(rt.RootSystem, "in_root_lattice", lambda self, y: False)
+    e8 = {ref_root(x) for x in cl.build_root_system("E8").doubled}
     r = next(r for r, gamma_l, mu in ref_realized(embedding_in("D4(a1)", "E8"))
              if tuple(a - b for a, b in zip(gamma_l, mu)) in e8)
-    return ["verify", "D4(a1)"], f"norm-2 lattice test disagrees with root membership for {r.gamma}"
-
-
-def _square_diagonal(monkeypatch):
-    # square_diagonal_audit: the diagonal label negated on the first square it
-    # checks whose diagonal is nonzero, which keeps every zero label zero
-    d = cl.catalog("E6(a1)")
-    g = pc_of("E6(a1)").gram
-    realized = labels_in("E6(a1)", "E8").realized
-    k, u, w, m = next((k, u, w, m) for k, r in enumerate(realized)
-                      for u in range(len(d)) for w in range(u + 1, len(d))
-                      if d.vertices[u].color == d.vertices[w].color and r.labels[u] and r.labels[w]
-                      for m in range(len(d)) if g[u][m] and g[w][m] and m not in (u, w)
-                      and r.labels[m])
-    r = realized[k]
-    labels = r.labels[:m] + (-r.labels[m],) + r.labels[m + 1:]
-    real = rt.square_diagonal_audit
-
-    def flipped(dl, e):
-        bad = dl.realized[k]._replace(labels=labels)
-        return real(dl._replace(realized=_replaced(dl.realized, k, bad)), e)
-
-    monkeypatch.setattr(rt, "square_diagonal_audit", flipped)
-    return ["verify", "E6(a1)"], (
-        f"square ({d.vertices[u]}, {d.vertices[m]}, {d.vertices[w]}, {r.gamma}): "
-        f"diagonal {labels[m]}, expected {r.labels[m]}")
+    return ["verify", "D4(a1)"], \
+        f"norm-2 lattice test disagrees with root membership for {_e8_root(r)}"
 
 
 # -- the checks of orbit: build_system, _edges and project_system ---------------
@@ -458,7 +435,6 @@ FAULTS = {
     "embedding-length": _embedding_length,
     "root-not-in-the-ambient": _root_not_in_the_ambient,
     "embedding-gram": _embedding_gram,
-    "gamma-not-a-root": _gamma_not_a_root,
     "root-index": _root_index,
     "root-in-the-span": _root_in_the_span,
     "inverse-form": _inverse_form,
@@ -466,7 +442,6 @@ FAULTS = {
     "projection-field": _projection_field,
     "p-plus-mu-norm": _p_plus_mu_norm,
     "lattice-test": _lattice_test,
-    "square-diagonal": _square_diagonal,
     "loctet-coverage": _coverage,
     "loctet-swap": _loctet_swap,
     "bare-square-sizes": _bare_square_sizes,

@@ -15,8 +15,8 @@ from carterlink.cartan import CartanError
 from carterlink.diagram import DiagramError
 from carterlink.linkage import group_by_p
 from helpers import CATALOG, _dot, ambient, cycles_left_by, embedding_in, labels_in, links_of, \
-    pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_rank, \
-    ref_realized, ref_root_system, shuffled, signed_bipartite_diagrams, system_of
+    pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_rank, ref_realized, ref_root, \
+    ref_root_system, ref_root_text, shuffled, signed_bipartite_diagrams, system_of
 
 
 # -- root systems -----------------------------------------------------------------
@@ -42,7 +42,7 @@ def test_roots_closed_under_negation():
 
 def test_a_n_roots_are_coordinate_differences():
     rs = ambient("A3")
-    assert all(sorted(r) == [-1, 0, 0, 1] for r in rs.roots)
+    assert all(sorted(x) == [-2, 0, 0, 2] for x in rs.doubled)  # doubled
 
 
 def test_four_cycle_does_not_embed_in_a_n():
@@ -99,32 +99,58 @@ def test_root_system_checks(doubled, message):
 @pytest.mark.parametrize("name", ROOT_SYSTEM_NAMES)
 def test_root_systems_match_fraction_reference(name):
     got, want = ambient(name), ref_root_system(name)
-    for f in ("roots", "doubled", "index", "ip_bits"):
+    for f in ("doubled", "index", "ip_bits"):
         assert getattr(got, f) == getattr(want, f), f
     # the order law: doubled[n - 1 - i] is the negative of doubled[i]
     assert got.doubled[::-1] == tuple(tuple(-c for c in x) for x in got.doubled)
 
 
 def test_in_root_lattice():
+    # doubled integer vectors: y stands for y / 2
     e8 = ambient("E8")
-    h = Fraction(1, 2)
-    assert e8.in_root_lattice((h,) * 8)
-    assert not e8.in_root_lattice((-h,) * 5 + (h,) * 3)  # odd number of minus halves
-    assert not e8.in_root_lattice((Fraction(1, 3), -Fraction(1, 3)) + (0,) * 6)  # not halves
+    assert e8.in_root_lattice((1,) * 8)
+    assert not e8.in_root_lattice((-1,) * 5 + (1,) * 3)  # odd number of minus halves
+    assert not e8.in_root_lattice((1, 1) + (0,) * 6)  # halves and integers mixed
+    assert e8.in_root_lattice((4,) + (0,) * 7)  # 2 e1, of norm 4
     d5 = ambient("D5")
-    assert d5.in_root_lattice((1, 1, 0, 0, 0))
-    assert not d5.in_root_lattice((1, 0, 0, 0, 0))
+    assert d5.in_root_lattice((2, 2, 0, 0, 0))
+    assert not d5.in_root_lattice((2, 0, 0, 0, 0))
+    assert not d5.in_root_lattice((1, 1, 0, 0, 0))  # halves
+    a4 = ambient("A4")
+    assert a4.in_root_lattice((2, 2, -4, 0, 0))
+    assert not a4.in_root_lattice((2, 2, 0, 0, 0))  # off the span: coordinate sum 2
 
 
 def test_in_root_lattice_is_false_off_the_span():
     e7, e6 = ambient("E7"), ambient("E6")
-    assert ambient("E8").in_root_lattice((0,) * 6 + (1, 1))
-    assert not e7.in_root_lattice((0,) * 6 + (1, 1))  # e7 + e8: the span has x7 + x8 = 0
-    assert e7.in_root_lattice((0,) * 6 + (1, -1))
-    assert not e6.in_root_lattice((0,) * 5 + (1, 1, 0))  # e6 + e7
-    assert e7.in_root_lattice((0,) * 4 + (1, 1, 0, 0))
-    assert not e6.in_root_lattice((0,) * 4 + (1, 1, 0, 0))  # e5 + e6: the span has x6 + x7 = 0
-    assert e6.in_root_lattice((1, 1) + (0,) * 6)
+    assert ambient("E8").in_root_lattice((0,) * 6 + (2, 2))
+    assert not e7.in_root_lattice((0,) * 6 + (2, 2))  # e7 + e8: the span has x7 + x8 = 0
+    assert e7.in_root_lattice((0,) * 6 + (2, -2))
+    assert not e6.in_root_lattice((0,) * 5 + (2, 2, 0))  # e6 + e7
+    assert e7.in_root_lattice((0,) * 4 + (2, 2, 0, 0))
+    assert not e6.in_root_lattice((0,) * 4 + (2, 2, 0, 0))  # e5 + e6: the span has x6 + x7 = 0
+    assert e6.in_root_lattice((2, 2) + (0,) * 6)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7"])
+def test_in_root_lattice_takes_the_e8_roots_in_the_span(name):
+    # a norm-2 vector of a root lattice is a root: of E8's roots, exactly those
+    # of the smaller system are in its lattice
+    rs = ambient(name)
+    assert [x for x in ambient("E8").doubled if rs.in_root_lattice(x)] == list(rs.doubled)
+
+
+@pytest.mark.parametrize("name,i,text", [
+    ("E8", 3, "root 3 (-1,0,0,0,-1,0,0,0)"),
+    ("E8", 120, "root 120 (0,0,0,0,0,0,1,-1)"),
+    ("E8", 239, "root 239 (1,1,0,0,0,0,0,0)"),
+    ("E8", 45, "root 45 (-1/2,-1/2,1/2,1/2,1/2,1/2,1/2,1/2)"),
+    ("D5", 0, "root 0 (-1,-1,0,0,0)"),
+    ("A4", 7, "root 7 (0,0,-1,0,1)"),
+])
+def test_name_root_writes_the_index_and_the_coordinates(name, i, text):
+    rs = ambient(name)
+    assert rs.name_root(i) == ref_root_text(rs, i) == text
 
 
 @pytest.mark.parametrize("name,x", [("E7", (1, -1)), ("E8", (1,) * 9), ("A4", (1, -1, 0, 0)),
@@ -183,14 +209,14 @@ def test_embedding_d4a1_in_d4():
     emb = embedding_in("D4(a1)", "D4")
     assert emb is not None
     g = cl.catalog("D4(a1)").gram()
-    for i, x in enumerate(emb.roots):
-        for j, y in enumerate(emb.roots):
-            assert sum(a * b for a, b in zip(x, y)) == g[i][j]
+    for i, x in enumerate(emb.doubled):  # doubled roots: the dot product is 4 times (x, y)
+        for j, y in enumerate(emb.doubled):
+            assert sum(a * b for a, b in zip(x, y)) == 4 * g[i][j]
 
 
 def test_embedding_a1_is_first_root():
     emb = embedding_in("A1", "E8")
-    assert emb.roots == (ambient("E8").roots[0],)
+    assert emb.idx == (0,) and emb.doubled == (ambient("E8").doubled[0],)
 
 
 @pytest.mark.parametrize("n", range(6, 11))
@@ -206,7 +232,7 @@ def test_e8_plus_leaf_does_not_embed():
 def test_find_embeddings_distinct():
     embs = cl.find_embeddings(cl.catalog("D4(a1)"), ambient("D5"), limit=4)
     assert len(embs) == 4
-    assert len({e.roots for e in embs}) == 4
+    assert len({e.idx for e in embs}) == 4
 
 
 @pytest.mark.parametrize("amb,count", [("E8", 19), ("E7", 15), ("D8", 10)])
@@ -216,7 +242,6 @@ def test_an_embedding_is_its_root_indices(amb, count):
     for e in embs:
         again = rt.Embedding(e.pc, e.ambient, e.idx)
         assert again == e and hash(again) == hash(e) and type(again.idx) is tuple
-        assert again.roots == e.roots == tuple(e.ambient.roots[i] for i in e.idx)
         assert again.doubled == e.doubled == tuple(e.ambient.doubled[i] for i in e.idx)
 
 
@@ -243,7 +268,7 @@ def test_embedding_rejects_roots_outside_the_ambient():
     row = e8.reflection(e8.index[(1,) * 8])
     idx = tuple(row[i] for i in emb.idx)
     reflected = rt.Embedding(emb.pc, e8, idx)
-    assert reflected != emb and any(c.denominator == 2 for r in reflected.roots for c in r)
+    assert reflected != emb and any(c % 2 for x in reflected.doubled for c in x)  # halves
     with pytest.raises(rt.VerificationError, match="^root of a1 is not a root of D8$"):
         rt.Embedding(emb.pc, d8, idx)  # E8's index of a1's root is past D8's last root
     in_d8 = [d8.index.get(x) for x in reflected.doubled]
@@ -251,11 +276,6 @@ def test_embedding_rejects_roots_outside_the_ambient():
     v = emb.diagram.vertices[k]
     with pytest.raises(rt.VerificationError, match=f"^root of {v} is not a root of D8$"):
         rt.Embedding(emb.pc, d8, [len(d8) if i is None else i for i in in_d8])
-
-
-def _third_at_0(r):
-    """r with its first coordinate 1/3: not a half-integer vector."""
-    return (Fraction(1, 3),) + tuple(r[1:])
 
 
 @pytest.mark.parametrize("of_labels,of_embedding", [
@@ -280,23 +300,25 @@ def test_laws_and_audit_compare_embeddings_by_value():
         assert check(dl, rt.Embedding(first.pc, first.ambient, first.idx)) == check(dl, first)
 
 
-def test_projection_laws_reject_a_gamma_that_is_not_half_integers():
-    dl = labels_in("D4(a1)", "E8")
-    bad = dl.realized[0]._replace(gamma=_third_at_0(dl.realized[0].gamma))
-    dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
-    with pytest.raises(rt.VerificationError, match=r" is not root \d+ of E8$"):
-        rt.check_projection_laws(dl, dl.embedding)
-
-
-@pytest.mark.parametrize("index", ["next", -1, 240])
+@pytest.mark.parametrize("index", ["next", -1, 240, 3.0, "3"])
 def test_projection_laws_reject_an_index_that_does_not_name_gamma(index):
     # the laws read gamma's doubled coordinates by its index, so the index
-    # must name gamma; here it names the next root or no root at all
+    # must be an int index of an ambient root: -1 would alias root 239, and
+    # 3.0 or "3" would leak a TypeError.  An index of another root gamma' is
+    # a record of gamma' with gamma's labels v: p + |mu|^2 = 2 holds exactly
+    # when (gamma', gamma_L) = labels(gamma') B^-1 v is p, so "next" names
+    # the next root for which it is not
     dl = labels_in("D4(a1)", "E8")
-    r = dl.realized[0]
-    bad = r._replace(index=r.index + 1 if index == "next" else index)
+    amb, r = dl.embedding.ambient, dl.realized[0]
+    labels = rt._labels(dl.embedding)
+    if index == "next":
+        coeff = ref_mat_vec(ref_inverse(dl.embedding.diagram.gram()), r.labels)
+        index = next(j for j in range(r.index + 1, len(amb)) if _fdot(labels[j], coeff) != r.p)
+        message = f"p + |mu|^2 != 2 for {ref_root_text(amb, index)}"
+    else:
+        message = f"E8: no root of index {index!r}"
+    bad = r._replace(index=index)
     dl = rt.DirectLabels(dl.embedding, (bad,) + dl.realized[1:], dl.labels)
-    message = f"{r.gamma} is not root {bad.index} of E8"
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
         rt.check_projection_laws(dl, dl.embedding)
 
@@ -309,9 +331,9 @@ def test_projection_laws_reject_a_root_that_does_not_extend(which):
     e = dl.embedding
     labels = rt._labels(e)
     i = e.idx[0] if which == "in-the-span" else labels.index((0,) * len(e.idx))
-    gamma = e.ambient.roots[i]
-    bad = rt.RealizedLinkage(gamma, labels[i], Fraction(2 if which == "in-the-span" else 0), i)
-    with pytest.raises(rt.VerificationError, match=f"^{re.escape(str(gamma))} does not extend"):
+    bad = rt.RealizedLinkage(i, labels[i], Fraction(2 if which == "in-the-span" else 0))
+    message = f"{ref_root_text(e.ambient, i)} does not extend the embedding"
+    with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
         rt.check_projection_laws(rt.DirectLabels(e, (bad,) + dl.realized, dl.labels), e)
 
 
@@ -334,7 +356,7 @@ def test_projection_laws_catch_a_corrupted_field_of_a_repeated_key(name):
     r = dl.realized[k]
     bad = r._replace(**{name: getattr(r, name) + 1})
     realized = dl.realized[:k] + (bad,) + dl.realized[k + 1:]
-    message = f"p of {r.gamma} is not the form of its labels"
+    message = f"p of {ref_root_text(dl.embedding.ambient, r.index)} is not the form of its labels"
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
         rt.check_projection_laws(rt.DirectLabels(dl.embedding, realized, dl.labels),
                                  dl.embedding)
@@ -506,7 +528,7 @@ def test_mirror_root_can_leave_lattice():
 def test_mirror_roots_match_the_record_fractions(amb, embedded):
     # the laws decide the mirror's integrality once per label vector; here
     # gamma_L - mu is formed root by root from the Fractions of the reference
-    roots = set(ambient(amb).roots)
+    roots = {ref_root(x) for x in ambient(amb).doubled}
     checked = 0
     for name in dg.catalog_names():
         if embedding_in(name, amb) is None:
@@ -548,7 +570,7 @@ def test_p_classes_add_up_to_the_moment_law(amb):
         dl = labels_in(name, amb)
         span = sum(any(_dot(x, y) for y in e.doubled) for x in rs.doubled) - len(dl.realized)
         total = sum(p * n for p, n in rt.check_projection_laws(dl, e).p_classes) + 2 * span
-        assert total == Fraction(2 * len(rs), rs.rank) * len(e.roots), name
+        assert total == Fraction(2 * len(rs), rs.rank) * len(e.idx), name
 
 
 SWEEP_NAMES = dg.catalog_names() + ["A7", "D8"] + [f"D8(a{k})" for k in range(1, 6)]
@@ -602,14 +624,60 @@ def test_extension_orbit_slices_partition_the_realized_roots():
 # -- square audit -----------------------------------------------------------------
 
 
-def test_expected_square_diagonal_cases():
-    s, d = -1, 1
-    assert rt.expected_square_diagonal(s, s, s, s) == d      # all solid
-    assert rt.expected_square_diagonal(d, d, s, s) == s      # dotted at gamma
-    assert rt.expected_square_diagonal(s, d, d, s) == s      # dotted across
-    assert rt.expected_square_diagonal(d, s, d, s) == d      # dotted sharing a corner
-    assert rt.expected_square_diagonal(s, d, s, s) == 0      # one dotted
-    assert rt.expected_square_diagonal(d, d, s, d) == 0      # three dotted
+def _square_rule(g_u, g_w, b_u, b_w):
+    """The center label the square law gives for the sides (gamma, u),
+    (gamma, w), (center, u) and (center, w): 0 for an odd number of dotted
+    (+1) sides, (gamma, u)(center, u) for an even number."""
+    return 0 if g_u * g_w * b_u * b_w < 0 else g_u * b_u
+
+
+def _positive_definite(rows):
+    """Whether a symmetric matrix is positive definite: every pivot of its
+    LDL^T elimination, in Fractions, is positive."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    for k in range(len(a)):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return True
+
+
+def test_square_law_holds_exactly_when_the_square_gram_is_positive_definite():
+    # the Gram matrix of (u, center, w, gamma), u and w orthogonal, is a
+    # principal minor of [[B, v], [v^T, 2]] for the labels v, positive
+    # definite when p < 2; so p < 2 forces the law, and the audit checks nothing
+    cases = []
+    for g_u, g_w, b_u, b_w in itertools.product((-1, 1), repeat=4):
+        for x in (-1, 0, 1):
+            gram = [[2, b_u, 0, g_u], [b_u, 2, b_w, x], [0, b_w, 2, g_w], [g_u, x, g_w, 2]]
+            cases.append(_positive_definite(gram) == (x == _square_rule(g_u, g_w, b_u, b_w)))
+    assert len(cases) == 48 and all(cases)
+
+
+def test_square_audit_counts_match_a_reference_of_the_law():
+    # in E8, every square's center label is the law's, and the audit counts
+    # the squares and those with a nonzero center label as the reference does
+    names = dg.catalog_names()
+    assert len(names) == 19
+    for name in names:
+        dl = labels_in(name, "E8")
+        d, g = dl.embedding.diagram, dl.embedding.pc.gram
+        checked = with_diagonal = 0
+        for r in dl.realized:
+            lab = r.labels
+            for u, w in itertools.combinations(range(len(d)), 2):
+                if d.vertices[u].color != d.vertices[w].color or not (lab[u] and lab[w]):
+                    continue
+                for m in range(len(d)):
+                    if m not in (u, w) and g[u][m] and g[w][m]:
+                        assert lab[m] == _square_rule(lab[u], lab[w], g[u][m], g[w][m]), \
+                            (name, r.index)
+                        checked += 1
+                        with_diagonal += lab[m] != 0
+        assert tuple(rt.square_diagonal_audit(dl, dl.embedding)) == \
+            (checked, with_diagonal, checked - with_diagonal), name
 
 
 @pytest.mark.parametrize("name", ["D5(a1)", "E6(a1)"])
@@ -786,11 +854,12 @@ def reference_realized(e):
     are computed once per label vector.
     """
     b_inv = ref_inverse(e.diagram.gram())
+    embedded = [ref_root(x) for x in e.doubled]
     of_labels = {}
     out = []
-    for i, root in enumerate(e.ambient.roots):
-        gamma = tuple(map(Fraction, root))  # equal to the ambient's root, not the same objects
-        dots = [_fdot(gamma, r) for r in e.roots]
+    for i, x in enumerate(e.ambient.doubled):
+        gamma = ref_root(x)
+        dots = [_fdot(gamma, r) for r in embedded]
         assert all(x.denominator == 1 for x in dots)
         labels = tuple(int(x) for x in dots)
         if not any(labels):
@@ -798,14 +867,14 @@ def reference_realized(e):
         if labels not in of_labels:
             coeff = ref_mat_vec(b_inv, labels)
             of_labels[labels] = (
-                tuple(sum((c * r[k] for c, r in zip(coeff, e.roots) if r[k]), Fraction(0))
+                tuple(sum((c * r[k] for c, r in zip(coeff, embedded) if r[k]), Fraction(0))
                       for k in range(e.ambient.dim)),
                 sum((x * c for x, c in zip(labels, coeff)), Fraction(0)))
         gamma_l, p = of_labels[labels]
         mu = tuple(g - h for g, h in zip(gamma, gamma_l))
         if not any(mu):
             continue
-        out.append((rt.RealizedLinkage(gamma, labels, p, i), gamma_l, mu))
+        out.append((rt.RealizedLinkage(i, labels, p), gamma_l, mu))
     return out
 
 
@@ -820,7 +889,7 @@ def test_realized_linkages_match_fraction_reference(name, amb):
     assert len(dl.realized) == len(want)
     for got, ref in zip(dl.realized, want):
         for f in rt.RealizedLinkage._fields:
-            assert getattr(got, f) == getattr(ref, f), (f, ref.gamma)
+            assert getattr(got, f) == getattr(ref, f), (f, ref.index)
     assert dl.labels == tuple(sorted({r.labels for r in want}))
 
 
@@ -873,7 +942,6 @@ def test_extension_orbit_by_index_matches_coordinates(name):
         if e is None:
             continue
         realized = labels_in(name, amb).realized
-        assert all(e.ambient.roots[r.index] is r.gamma for r in realized)
         mu = {r.index: m for r, _, m in ref_realized(e)}  # the coordinate reference's mu
         den = e.pc.inv_den
         keys = [(tuple(int(2 * den * a) for a in mu[r.index]),
@@ -887,7 +955,7 @@ def test_extension_orbit_by_index_matches_coordinates(name):
                       for ys in rt._orbit_slices(keyed, key, den)]
             got = {e.ambient.doubled[x.index] for group in slices for x in group}
             assert got == ref_extension_orbit(e, e.ambient.doubled[r.index]) & doubled, \
-                (r.gamma, amb)
+                (r.index, amb)
             assert len({group[0].p for group in slices}) == len(slices)
             for group in slices:
                 m = mu[group[0].index]
@@ -914,7 +982,7 @@ def brute_force_embeddings(d, amb, limit):
             if ref_rank(roots) == l:
                 found.append(tuple(roots))
             return len(found) >= limit
-        for r in amb.roots:
+        for r in map(ref_root, amb.doubled):
             if all(_fdot(r, chosen[q]) == g[order[pos]][order[q]] for q in range(pos)):
                 chosen.append(r)
                 if place(pos + 1):
@@ -933,7 +1001,7 @@ def test_find_embeddings_match_brute_force():
                                     ("E6(a1)", "E7", 3, 3), ("D4(a1)", "D5", 3, 3),
                                     ("D4(a1)", "A5", 3, 0), ("A3", "D4", 600, 576)]:
         d, rs = cl.catalog(name), ambient(amb)
-        got = [e.roots for e in cl.find_embeddings(d, rs, limit=limit)]
+        got = [tuple(map(ref_root, e.doubled)) for e in cl.find_embeddings(d, rs, limit=limit)]
         assert got == brute_force_embeddings(d, rs, limit), (name, amb)
         assert len(got) == count, (name, amb)
 
@@ -945,7 +1013,7 @@ def test_placements_in_full_match_a_scan_of_root_tuples(name, amb, count):
     g, l = d.gram(), len(d)
     full = (1 << len(rs)) - 1
     got = list(dg.placements(g, d.search_order, rs.ip_bits, [full] * l))
-    ip = [[_fdot(x, y) for y in rs.roots] for x in rs.roots]
+    ip = [[_dot(x, y) // 4 for y in rs.doubled] for x in rs.doubled]  # doubled: 4 (x, y)
     scan = {x for x in itertools.permutations(range(len(rs)), l)
             if all(ip[x[i]][x[j]] == g[i][j] for i in range(l) for j in range(i))}
     assert len(got) == len(set(got)) == count

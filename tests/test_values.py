@@ -75,10 +75,8 @@ VALUES = {
         "nodes=((-1,), (1,)), edges=((0, 1, 'a1'),), components=((0, 1),), "
         "component_p=(Fraction(1, 2),), loctets=(), unicolored=((-1,), (1,))), "
         "kernel=((0, -1), (0, 1)), image_count=4, distinct_images=2, loctet_pairs=())")),
-    rt.Embedding: ("roots", _E11),
-    rt.RealizedLinkage: ("p", (
-        "RealizedLinkage(gamma=(Fraction(-1, 1), Fraction(1, 1), Fraction(0, 1)), labels=(1,), "
-        "p=Fraction(1, 2), index=1)")),
+    rt.Embedding: ("doubled", _E11),
+    rt.RealizedLinkage: ("p", "RealizedLinkage(index=1, labels=(1,), p=Fraction(1, 2))"),
     rt.DirectLabels: ("labels", f"DirectLabels(embedding={_E11}, realized=(), labels=())"),
     rt.LawsReport: ("orbit_count", (
         "LawsReport(p_classes=((Fraction(1, 2), 4),), orbit_count=1, "
