@@ -2,25 +2,23 @@
 
 A vector v over {-1,0,1}, indexed by the diagram vertices, is a linkage
 label vector exactly when the quadratic form of B^-1 takes a value < 2 on
-it.  The vectors are found by a depth-first search over the coordinates in
-the diagram's connectivity-first ``search_order`` (Fincke and Pohst, Math.
-Comp. 44 (1985) 463-471): the least value of the form over real completions
-of the labels on the first k+1 vertices of that order is the form of the
-inverse of B's block on them (a Schur complement), and that bound only grows
-with k, so a prefix is dropped as soon as it reaches 2.  Every prefix of the
-order is a connected subdiagram, so the bound grows early.  The search reads
-the integer prefix data of ``PartialCartan.prefix`` and the form values read
-``B^-1 = N / D``, both from the one elimination in ``cartan``; all
-arithmetic is on plain integers.  The search runs once per
-``PartialCartan``, which keeps the vectors with their form values, so
-``group_by_p`` and ``orbit.build_system`` recompute neither.  Results are
-mapped back to vertex order and sorted lexicographically (-1 < 0 < 1), so
-every downstream structure is deterministic and no output depends on the
-search order.
+it.  The vectors are found level by level over the coordinates in the
+diagram's connectivity-first ``search_order`` (Fincke and Pohst, Math. Comp.
+44 (1985) 463-471): level k holds the labels on the first k+1 vertices of
+that order whose least form over real completions, the form of the inverse
+of B's block on them (a Schur complement), is below 2.  That bound only
+grows with k, and every prefix of the order is a connected subdiagram, so
+it grows early.  The search reads the integer prefix data of
+``PartialCartan.prefix`` and the form values read ``B^-1 = N / D``, both
+from the one elimination in ``cartan``; all arithmetic is on plain integers.
+It runs once per ``PartialCartan``, which keeps the vectors with their form
+values for ``group_by_p`` and ``orbit.build_system``.  Results are mapped
+back to vertex order and sorted lexicographically (-1 < 0 < 1), so no
+output depends on the search order.
 
 The sign law: the form is even, so -v is a linkage vector with the same
-value whenever v is.  The search walks one sign of each pair, the one whose
-first nonzero label in search order is +1, and keeps both.  Negation
+value whenever v is.  The search keeps one sign of each pair, the one whose
+first nonzero label in search order is +1, and gives both.  Negation
 reverses the lexicographic order with -1 < 0 < 1, so in the sorted tuple of
 n vectors entry n-1-i is the negative of entry i.
 """
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul, neg
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import LinalgError, PartialCartan
@@ -64,51 +62,48 @@ def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
     return _search(pc)[0]
 
 
+def _levels(prefix) -> Iterator[list[tuple[Linkage, int]]]:
+    """Level k of the search along ``PartialCartan.prefix``, k = 0..l-1: every
+    kept prefix u_0..u_k, in search order, with its sum sum_i weights[i] z_i^2,
+    z_i = rows[i] . u, den times the least form over real completions.  Each
+    prefix of level k - 1 grows by -1, 0 and 1, kept while its sum is below
+    2 den, and the lead (0,)*k + (1,), whose z_0..z_{k-1} vanish, joins them:
+    so a kept prefix has +1 as its first nonzero label."""
+    _, rows, weights, den = prefix
+    bound = 2 * den
+    level: list[tuple[Linkage, int]] = []
+    for k, row in enumerate(rows):
+        d, w = row[k], weights[k]
+        grown = []
+        for u, acc in level:
+            base = sum(map(mul, row, u))  # map stops at the end of u, before row[k]
+            for x in (-1, 0, 1):
+                z = base + d * x
+                s = acc + w * z * z
+                if s < bound:
+                    grown.append((u + (x,), s))
+        s = w * d * d
+        if s < bound:
+            grown.append(((0,) * k + (1,), s))
+        level = grown
+        yield level
+
+
 def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
-    """The linkage vectors and, aligned with them, their ``form_num`` values.
-
-    Searched on the first call for ``pc`` and kept on it after that.  At a
-    leaf the accumulated sum is den times the form, and den is g times D
-    for B^-1 = N / D, so the numerator over D is the sum divided by g.
-
-    The form is even, so v and -v have the same value: the search walks only
-    the vectors whose first nonzero label in search order is +1, and each
-    leaf gives v and -v.  The lead j of such a vector has u_0..u_{j-1} = 0,
-    so z_0..z_{j-1} vanish and its prefix sum is weights[j] * rows[j][j]**2.
-    Each pair is mapped back to vertex order, and the pairs are sorted once.
-    """
+    """The linkage vectors and, aligned with them, their ``form_num`` values,
+    searched on the first call for ``pc`` and kept on it.  Each prefix of the
+    last level of ``_levels`` gives v and -v in vertex order; its sum is den
+    times the form, den = g D for B^-1 = N / D, so the numerator is sum / g."""
     if pc._linkages is not None:
         return pc._linkages
-    l = len(pc)
-    order, rows, weights, den = pc.prefix
-    at = sorted(range(l), key=order.__getitem__)  # vertex -> search position
-    off = [row[:k] for k, row in enumerate(rows)]  # map stops before the stale u[k:]
-    bound = 2 * den
+    order, _, _, den = pc.prefix
+    at = sorted(range(len(pc)), key=order.__getitem__)  # vertex -> search position
     g = den // pc.inv_den
-    u = [0] * l  # the labels in search order
     found: list[tuple[Linkage, int]] = []
-
-    def visit(k: int, acc: int) -> None:
-        if k == l:
-            v, n = tuple(map(u.__getitem__, at)), acc // g
-            found.append((v, n))
-            found.append((tuple(map(neg, v)), n))
-            return
-        base = sum(map(mul, off[k], u))
-        for x in (-1, 0, 1):
-            z = base + rows[k][k] * x
-            s = acc + weights[k] * z * z
-            if s < bound:
-                u[k] = x
-                visit(k + 1, s)
-
-    for j in range(l):
-        s = weights[j] * rows[j][j] ** 2
-        if s < bound:
-            u[j] = 1
-            visit(j + 1, s)
-        u[j] = 0  # a deeper visit of an earlier lead may have left it nonzero
-    del visit  # visit's closure refers to visit; without the name no cycle outlives the search
+    *_, last = _levels(pc.prefix)
+    for u, acc in last:
+        v, n = tuple(map(u.__getitem__, at)), acc // g
+        found += (v, n), (tuple(map(neg, v)), n)
     found.sort()
     object.__setattr__(pc, "_linkages", (tuple(v for v, _ in found), tuple(n for _, n in found)))
     return pc._linkages
@@ -140,21 +135,19 @@ def group_by_p(pc: PartialCartan, vectors: Iterable[Sequence[int]]) -> list[Exte
 
 
 def beta_unicolored(d: dg.CarterDiagram, vectors: Iterable[Linkage]) -> BetaUnicolored:
-    """Select vectors with all alpha coordinates zero.
+    """Select vectors with all alpha coordinates zero; a vector whose length
+    is not the rank raises LinalgError.
 
     Also reports whether the label at the pattern center b1 vanishes on all
     of them (it does for every cataloged diagram except the bare 4-cycle
-    D4(a1), which has no pattern).
-    """
+    D4(a1), which has no pattern)."""
+    vectors = tuple(vectors)
+    for v in vectors:
+        if len(v) != len(d.vertices):
+            raise LinalgError(f"{d.name} has rank {len(d.vertices)}, a vector has length {len(v)}")
     alpha_pos = [i for i, v in enumerate(d.vertices) if v.color == dg.ALPHA]
     members = tuple(sorted(v for v in vectors if all(v[i] == 0 for i in alpha_pos)))
-    center: Optional[dg.VertexId] = None
-    if d.pattern is not None:
-        center = d.pattern[3]
-    else:
-        center = next((v for v in d.vertices if v.id == "b1"), None)
-    always_zero: Optional[bool] = None
-    if center is not None:
-        ci = d.index_of(center)
-        always_zero = all(v[ci] == 0 for v in members)
+    center = d.pattern[3] if d.pattern else next((v for v in d.vertices if v.id == "b1"), None)
+    ci = None if center is None else d.index_of(center)
+    always_zero = None if ci is None else all(v[ci] == 0 for v in members)
     return BetaUnicolored(members, center, always_zero)

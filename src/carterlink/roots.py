@@ -481,14 +481,14 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     p + |mu|^2 = 2, and the mirror gamma_L - mu is a root exactly when it lies
     in the root lattice (it can leave it: 2 gamma_L need not have integral
     root coefficients).  Each realized root's ``index`` must name an ambient
-    root, and each witness names a root by ``RootSystem.name_root``.  The
-    extension orbits are counted and sized per p-slice by the lattice law of
-    ``_orbit_slices``, in one pass over the keys in ascending |M|^2 that pops
-    each key as its slice takes it.  So the slices partition the realized
-    roots, and ``orbit_count`` is the number of maximal lattices
-    Z Gamma + Z gamma of the seeding law: an invariant of the embedding's
-    W-class, whatever the order of the diagram's vertices.  A key that two
-    seeds reach goes to the first.
+    root, no root twice, and its labels must have one entry per vertex; each
+    witness names a root by ``RootSystem.name_root``.  The extension orbits
+    are counted and sized per p-slice by the lattice law of ``_orbit_slices``,
+    in one pass over the keys in ascending |M|^2 that pops each key as its
+    slice takes it.  So the slices partition the realized roots, and
+    ``orbit_count`` is the number of maximal lattices Z Gamma + Z gamma of the
+    seeding law: an invariant of the embedding's W-class, whatever the order
+    of the diagram's vertices.  A key that two seeds reach goes to the first.
 
     Six more laws hold and are not checked, as the checks above force them:
     - c.B.c = D lc, with c = N labels: ``Embedding`` checks E_i.E_j = 4 B_ij off
@@ -521,12 +521,19 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     by_p: dict[int, int] = {}  # realized roots per lc = D p
     keyed: dict[LatticeKey, list[RealizedLinkage]] = {}
     mirrors = 0
+    seen: set[int] = set()
     for r in dl.realized:
         i = r.index
         if not (type(i) is int and 0 <= i < len(amb)):
             raise VerificationError(f"{amb.name}: no root of index {i!r}")
+        if i in seen:
+            raise VerificationError(f"{amb.name_root(i)} is realized twice")
+        seen.add(i)
         x = amb.doubled[i]
         if r.labels not in of_labels:
+            if len(r.labels) != len(n_mat):
+                raise VerificationError(
+                    f"labels of {amb.name_root(i)} have length {len(r.labels)}, not {len(n_mat)}")
             c, lc, g = _label_projection(cols, n_mat, r.labels)
             if not _extends(lc, den):
                 raise VerificationError(f"{amb.name_root(i)} does not extend the embedding")

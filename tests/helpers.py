@@ -20,7 +20,7 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import roots as rt
 from carterlink.cartan import _eliminate
-from carterlink.linkage import form_num
+from carterlink.linkage import _levels, form_num
 
 # The 18 diagrams with tabulated matrices, in table order.
 CATALOG = [
@@ -464,35 +464,10 @@ def prefix_in_vertex_order(gram) -> tuple:
 
 
 def count_prefixes(prefix) -> int:
-    """The prefixes u_0..u_k, k >= 0, that the recursion of
-    ``linkage._search`` keeps below the bound when it runs along ``prefix``:
-    those whose first nonzero label is +1, each lead j counted once with its
-    zeros before it."""
-    _, rows, weights, den = prefix
-    l = len(rows)
-    u = [0] * l
-
-    def visit(k: int, acc: int) -> int:
-        if k == l:
-            return 0
-        base = sum(r * x for r, x in zip(rows[k][:k], u))
-        n = 0
-        for x in (-1, 0, 1):
-            z = base + rows[k][k] * x
-            s = acc + weights[k] * z * z
-            if s < 2 * den:
-                u[k] = x
-                n += 1 + visit(k + 1, s)
-        return n
-
-    n = 0
-    for j in range(l):
-        s = weights[j] * rows[j][j] ** 2
-        if s < 2 * den:
-            u[j] = 1
-            n += 1 + visit(j + 1, s)
-        u[j] = 0
-    return n
+    """The prefixes u_0..u_k, k >= 0, that ``linkage._levels`` keeps below the
+    bound when the search runs level by level along ``prefix``: those whose
+    first nonzero label is +1, summed over the levels."""
+    return sum(map(len, _levels(prefix)))
 
 
 def cycles_left_by(call) -> int:

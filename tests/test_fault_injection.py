@@ -9,8 +9,9 @@ and the exact ``verification failure:`` line.  The entry computes the
 witness that line names from the data without the fault; a root is named as
 ``RootSystem.name_root`` names it, here written by the test-side
 ``ref_root_text``.  There is one entry for each check of
-``check_projection_laws`` and ``Embedding``, the check that a realized root's
-index names an ambient root included.  The two moment laws of
+``check_projection_laws`` and ``Embedding``, the checks that a realized
+root's index names an ambient root, that no root is realized twice and that
+its labels have one entry per vertex included.  The two moment laws of
 ``direct_linkage_labels`` are reached by the faults in the labels below.
 There is one entry for each check of ``orbit`` that no other test reaches:
 the places of gamma(4) and gamma(5) in a loctet, the loctet coverage and the
@@ -143,6 +144,21 @@ def _root_index(monkeypatch):
     _inject_realized(monkeypatch, lambda realized: _replaced(
         realized, 0, realized[0]._replace(index=240)))
     return ["verify", "D4(a1)"], "E8: no root of index 240"
+
+
+def _root_realized_twice(monkeypatch):
+    # check_projection_laws: the first realized root repeated at the end
+    r = labels_in("D4(a1)", "E8").realized[0]
+    _inject_realized(monkeypatch, lambda realized: realized + (realized[0],))
+    return ["verify", "D4(a1)"], f"{_e8_root(r)} is realized twice"
+
+
+def _labels_length(monkeypatch):
+    # check_projection_laws: a 0 appended to the first realized root's labels
+    r = labels_in("D4(a1)", "E8").realized[0]
+    _inject_realized(monkeypatch, lambda realized: _replaced(
+        realized, 0, realized[0]._replace(labels=realized[0].labels + (0,))))
+    return ["verify", "D4(a1)"], f"labels of {_e8_root(r)} have length 5, not 4"
 
 
 def _root_in_the_span(monkeypatch):
@@ -436,6 +452,8 @@ FAULTS = {
     "root-not-in-the-ambient": _root_not_in_the_ambient,
     "embedding-gram": _embedding_gram,
     "root-index": _root_index,
+    "root-realized-twice": _root_realized_twice,
+    "labels-length": _labels_length,
     "root-in-the-span": _root_in_the_span,
     "inverse-form": _inverse_form,
     "restricted-form": _restricted_form,

@@ -113,6 +113,14 @@ def test_beta_unicolored_d4a1():
     assert rep.center_label_always_zero is False
 
 
+@pytest.mark.parametrize("v", [(0,), (0, 0, 0, 0, 0, 1)], ids=["short", "long"])
+def test_beta_unicolored_rejects_a_vector_of_another_length(v):
+    # a short vector once leaked IndexError, and a long one whose alpha labels
+    # vanish was returned as a member
+    with pytest.raises(LinalgError, match=f"^D4 has rank 4, a vector has length {len(v)}$"):
+        beta_unicolored(cl.catalog("D4"), [(0, 0, 1, 0), v])
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_b1_label_zero_except_bare_square(name):
     rep = beta_unicolored(cl.catalog(name), links_of(name))

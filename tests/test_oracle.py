@@ -323,6 +323,39 @@ def test_projection_laws_reject_an_index_that_does_not_name_gamma(index):
         rt.check_projection_laws(dl, dl.embedding)
 
 
+@pytest.mark.parametrize("how", ["moved", "appended"])
+def test_projection_laws_reject_a_root_realized_twice(how):
+    # in D4(a1) in E8, roots 3 and 4 share a label vector, so the first record
+    # moved to root 4 passes every other law and leaves root 3 out, and the
+    # first record again at the end makes the p-classes count 193 roots of 192
+    dl = labels_in("D4(a1)", "E8")
+    amb, first = dl.embedding.ambient, dl.realized[0]
+    twin = next(r for r in dl.realized[1:] if r.labels == first.labels)
+    assert (first.index, twin.index) == (3, 4)
+    if how == "moved":
+        realized, i = (first._replace(index=twin.index),) + dl.realized[1:], twin.index
+    else:
+        realized, i = dl.realized + (first,), first.index
+    message = f"{ref_root_text(amb, i)} is realized twice"
+    with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
+        rt.check_projection_laws(rt.DirectLabels(dl.embedding, realized, dl.labels), dl.embedding)
+
+
+@pytest.mark.parametrize("labels", [lambda v: v + (0,), lambda v: v + (5,), lambda v: v[:-1]],
+                         ids=["zero-appended", "five-appended", "last-dropped"])
+def test_projection_laws_reject_labels_of_the_wrong_length(labels):
+    # the projection's dot products stop at the shorter input, so a label
+    # appended to a realized root's labels once left the report unchanged
+    dl = labels_in("D4(a1)", "E8")
+    r = dl.realized[0]
+    bad = r._replace(labels=labels(r.labels))
+    realized = (bad,) + dl.realized[1:]
+    message = (f"labels of {ref_root_text(dl.embedding.ambient, r.index)} have length "
+               f"{len(bad.labels)}, not 4")
+    with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
+        rt.check_projection_laws(rt.DirectLabels(dl.embedding, realized, dl.labels), dl.embedding)
+
+
 @pytest.mark.parametrize("which", ["in-the-span", "orthogonal"])
 def test_projection_laws_reject_a_root_that_does_not_extend(which):
     # an embedded root (p = 2, mu = 0) and a root with zero labels (p = 0,

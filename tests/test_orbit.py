@@ -187,14 +187,30 @@ def test_system_d10a3_wind_rose():
     assert len(s.loctets) == 1
 
 
-@pytest.mark.parametrize("l", [16, 20])
-def test_wind_rose_beyond_the_catalog_bound(l):
-    d = cl.carter_D_ak(12, 3)
+def _grown(d, l):
+    """``d`` grown by ``extend`` at its last vertex up to rank l."""
     while len(d) < l:
         d = cl.extend(d, d.vertices[-1])
-    s = cl.build_system(cl.build_partial_cartan(d))
+    return d
+
+
+@pytest.mark.parametrize("l", [16, 20, 24])
+def test_wind_rose_beyond_the_catalog_bound(l):
+    pc = cl.build_partial_cartan(_grown(cl.carter_D_ak(12, 3), l))
+    s = cl.build_system(pc)
     assert len(s.nodes) == 2 * l
     assert len(s.components) == 1 and s.component_p == (Fraction(1),)
+    vectors, nums = _search(pc)
+    assert nums == tuple(form_num(pc, v) for v in vectors)
+
+
+@pytest.mark.parametrize("l", [16, 20, 24])
+def test_a_chain_beyond_the_catalog_bound(l):
+    # the A_l chain has the widest search levels: (l + 1)(l + 2) vectors
+    pc = cl.build_partial_cartan(_grown(cl.catalog("A12"), l))
+    vectors, nums = _search(pc)
+    assert len(vectors) == (l + 1) * (l + 2)
+    assert nums == tuple(form_num(pc, v) for v in vectors)
 
 
 @pytest.mark.parametrize("l", range(8, 13))
