@@ -14,9 +14,9 @@ system keeps them.
 With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
 mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
 checked as an integer identity.  p depends on the label vector alone: the
-label scan decides once per label vector which roots extend the embedding
-and their p, the one Fraction a realized root carries; the laws compute the
-projection once per label vector, and per root only what involves gamma.
+label scan decides once per label vector which roots extend the embedding,
+and a realized root is its index and its labels; the laws compute the
+projection and p once per label vector, and per root only what involves gamma.
 ``find_embeddings`` builds the partial Cartan matrix of the diagram once;
 its embeddings share it and every oracle reads it from there.  The extension
 orbits follow a lattice law: they are dict lookups by (2D mu, N labels mod D),
@@ -26,8 +26,9 @@ with no reflection applied (see ``_orbit_slices``); the weight orbits are
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -46,10 +47,6 @@ class RootSystemError(ValueError):
 
 def _dot(x: Sequence, y: Sequence):
     return sum(map(mul, x, y))
-
-
-# the label scan and the laws meet few distinct values; equal ones share one object
-_frac = lru_cache(maxsize=4096)(Fraction)
 
 
 class RootSystem:
@@ -84,6 +81,7 @@ class RootSystem:
                 raise RootSystemError(
                     f"{name}: set not closed under negation: doubled root {x} has no negative")
         self.ip_bits = self._ip_bits()
+        self._lattice = name[0] if re.fullmatch(r"[AD][1-9][0-9]*|E[678]", name) else None
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
         """Bit-sliced: ``by_value[k][c]`` is the bitset of the roots whose
@@ -121,6 +119,8 @@ class RootSystem:
     def name_root(self, i: int) -> str:
         """Root i as a witness names it: its index and its coordinates, halves
         written 1/2, as in ``root 3 (-1,0,0,0,-1,0,0,0)``."""
+        if not (type(i) is int and 0 <= i < len(self.doubled)):
+            raise RootSystemError(f"{self.name}: no root of index {i!r}")
         coords = (str(c // 2) if c % 2 == 0 else f"{c}/2" for c in self.doubled[i])
         return f"root {i} ({','.join(coords)})"
 
@@ -129,8 +129,8 @@ class RootSystem:
         x + v or x - v when (x, v) = -1 or 1, v = root g, to -x when x = +-v,
         and stays when (x, v) = 0.  The first call builds every row; a set not
         closed under a reflection raises RootSystemError there."""
-        if not 0 <= g < len(self.doubled):
-            raise RootSystemError(f"{self.name}: no root of index {g}")
+        if not (type(g) is int and 0 <= g < len(self.doubled)):
+            raise RootSystemError(f"{self.name}: no root of index {g!r}")
         return self._reflections[g]
 
     @cached_property
@@ -176,13 +176,16 @@ class RootSystem:
     def in_root_lattice(self, y: Sequence[int]) -> bool:
         """Whether y / 2 is in the root lattice, for a doubled integer vector y
         (a norm-2 lattice vector is a root).  A vector outside the span is not
-        in it; one of another length raises."""
+        in it; one of another length raises.  The rule is read once from the
+        name, one that ``build_root_system`` writes; any other name raises."""
         if len(y) != self.dim:
             raise RootSystemError(f"{self.name}: vector of length {len(y)}, expected {self.dim}")
+        if self._lattice is None:
+            raise RootSystemError(f"{self.name}: no root-lattice rule for this name")
         total = sum(y)  # twice the coordinate sum, which must be even
-        if self.name.startswith("A"):  # the span has coordinate sum 0
+        if self._lattice == "A":  # the span has coordinate sum 0
             return all(c % 2 == 0 for c in y) and total == 0
-        if self.name.startswith("D"):
+        if self._lattice == "D":
             return all(c % 2 == 0 for c in y) and total % 4 == 0
         # E6/E7/E8 share the E8 lattice intersected with their span: the
         # coordinates are all integers or all halves of odd integers
@@ -312,8 +315,7 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
 
 def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embedding]:
     """First embedding in the fixed deterministic search order, or None."""
-    found = find_embeddings(d, ambient, limit=1)
-    return found[0] if found else None
+    return next(iter(find_embeddings(d, ambient, limit=1)), None)
 
 
 # -- direct labels -------------------------------------------------------------
@@ -321,11 +323,10 @@ def find_embedding(d: dg.CarterDiagram, ambient: RootSystem) -> Optional[Embeddi
 
 class RealizedLinkage(NamedTuple):
     """An ambient root that extends the embedding, named by its ``index``, with
-    its labels and p = form of labels."""
+    its labels; ``check_projection_laws`` computes their p."""
 
     index: int
     labels: Linkage
-    p: Fraction
 
 
 class DirectLabels(NamedTuple):
@@ -386,8 +387,8 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     A root's label vector is its inner products with the embedded roots, and
     p = labels . B^-1 labels = |gamma_L|^2, for gamma_L its projection onto
     their span.  Roots with p = 2 lie in the span, and roots with zero labels
-    (p = 0) attach no bonds; both are skipped, decided with p once per
-    distinct label vector.  ``check_projection_laws`` computes the projection.
+    (p = 0) attach no bonds; both are skipped, decided once per distinct label
+    vector.  No p is kept: ``check_projection_laws`` computes it.
 
     First the label matrix L (a row per ambient root, a column per vertex)
     must obey two moment laws of the ambient Phi of rank n:
@@ -416,10 +417,9 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
                 raise VerificationError(f"label moment at ({vs[i]}, {vs[j]}) is {moment}, "
                                         f"not {Fraction(2 * len(amb) * gram[i][j], amb.rank)}")
     den = e.pc.inv_den
-    p_of = {v: _frac(lc, den) for v in set(rows) if _extends(lc := form_num(e.pc, v), den)}
-    realized = tuple(RealizedLinkage(i, labels, p_of[labels])
-                     for i, labels in enumerate(rows) if labels in p_of)
-    return DirectLabels(e, realized, tuple(sorted(p_of)))
+    ext = {v for v in set(rows) if _extends(form_num(e.pc, v), den)}
+    realized = tuple(RealizedLinkage(i, v) for i, v in enumerate(rows) if v in ext)
+    return DirectLabels(e, realized, tuple(sorted(ext)))
 
 
 # -- verification laws -----------------------------------------------------------
@@ -476,19 +476,19 @@ class LawsReport(NamedTuple):
 def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     """Verify the exact laws tying labels, projections and mu together.
 
-    Per realized root: it extends the embedding (p is neither 0 nor 2),
-    p = form of labels = |gamma_L|^2 under the ambient dot product,
-    p + |mu|^2 = 2, and the mirror gamma_L - mu is a root exactly when it lies
-    in the root lattice (it can leave it: 2 gamma_L need not have integral
-    root coefficients).  Each realized root's ``index`` must name an ambient
-    root, no root twice, and its labels must have one entry per vertex; each
-    witness names a root by ``RootSystem.name_root``.  The extension orbits
-    are counted and sized per p-slice by the lattice law of ``_orbit_slices``,
-    in one pass over the keys in ascending |M|^2 that pops each key as its
-    slice takes it.  So the slices partition the realized roots, and
-    ``orbit_count`` is the number of maximal lattices Z Gamma + Z gamma of the
-    seeding law: an invariant of the embedding's W-class, whatever the order
-    of the diagram's vertices.  A key that two seeds reach goes to the first.
+    Per realized root: it extends the embedding (p = form of labels is neither
+    0 nor 2), p = |gamma_L|^2 under the ambient dot product, p + |mu|^2 = 2,
+    and the mirror gamma_L - mu is a root exactly when it lies in the root
+    lattice (it can leave it: 2 gamma_L need not have integral root
+    coefficients).  Each realized root's ``index`` must name an ambient root,
+    no root twice, and its labels must be a tuple of ints, one per vertex; each
+    witness names a root by ``RootSystem.name_root``.  The extension orbits are
+    counted and sized per p-slice by the lattice law of ``_orbit_slices``, in
+    one pass over the keys in ascending |M|^2 that pops each key as its slice
+    takes it.  So the slices partition the realized roots, and ``orbit_count``
+    is the number of maximal lattices Z Gamma + Z gamma of the seeding law: an
+    invariant of the embedding's W-class, whatever the order of the diagram's
+    vertices.  A key that two seeds reach goes to the first.
 
     Six more laws hold and are not checked, as the checks above force them:
     - c.B.c = D lc, with c = N labels: ``Embedding`` checks E_i.E_j = 4 B_ij off
@@ -509,17 +509,16 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
 
     The laws read only the public fields of ``dl``, however it was built,
     and ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
-    The projection (c, lc, G), p, the form check and the mirror's integrality
-    run once per label vector (doubled, the mirror is (G - M) / D = 2G / D - x
-    for the root x / 2), and the rest on every realized root.
+    The projection (c, lc = D p, G), the form check and the mirror's
+    integrality run once per label vector (doubled, the mirror is
+    (G - M) / D = 2G / D - x for the root x / 2), the rest on every root.
     """
     _same_embedding(dl, e)
-    n_mat, den = e.pc.inv_num, e.pc.inv_den
-    amb = e.ambient
+    n_mat, den, amb = e.pc.inv_num, e.pc.inv_den, e.ambient
     cols = list(zip(*e.doubled))
-    of_labels: dict[Linkage, tuple] = {}  # lc, G, p, c mod D and 2G / D or None
+    of_labels: dict[Linkage, tuple] = {}  # lc, G, c mod D and 2G / D or None
     by_p: dict[int, int] = {}  # realized roots per lc = D p
-    keyed: dict[LatticeKey, list[RealizedLinkage]] = {}
+    keyed: dict[LatticeKey, list[int]] = {}  # the lc of each root
     mirrors = 0
     seen: set[int] = set()
     for r in dl.realized:
@@ -530,7 +529,10 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             raise VerificationError(f"{amb.name_root(i)} is realized twice")
         seen.add(i)
         x = amb.doubled[i]
-        if r.labels not in of_labels:
+        entry = of_labels.get(r.labels) if type(r.labels) is tuple else None
+        if entry is None:
+            if type(r.labels) is not tuple or any(type(t) is not int for t in r.labels):
+                raise VerificationError(f"labels of {amb.name_root(i)} are not a tuple of ints")
             if len(r.labels) != len(n_mat):
                 raise VerificationError(
                     f"labels of {amb.name_root(i)} have length {len(r.labels)}, not {len(n_mat)}")
@@ -541,10 +543,8 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
                 raise VerificationError(
                     f"restricted form differs from ambient on {amb.name_root(i)}")
             g2 = None if any(2 * a % den for a in g) else tuple(2 * a // den for a in g)
-            of_labels[r.labels] = lc, g, _frac(lc, den), tuple(a % den for a in c), g2
-        lc, g, p, c, g2 = of_labels[r.labels]
-        if r.p is not p and r.p != p:  # the scan's p is mostly the same object
-            raise VerificationError(f"p of {amb.name_root(i)} is not the form of its labels")
+            entry = of_labels[r.labels] = lc, g, tuple(a % den for a in c), g2
+        lc, g, c, g2 = entry
         m = tuple(den * a - b for a, b in zip(x, g))
         if 4 * den * lc + _dot(m, m) != 8 * den * den:
             raise VerificationError(f"p + |mu|^2 != 2 for {amb.name_root(i)}")
@@ -555,7 +555,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
                 raise VerificationError(
                     f"norm-2 lattice test disagrees with root membership for {amb.name_root(i)}")
             mirrors += is_root
-        keyed.setdefault((m, c), []).append(r)
+        keyed.setdefault((m, c), []).append(lc)
         by_p[lc] = by_p.get(lc, 0) + 1
 
     # seeds in ascending |M|^2; each slice pops its keys, so no root is counted twice
@@ -565,10 +565,10 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
         if key in keyed:
             orbit_count += 1
             for ys in _orbit_slices(keyed, key, den):
-                rs = [r for y in ys for r in keyed.pop(y)]
-                orbits.append((rs[0].p, 2 - rs[0].p, len(rs)))
+                lcs = [lc for y in ys for lc in keyed.pop(y)]
+                orbits.append((p := Fraction(lcs[0], den), 2 - p, len(lcs)))
 
-    p_classes = tuple((_frac(lc, den), count) for lc, count in sorted(by_p.items()))
+    p_classes = tuple((Fraction(lc, den), count) for lc, count in sorted(by_p.items()))
     return LawsReport(p_classes, orbit_count, tuple(sorted(orbits)), mirrors)
 
 

@@ -181,13 +181,13 @@ def ref_root_text(amb, i) -> str:
 
 
 def ref_realized(e) -> list:
-    """(record, gamma_L, mu) for the realized linkages of an embedding, in
+    """(record, p, gamma_L, mu) for the realized linkages of an embedding, in
     ambient root order: every root with a nonzero label vector, labels from
     8-coordinate dot products, and mu != 0 (outside the span of the embedded
-    roots); gamma_L and mu are Fraction tuples kept beside the record."""
+    roots); p = form of labels, and gamma_L and mu are Fraction tuples, kept
+    beside the record."""
     n_mat, den = e.pc.inv_num, e.pc.inv_den
     s = 2 * den
-    frac = lru_cache(maxsize=None)(Fraction)
     cols = list(zip(*e.doubled))
     out = []
     for i, x in enumerate(e.ambient.doubled):
@@ -204,8 +204,8 @@ def ref_realized(e) -> list:
         if not any(m):
             continue
         assert all(abs(t) <= 1 for t in labels), f"root {i} has a label outside -1..1"
-        out.append((rt.RealizedLinkage(i, tuple(labels), frac(_dot(labels, c), den)),
-                    tuple(frac(a, s) for a in g), tuple(frac(a, s) for a in m)))
+        out.append((rt.RealizedLinkage(i, tuple(labels)), Fraction(_dot(labels, c), den),
+                    tuple(Fraction(a, s) for a in g), tuple(Fraction(a, s) for a in m)))
     return out
 
 

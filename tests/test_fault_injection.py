@@ -11,7 +11,9 @@ witness that line names from the data without the fault; a root is named as
 ``ref_root_text``.  There is one entry for each check of
 ``check_projection_laws`` and ``Embedding``, the checks that a realized
 root's index names an ambient root, that no root is realized twice and that
-its labels have one entry per vertex included.  The two moment laws of
+its labels are a tuple of ints with one entry per vertex included.  A
+realized root is its index and its labels, with no p of its own, so no entry
+corrupts a p: the laws compute it.  The two moment laws of
 ``direct_linkage_labels`` are reached by the faults in the labels below.
 There is one entry for each check of ``orbit`` that no other test reaches:
 the places of gamma(4) and gamma(5) in a loctet, the loctet coverage and the
@@ -69,8 +71,6 @@ checks on the same values force them, so no fault can reach a check of them:
   among the linkage vectors (form < 2), and after the laws (p != 2 and
   p + |mu|^2 = 2); a flipped label is caught by the moment laws first.
 """
-
-from fractions import Fraction
 
 import pytest
 
@@ -153,6 +153,14 @@ def _root_realized_twice(monkeypatch):
     return ["verify", "D4(a1)"], f"{_e8_root(r)} is realized twice"
 
 
+def _labels_type(monkeypatch):
+    # check_projection_laws: the first realized root's labels as a list
+    r = labels_in("D4(a1)", "E8").realized[0]
+    _inject_realized(monkeypatch, lambda realized: _replaced(
+        realized, 0, realized[0]._replace(labels=list(realized[0].labels))))
+    return ["verify", "D4(a1)"], f"labels of {_e8_root(r)} are not a tuple of ints"
+
+
 def _labels_length(monkeypatch):
     # check_projection_laws: a 0 appended to the first realized root's labels
     r = labels_in("D4(a1)", "E8").realized[0]
@@ -162,10 +170,10 @@ def _labels_length(monkeypatch):
 
 
 def _root_in_the_span(monkeypatch):
-    # check_projection_laws: an embedded root, with its labels and their p = 2,
+    # check_projection_laws: an embedded root, with its labels, whose p is 2,
     # put first among the realized roots
     e = embedding_in("D4(a1)", "E8")
-    extra = rt.RealizedLinkage(e.idx[0], tuple(e.pc.gram[0]), Fraction(2))
+    extra = rt.RealizedLinkage(e.idx[0], tuple(e.pc.gram[0]))
     _inject_realized(monkeypatch, lambda realized: (extra,) + realized)
     return ["verify", "D4(a1)"], \
         f"{ref_root_text(e.ambient, e.idx[0])} does not extend the embedding"
@@ -203,22 +211,15 @@ def _restricted_form(monkeypatch):
     return ["verify", "E6(a1)"], f"restricted form differs from ambient on {_e8_root(r)}"
 
 
-def _projection_field(monkeypatch):
-    # check_projection_laws: p of the first realized root one too large
-    r = labels_in("E6(a1)", "E8").realized[0]
-    _inject_realized(monkeypatch, lambda realized: _replaced(
-        realized, 0, realized[0]._replace(p=realized[0].p + 1)))
-    return ["verify", "E6(a1)"], f"p of {_e8_root(r)} is not the form of its labels"
-
-
 def _p_plus_mu_norm(monkeypatch):
     # check_projection_laws: one realized root given the label vector of another
     # with the same p; the laws project gamma by those labels, and as B^-1 is
     # positive definite and the label vectors differ, (gamma, gamma_L) < p for
     # that gamma_L, so |mu|^2 > 2 - p
     realized = labels_in("E6(a1)", "E8").realized
+    p = {r.index: q for r, q, _, _ in ref_realized(embedding_in("E6(a1)", "E8"))}
     k, donor = next((k, b) for k, a in enumerate(realized) for b in realized
-                    if b.p == a.p and b.labels != a.labels)
+                    if p[b.index] == p[a.index] and b.labels != a.labels)
     bad = realized[k]._replace(labels=donor.labels)
     _inject_realized(monkeypatch, lambda realized: _replaced(realized, k, bad))
     return ["verify", "E6(a1)"], f"p + |mu|^2 != 2 for {_e8_root(realized[k])}"
@@ -230,7 +231,7 @@ def _lattice_test(monkeypatch):
     # reference, is a root is the witness
     monkeypatch.setattr(rt.RootSystem, "in_root_lattice", lambda self, y: False)
     e8 = {ref_root(x) for x in cl.build_root_system("E8").doubled}
-    r = next(r for r, gamma_l, mu in ref_realized(embedding_in("D4(a1)", "E8"))
+    r = next(r for r, _, gamma_l, mu in ref_realized(embedding_in("D4(a1)", "E8"))
              if tuple(a - b for a, b in zip(gamma_l, mu)) in e8)
     return ["verify", "D4(a1)"], \
         f"norm-2 lattice test disagrees with root membership for {_e8_root(r)}"
@@ -453,11 +454,11 @@ FAULTS = {
     "embedding-gram": _embedding_gram,
     "root-index": _root_index,
     "root-realized-twice": _root_realized_twice,
+    "labels-type": _labels_type,
     "labels-length": _labels_length,
     "root-in-the-span": _root_in_the_span,
     "inverse-form": _inverse_form,
     "restricted-form": _restricted_form,
-    "projection-field": _projection_field,
     "p-plus-mu-norm": _p_plus_mu_norm,
     "lattice-test": _lattice_test,
     "loctet-coverage": _coverage,

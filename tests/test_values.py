@@ -76,7 +76,7 @@ VALUES = {
         "component_p=(Fraction(1, 2),), loctets=(), unicolored=((-1,), (1,))), "
         "kernel=((0, -1), (0, 1)), image_count=4, distinct_images=2, loctet_pairs=())")),
     rt.Embedding: ("doubled", _E11),
-    rt.RealizedLinkage: ("p", "RealizedLinkage(index=1, labels=(1,), p=Fraction(1, 2))"),
+    rt.RealizedLinkage: ("labels", "RealizedLinkage(index=1, labels=(1,))"),
     rt.DirectLabels: ("labels", f"DirectLabels(embedding={_E11}, realized=(), labels=())"),
     rt.LawsReport: ("orbit_count", (
         "LawsReport(p_classes=((Fraction(1, 2), 4),), orbit_count=1, "
