@@ -111,9 +111,13 @@ def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
 
 def form_num(pc: PartialCartan, v: Sequence[int]) -> int:
     """v^T N v for B^-1 = N / D: the inverse form at v is this over D."""
-    if len(v) != len(pc):
-        raise LinalgError(f"form of rank {len(pc)} on a vector of length {len(v)}")
-    return sum(x * sum(map(mul, row, v)) for x, row in zip(v, pc.inv_num) if x)
+    if len(v) != len(pc.inv_num):
+        raise LinalgError(f"form of rank {len(pc.inv_num)} on a vector of length {len(v)}")
+    total = 0
+    for x, row in zip(v, pc.inv_num):
+        if x:
+            total += x * sum(map(mul, row, v))
+    return total
 
 
 def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:

@@ -16,7 +16,9 @@ mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
 checked as an integer identity.  p depends on the label vector alone: the
 label scan decides once per label vector which roots extend the embedding,
 and a realized root is its index and its labels; the laws compute the
-projection and p once per label vector, and per root only what involves gamma.
+projection, p and the mirror's lattice test once per label vector, and per
+root only what involves gamma: the root lattice is a group holding gamma, so
+the mirror 2 gamma_L - gamma is in it exactly when 2 gamma_L is.
 ``find_embeddings`` builds the partial Cartan matrix of the diagram once;
 its embeddings share it and every oracle reads it from there.  The extension
 orbits follow a lattice law: they are dict lookups by (2D mu, N labels mod D),
@@ -509,27 +511,35 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
 
     The laws read only the public fields of ``dl``, however it was built,
     and ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
-    The projection (c, lc = D p, G), the form check and the mirror's
-    integrality run once per label vector (doubled, the mirror is
-    (G - M) / D = 2G / D - x for the root x / 2), the rest on every root.
+    The projection (c, lc = D p, G), the form and int checks, and the mirror's
+    integrality and lattice test run once per label vector, the rest on every
+    root: labels equal to checked ones, as (1.0, 1, 0, -1) after (1, 1, 0, -1),
+    pass.  Doubled, the mirror 2 gamma_L - gamma is 2G / D - x for the root
+    x / 2.  The root lattice is a group, and it holds x / 2 if every ambient
+    root passes ``in_root_lattice``, as for each name ``build_root_system``
+    writes; so the mirror is in it exactly when 2 gamma_L is.
     """
     _same_embedding(dl, e)
     n_mat, den, amb = e.pc.inv_num, e.pc.inv_den, e.ambient
     cols = list(zip(*e.doubled))
-    of_labels: dict[Linkage, tuple] = {}  # lc, G, c mod D and 2G / D or None
+    of_labels: dict[Linkage, tuple] = {}  # lc, G, c mod D, 2G / D or None, in the lattice
     by_p: dict[int, int] = {}  # realized roots per lc = D p
     keyed: dict[LatticeKey, list[int]] = {}  # the lc of each root
     mirrors = 0
     seen: set[int] = set()
+    n = len(amb)
     for r in dl.realized:
         i = r.index
-        if not (type(i) is int and 0 <= i < len(amb)):
+        if not (type(i) is int and 0 <= i < n):
             raise VerificationError(f"{amb.name}: no root of index {i!r}")
         if i in seen:
             raise VerificationError(f"{amb.name_root(i)} is realized twice")
         seen.add(i)
         x = amb.doubled[i]
-        entry = of_labels.get(r.labels) if type(r.labels) is tuple else None
+        try:  # unhashable labels fall through to the int check
+            entry = of_labels.get(r.labels) if type(r.labels) is tuple else None
+        except TypeError:
+            entry = None
         if entry is None:
             if type(r.labels) is not tuple or any(type(t) is not int for t in r.labels):
                 raise VerificationError(f"labels of {amb.name_root(i)} are not a tuple of ints")
@@ -543,15 +553,15 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
                 raise VerificationError(
                     f"restricted form differs from ambient on {amb.name_root(i)}")
             g2 = None if any(2 * a % den for a in g) else tuple(2 * a // den for a in g)
-            entry = of_labels[r.labels] = lc, g, tuple(a % den for a in c), g2
-        lc, g, c, g2 = entry
-        m = tuple(den * a - b for a, b in zip(x, g))
+            lattice = g2 is not None and amb.in_root_lattice(g2)
+            entry = of_labels[r.labels] = lc, g, tuple(a % den for a in c), g2, lattice
+        lc, g, c, g2, lattice = entry
+        m = tuple(map(sub, map(den.__mul__, x), g))
         if 4 * den * lc + _dot(m, m) != 8 * den * den:
             raise VerificationError(f"p + |mu|^2 != 2 for {amb.name_root(i)}")
         if g2 is not None:  # the mirror is a root or a lattice vector only when integral
-            bar = tuple(a - b for a, b in zip(g2, x))
-            is_root = bar in amb.index
-            if is_root != amb.in_root_lattice(bar):
+            is_root = tuple(map(sub, g2, x)) in amb.index
+            if is_root != lattice:
                 raise VerificationError(
                     f"norm-2 lattice test disagrees with root membership for {amb.name_root(i)}")
             mirrors += is_root
@@ -648,7 +658,7 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     pc = embs[0].pc  # the embeddings share one pc, so one filter serves them
     rows = [set(_labels(e)) for e in embs]
     ext = {v for v in set().union(*rows) if _extends(form_num(pc, v), pc.inv_den)}
-    sets = list(dict.fromkeys(tuple(sorted(row & ext)) for row in rows))  # first seen first
+    sets = [tuple(sorted(s)) for s in dict.fromkeys(frozenset(row & ext) for row in rows)]
     return IndependenceReport(len(embs), sets[0], tuple(sets))
 
 

@@ -75,7 +75,7 @@ def test_quad_form_zero_vector():
 
 
 def test_quad_form_dimension_mismatch():
-    with pytest.raises(LinalgError):
+    with pytest.raises(LinalgError, match="^form of rank 4 on a vector of length 2$"):
         form_value(pc_of("D4"), [1, 2])
 
 

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 
 import carterlink as cl
+from carterlink import roots as rt
 from carterlink.cartan import LinalgError
 from carterlink.diagram import catalog_names
-from carterlink.linkage import _search, beta_unicolored, enumerate_linkages, form_value, group_by_p
+from carterlink.linkage import (_search, beta_unicolored, enumerate_linkages, form_num, form_value,
+                                 group_by_p)
 
 from helpers import (CATALOG, LARGE_RANK, SHUFFLE_SEEDS, count_prefixes, cycles_left_by,
-                     e8_root_subset_diagrams, links_of, pc_of, prefix_in_vertex_order, ref_inverse,
-                     ref_quad_form, shuffled)
+                     e8_root_subset_diagrams, embedding_in, links_of, pc_of,
+                     prefix_in_vertex_order, ref_inverse, ref_quad_form, shuffled)
 
 
 EXPECTED_TOTALS = {
@@ -159,6 +161,33 @@ def test_enumeration_matches_brute_force(name):
     first = enumerate_linkages(pc)
     assert first == brute_force_linkages(pc)
     assert enumerate_linkages(pc) == first  # the second call reads the kept search
+
+
+def double_sum_form_num(pc, v):
+    """sum_ij v_i v_j N_ij for B^-1 = N / D, term by term."""
+    l = len(v)
+    return sum(v[i] * v[j] * pc.inv_num[i][j] for i in range(l) for j in range(l))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_form_num_is_the_double_sum_on_the_ternary_cube(name):
+    pc = pc_of(name)
+    assert all(form_num(pc, v) == double_sum_form_num(pc, v)
+               for v in itertools.product((-1, 0, 1), repeat=len(pc)))
+
+
+def test_form_num_is_the_double_sum_on_the_label_rows_in_e8():
+    # the label scans call form_num on every distinct label row, among them
+    # the rows with +-2 of the embedded roots and their negatives
+    names = catalog_names()
+    assert len(names) == 19
+    twos = 0
+    for name in names:
+        e = embedding_in(name, "E8")
+        for v in set(rt._labels(e)):
+            assert form_num(e.pc, v) == double_sum_form_num(e.pc, v), (name, v)
+            twos += 2 in v or -2 in v
+    assert twos == 2 * sum(len(cl.catalog(name)) for name in names)
 
 
 @settings(max_examples=25, deadline=None)

@@ -140,6 +140,44 @@ def test_in_root_lattice_takes_the_e8_roots_in_the_span(name):
     assert [x for x in ambient("E8").doubled if rs.in_root_lattice(x)] == list(rs.doubled)
 
 
+@pytest.mark.parametrize("name", ROOT_SYSTEM_NAMES)
+def test_every_root_is_in_its_root_lattice(name):
+    # the hypothesis of the law by which check_projection_laws tests the
+    # mirror's lattice once per label vector
+    rs = ambient(name)
+    assert all(rs.in_root_lattice(x) for x in rs.doubled)
+
+
+# the oracle sweep: these names in each of E8, E7, E6 and D8 where they embed
+ORACLE_SWEEP = list(dict.fromkeys(dg.catalog_names() + ["E8"] + [f"A{n}" for n in range(1, 9)]
+                                  + [f"D{n}" for n in range(4, 9)]
+                                  + [f"D8(a{k})" for k in range(1, 6)]))
+
+
+def test_mirror_is_in_the_lattice_exactly_when_twice_the_projection_is():
+    # the root lattice is a group holding gamma, so 2 gamma_L - gamma is in it
+    # exactly when 2 gamma_L is: the law that lets check_projection_laws test
+    # the mirror once per label vector.  Here both sides are tested root by
+    # root, gamma_L from the Fraction reference, doubled as 4 gamma_L
+    cases, outcomes = 0, Counter()
+    for amb_name in ("E8", "E7", "E6", "D8"):
+        amb = ambient(amb_name)
+        for name in ORACLE_SWEEP:
+            e = embedding_in(name, amb_name)
+            if e is None:
+                continue
+            cases += 1
+            for r, _, gamma_l, _ in ref_realized(e):
+                if any((4 * a).denominator != 1 for a in gamma_l):
+                    continue
+                g2 = tuple(int(4 * a) for a in gamma_l)
+                mirror = tuple(a - b for a, b in zip(g2, amb.doubled[r.index]))
+                assert amb.in_root_lattice(mirror) == amb.in_root_lattice(g2), (name, amb_name)
+                outcomes[amb.in_root_lattice(g2)] += 1
+    assert cases == 90
+    assert outcomes[True] and outcomes[False]
+
+
 @pytest.mark.parametrize("name,i,text", [
     ("E8", 3, "root 3 (-1,0,0,0,-1,0,0,0)"),
     ("E8", 120, "root 120 (0,0,0,0,0,0,1,-1)"),
@@ -381,16 +419,30 @@ def test_projection_laws_reject_labels_of_the_wrong_length(labels):
 
 
 @pytest.mark.parametrize("labels", [list, lambda v: (float(v[0]),) + v[1:],
-                                    lambda v: (v[0] == 1,) + v[1:], lambda v: v[:-1] + ("0",)],
-                         ids=["list", "float-entry", "bool-entry", "str-entry"])
+                                    lambda v: (v[0] == 1,) + v[1:], lambda v: v[:-1] + ("0",),
+                                    lambda v: ([v[0]],) + v[1:]],
+                         ids=["list", "float-entry", "bool-entry", "str-entry", "list-entry"])
 def test_projection_laws_reject_labels_that_are_not_a_tuple_of_ints(labels):
-    # a list of labels once leaked TypeError: unhashable type
+    # a list of labels, and then a tuple holding a list, whose entry lookup
+    # hashed it before the int check, once leaked TypeError: unhashable type
     dl = labels_in("D4(a1)", "E8")
     r = dl.realized[0]
     realized = (r._replace(labels=labels(r.labels)),) + dl.realized[1:]
     message = f"labels of {ref_root_text(dl.embedding.ambient, r.index)} are not a tuple of ints"
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
         rt.check_projection_laws(rt.DirectLabels(dl.embedding, realized, dl.labels), dl.embedding)
+
+
+def test_projection_laws_check_the_labels_once_per_label_vector():
+    # labels equal to a checked vector share its entry, so a float entry after
+    # the same ints passes, with the same report
+    dl = labels_in("D4(a1)", "E8")
+    e = dl.embedding
+    assert dl.realized[0].labels == dl.realized[3].labels == (1, 1, 0, -1)
+    realized = list(dl.realized)
+    realized[3] = realized[3]._replace(labels=(1.0, 1, 0, -1))
+    assert rt.check_projection_laws(rt.DirectLabels(e, tuple(realized), dl.labels), e) == \
+        rt.check_projection_laws(dl, e)
 
 
 @pytest.mark.parametrize("which", ["in-the-span", "orthogonal"])
