@@ -6,8 +6,8 @@ fraction-free elimination of [B | I] (Bareiss, Math. Comp. 22 (1968)
 565-578), with B in the diagram's ``search_order``, yields everything the
 pipeline reads.  Its pivots are the leading minors of B in that order, so B
 is positive definite exactly when every pivot is positive, and det B is the
-last pivot.  Its right half gives the prefix data of the linkage search and
-B^-1 = N / D with N and D integers.  All of it is computed once, on plain
+last pivot.  Its right half gives the LDL^T factors from which B^-1 = N / D
+is formed, with N and D integers.  All of it is computed once, on plain
 integers: B is ``gram``, B^-1 is ``inv_num`` over ``inv_den``, and ``det``
 is the one exact Fraction.  There is no floating point anywhere.
 """
@@ -35,24 +35,19 @@ class CartanError(ValueError):
 class PartialCartan(dg._Value):
     """A diagram with det B and the integer core of B and B^-1.
 
-    ``gram`` is B as integers.  ``prefix`` is (order, rows, weights, den),
-    with ``order`` the diagram's ``search_order``.  Write u_j = v[order[j]]
-    and z_k = sum(rows[k][j] * u_j, j <= k).  Then the form of the inverse of
-    the block of B on the vertices order[0..k], at their entries of v, equals
-    sum(weights[i] * z_i**2, i <= k) / den; at k = l-1 that is the form of
-    B^-1 at v.  B^-1 = inv_num / inv_den in vertex order, where inv_den is
-    the least common denominator of the entries.  ``_linkages`` keeps
-    ``linkage._search``.  The value is the diagram and det: the matrices are
-    derived from the diagram, and ``_linkages`` is a cache.
+    ``gram`` is B as integers.  B^-1 = inv_num / inv_den in vertex order,
+    where inv_den is the least common denominator of the entries.
+    ``_linkages`` keeps ``linkage._closure``.  The value is the diagram and
+    det: the matrices are derived from the diagram, and ``_linkages`` is a
+    cache.
     """
 
     _value = ("diagram", "det")
 
     def __init__(self, diagram: dg.CarterDiagram, det: Fraction, gram: IntMatrix,
-                 prefix: tuple[tuple[int, ...], IntMatrix, tuple[int, ...], int],
                  inv_num: IntMatrix, inv_den: int) -> None:
-        self.__dict__.update(diagram=diagram, det=det, gram=gram, prefix=prefix,
-                             inv_num=inv_num, inv_den=inv_den, _linkages=None)
+        self.__dict__.update(diagram=diagram, det=det, gram=gram, inv_num=inv_num,
+                             inv_den=inv_den, _linkages=None)
 
     def __len__(self) -> int:
         return len(self.diagram)
@@ -117,10 +112,11 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     minors = [1] + [m[k][k] for k in range(l)]
     products = [minors[k] * minors[k + 1] for k in range(l)]
     den = lcm(*products)
-    rows = tuple(tuple(m[k][l:l + k + 1]) for k in range(l))
-    weights = tuple(den // p for p in products)
-    # in search order B^-1 = sum(weights[k] * z_k z_k^T) / den; cols[p] holds z_k[p]
-    # for k = l-1 .. p, and entry (p, q) is B^-1 at the vertices order[p], order[q]
+    rows = [m[k][l:l + k + 1] for k in range(l)]
+    weights = [den // p for p in products]
+    # in search order B^-1 = sum(weights[k] * z_k z_k^T) / den, z_k being rows[k]
+    # followed by zeros; cols[p] holds z_k[p] for k = l-1 .. p, and entry (p, q) is
+    # B^-1 at the vertices order[p], order[q]
     cols = [[rows[k][p] for k in range(l - 1, p - 1, -1)] for p in range(l)]
     wcols = [list(map(mul, weights[::-1], c)) for c in cols]
     num = [[0] * l for _ in range(l)]
@@ -129,8 +125,7 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
             num[i][order[q]] = num[order[q]][i] = sum(map(mul, wcols[p], cols[q]))
     g = gcd(den, *(x for row in num for x in row))
     inv_num = tuple(tuple(x // g for x in row) for row in num)
-    return PartialCartan(d, Fraction(minors[l]), gram, (order, rows, weights, den), inv_num,
-                         den // g)
+    return PartialCartan(d, Fraction(minors[l]), gram, inv_num, den // g)
 
 
 def inverse_diagonal(pc: PartialCartan, v) -> Fraction:

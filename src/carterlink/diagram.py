@@ -201,8 +201,8 @@ class CarterDiagram(_Value):
         """The vertex positions in connectivity-first order, read once from the
         Gram rows: next comes the vertex with the most neighbors already
         placed, then the most neighbors, then the lowest position.  Every
-        prefix of it induces a connected subdiagram.  The linkage search, the
-        embedding search and the constructor's connectivity check read it."""
+        prefix of it induces a connected subdiagram.  The Cartan elimination,
+        the embedding search and the constructor's connectivity check read it."""
         n = len(self._gram)
         adj = [[j for j, s in enumerate(row) if s and j != i] for i, row in enumerate(self._gram)]
         # (neighbors placed, neighbors, -position) as one integer per vertex

@@ -1,33 +1,31 @@
-"""Enumeration of linkage label vectors by the inverse quadratic form test.
+"""Linkage label vectors and their orbits, built by one closure.
 
 A vector v over {-1,0,1}, indexed by the diagram vertices, is a linkage
-label vector exactly when the quadratic form of B^-1 takes a value < 2 on
-it.  The vectors are found level by level over the coordinates in the
-diagram's connectivity-first ``search_order`` (Fincke and Pohst, Math. Comp.
-44 (1985) 463-471): level k holds the labels on the first k+1 vertices of
-that order whose least form over real completions, the form of the inverse
-of B's block on them (a Schur complement), is below 2.  That bound only
-grows with k, and every prefix of the order is a connected subdiagram, so
-it grows early.  The search reads the integer prefix data of
-``PartialCartan.prefix`` and the form values read ``B^-1 = N / D``, both
-from the one elimination in ``cartan``; all arithmetic is on plain integers.
-It runs once per ``PartialCartan``, which keeps the vectors with their form
-values for ``group_by_p`` and ``orbit.build_system``.  Results are mapped
-back to vertex order and sorted lexicographically (-1 < 0 < 1), so no
-output depends on the search order.
+label vector exactly when the form of B^-1 = N / D is < 2 at it.  The dual
+reflection at vertex t, ``reflect_at``, sends v to v - v_t B_t (column t of
+B) and keeps the form; its orbits are the components of the linkage system.
 
-The sign law: the form is even, so -v is a linkage vector with the same
-value whenever v is.  The search keeps one sign of each pair, the one whose
-first nonzero label in search order is +1, and gives both.  Negation
-reverses the lexicographic order with -1 < 0 < 1, so in the sorted tuple of
-n vectors entry n-1-i is the negative of entry i.
+The laws (Bourbaki, Lie Groups and Lie Algebras, ch. VI, Planches): the
+roots of a connected positive definite diagram generate an irreducible root
+lattice L of rank l.  v lists the inner products with the roots of
+w = sum_i (B^-1 v)_i alpha_i in the dual lattice L*, and the form is |w|^2,
+so the linkage vectors are the nonzero vectors of L* of norm < 2 (their
+labels lie in {-1,0,1} by Cauchy-Schwarz), and their orbits are the
+minuscule orbits of ``_orbit_table``.  By Schur's lemma an orbit C at form p
+has sum_{v in C} v v^T = (|C| p / l) B, whose trace gives it a mean support
+of 2p < 4.  So the seeds of support at most 3 reach every orbit, and
+``_closure``, run once per ``PartialCartan``, which keeps it, searches
+nothing.  Nodes are sorted (-1 < 0 < 1); negation reverses that order, so
+of n nodes entry n-1-i is the negative of entry i.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul, neg
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import combinations, compress, product
+from math import comb
+from operator import add, mul, sub
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import LinalgError, PartialCartan
@@ -57,56 +55,153 @@ class BetaUnicolored(NamedTuple):
     center_label_always_zero: Optional[bool]
 
 
+class VerificationError(RuntimeError):
+    """An exact structural claim failed; the message names the witness."""
+
+
+class _Closure(NamedTuple):
+    """The linkage vectors, sorted, with their ``form_num`` values; every
+    (i, j, vertex id), i < j, where the reflection at the vertex sends node i
+    to node j, sorted; and the orbits, each sorted, in sorted order."""
+
+    nodes: tuple[Linkage, ...]
+    nums: tuple[int, ...]
+    edges: tuple[tuple[int, int, str], ...]
+    components: tuple[tuple[int, ...], ...]
+
+
 def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
-    """All nonzero v in {-1,0,1}^l with v^T B^-1 v < 2, sorted, searched once per ``pc``."""
-    return _search(pc)[0]
+    """All nonzero v in {-1,0,1}^l with v^T B^-1 v < 2, sorted, built once per ``pc``."""
+    return _closure(pc).nodes
 
 
-def _levels(prefix) -> Iterator[list[tuple[Linkage, int]]]:
-    """Level k of the search along ``PartialCartan.prefix``, k = 0..l-1: every
-    kept prefix u_0..u_k, in search order, with its sum sum_i weights[i] z_i^2,
-    z_i = rows[i] . u, den times the least form over real completions.  Each
-    prefix of level k - 1 grows by -1, 0 and 1, kept while its sum is below
-    2 den, and the lead (0,)*k + (1,), whose z_0..z_{k-1} vanish, joins them:
-    so a kept prefix has +1 as its first nonzero label."""
-    _, rows, weights, den = prefix
-    bound = 2 * den
-    level: list[tuple[Linkage, int]] = []
-    for k, row in enumerate(rows):
-        d, w = row[k], weights[k]
-        grown = []
-        for u, acc in level:
-            base = sum(map(mul, row, u))  # map stops at the end of u, before row[k]
-            for x in (-1, 0, 1):
-                z = base + d * x
-                s = acc + w * z * z
-                if s < bound:
-                    grown.append((u + (x,), s))
-        s = w * d * d
-        if s < bound:
-            grown.append(((0,) * k + (1,), s))
-        level = grown
-        yield level
+def reflect_at(pc: PartialCartan, i: int, v: Linkage) -> Linkage:
+    """The dual reflection at the vertex of index i, a copy of v where v_i = 0,
+    though the package reflects only where v_i != 0.  Unchecked: ``v`` must be
+    a tuple of length len(pc); ``orbit.dual_reflect`` is the checked form."""
+    vi, row = v[i], pc.gram[i]
+    if vi in (1, -1):  # a linkage label: one pass in C
+        return tuple(map(sub if vi == 1 else add, v, row))
+    return tuple([x - vi * b for x, b in zip(v, row)])
 
 
-def _search(pc: PartialCartan) -> tuple[tuple[Linkage, ...], tuple[int, ...]]:
-    """The linkage vectors and, aligned with them, their ``form_num`` values,
-    searched on the first call for ``pc`` and kept on it.  Each prefix of the
-    last level of ``_levels`` gives v and -v in vertex order; its sum is den
-    times the form, den = g D for B^-1 = N / D, so the numerator is sum / g."""
+def _keying(pc: PartialCartan) -> tuple[Callable[[Sequence[int]], int], list[int]]:
+    """The key K(v) = sum_i v_i 5^(l-1-i) of a vector of length l = len(pc), and
+    the step s_k = K(e_k) - K(reflect_at(pc, k, e_k)) = K(B_k) of each vertex k.
+    K is linear, so K(reflect_at(pc, k, v)) = K(v) - v_k s_k.  A reflection of a
+    vector in {-1,0,1}^l lies in [-2,2]^l (B is 0, +-1 off the diagonal), where
+    balanced base 5 is one-to-one (base 3 is not: (2, 0) and (-1, 1) share the
+    key 2), and a difference of two vectors of {-1,0,1}^l has digits in
+    [-2,2], so takes the sign of its first nonzero one: keys sort as vectors do."""
+    l = len(pc)
+    powers = [5 ** (l - 1 - k) for k in range(l)]
+
+    def key(v: Sequence[int]) -> int:
+        return sum(map(mul, v, powers))
+
+    return key, [p - key(reflect_at(pc, k, (0,) * k + (1,) + (0,) * (l - 1 - k)))
+                 for k, p in enumerate(powers)]
+
+
+_E_TABLES = {(6, 3): ("E6", [(Fraction(4, 3), 27)] * 2), (7, 2): ("E7", [(Fraction(3, 2), 56)]),
+             (8, 1): ("E8", [])}
+
+
+def _orbit_table(l: int, det: Fraction) -> Optional[tuple[str, list[tuple[Fraction, int]]]]:
+    """The type of the root lattice of rank l and determinant det, A_l (det
+    l + 1), D_l (det 4, l >= 4), E6, E7 or E8 (det 3, 2, 1), and the sorted
+    (p, size) of its minuscule orbits at p < 2: for A_l, C(l+1, k) at
+    k(l+1-k)/(l+1); for D_l, 2l at 1 and, for l <= 7, two of 2^(l-1) at l/4.
+    None when no root lattice has that rank and determinant."""
+    if det == l + 1:
+        return f"A{l}", sorted((Fraction(k * (l + 1 - k), l + 1), comb(l + 1, k))
+                               for k in range(1, l + 1) if k * (l + 1 - k) < 2 * (l + 1))
+    if det == 4 and l >= 4:
+        return f"D{l}", sorted([(Fraction(1), 2 * l)] + [(Fraction(l, 4), 2 ** (l - 1))] * 2 * (l <= 7))
+    return _E_TABLES.get((l, det))
+
+
+def _pairs(table) -> str:
+    return "[" + ", ".join(f"({p}, {n})" for p, n in table) + "]"
+
+
+def _closure(pc: PartialCartan) -> _Closure:
+    """The linkage system of ``pc``, built on the first call and kept on it:
+    the closures of ``_orbits``, certified by the table of the type read from
+    (l, det B).  An (l, det) of no type, a node count short of the table's
+    total and a (p, size) multiset other than the table's raise
+    VerificationError naming both sides.  The reflections keep the form, so
+    a closure's numerator is its seed's."""
     if pc._linkages is not None:
         return pc._linkages
-    order, _, _, den = pc.prefix
-    at = sorted(range(len(pc)), key=order.__getitem__)  # vertex -> search position
-    g = den // pc.inv_den
-    found: list[tuple[Linkage, int]] = []
-    *_, last = _levels(pc.prefix)
-    for u, acc in last:
-        v, n = tuple(map(u.__getitem__, at)), acc // g
-        found += (v, n), (tuple(map(neg, v)), n)
-    found.sort()
-    object.__setattr__(pc, "_linkages", (tuple(v for v, _ in found), tuple(n for _, n in found)))
-    return pc._linkages
+    name, typed = pc.diagram.name, _orbit_table(len(pc), pc.det)
+    if typed is None:
+        raise VerificationError(f"{name}: no root lattice of rank {len(pc)} has det {pc.det}")
+    kind, table = typed
+    total = sum(n for _, n in table)
+    found, orbits, arcs = _orbits(pc, total)
+    if len(found) < total:
+        raise VerificationError(f"{name}: the seeds of support at most 3 close to {len(found)} "
+                                f"linkage vectors, the {kind} table has {total}")
+    got = sorted((Fraction(n, pc.inv_den), len(members)) for n, members in orbits)
+    if got != table:
+        raise VerificationError(f"{name}: the closures have (p, size) {_pairs(got)}, "
+                                f"the {kind} table {_pairs(table)}")
+    keys = sorted(found)
+    at = {k: i for i, k in enumerate(keys)}
+    num = {k: n for n, members in orbits for k in members}
+    edges = [(at[a], at[b], t) if a < b else (at[b], at[a], t) for a, b, t in arcs]
+    closure = _Closure(tuple(map(found.__getitem__, keys)), tuple(map(num.__getitem__, keys)),
+                      tuple(sorted(edges)),
+                      tuple(sorted(tuple(sorted(map(at.__getitem__, m))) for _, m in orbits)))
+    object.__setattr__(pc, "_linkages", closure)
+    return closure
+
+
+def _orbits(pc: PartialCartan, total: int) -> tuple[dict, list, list]:
+    """(found, orbits, arcs): the closures of the seeds of support 1, then 2,
+    then 3, both signs, of form < 2 and not yet found, until ``total`` nodes
+    are found.  ``found`` maps K(v) (``_keying``) to v, ``orbits`` holds
+    (``form_num`` of the seed, keys) per closure, and ``arcs`` holds
+    (K(u), K(w), vertex id) per edge, from its end u with label 1 there.
+    A reflection is found by its key and built only when that is new; a new
+    label outside {-1,0,1} raises VerificationError, so even a faulty
+    reflection cannot close beyond 3^l nodes."""
+    d, l = pc.diagram, len(pc)
+    bound = 2 * pc.inv_den
+    key, steps = _keying(pc)
+    ids = [t.id for t in d.vertices]
+    found: dict[int, Linkage] = {}
+    orbits: list[tuple[int, list[int]]] = []
+    arcs: list[tuple[int, int, str]] = []
+    for s in (1, 2, 3):
+        for support, signs in product(combinations(range(l), s), product((1, -1), repeat=s)):
+            if len(found) >= total:
+                return found, orbits, arcs
+            seed = [0] * l
+            for i, x in zip(support, signs):
+                seed[i] = x
+            ks = key(seed)
+            if ks in found or (n := form_num(pc, seed)) >= bound:
+                continue
+            found[ks] = tuple(seed)
+            members = [ks]
+            for ku in members:  # grows as it is read: one breadth-first pass
+                u = found[ku]
+                for k in compress(range(l), u):
+                    x = u[k]
+                    kw = ku - x * steps[k]
+                    if kw not in found:
+                        w = reflect_at(pc, k, u)
+                        if max(map(abs, w)) > 1:
+                            raise VerificationError(f"{d.name}: reflection at {d.vertices[k]} "
+                                                    f"leaves the linkage set: {u} -> {w}")
+                        found[kw] = w
+                        members.append(kw)
+                    if x > 0:
+                        arcs.append((ku, kw, ids[k]))
+            orbits.append((n, members))
+    return found, orbits, arcs
 
 
 def form_num(pc: PartialCartan, v: Sequence[int]) -> int:
@@ -127,8 +222,9 @@ def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:
 
 def group_by_p(pc: PartialCartan, vectors: Iterable[Sequence[int]]) -> list[ExtensionSet]:
     """Partition by the exact value of the inverse form, ascending in p.  Linkage
-    vectors take it from the search ``pc`` keeps, others from ``form_num``."""
-    known = dict(zip(*_search(pc)))
+    vectors take it from the closure ``pc`` keeps, others from ``form_num``."""
+    closure = _closure(pc)
+    known = dict(zip(closure.nodes, closure.nums))
     buckets: dict[int, list] = {}
     for v in vectors:
         n = known.get(tuple(v))

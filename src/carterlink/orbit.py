@@ -4,15 +4,15 @@ The dual reflection at vertex t sends v to v - v_t * (column t of B): the
 t coordinate flips sign and every neighbor coordinate gains +v_t across a
 solid edge and -v_t across a dotted one.  The linkage vectors of a diagram
 are closed under these reflections; the resulting graph is the linkage
-system; every positive definite diagram has one.  Given the diagram's
-pattern, every node with a nonzero label on the pattern alphas a1, a2, a3
-falls into exactly one 8-element loctet, and the other nodes have zero
-labels on all of them; without a pattern there are no loctets.  The
-reflection is written once, by vertex index, in ``reflect_at``; ``_edges``
-reads it as one integer step per vertex, the key of column t of B, and finds
-each reflected node by its key; the components are ``diagram.closure`` over
-the edges.  Loctets are grown and checked once, in ``build_system``, and
-``loctet_from_gamma8`` reads them there.
+system; every positive definite diagram has one.  Its nodes, edges and
+components come from one closure, ``linkage._closure``, which reflects by
+``reflect_at`` (written once, by vertex index) and is certified by the
+minuscule-orbit table of the root lattice.  Given the diagram's pattern,
+every node with a nonzero label on the pattern alphas a1, a2, a3 falls into
+exactly one 8-element loctet, and the other nodes have zero labels on all
+of them; without a pattern there are no loctets.  Loctets are grown and
+checked once, in ``build_system``, and ``loctet_from_gamma8`` reads them
+there.
 """
 
 from __future__ import annotations
@@ -20,32 +20,20 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan, build_partial_cartan, inverse_diagonal
-from .linkage import Linkage, _search, enumerate_linkages
+from .linkage import (Linkage, VerificationError, _closure, _keying, enumerate_linkages,
+                      reflect_at)
 
 LOCTET_TYPES = ("L12", "L13", "L23")
 Indices = tuple[int, int, int, int]  # vertex indices of a pattern's roles
 
 
-class VerificationError(RuntimeError):
-    """An exact structural claim failed; the message names the witness."""
-
-
 class UnsupportedDiagram(ValueError):
     """The loctet API (``gamma8_candidates``, ``loctet_from_gamma8``) was given a diagram
     with no D5(a1)/D4 pattern, such as a chain or the bare 4-cycle, that ``build_system`` builds."""
-
-
-def reflect_at(pc: PartialCartan, i: int, v: Linkage) -> Linkage:
-    """The dual reflection at the vertex of index i, a copy of v where v_i = 0,
-    though the package reflects only where v_i > 0.  Unchecked: ``v`` must be
-    a tuple of length len(pc); ``dual_reflect`` is the checked form."""
-    vi = v[i]
-    return tuple(x - vi * b for x, b in zip(v, pc.gram[i]))
 
 
 def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
@@ -128,7 +116,7 @@ def gamma8_candidates(pc: PartialCartan, kind: str) -> tuple[Linkage, ...]:
 
     For kind L_ij the candidates carry 0 at pattern alphas a_i and a_j, 1 at
     the remaining a_k, 0 at the center b1, and anything admissible elsewhere.
-    They are read from the linkage search that ``pc`` keeps.
+    They are read from the linkage closure that ``pc`` keeps.
     """
     return _gamma8(pc, _kind_indices(_pattern_indices(pc), kind))
 
@@ -151,30 +139,23 @@ def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Locte
 
 
 def build_system(pc: PartialCartan) -> LinkageSystem:
-    """Enumerate nodes, close them under the generators, find components,
-    collect loctets, and verify the loctet partition, in one pass; p comes from
-    the search's form values.  Every positive definite diagram builds.  Loctets
-    come from the diagram's pattern, or are the components of the bare 4-cycle;
-    a diagram with neither (a chain, say) gets none, and all its nodes are
-    unicolored.  The empty system (E8) is legal; ``from_json`` checks by this."""
+    """Read nodes, edges, components and p from the closure ``pc`` keeps, then
+    collect loctets and verify the loctet partition.  Every positive definite
+    diagram builds.  Loctets come from the diagram's pattern, or are the
+    components of the bare 4-cycle; a diagram with neither (a chain, say)
+    gets none, and all its nodes are unicolored.  The empty system (E8) is
+    legal; ``from_json`` checks by this.
+
+    The bare 4-cycle has l = 4 and det B = 4, so its lattice is of type D4,
+    and the closure's table check gives it three components of 8 at p = 1."""
     d = pc.diagram
-    nodes, nums = _search(pc)
-    key, steps = _keying(pc)
-    edges = _edges(pc, nodes, key, steps)
-    components = _components(len(nodes), edges)
-    component_p = []
-    for comp in components:
-        p = Fraction(nums[comp[0]], pc.inv_den)
-        i = next((i for i in comp if nums[i] != nums[comp[0]]), None)
-        if i is not None:
-            raise VerificationError(
-                f"{d.name}: inverse form not constant on a component: p = {p} at "
-                f"{nodes[comp[0]]}, p = {Fraction(nums[i], pc.inv_den)} at {nodes[i]}")
-        component_p.append(p)
+    nodes, nums, edges, components = _closure(pc)
+    component_p = tuple(Fraction(nums[c[0]], pc.inv_den) for c in components)
 
     if d.pattern is not None:
         pat = _pattern_indices(pc)
         loctets = _generated_loctets(pc, pat)
+        key, steps = _keying(pc)
         membership: set[Linkage] = set()
         for loc in loctets:
             i, j = _kind_indices(pat, loc.kind)[:2]
@@ -192,12 +173,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
                 raise VerificationError(f"{d.name}: {v} has a pattern alpha label but no loctet")
         unicolored = tuple(v for v in nodes if v not in membership)
     elif _is_bare_square(d):
-        sizes = {len(c) for c in components}
-        if sizes != {8}:
-            raise VerificationError(f"{d.name}: bare-square components of sizes {sizes}")
-        loctets = tuple(
-            Loctet("D4", tuple(nodes[i] for i in comp)) for comp in components
-        )
+        loctets = tuple(Loctet("D4", tuple(nodes[i] for i in comp)) for comp in components)
         unicolored = ()
     else:
         loctets = ()
@@ -206,82 +182,12 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
     return LinkageSystem(
         pc=pc,
         nodes=nodes,
-        edges=tuple(sorted(edges)),
+        edges=edges,
         components=components,
-        component_p=tuple(component_p),
+        component_p=component_p,
         loctets=loctets,
         unicolored=unicolored,
     )
-
-
-def _edges(pc: PartialCartan, nodes: tuple[Linkage, ...], key: Callable[[Sequence[int]], int],
-           steps: list[int]) -> list[tuple[int, int, str]]:
-    """Every (i, j, vertex id), i < j, where the dual reflection at the vertex
-    sends node i to node j; raises VerificationError when the negative or a
-    reflection of a node is not a node.
-
-    The reflection at t negates v_t, so each edge is found once, from its end
-    with v_t > 0.  No reflection is left unchecked: the nodes are closed under
-    negation, as checked here, and the reflection of -v is the negative of that of v.
-
-    Nodes are found by their key K(v) = sum_i v_i 5^i, with the steps s_k
-    that ``build_system`` reads from ``_keying`` once and passes in, so no
-    reflected tuple is built.  A node lies in {-1, 0, 1}^l, so v_k > 0 means
-    v_k = 1 and its reflection at k is v - B_k, of key K(v) - s_k; its negative
-    has key -K(v).  Both lie in [-2, 2]^l, as B's off-diagonal entries are in
-    {-1, 0, 1}, and balanced base 5 is one-to-one on [-2, 2]^l, so a key is
-    found exactly when the vector is a node.  (Base 3 is not: (2, 0) and
-    (-1, 1) share the key 2.)
-    """
-    d = pc.diagram
-    keys = list(map(key, nodes))
-    index = {x: i for i, x in enumerate(keys)}
-    ids = [t.id for t in d.vertices]
-    edges = []
-    for i, (v, kv) in enumerate(zip(nodes, keys)):
-        if -kv not in index:
-            raise VerificationError(f"{d.name}: the negative of {v} is not a linkage vector")
-        for x, s, t in zip(v, steps, ids):
-            if x > 0:
-                j = index.get(kv - s)
-                if j is None:
-                    k = d.index_of(t)
-                    w = reflect_at(pc, k, v)
-                    raise VerificationError(f"{d.name}: reflection at {d.vertices[k]} "
-                                            f"leaves the linkage set: {v} -> {w}")
-                edges.append((i, j, t) if i < j else (j, i, t))
-    return edges
-
-
-def _keying(pc: PartialCartan) -> tuple[Callable[[Sequence[int]], int], list[int]]:
-    """The key K(v) = sum_i v_i 5^i of a vector of length l = len(pc), and the
-    step s_k = K(B_k) of each vertex k, read from ``reflect_at`` at the unit
-    vector e_k: s_k = 5^k - K(reflect_at(pc, k, e_k)).  K is linear and
-    ``reflect_at`` subtracts v_k B_k, so K(reflect_at(pc, k, v)) = K(v) - v_k s_k."""
-    l = len(pc)
-    powers = [5 ** k for k in range(l)]
-
-    def key(v: Sequence[int]) -> int:
-        return sum(map(mul, v, powers))
-
-    return key, [p - key(reflect_at(pc, k, (0,) * k + (1,) + (0,) * (l - 1 - k)))
-                 for k, p in enumerate(powers)]
-
-
-def _components(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the graph on 0..n-1, each sorted, in sorted order."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen: set = set()
-    comps = []
-    for i in range(n):
-        if i not in seen:
-            comp = dg.closure(i, adj.__getitem__)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-    return tuple(comps)
 
 
 def _generated_loctets(pc: PartialCartan, pat: Indices) -> tuple[Loctet, ...]:
@@ -296,8 +202,9 @@ def _generated_loctets(pc: PartialCartan, pat: Indices) -> tuple[Loctet, ...]:
     (0,0,-1,0), (0,0,1,-1), (-1,-1,0,1), (-1,1,0,0),
     (1,-1,0,0), (1,1,0,-1), (0,0,-1,1), (0,0,1,0) for every g8, so the members
     are distinct and each has a pattern alpha label.  Every member is a node:
-    g8 is searched, gamma(7), gamma(6), gamma(4) and gamma(5) reflect a node
-    at a label equal to 1, and gamma(1..3) negate nodes; ``_edges`` checked both.
+    g8 is one, gamma(7), gamma(6), gamma(4) and gamma(5) reflect a node, and
+    gamma(1..3) negate nodes, and the closure's nodes, as many as the table's
+    total, are every vector of form < 2, a set that both keep.
     """
     neg = lambda v: tuple(-x for x in v)
     out: list[Loctet] = []

@@ -2,16 +2,14 @@
 object once, the Fraction reference linear algebra, coordinate references for
 the root-system oracles, edge-scanning references for the diagram, switched,
 color-swapped and shuffled diagrams, a brute-force isomorphism search, the
-dense elimination of the Cartan core, the prefix count of the linkage
-search, the count of garbage a call leaves in reference cycles, and diagram
-generators."""
+dense elimination of the Cartan core, the count of garbage a call leaves in
+reference cycles, and diagram generators."""
 
 import gc
 import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from hypothesis import strategies as st
@@ -20,7 +18,7 @@ import carterlink as cl
 from carterlink import diagram as dg
 from carterlink import roots as rt
 from carterlink.cartan import _eliminate
-from carterlink.linkage import _levels, form_num
+from carterlink.linkage import form_num
 
 # The 18 diagrams with tabulated matrices, in table order.
 CATALOG = [
@@ -54,13 +52,11 @@ def links_of(name: str):
 
 
 def form_at_most_two(pc):
-    """The vectors and form numerators the search would keep with its bound
-    < 2 turned into <= 2: every nonzero v in {-1, 0, 1}^l with form <= 2,
-    sorted, found as ``test_linkage.brute_force_linkages`` finds the linkage
-    vectors.  Some of their dual reflections are not among them."""
-    found = [(v, form_num(pc, v)) for v in itertools.product((-1, 0, 1), repeat=len(pc))
-             if any(v) and form_num(pc, v) <= 2 * pc.inv_den]
-    return tuple(v for v, _ in found), tuple(n for _, n in found)
+    """Every nonzero v in {-1, 0, 1}^l with form <= 2, sorted: the linkage
+    vectors, found as ``test_linkage.brute_force_linkages`` finds them, and
+    those of form exactly 2, some of whose dual reflections leave the set."""
+    return tuple(v for v in itertools.product((-1, 0, 1), repeat=len(pc))
+                 if any(v) and form_num(pc, v) <= 2 * pc.inv_den)
 
 
 @lru_cache(maxsize=None)
@@ -138,11 +134,6 @@ def inverse_is(pc, den, num) -> bool:
 
 def ref_mat_vec(m, v) -> list:
     return [sum((Fraction(x) * y for x, y in zip(row, v) if y), Fraction(0)) for row in m]
-
-
-def ref_quad_form(m, v) -> Fraction:
-    """v^T m v."""
-    return sum((Fraction(x) * y for x, y in zip(v, ref_mat_vec(m, v))), Fraction(0))
 
 
 def ref_rank(vectors) -> int:
@@ -432,7 +423,7 @@ def ref_find_isomorphism(d1, d2, allow_switching=True):
     return None
 
 
-# -- the linkage search ------------------------------------------------------------
+# -- the Cartan core -------------------------------------------------------------
 
 
 def ref_eliminate(b):
@@ -449,25 +440,6 @@ def ref_eliminate(b):
             m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
         prev = m[k][k]
     return m
-
-
-def prefix_in_vertex_order(gram) -> tuple:
-    """``PartialCartan.prefix`` as it would be for a search over the
-    coordinates in vertex order: the same elimination on the unpermuted B."""
-    l = len(gram)
-    m = _eliminate(gram)
-    minors = [1] + [m[k][k] for k in range(l)]
-    products = [minors[k] * minors[k + 1] for k in range(l)]
-    den = lcm(*products)
-    return (tuple(range(l)), tuple(tuple(m[k][l:l + k + 1]) for k in range(l)),
-            tuple(den // p for p in products), den)
-
-
-def count_prefixes(prefix) -> int:
-    """The prefixes u_0..u_k, k >= 0, that ``linkage._levels`` keeps below the
-    bound when the search runs level by level along ``prefix``: those whose
-    first nonzero label is +1, summed over the levels."""
-    return sum(map(len, _levels(prefix)))
 
 
 def cycles_left_by(call) -> int:

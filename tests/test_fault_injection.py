@@ -16,25 +16,30 @@ realized root is its index and its labels, with no p of its own, so no entry
 corrupts a p: the laws compute it.  The two moment laws of
 ``direct_linkage_labels`` are reached by the faults in the labels below.
 There is one entry for each check of ``orbit`` that no other test reaches:
-the places of gamma(4) and gamma(5) in a loctet, the loctet coverage and the
-bare-square sizes of ``build_system``, the negation and reflection closure
-of ``_edges``, and the three checks of ``project_system``.  The loctet laws
-that ``build_system`` does not check are stated in the docstring of
+the places of gamma(4) and gamma(5) in a loctet, the loctet coverage of
+``build_system``, and the three checks of ``project_system``.  The loctet
+laws that ``build_system`` does not check are stated in the docstring of
 ``orbit._generated_loctets``.  The restricted-form check is reached by two
-faults: a wrong B^-1 and a wrong G.
+faults: a wrong B^-1 and a wrong G.  The checks of ``linkage._closure`` are
+reached by a faulty reflection (a label out of {-1, 0, 1}), a seed of form
+exactly 2 admitted on D8 (a closure beyond the table), two closures of equal
+p merged on E6(a1), D5 and D4(a1) (the (p, size) multiset, which also holds
+the bare square to three orbits of 8), the table's count raised by 2 (the
+count, short after the seeds of support 3) and a det B no root lattice of
+that rank has.
 
 Four entries fault the data that the checks read rather than a check: the
-search keeping the vectors of form exactly 2 (``_edges`` finds a reflection
-that leaves them), one label of a realized root negated in ``roots._labels``,
-the same label negated on a realized root and on its negative, and two bits
-of root 0's row of E8's ``ip_bits`` moved, one from the 0-set to the +1-set
-and one from the -1-set to the 0-set.  The moment laws of the label matrix L
-catch the last three before any root is skipped: one wrong label breaks
-L^T 1 = 0, and the flip on a root and its negative keeps it but breaks
-L^T L = 60 B off the diagonal.  The two moved bits keep the row's counts; a
-moved bit that changes them breaks the hypothesis of the moment laws, which
-``RootSystem._scalar_moment`` checks, and exits 1 (tested after the table).  So a flip that puts a realized root's labels
-at p = 2, which the scan would drop, is caught too; ``test_oracle`` checks
+seed of form 2 above, one label of a realized root negated in
+``roots._labels``, the same label negated on a realized root and on its
+negative, and two bits of root 0's row of E8's ``ip_bits`` moved, one from
+the 0-set to the +1-set and one from the -1-set to the 0-set.  The moment
+laws of the label matrix L catch the last three before any root is skipped:
+one wrong label breaks L^T 1 = 0, and the flip on a root and its negative
+keeps it but breaks L^T L = 60 B off the diagonal.  The two moved bits keep
+the row's counts; a moved bit that changes them breaks the hypothesis of the
+moment laws, which ``RootSystem._scalar_moment`` checks, and exits 1 (tested
+after the table).  So a flip that puts a realized root's labels at p = 2,
+which the scan would drop, is caught too; ``test_oracle`` checks
 every single flip of A5 and A6 in E8.  The line of a direct label vector
 outside the enumeration is reached by the ``DirectLabels`` fakes of
 ``test_cli``.
@@ -75,15 +80,17 @@ checks on the same values force them, so no fault can reach a check of them:
 import pytest
 
 import carterlink as cl
+from fractions import Fraction
+
+from carterlink import cli, linkage
 from carterlink import diagram as dg
 from carterlink import orbit
 from carterlink import roots as rt
 from carterlink.cli import main
-from carterlink.linkage import _search
-from carterlink.orbit import reflect_at
+from carterlink.linkage import form_num, reflect_at
 
-from helpers import (_dot, ambient, embedding_in, form_at_most_two, labels_in, links_of, pc_of,
-                     ref_realized, ref_root, ref_root_text, system_of)
+from helpers import (_dot, ambient, embedding_in, labels_in, pc_of, ref_realized, ref_root,
+                     ref_root_text, system_of)
 
 
 def _inject(monkeypatch, fn, change):
@@ -188,8 +195,8 @@ def _inverse_form(monkeypatch):
         num = [list(row) for row in e.pc.inv_num]
         num[0][1] += 1
         num[1][0] -= 1
-        pc = cl.PartialCartan(e.pc.diagram, e.pc.det, e.pc.gram, e.pc.prefix,
-                              tuple(map(tuple, num)), e.pc.inv_den)
+        pc = cl.PartialCartan(e.pc.diagram, e.pc.det, e.pc.gram, tuple(map(tuple, num)),
+                              e.pc.inv_den)
         return rt.Embedding(pc, e.ambient, e.idx)
 
     _inject(monkeypatch, "find_embedding", change)
@@ -237,7 +244,7 @@ def _lattice_test(monkeypatch):
         f"norm-2 lattice test disagrees with root membership for {_e8_root(r)}"
 
 
-# -- the checks of orbit: build_system, _edges and project_system ---------------
+# -- the checks of orbit: build_system and project_system ------------------------
 
 
 def _system_with(s, **fields):
@@ -282,43 +289,120 @@ def _loctet_swap(monkeypatch):
         f"are not gamma(6) reflected at {a1} and {a2}")
 
 
-def _bare_square_sizes(monkeypatch):
-    # build_system: _components merges its first two components, which share p
-    real = orbit._components
-
-    def merged(n, edges):
-        comps = real(n, edges)
-        return (tuple(sorted(comps[0] + comps[1])),) + comps[2:]
-
-    s = system_of("D4(a1)")
-    assert s.component_p[0] == s.component_p[1]
-    sizes = {len(c) for c in merged(len(s.nodes), s.edges)}
-    monkeypatch.setattr(orbit, "_components", merged)
-    return ["system", "D4(a1)"], f"D4(a1): bare-square components of sizes {sizes}"
+# -- the checks of linkage._closure ---------------------------------------------
 
 
-def _negation(monkeypatch):
-    # _edges: the search loses its last vector, the negative of its first, and
-    # the first is checked before any node is reflected
-    nodes, nums = _search(pc_of("D4(a1)"))
-    assert nodes[-1] == tuple(-x for x in nodes[0])
-    monkeypatch.setattr(orbit, "_search", lambda pc: (nodes[:-1], nums[:-1]))
-    return ["system", "D4(a1)"], f"D4(a1): the negative of {nodes[0]} is not a linkage vector"
+def _pairs(pairs):
+    return "[" + ", ".join(f"({p}, {n})" for p, n in pairs) + "]"
+
+
+def _first_leaving(pc, reflect, seed):
+    """The first (u, k, w) in the breadth-first order of ``linkage._orbits``
+    from ``seed`` where w, u reflected at k by ``reflect``, has a label
+    outside {-1, 0, 1}: such a w is never a node, so it is new when met."""
+    hits = []
+
+    def images(u):
+        for k, x in enumerate(u):
+            if x and not hits:
+                w = reflect(pc, k, u)
+                if max(map(abs, w)) > 1:
+                    hits.append((u, k, w))
+                else:
+                    yield w
+
+    dg.closure(seed, images)
+    return hits[0]
 
 
 def _reflection(monkeypatch):
-    # _edges: reflect_at with the sign of dotted edges flipped; the first node
-    # and vertex, in _edges' order, whose reflection is not a node are the witness
+    # linkage._orbits: reflect_at with the sign of dotted edges flipped, the
+    # keys' steps included; the first seed, e_0, is of form < 2, and the first
+    # reflection out of {-1, 0, 1}^l in its closure is the witness
     def flipped(pc, i, v):
         return tuple(x - v[i] * (-b if b == dg.DOTTED else b) for x, b in zip(v, pc.gram[i]))
 
     pc, d = pc_of("D5(a1)"), cl.catalog("D5(a1)")
-    nodes = set(links_of("D5(a1)"))
-    v, k, w = next((v, k, flipped(pc, k, v)) for v in links_of("D5(a1)")
-                   for k in range(len(v)) if v[k] > 0 and flipped(pc, k, v) not in nodes)
-    monkeypatch.setattr(orbit, "reflect_at", flipped)
+    e0 = (1, 0, 0, 0, 0)
+    assert form_num(pc, e0) < 2 * pc.inv_den
+    u, k, w = _first_leaving(pc, flipped, e0)
+    monkeypatch.setattr(linkage, "reflect_at", flipped)
     return ["system", "D5(a1)"], \
-        f"D5(a1): reflection at {d.vertices[k]} leaves the linkage set: {v} -> {w}"
+        f"D5(a1): reflection at {d.vertices[k]} leaves the linkage set: {u} -> {w}"
+
+
+def _seed_admits_form_two(monkeypatch):
+    # linkage._orbits: form_num reads 2D - 1 where the form is exactly 2, so
+    # D8's first seed, e_0 at a spin end (form l/4 = 2), is admitted; its
+    # closure, a spin orbit of 128 under the true reflections, exceeds D8's
+    # 16 vectors of form < 2 and reads p = 2 - 1/D
+    pc = pc_of("D8")
+    e0 = (1,) + (0,) * 7
+    assert form_num(pc, e0) == 2 * pc.inv_den
+    size = len(dg.closure(e0, lambda u: (reflect_at(pc, k, u) for k, x in enumerate(u) if x)))
+    p = Fraction(2 * pc.inv_den - 1, pc.inv_den)
+    s = system_of("D8")
+    table = _pairs(zip(s.component_p, map(len, s.components)))
+    real = linkage.form_num
+    monkeypatch.setattr(linkage, "form_num",
+                        lambda pc, v: (lambda n: n - (n == 2 * pc.inv_den))(real(pc, v)))
+    return ["system", "D8"], f"D8: the closures have (p, size) {_pairs([(p, size)])}, " \
+        f"the D8 table {table}"
+
+
+def _component_merge(argv, kind):
+    """The fault on ``argv``'s diagram: ``linkage._orbits`` merges its first
+    two closures of equal p, whose sizes are equal on E6(a1), D5 and D4(a1)."""
+
+    def fault(monkeypatch):
+        name = argv[1]
+        s = system_of(name)
+        table = sorted(zip(s.component_p, map(len, s.components)))
+        i = next(i for i in range(len(table)) if table[i][0] == table[i + 1][0])
+        got = sorted(table[:i] + [(table[i][0], 2 * table[i][1])] + table[i + 2:])
+        real = linkage._orbits
+
+        def merged(pc, total):
+            found, orbits, arcs = real(pc, total)
+            i, j = next((i, j) for j in range(len(orbits)) for i in range(j)
+                        if orbits[i][0] == orbits[j][0])
+            both = (orbits[i][0], orbits[i][1] + orbits[j][1])
+            return found, [both if k == i else c for k, c in enumerate(orbits) if k != j], arcs
+
+        monkeypatch.setattr(linkage, "_orbits", merged)
+        return argv, f"{name}: the closures have (p, size) {_pairs(got)}, " \
+            f"the {kind} table {_pairs(table)}"
+
+    return fault
+
+
+def _count_short(monkeypatch):
+    # linkage._closure: the table's first orbit two larger, so the seeds of
+    # support 3 are tried too, and all of them are nodes already or of form >= 2
+    real = linkage._orbit_table
+
+    def raised(l, det):
+        kind, table = real(l, det)
+        return kind, [(table[0][0], table[0][1] + 2)] + table[1:]
+
+    monkeypatch.setattr(linkage, "_orbit_table", raised)
+    n = len(system_of("E6(a1)").nodes)
+    return ["system", "E6(a1)"], \
+        f"E6(a1): the seeds of support at most 3 close to {n} linkage vectors, the E6 table has {n + 2}"
+
+
+def _lattice_type(monkeypatch):
+    # linkage._closure: the CLI's B of E7(a1) with det 2 read as 3; no root
+    # lattice of rank 7 has det 3
+    real = cli.build_partial_cartan
+
+    def off(d):
+        pc = real(d)
+        return cl.PartialCartan(pc.diagram, pc.det + 1, pc.gram, pc.inv_num, pc.inv_den)
+
+    assert pc_of("E7(a1)").det == 2
+    monkeypatch.setattr(cli, "build_partial_cartan", off)
+    return ["system", "E7(a1)"], "E7(a1): no root lattice of rank 7 has det 3"
 
 
 _PROJECT = ["project", "D6(a1)", "D5(a1)", "--vertex", "b3"]
@@ -358,19 +442,7 @@ def _projection_loctet(monkeypatch):
     return _PROJECT, f"loctet {ei} ({loc.kind}) of D6(a1) does not project onto a loctet of D5(a1)"
 
 
-# -- faults in the data the checks read: the search, the label scan, ip_bits ----
-
-
-def _search_admits_form_two(monkeypatch):
-    # _edges: the search keeps the vectors of form exactly 2 too; the first node
-    # and vertex, in _edges' order, whose reflection is not a node are the witness
-    pc, d = pc_of("E6(a1)"), cl.catalog("E6(a1)")
-    nodes = form_at_most_two(pc)[0]
-    v, k, w = next((v, k, reflect_at(pc, k, v)) for v in nodes for k in range(len(v))
-                   if v[k] > 0 and reflect_at(pc, k, v) not in nodes)
-    monkeypatch.setattr(orbit, "_search", form_at_most_two)
-    return ["system", "E6(a1)"], \
-        f"E6(a1): reflection at {d.vertices[k]} leaves the linkage set: {v} -> {w}"
+# -- faults in the data the checks read: the label scan, ip_bits ----------------
 
 
 def _label_flip(monkeypatch):
@@ -463,13 +535,16 @@ FAULTS = {
     "lattice-test": _lattice_test,
     "loctet-coverage": _coverage,
     "loctet-swap": _loctet_swap,
-    "bare-square-sizes": _bare_square_sizes,
-    "negation-closure": _negation,
     "reflection-closure": _reflection,
+    "seed-admits-form-two": _seed_admits_form_two,
+    "component-merge-E6(a1)": _component_merge(["verify", "E6(a1)"], "E6"),
+    "component-merge-D5": _component_merge(["verify", "D5"], "D5"),
+    "component-merge-D4(a1)": _component_merge(["system", "D4(a1)"], "D4"),
+    "count-short": _count_short,
+    "lattice-type": _lattice_type,
     "projection-image": _projection_image,
     "projection-kernel": _projection_kernel,
     "projection-loctet": _projection_loctet,
-    "search-admits-form-two": _search_admits_form_two,
     "label-flip": _label_flip,
     "antipodal-flip": _antipodal_flip,
     "ip-bit": _ip_bit,

@@ -1,6 +1,6 @@
 import itertools
-import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +9,11 @@ import carterlink as cl
 from carterlink import roots as rt
 from carterlink.cartan import LinalgError
 from carterlink.diagram import catalog_names
-from carterlink.linkage import (_search, beta_unicolored, enumerate_linkages, form_num, form_value,
-                                 group_by_p)
+from carterlink.linkage import (_closure, _orbit_table, beta_unicolored, enumerate_linkages,
+                                 form_num, form_value, group_by_p)
 
-from helpers import (CATALOG, LARGE_RANK, SHUFFLE_SEEDS, count_prefixes, cycles_left_by,
-                     e8_root_subset_diagrams, embedding_in, links_of, pc_of,
-                     prefix_in_vertex_order, ref_inverse, ref_quad_form, shuffled)
+from helpers import (CATALOG, LARGE_RANK, SHUFFLE_SEEDS, cycles_left_by, e8_root_subset_diagrams,
+                     embedding_in, links_of, pc_of, shuffled)
 
 
 EXPECTED_TOTALS = {
@@ -160,7 +159,7 @@ def test_enumeration_matches_brute_force(name):
     pc = cl.build_partial_cartan(cl.catalog(name))
     first = enumerate_linkages(pc)
     assert first == brute_force_linkages(pc)
-    assert enumerate_linkages(pc) == first  # the second call reads the kept search
+    assert enumerate_linkages(pc) == first  # the second call reads the kept closure
 
 
 def double_sum_form_num(pc, v):
@@ -224,53 +223,21 @@ def test_kept_search_leaves_repr_eq_and_hash():
     assert "_linkages" not in repr(pc)
 
 
-@pytest.mark.parametrize("name, seed", [
-    *(pytest.param(name, None, id=name) for name in ["D4(a1)", "E6(a2)", "E7(a4)", "A5"]),
-    *(pytest.param(name, 1, id=f"{name}-shuffled") for name in ["D12(a1)", "A8"])])
-def test_prefix_form_is_the_leading_block_inverse_form(name, seed):
-    # The search prunes on this value, the least of the form of B^-1 over
-    # real completions of the prefix; at full length it is the form itself.
-    # The prefix runs in the search order, so the block is that of B permuted
-    # by it.  Past 3^7 prefixes of one length, a seeded sample is checked.
-    d = cl.catalog(name) if seed is None else shuffled(cl.catalog(name), seed)
-    pc = cl.build_partial_cartan(d)
-    order, rows, weights, den = pc.prefix
-    assert order == d.search_order
-    b = [[pc.gram[i][j] for j in order] for i in order]
-    rng = random.Random(seed)
-    for k in range(1, len(b) + 1):
-        lead_inv = ref_inverse([r[:k] for r in b[:k]])
-        vectors = itertools.product((-1, 0, 1), repeat=k) if k <= 7 else \
-            [[rng.choice((-1, 0, 1)) for _ in range(k)] for _ in range(300)]
-        for v in vectors:
-            z = [sum(r * x for r, x in zip(row, v)) for row in rows[:k]]
-            scaled = sum(w * zk * zk for w, zk in zip(weights, z))
-            assert Fraction(scaled, den) == ref_quad_form(lead_inv, v)
-
-
-@pytest.mark.parametrize("name", ["D4(a1)", "E7(a4)", "D12(a1)", "A8"])
-def test_prefix_is_the_vertex_order_prefix_of_the_permuted_matrix(name):
-    pc = cl.build_partial_cartan(shuffled(cl.catalog(name), 1))
-    order = pc.prefix[0]
-    b = [[pc.gram[i][j] for j in order] for i in order]
-    assert pc.prefix[1:] == prefix_in_vertex_order(b)[1:]
-
-
-# -- the search order ------------------------------------------------------------
+# -- relabelling ----------------------------------------------------------------
 
 
 def relabelled_search(d, seed):
-    """``_search`` of d with its vertices shuffled by ``seed``, its vectors
-    mapped back to d's coordinates and the pairs re-sorted."""
+    """The nodes and numerators of ``_closure`` of d with its vertices
+    shuffled by ``seed``, mapped back to d's coordinates and re-sorted."""
     s = shuffled(d, seed)
     at = [s.index_of(v) for v in d.vertices]
-    found = zip(*_search(cl.build_partial_cartan(s)))
+    found = zip(*_closure(cl.build_partial_cartan(s))[:2])
     pairs = sorted((tuple(w[i] for i in at), n) for w, n in found)
     return tuple(v for v, _ in pairs), tuple(n for _, n in pairs)
 
 
 def assert_search_is_relabelling_invariant(d):
-    want = _search(cl.build_partial_cartan(d))
+    want = _closure(cl.build_partial_cartan(d))[:2]
     for seed in SHUFFLE_SEEDS:
         assert relabelled_search(d, seed) == want, (d.name, seed)
         if len(d) <= 8:
@@ -300,11 +267,61 @@ def test_generated_search_is_relabelling_invariant(d):
     assert_search_is_relabelling_invariant(d)
 
 
-def test_search_order_visits_at_most_half_of_the_vertex_order_prefixes():
-    in_order = in_vertex_order = 0
-    for name in LARGE_RANK:
-        for seed in SHUFFLE_SEEDS:
-            pc = cl.build_partial_cartan(shuffled(cl.catalog(name), seed))
-            in_order += count_prefixes(pc.prefix)
-            in_vertex_order += count_prefixes(prefix_in_vertex_order(pc.gram))
-    assert 2 * in_order <= in_vertex_order, (in_order, in_vertex_order)
+# -- the minuscule-orbit table -----------------------------------------------------
+
+
+# the catalog, A1-A12, D4-D12 and D_l(a_k) for l <= 12, each once
+TABLE_NAMES = sorted(set(catalog_names() + [f"A{l}" for l in range(1, 13)]
+                         + [f"D{l}" for l in range(4, 13)]
+                         + [f"D{l}(a{k})" for l in range(4, 13) for k in range(1, l - 2)]))
+
+
+@lru_cache(maxsize=None)
+def weight_orbit_table(kind):
+    """The sorted (p, size) of the weight orbits of the fundamental weights
+    of form p < 2 of the Dynkin diagram ``kind``.  A W-orbit in the dual
+    lattice holds one dominant weight, and a dominant weight of norm < 2 is
+    a fundamental one, so these are the orbits of the linkage vectors of
+    every diagram of that type."""
+    pc = pc_of(kind)
+    return sorted((p, len(cl.weight_orbit(pc, v))) for v in pc.diagram.vertices
+                  for p in [cl.inverse_diagonal(pc, v)] if p < 2)
+
+
+def assert_orbit_table(d, kind=None):
+    """The type read from (l, det B) is ``kind``, when given, and both its
+    table and the system's components are the weight orbits of that type."""
+    pc = cl.build_partial_cartan(d)
+    read, table = _orbit_table(len(pc), pc.det)
+    assert kind in (None, read), (d.name, read)
+    assert table == weight_orbit_table(read), d.name
+    s = cl.build_system(pc)
+    assert sorted(zip(s.component_p, map(len, s.components))) == table, d.name
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_the_orbit_table_is_the_weight_orbits_of_the_type(name):
+    # a diagram named X or X(a_k) has the root lattice of type X
+    d = cl.catalog(name)
+    for s in [d, shuffled(d, 1), shuffled(d, 2)]:
+        assert_orbit_table(s, name.split("(")[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(e8_root_subset_diagrams())
+def test_generated_orbit_table_is_the_weight_orbits_of_the_type(d):
+    assert_orbit_table(d)
+
+
+def test_orbit_table_entries():
+    third, half, three_quarters = Fraction(4, 3), Fraction(3, 2), Fraction(3, 4)
+    assert _orbit_table(1, Fraction(2)) == ("A1", [(Fraction(1, 2), 2)])
+    assert _orbit_table(3, Fraction(4)) == ("A3", [(three_quarters, 4)] * 2 + [(1, 6)])
+    assert _orbit_table(7, Fraction(8))[1][-2:] == [(Fraction(15, 8), 56)] * 2
+    assert _orbit_table(4, Fraction(4)) == ("D4", [(1, 8)] * 3)
+    assert _orbit_table(7, Fraction(4)) == ("D7", [(1, 14)] + [(Fraction(7, 4), 64)] * 2)
+    assert _orbit_table(8, Fraction(4)) == ("D8", [(1, 16)])
+    assert _orbit_table(6, Fraction(3)) == ("E6", [(third, 27)] * 2)
+    assert _orbit_table(7, Fraction(2)) == ("E7", [(half, 56)])
+    assert _orbit_table(8, Fraction(1)) == ("E8", [])
+    assert _orbit_table(5, Fraction(3)) is None and _orbit_table(3, Fraction(3)) is None

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import carterlink as cl
 from carterlink import diagram as dg
-from carterlink import orbit
+from carterlink import linkage, orbit
 from carterlink.cartan import CartanError
-from carterlink.linkage import _search, form_num, form_value
+from carterlink.linkage import _closure, form_num, form_value
 
 from helpers import (CATALOG, e8_root_subset_diagrams, form_at_most_two, links_of, pc_of,
                      system_of)
@@ -85,18 +85,25 @@ def _reflection_edges(pc, nodes):
     return tuple(sorted(edges))
 
 
+def _assert_components_of_the_edges(s):
+    """The components are those of the graph of the edges, each sorted, in sorted order."""
+    comps = _components(len(s.nodes), s.edges)
+    assert s.components == tuple(sorted(tuple(sorted(c)) for c in comps))
+
+
 @pytest.mark.parametrize("name", dg.catalog_names())
 def test_build_system_edges_match_public_reflection(name):
     s = system_of(name)
     assert s.edges == _reflection_edges(s.pc, s.nodes)
+    _assert_components_of_the_edges(s)
 
 
 def _assert_key_law(pc, nodes):
-    """The law by which ``_edges`` finds nodes: for every node v and k with
-    v_k > 0, K(v) - s_k = K(reflect_at(pc, k, v)), K(-v) = -K(v), and over
-    the nodes with these reflections and negatives, keys are distinct exactly
-    when the vectors are.  Returns the reflections that are not nodes."""
-    key, steps = orbit._keying(pc)
+    """The law by which ``linkage._orbits`` finds nodes: for every node v and
+    k with v_k > 0, K(v) - s_k = K(reflect_at(pc, k, v)), K(-v) = -K(v), and
+    over the nodes with these reflections and negatives, keys are distinct
+    exactly when the vectors are.  Returns the reflections that are not nodes."""
+    key, steps = linkage._keying(pc)
     node_set = frozenset(nodes)
     vectors, leaving = set(nodes), []
     for v in nodes:
@@ -105,7 +112,7 @@ def _assert_key_law(pc, nodes):
         vectors.add(neg)
         for k, x in enumerate(v):
             if x > 0:
-                w = orbit.reflect_at(pc, k, v)
+                w = linkage.reflect_at(pc, k, v)
                 assert key(v) - steps[k] == key(w), (v, k, w)
                 vectors.add(w)
                 if w not in node_set:
@@ -119,6 +126,7 @@ def _assert_key_law(pc, nodes):
 def test_edges_match_public_reflection_on_generated_diagrams(d):
     pc = cl.build_partial_cartan(d)
     assert cl.build_system(pc).edges == _reflection_edges(pc, cl.enumerate_linkages(pc))
+    _assert_components_of_the_edges(cl.build_system(pc))
     assert _assert_key_law(pc, cl.enumerate_linkages(pc)) == []
 
 
@@ -136,7 +144,7 @@ def test_key_law_on_sets_that_reflections_leave(name, base3_aliases):
     # from every node's; a base-3 key, one-to-one on {-1, 0, 1}^l only, would
     # alias this many of them with a node
     pc = pc_of(name)
-    nodes = form_at_most_two(pc)[0]
+    nodes = form_at_most_two(pc)
     leaving = _assert_key_law(pc, nodes)
     key3 = lambda v: sum(x * 3 ** i for i, x in enumerate(v))
     node_keys3 = set(map(key3, nodes))
@@ -200,15 +208,15 @@ def test_wind_rose_beyond_the_catalog_bound(l):
     s = cl.build_system(pc)
     assert len(s.nodes) == 2 * l
     assert len(s.components) == 1 and s.component_p == (Fraction(1),)
-    vectors, nums = _search(pc)
+    vectors, nums = _closure(pc)[:2]
     assert nums == tuple(form_num(pc, v) for v in vectors)
 
 
 @pytest.mark.parametrize("l", [16, 20, 24])
 def test_a_chain_beyond_the_catalog_bound(l):
-    # the A_l chain has the widest search levels: (l + 1)(l + 2) vectors
+    # the A_l chain has the most vectors: (l + 1)(l + 2), in four orbits
     pc = cl.build_partial_cartan(_grown(cl.catalog("A12"), l))
-    vectors, nums = _search(pc)
+    vectors, nums = _closure(pc)[:2]
     assert len(vectors) == (l + 1) * (l + 2)
     assert nums == tuple(form_num(pc, v) for v in vectors)
 
@@ -375,19 +383,25 @@ def test_d4_loctet_is_the_four_coordinate_spindle():
 
 def test_loctet_members_must_be_linkage_vectors(monkeypatch):
     # the public constructor rejects a vector that grows no loctet of the
-    # system; build_system's _edges names a member dropped from the search
+    # system; a closure that loses a loctet member falls short of the table
     pc = pc_of("E6(a1)")
     with pytest.raises(ValueError, match=re.escape(
             "(0, 0, 1, 0, 2, 0) is not a gamma(8) candidate of kind L12")):
         cl.loctet_from_gamma8(pc, (0, 0, 1, 0, 2, 0), "L12")
     gone = cl.loctet_from_gamma8(pc, cl.gamma8_candidates(pc, "L12")[0], "L12").members[0]
-    nodes, nums = _search(pc)
-    kept = [k for k, v in enumerate(nodes) if v != gone]
-    monkeypatch.setattr(orbit, "_search", lambda pc: (
-        tuple(nodes[k] for k in kept), tuple(nums[k] for k in kept)))
+    real = linkage._orbits
+
+    def losing(pc, total):
+        found, orbits, arcs = real(pc, total)
+        k = next(k for k, v in found.items() if v == gone)
+        del found[k]
+        return found, [(n, [m for m in members if m != k]) for n, members in orbits], arcs
+
+    monkeypatch.setattr(linkage, "_orbits", losing)
     with pytest.raises(orbit.VerificationError, match=re.escape(
-            f"E6(a1): reflection at a3 leaves the linkage set: (0, 0, 1, -1, 0, 0) -> {gone}")):
-        cl.build_system(pc)
+            "E6(a1): the seeds of support at most 3 close to 53 linkage vectors, "
+            "the E6 table has 54")):
+        cl.build_system(cl.build_partial_cartan(pc.diagram))
 
 
 # (diagram, g8 of kind L12): vectors that are not gamma(8) candidates; the
@@ -448,16 +462,15 @@ def test_build_system_rejects_a_loctet_generated_twice(monkeypatch):
         cl.build_system(cl.build_partial_cartan(cl.catalog("E6(a1)")))
 
 
-def test_build_system_names_the_node_whose_form_differs(monkeypatch):
-    # the last node's form numerator off by 1; its component starts at (-1, -1, 0, 1)
-    pc = cl.build_partial_cartan(cl.catalog("D4"))
-    nodes, nums = _search(pc)
-    assert nodes[-1] == (1, 1, 0, -1) and Fraction(nums[-1], pc.inv_den) == 1
-    monkeypatch.setattr(orbit, "_search", lambda pc: (nodes, nums[:-1] + (nums[-1] + 1,)))
+def test_build_system_names_the_closures_whose_p_differs(monkeypatch):
+    # the form numerator of the first seed, (1, 0, 0, 0), off by 1: its
+    # closure, one of D4's three orbits of 8 at p = 1, reads p = 3/2
+    real = linkage.form_num
+    monkeypatch.setattr(linkage, "form_num", lambda pc, v: real(pc, v) + (tuple(v) == (1, 0, 0, 0)))
     with pytest.raises(orbit.VerificationError, match=re.escape(
-            "D4: inverse form not constant on a component: "
-            "p = 1 at (-1, -1, 0, 1), p = 3/2 at (1, 1, 0, -1)")):
-        cl.build_system(pc)
+            "D4: the closures have (p, size) [(1, 8), (1, 8), (3/2, 8)], "
+            "the D4 table [(1, 8), (1, 8), (1, 8)]")):
+        cl.build_system(cl.build_partial_cartan(cl.catalog("D4")))
 
 
 # (call, error type, message): the input checks of the public orbit routines
@@ -632,7 +645,7 @@ def test_a_system_built_from_its_value_serializes_alike(name):
 @given(e8_root_subset_diagrams())
 def test_generated_systems_roundtrip_and_search_numerators(d):
     pc = cl.build_partial_cartan(d)
-    nodes, nums = _search(pc)
+    nodes, nums = _closure(pc)[:2]
     assert nums == tuple(form_num(pc, v) for v in nodes)
     s = cl.build_system(pc)
     assert orbit.from_json(orbit.to_json(s)) == s
@@ -652,10 +665,19 @@ def _relabel_edge(doc):
     edge[2] = next(v["id"] for v in doc["diagram"]["vertices"] if v["id"] != edge[2])
 
 
+def _components(n, edges):
+    """The node sets of the components of the graph on 0..n-1 with ``edges``."""
+    adj = [[] for _ in range(n)]
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return {frozenset(dg.closure(i, adj.__getitem__)) for i in range(n)}
+
+
 def _drop_edge_keeping_components(doc):
     n, edges = len(doc["nodes"]), doc["edges"]
     for k in range(len(edges)):
-        if orbit._components(n, edges[:k] + edges[k + 1:]) == orbit._components(n, edges):
+        if _components(n, edges[:k] + edges[k + 1:]) == _components(n, edges):
             del edges[k]
             return
     raise AssertionError("every edge is a bridge")
