@@ -87,8 +87,9 @@ def reflect_at(pc: PartialCartan, i: int, v: Linkage) -> Linkage:
 
 def _keying(pc: PartialCartan) -> tuple[Callable[[Sequence[int]], int], list[int]]:
     """The key K(v) = sum_i v_i 5^(l-1-i) of a vector of length l = len(pc), and
-    the step s_k = K(e_k) - K(reflect_at(pc, k, e_k)) = K(B_k) of each vertex k.
-    K is linear, so K(reflect_at(pc, k, v)) = K(v) - v_k s_k.  A reflection of a
+    the step s_k of each vertex k, read from row k of the Gram matrix B: K is
+    linear, so s_k = K(e_k) - K(reflect_at(pc, k, e_k)) = K(e_k) - K(e_k - B_k)
+    = K(B_k), and K(reflect_at(pc, k, v)) = K(v) - v_k s_k.  A reflection of a
     vector in {-1,0,1}^l lies in [-2,2]^l (B is 0, +-1 off the diagonal), where
     balanced base 5 is one-to-one (base 3 is not: (2, 0) and (-1, 1) share the
     key 2), and a difference of two vectors of {-1,0,1}^l has digits in
@@ -99,8 +100,7 @@ def _keying(pc: PartialCartan) -> tuple[Callable[[Sequence[int]], int], list[int
     def key(v: Sequence[int]) -> int:
         return sum(map(mul, v, powers))
 
-    return key, [p - key(reflect_at(pc, k, (0,) * k + (1,) + (0,) * (l - 1 - k)))
-                 for k, p in enumerate(powers)]
+    return key, [key(row) for row in pc.gram]
 
 
 _E_TABLES = {(6, 3): ("E6", [(Fraction(4, 3), 27)] * 2), (7, 2): ("E7", [(Fraction(3, 2), 56)]),

@@ -13,12 +13,13 @@ a permutation of root indices; the first call builds them all and the root
 system keeps them.
 With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
 mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
-checked as an integer identity.  p depends on the label vector alone: the
-label scan decides once per label vector which roots extend the embedding,
-and a realized root is its index and its labels; the laws compute the
-projection, p and the mirror's lattice test once per label vector, and per
-root only what involves gamma: the root lattice is a group holding gamma, so
-the mirror 2 gamma_L - gamma is in it exactly when 2 gamma_L is.
+checked as an integer identity.  p depends on the label vector alone, and
+form(-v) = form(v): the label scans decide once per +- pair of label vectors
+which roots extend the embedding, and a realized root is its index and its
+labels.  The projection is linear, so the laws compute it, p and the
+mirror's lattice test once per +- pair of label vectors, and per root only
+what involves gamma: the root lattice is a group holding gamma, so the
+mirror 2 gamma_L - gamma is in it exactly when 2 gamma_L is.
 ``find_embeddings`` builds the partial Cartan matrix of the diagram once;
 its embeddings share it and every oracle reads it from there.  The extension
 orbits follow a lattice law: they are dict lookups by (2D mu, N labels mod D),
@@ -32,7 +33,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from operator import mul, sub
+from operator import mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
@@ -354,6 +355,42 @@ def _extends(lc: int, den: int) -> bool:
     return 0 < lc != 2 * den
 
 
+def _extending(pc: PartialCartan, rows: Iterable[Linkage]) -> set[Linkage]:
+    """The distinct rows that extend an embedding with this ``pc``.  The form is
+    even, so -v extends exactly when v does: ``_extends`` is read once per +-
+    pair, at u = v if v > 0 (lexicographically), else u = -v, whether or not
+    the rows are closed under negation."""
+    zero, den = (0,) * len(pc), pc.inv_den
+    by_u: dict[Linkage, bool] = {}
+    ext = set()
+    for v in set(rows):
+        u = v if v > zero else tuple(map(neg, v))
+        keep = by_u.get(u)
+        if keep is None:
+            keep = by_u[u] = _extends(form_num(pc, u), den)
+        if keep:
+            ext.add(v)
+    return ext
+
+
+def _entry(table: dict, r: RealizedLinkage, amb: RootSystem, l: int):
+    """The entry of ``table`` for the labels of the realized root ``r``, or None
+    for labels not in it, which must be a tuple of ints, one per vertex of the
+    rank l embedding; VerificationError names the root otherwise.  So labels
+    equal to checked ones, as (1.0, 1, 0, -1) after (1, 1, 0, -1), pass."""
+    try:  # unhashable labels fall through to the int check
+        entry = table.get(r.labels) if type(r.labels) is tuple else None
+    except TypeError:
+        entry = None
+    if entry is None:
+        if type(r.labels) is not tuple or any(type(t) is not int for t in r.labels):
+            raise VerificationError(f"labels of {amb.name_root(r.index)} are not a tuple of ints")
+        if len(r.labels) != l:
+            raise VerificationError(
+                f"labels of {amb.name_root(r.index)} have length {len(r.labels)}, not {l}")
+    return entry
+
+
 def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]],
                       labels: Linkage) -> tuple[list[int], int, list[int]]:
     """(c, lc, G) of a label vector, with ``cols`` the columns of the embedded
@@ -389,8 +426,9 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
     A root's label vector is its inner products with the embedded roots, and
     p = labels . B^-1 labels = |gamma_L|^2, for gamma_L its projection onto
     their span.  Roots with p = 2 lie in the span, and roots with zero labels
-    (p = 0) attach no bonds; both are skipped, decided once per distinct label
-    vector.  No p is kept: ``check_projection_laws`` computes it.
+    (p = 0) attach no bonds; both are skipped, decided once per +- pair of
+    distinct label vectors, as form(-v) = form(v) (see ``_extending``).  No p
+    is kept: ``check_projection_laws`` computes it.
 
     First the label matrix L (a row per ambient root, a column per vertex)
     must obey two moment laws of the ambient Phi of rank n:
@@ -418,8 +456,7 @@ def direct_linkage_labels(e: Embedding) -> DirectLabels:
             if amb.rank * moment != 2 * len(amb) * gram[i][j]:  # n L^T L = 2|Phi| B
                 raise VerificationError(f"label moment at ({vs[i]}, {vs[j]}) is {moment}, "
                                         f"not {Fraction(2 * len(amb) * gram[i][j], amb.rank)}")
-    den = e.pc.inv_den
-    ext = {v for v in set(rows) if _extends(form_num(e.pc, v), den)}
+    ext = _extending(e.pc, rows)
     realized = tuple(RealizedLinkage(i, v) for i, v in enumerate(rows) if v in ext)
     return DirectLabels(e, realized, tuple(sorted(ext)))
 
@@ -511,13 +548,17 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
 
     The laws read only the public fields of ``dl``, however it was built,
     and ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
-    The projection (c, lc = D p, G), the form and int checks, and the mirror's
-    integrality and lattice test run once per label vector, the rest on every
-    root: labels equal to checked ones, as (1.0, 1, 0, -1) after (1, 1, 0, -1),
-    pass.  Doubled, the mirror 2 gamma_L - gamma is 2G / D - x for the root
-    x / 2.  The root lattice is a group, and it holds x / 2 if every ambient
-    root passes ``in_root_lattice``, as for each name ``build_root_system``
-    writes; so the mirror is in it exactly when 2 gamma_L is.
+    The label checks (see ``_entry``) run once per label vector, the rest on
+    every root.  The projection (c, lc = D p, G), the form checks, and the
+    mirror's integrality and lattice test run once per +- pair of label
+    vectors, by the pair law: the projection is linear, so -v has the same lc,
+    -G, (-c) mod D and -2G / D, integral exactly when 2G / D is and, the
+    lattice being a group, in it exactly when 2G / D is; with the same lc and
+    |-G|^2 = |G|^2, the extension and restricted-form checks of -v are v's.
+    Doubled, the mirror 2 gamma_L - gamma is 2G / D - x for the root x / 2.
+    The root lattice holds x / 2 if every ambient root passes
+    ``in_root_lattice``, as for each name ``build_root_system`` writes; so
+    the mirror is in it exactly when 2 gamma_L is.
     """
     _same_embedding(dl, e)
     n_mat, den, amb = e.pc.inv_num, e.pc.inv_den, e.ambient
@@ -536,25 +577,24 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
             raise VerificationError(f"{amb.name_root(i)} is realized twice")
         seen.add(i)
         x = amb.doubled[i]
-        try:  # unhashable labels fall through to the int check
-            entry = of_labels.get(r.labels) if type(r.labels) is tuple else None
-        except TypeError:
-            entry = None
+        entry = _entry(of_labels, r, amb, len(n_mat))
         if entry is None:
-            if type(r.labels) is not tuple or any(type(t) is not int for t in r.labels):
-                raise VerificationError(f"labels of {amb.name_root(i)} are not a tuple of ints")
-            if len(r.labels) != len(n_mat):
-                raise VerificationError(
-                    f"labels of {amb.name_root(i)} have length {len(r.labels)}, not {len(n_mat)}")
-            c, lc, g = _label_projection(cols, n_mat, r.labels)
-            if not _extends(lc, den):
-                raise VerificationError(f"{amb.name_root(i)} does not extend the embedding")
-            if _dot(g, g) != 4 * den * lc:
-                raise VerificationError(
-                    f"restricted form differs from ambient on {amb.name_root(i)}")
-            g2 = None if any(2 * a % den for a in g) else tuple(2 * a // den for a in g)
-            lattice = g2 is not None and amb.in_root_lattice(g2)
-            entry = of_labels[r.labels] = lc, g, tuple(a % den for a in c), g2, lattice
+            pair = of_labels.get(tuple(map(neg, r.labels)))
+            if pair is not None:  # the pair law
+                lc, g, c, g2, lattice = pair
+                entry = (lc, list(map(neg, g)), tuple(-a % den for a in c),
+                         None if g2 is None else tuple(map(neg, g2)), lattice)
+            else:
+                c, lc, g = _label_projection(cols, n_mat, r.labels)
+                if not _extends(lc, den):
+                    raise VerificationError(f"{amb.name_root(i)} does not extend the embedding")
+                if _dot(g, g) != 4 * den * lc:
+                    raise VerificationError(
+                        f"restricted form differs from ambient on {amb.name_root(i)}")
+                g2 = None if any(2 * a % den for a in g) else tuple(2 * a // den for a in g)
+                lattice = g2 is not None and amb.in_root_lattice(g2)
+                entry = lc, g, tuple(a % den for a in c), g2, lattice
+            of_labels[r.labels] = entry
         lc, g, c, g2, lattice = entry
         m = tuple(map(sub, map(den.__mul__, x), g))
         if 4 * den * lc + _dot(m, m) != 8 * den * den:
@@ -596,7 +636,9 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
     u and w run over same-color vertex pairs (hence orthogonal), the center
     over opposite-color vertices joined to both; gamma must be joined to u
     and w.  ``with_diagonal`` counts the squares whose label at the center is
-    nonzero.  ``e`` must be ``dl.embedding`` (see ``_same_embedding``).
+    nonzero.  ``e`` must be ``dl.embedding`` (see ``_same_embedding``).  The
+    squares are counted once per distinct label vector, times its roots,
+    after the label checks of the laws (see ``_entry``), with their messages.
 
     The square law holds and is not checked, as p < 2 forces it: with the
     sides (gamma, u), (gamma, w), (center, u) and (center, w), an odd number
@@ -622,12 +664,16 @@ def square_diagonal_audit(dl: DirectLabels, e: Embedding) -> SquareAudit:
             centers = [m for m in range(n) if g[u][m] != 0 and g[w][m] != 0 and m not in (u, w)]
             if centers:
                 pairs.append((u, w, centers))
+    roots: dict[Linkage, int] = {}  # realized roots per label vector
     for r in dl.realized:
+        roots[r.labels] = (_entry(roots, r, e.ambient, n) or 0) + 1
+    for labels, k in roots.items():
         for u, w, centers in pairs:
-            if r.labels[u] and r.labels[w]:
-                checked += len(centers)
+            if labels[u] and labels[w]:
+                checked += k * len(centers)
                 for m in centers:
-                    with_d += r.labels[m] != 0
+                    if labels[m]:
+                        with_d += k
     return SquareAudit(checked, with_d, checked - with_d)
 
 
@@ -649,15 +695,15 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     Embeddings conjugate under the Weyl group of the ambient realize the same
     set.  A diagram may embed in more than one class (A7 in E8, D6 in E7),
     and the classes can realize different sets, so whether the sets must
-    agree is left to the caller."""
+    agree is left to the caller.  One ``_extending`` filter serves all their
+    rows, once per +- pair of label vectors, as form(-v) = form(v)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     embs = find_embeddings(d, ambient, limit=trials)
     if not embs:
         raise VerificationError(f"{d.name} does not embed into {ambient.name}")
-    pc = embs[0].pc  # the embeddings share one pc, so one filter serves them
     rows = [set(_labels(e)) for e in embs]
-    ext = {v for v in set().union(*rows) if _extends(form_num(pc, v), pc.inv_den)}
+    ext = _extending(embs[0].pc, set().union(*rows))  # the embeddings share one pc
     sets = [tuple(sorted(s)) for s in dict.fromkeys(frozenset(row & ext) for row in rows)]
     return IndependenceReport(len(embs), sets[0], tuple(sets))
 

@@ -13,7 +13,7 @@ from carterlink import diagram as dg
 from carterlink import roots as rt
 from carterlink.cartan import CartanError
 from carterlink.diagram import DiagramError
-from carterlink.linkage import group_by_p
+from carterlink.linkage import form_num, group_by_p
 from helpers import CATALOG, _dot, ambient, cycles_left_by, embedding_in, labels_in, links_of, \
     pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_rank, ref_realized, ref_root, \
     ref_root_system, ref_root_text, shuffled, signed_bipartite_diagrams, system_of
@@ -143,7 +143,7 @@ def test_in_root_lattice_takes_the_e8_roots_in_the_span(name):
 @pytest.mark.parametrize("name", ROOT_SYSTEM_NAMES)
 def test_every_root_is_in_its_root_lattice(name):
     # the hypothesis of the law by which check_projection_laws tests the
-    # mirror's lattice once per label vector
+    # mirror's lattice once per +- pair of label vectors
     rs = ambient(name)
     assert all(rs.in_root_lattice(x) for x in rs.doubled)
 
@@ -154,27 +154,32 @@ ORACLE_SWEEP = list(dict.fromkeys(dg.catalog_names() + ["E8"] + [f"A{n}" for n i
                                   + [f"D8(a{k})" for k in range(1, 6)]))
 
 
+def sweep_embeddings():
+    """The first embedding of each ``ORACLE_SWEEP`` name in E8, E7, E6 and D8
+    where it embeds: 90 cases."""
+    embs = [embedding_in(name, amb) for amb in ("E8", "E7", "E6", "D8") for name in ORACLE_SWEEP]
+    embs = [e for e in embs if e is not None]
+    assert len(embs) == 90
+    return embs
+
+
 def test_mirror_is_in_the_lattice_exactly_when_twice_the_projection_is():
     # the root lattice is a group holding gamma, so 2 gamma_L - gamma is in it
     # exactly when 2 gamma_L is: the law that lets check_projection_laws test
-    # the mirror once per label vector.  Here both sides are tested root by
-    # root, gamma_L from the Fraction reference, doubled as 4 gamma_L
-    cases, outcomes = 0, Counter()
-    for amb_name in ("E8", "E7", "E6", "D8"):
-        amb = ambient(amb_name)
-        for name in ORACLE_SWEEP:
-            e = embedding_in(name, amb_name)
-            if e is None:
+    # the mirror once per +- pair of label vectors.  Here both sides are
+    # tested root by root, gamma_L from the Fraction reference, doubled as
+    # 4 gamma_L
+    outcomes = Counter()
+    for e in sweep_embeddings():
+        amb = e.ambient
+        for r, _, gamma_l, _ in ref_realized(e):
+            if any((4 * a).denominator != 1 for a in gamma_l):
                 continue
-            cases += 1
-            for r, _, gamma_l, _ in ref_realized(e):
-                if any((4 * a).denominator != 1 for a in gamma_l):
-                    continue
-                g2 = tuple(int(4 * a) for a in gamma_l)
-                mirror = tuple(a - b for a, b in zip(g2, amb.doubled[r.index]))
-                assert amb.in_root_lattice(mirror) == amb.in_root_lattice(g2), (name, amb_name)
-                outcomes[amb.in_root_lattice(g2)] += 1
-    assert cases == 90
+            g2 = tuple(int(4 * a) for a in gamma_l)
+            mirror = tuple(a - b for a, b in zip(g2, amb.doubled[r.index]))
+            assert amb.in_root_lattice(mirror) == amb.in_root_lattice(g2), \
+                (e.diagram.name, amb.name)
+            outcomes[amb.in_root_lattice(g2)] += 1
     assert outcomes[True] and outcomes[False]
 
 
@@ -459,6 +464,98 @@ def test_projection_laws_reject_a_root_that_does_not_extend(which):
         rt.check_projection_laws(rt.DirectLabels(e, (bad,) + dl.realized, dl.labels), e)
 
 
+# -- +- pairs of label vectors ------------------------------------------------------
+
+
+def _negated(v):
+    return tuple(-t for t in v)
+
+
+def _every_row_filter(pc, rows):
+    """The reference of ``_extending``: ``_extends`` read at every distinct row."""
+    return {v for v in set(rows) if rt._extends(form_num(pc, v), pc.inv_den)}
+
+
+def test_extension_filter_equals_the_every_row_reference_on_the_sweep():
+    for e in sweep_embeddings():
+        rows = rt._labels(e)
+        assert rt._extending(e.pc, rows) == _every_row_filter(e.pc, rows), \
+            (e.ambient.name, e.diagram.name)
+
+
+@pytest.mark.parametrize("name", ["D4(a1)", "E8"])
+def test_extension_filter_equals_the_reference_on_rows_not_closed_under_negation(name):
+    # every vector of {-1,0,1}^l whose last label is not -1: the zero vector,
+    # pairs whose last label is 0, and vectors ending in 1 without their
+    # negatives, some above zero and some below; form >= 2 occurs too
+    pc = pc_of(name)
+    rows = [v for v in itertools.product((-1, 0, 1), repeat=len(pc)) if v[-1] >= 0]
+    zero = (0,) * len(pc)
+    lone = [v for v in rows if _negated(v) not in rows]
+    assert zero in rows and any(v > zero for v in lone) and any(v < zero for v in lone)
+    want = _every_row_filter(pc, rows)
+    assert rt._extending(pc, rows) == want
+    assert want & set(lone) and set(lone) - want
+
+
+@pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
+def test_the_label_scans_evaluate_the_form_once_per_pair_of_rows(amb, monkeypatch):
+    # one evaluation per +- class of distinct rows, at its member above zero
+    # (the zero vector is its own class): the scan reads one embedding's rows,
+    # the trials the union of the rows of all their embeddings
+    calls = []
+    real = rt.form_num
+    monkeypatch.setattr(rt, "form_num", lambda pc, v: calls.append(v) or real(pc, v))
+    rs = ambient(amb)
+    for name in dg.catalog_names():
+        d = cl.catalog(name)
+        embs = cl.find_embeddings(d, rs, limit=3)
+        if not embs:
+            continue
+        for run, rows in ((lambda: rt.direct_linkage_labels(embs[0]), rt._labels(embs[0])),
+                          (lambda: rt.embedding_independence(d, rs, 3),
+                           [v for e in embs for v in rt._labels(e)])):
+            calls.clear()
+            run()
+            assert sorted(calls) == sorted({max(v, _negated(v)) for v in rows}), (amb, name)
+
+
+def test_laws_report_does_not_depend_on_which_sign_comes_first():
+    # the scan lists root i before its negative n - 1 - i; reversed, the laws
+    # compute -v and derive v for every pair of label vectors
+    for e in sweep_embeddings():
+        dl = cl.direct_linkage_labels(e)
+        reversed_dl = rt.DirectLabels(e, dl.realized[::-1], dl.labels)
+        assert rt.check_projection_laws(reversed_dl, e) == rt.check_projection_laws(dl, e), \
+            (e.ambient.name, e.diagram.name)
+
+
+@pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
+def test_projection_laws_hold_on_one_sign_of_each_pair(amb):
+    # the realized roots whose labels lie above zero: no entry is derived, and
+    # the p-classes, the mirror roots and the (p, |mu|^2) sizes are the Fraction
+    # reference's on those roots
+    roots = {ref_root(x) for x in ambient(amb).doubled}
+    for name in dg.catalog_names():
+        e = embedding_in(name, amb)
+        if e is None:
+            continue
+        zero = (0,) * len(e.idx)
+        dl = labels_in(name, amb)
+        kept = rt.DirectLabels(e, tuple(r for r in dl.realized if r.labels > zero), dl.labels)
+        ref = [(p, gamma_l, mu) for r, p, gamma_l, mu in reference_realized(e) if r.labels > zero]
+        # -gamma has the labels -v, and exactly one of v and -v lies above zero
+        assert 2 * len(kept.realized) == 2 * len(ref) == len(dl.realized), name
+        rep = rt.check_projection_laws(kept, e)
+        assert rep.p_classes == tuple(sorted(Counter(p for p, _, _ in ref).items())), name
+        assert rep.mirror_roots == sum(tuple(a - b for a, b in zip(gamma_l, mu)) in roots
+                                       for _, gamma_l, mu in ref), name
+        got = Counter()
+        for p, mu2, size in rep.orbits:
+            got[p, mu2] += size
+        assert got == Counter((p, _fdot(mu, mu)) for p, _, mu in ref), name
+
+
 # -- direct labels ----------------------------------------------------------------
 
 
@@ -623,8 +720,9 @@ def test_mirror_root_can_leave_lattice():
 
 @pytest.mark.parametrize("amb,embedded", [("E8", 19), ("E7", 15), ("D8", 10)])
 def test_mirror_roots_match_the_record_fractions(amb, embedded):
-    # the laws decide the mirror's integrality once per label vector; here
-    # gamma_L - mu is formed root by root from the Fractions of the reference
+    # the laws decide the mirror's integrality once per +- pair of label
+    # vectors; here gamma_L - mu is formed root by root from the Fractions of
+    # the reference
     roots = {ref_root(x) for x in ambient(amb).doubled}
     checked = 0
     for name in dg.catalog_names():
@@ -783,6 +881,24 @@ def test_square_audit_zero_violations(name):
     audit = rt.square_diagonal_audit(dl, dl.embedding)
     assert audit.checked > 0
     assert audit.checked == audit.with_diagonal + audit.without_diagonal
+
+
+@pytest.mark.parametrize("labels,message", [
+    (lambda v: v[:2], "have length 2, not 5"), (lambda v: None, "are not a tuple of ints"),
+    (list, "are not a tuple of ints"), (lambda v: v + (0,), "have length 6, not 5")],
+    ids=["cut-to-2", "none", "list", "zero-appended"])
+def test_square_audit_rejects_malformed_labels_as_the_laws_do(labels, message):
+    # the audit indexed the labels unchecked, so the first two leaked
+    # IndexError and TypeError, and an appended label passed; both checks
+    # share the laws' label check and its messages
+    dl = labels_in("D5(a1)", "E8")
+    e, r = dl.embedding, dl.realized[0]
+    bad = rt.DirectLabels(e, (r._replace(labels=labels(r.labels)),) + dl.realized[1:], dl.labels)
+    text = f"labels of {ref_root_text(e.ambient, r.index)} {message}"
+    for check in (rt.check_projection_laws, rt.square_diagonal_audit):
+        with pytest.raises(rt.VerificationError) as info:
+            check(bad, e)
+        assert str(info.value) == text, check.__name__
 
 
 # -- independence -----------------------------------------------------------------
