@@ -3,13 +3,14 @@
 The matrix B has 2 on the diagonal and the edge sign (-1 solid, +1 dotted)
 off it.  For Dynkin diagrams this is the classical Cartan matrix.  A single
 fraction-free elimination of [B | I] (Bareiss, Math. Comp. 22 (1968)
-565-578), with B in the diagram's ``search_order``, yields everything the
-pipeline reads.  Its pivots are the leading minors of B in that order, so B
-is positive definite exactly when every pivot is positive, and det B is the
-last pivot.  Its right half gives the LDL^T factors from which B^-1 = N / D
-is formed, with N and D integers.  All of it is computed once, on plain
-integers: B is ``gram``, B^-1 is ``inv_num`` over ``inv_den``, and ``det``
-is the one exact Fraction.  There is no floating point anywhere.
+565-578), with B in vertex order, yields everything the pipeline reads.  Its
+pivots are the leading minors of B, so B is positive definite exactly when
+every pivot is positive (Sylvester's criterion holds in any vertex order),
+and det B is the last pivot.  Its right half gives the LDL^T factors from
+which B^-1 = N / D is formed, with N and D integers.  All of it is computed
+once, on plain integers: B is ``gram``, B^-1 is ``inv_num`` over
+``inv_den``, and ``det`` is the one exact Fraction.  There is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     has det 0 and corresponds to no linearly independent root subset).
     """
     gram = d.gram()
-    order = d.search_order
-    m = _eliminate([[gram[i][j] for j in order] for i in order])
+    m = _eliminate(gram)
     if m is None:
         raise CartanError(f"{d.name}: the partial Cartan matrix is not positive definite")
     l = len(gram)
@@ -114,15 +114,14 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     den = lcm(*products)
     rows = [m[k][l:l + k + 1] for k in range(l)]
     weights = [den // p for p in products]
-    # in search order B^-1 = sum(weights[k] * z_k z_k^T) / den, z_k being rows[k]
-    # followed by zeros; cols[p] holds z_k[p] for k = l-1 .. p, and entry (p, q) is
-    # B^-1 at the vertices order[p], order[q]
+    # B^-1 = sum(weights[k] * z_k z_k^T) / den, z_k being rows[k] followed by zeros;
+    # cols[p] holds z_k[p] for k = l-1 .. p
     cols = [[rows[k][p] for k in range(l - 1, p - 1, -1)] for p in range(l)]
     wcols = [list(map(mul, weights[::-1], c)) for c in cols]
     num = [[0] * l for _ in range(l)]
-    for p, i in enumerate(order):
+    for p in range(l):
         for q in range(p, l):
-            num[i][order[q]] = num[order[q]][i] = sum(map(mul, wcols[p], cols[q]))
+            num[p][q] = num[q][p] = sum(map(mul, wcols[p], cols[q]))
     g = gcd(den, *(x for row in num for x in row))
     inv_num = tuple(tuple(x // g for x in row) for row in num)
     return PartialCartan(d, Fraction(minors[l]), gram, inv_num, den // g)

@@ -158,9 +158,8 @@ class CarterDiagram(_Value):
                     for u, v, _ in edges if u.color == v.color]
         if not n:
             problems.append("diagram has no vertices")
-        # connected exactly when each vertex of the search order meets an earlier one
-        elif not all(any(map(g[i].__getitem__, self.search_order[:k]))
-                     for k, i in enumerate(self.search_order) if k):
+        # connected exactly when the closure of vertex 0 over the Gram rows is every vertex
+        elif len(closure(0, lambda i: (j for j in range(n) if g[i][j]))) < n:
             problems.append("diagram is disconnected")
         if len(index) < 2 * n:  # two vertices share an id key
             problems.append("duplicate vertex ids")
@@ -201,8 +200,8 @@ class CarterDiagram(_Value):
         """The vertex positions in connectivity-first order, read once from the
         Gram rows: next comes the vertex with the most neighbors already
         placed, then the most neighbors, then the lowest position.  Every
-        prefix of it induces a connected subdiagram.  The Cartan elimination,
-        the embedding search and the constructor's connectivity check read it."""
+        prefix of it induces a connected subdiagram.  Only the placement
+        searches read it, and it is computed when one first asks for it."""
         n = len(self._gram)
         adj = [[j for j, s in enumerate(row) if s and j != i] for i, row in enumerate(self._gram)]
         # (neighbors placed, neighbors, -position) as one integer per vertex

@@ -41,6 +41,8 @@ def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
     i = pc.diagram.index_of(t)
     if len(v) != len(pc):
         raise ValueError(f"vector of length {len(v)} for rank {len(pc)}")
+    if not set(map(type, v)) <= {int}:
+        raise ValueError(f"vector {tuple(v)} has an entry that is not an int")
     return reflect_at(pc, i, tuple(v))
 
 
@@ -78,7 +80,10 @@ class LinkageSystem(dg._Value):
         return {v: i for i, v in enumerate(self.nodes)}
 
     def node_index(self, v: Linkage) -> int:
-        i = self._index.get(tuple(v))
+        try:
+            i = self._index.get(tuple(v))
+        except TypeError:  # an unhashable entry, as in [[1]]
+            i = None
         if i is None:
             raise ValueError(f"{tuple(v)} is not a node of the linkage system")
         return i

@@ -38,8 +38,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import CartanError, PartialCartan, build_partial_cartan
-from .linkage import Linkage, form_num
-from .orbit import VerificationError, reflect_at
+from .linkage import Linkage, VerificationError, form_num, reflect_at
 
 Doubled = tuple[int, ...]
 
@@ -179,10 +178,13 @@ class RootSystem:
     def in_root_lattice(self, y: Sequence[int]) -> bool:
         """Whether y / 2 is in the root lattice, for a doubled integer vector y
         (a norm-2 lattice vector is a root).  A vector outside the span is not
-        in it; one of another length raises.  The rule is read once from the
-        name, one that ``build_root_system`` writes; any other name raises."""
+        in it; one of another length, or with an entry that is not an int,
+        raises.  The rule is read once from the name, one that
+        ``build_root_system`` writes; any other name raises."""
         if len(y) != self.dim:
             raise RootSystemError(f"{self.name}: vector of length {len(y)}, expected {self.dim}")
+        if not set(map(type, y)) <= {int}:
+            raise RootSystemError(f"{self.name}: vector {tuple(y)} is not a doubled integer vector")
         if self._lattice is None:
             raise RootSystemError(f"{self.name}: no root-lattice rule for this name")
         total = sum(y)  # twice the coordinate sum, which must be even
@@ -300,6 +302,8 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
     A diagram whose form is not positive definite has no embeddings: it is
     the Gram matrix of no vectors at all.
     """
+    if type(limit) is not int:
+        raise ValueError(f"limit must be an int, got {limit!r}")
     try:
         pc = build_partial_cartan(d)
     except CartanError:
@@ -697,6 +701,8 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     and the classes can realize different sets, so whether the sets must
     agree is left to the caller.  One ``_extending`` filter serves all their
     rows, once per +- pair of label vectors, as form(-v) = form(v)."""
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     embs = find_embeddings(d, ambient, limit=trials)

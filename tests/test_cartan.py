@@ -120,7 +120,10 @@ FAMILIES = ([f"A{l}" for l in range(1, 13)] + [f"D{l}" for l in range(4, 13)]
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_core_matches_fraction_reference(name):
-    _assert_core_matches_reference(cl.build_partial_cartan(cl.catalog(name)))
+    # B is eliminated in vertex order, whatever that order is
+    d = cl.catalog(name)
+    for s in [d] + [shuffled(d, seed) for seed in SHUFFLE_SEEDS]:
+        _assert_core_matches_reference(cl.build_partial_cartan(s))
 
 
 @pytest.mark.parametrize("name", FAMILIES)

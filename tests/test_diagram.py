@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import carterlink as cl
 from carterlink import diagram as dg
+from carterlink import orbit
 from carterlink.cartan import CartanError
 
 from helpers import (C4_CATALOG, CATALOG, LARGE_RANK, SHUFFLE_SEEDS, color_swapped,
@@ -501,3 +502,31 @@ def test_search_order_prefixes_are_connected_on_generated_diagrams(d, rng):
     rng.shuffle(vertices)
     _assert_connectivity_first(d)
     _assert_connectivity_first(cl.CarterDiagram(d.name, tuple(vertices), d.edges))
+
+
+@pytest.mark.parametrize("name", dg.catalog_names() + LARGE_RANK)
+def test_building_and_the_cartan_core_leave_the_search_order_uncomputed(name):
+    # only the placement searches read the order: the constructor checks
+    # connectivity by closure, and the Cartan core eliminates B in vertex order
+    d = cl.catalog(name)
+    built = [d, dg.from_json(dg.to_json(d)), cl.CarterDiagram(d.name, d.vertices, d.edges),
+             shuffled(d, 1)] + [dg.extend(d, v) for v in d.vertices]
+    for e in built:
+        try:
+            cl.build_partial_cartan(e)
+        except CartanError:  # most one-leaf extensions
+            pass
+        assert "search_order" not in e.__dict__, (e.name, e.vertices)
+    sys = cl.build_system(cl.build_partial_cartan(d))
+    back = orbit.from_json(orbit.to_json(sys))
+    for e in (d, sys.pc.diagram, back.pc.diagram):
+        assert "search_order" not in e.__dict__
+
+
+def test_placement_searches_compute_the_search_order_once_and_keep_it():
+    d = cl.catalog("E6(a1)")
+    assert cl.find_embedding(d, cl.build_root_system("E8")) is not None
+    assert "search_order" in d.__dict__ and d.search_order is d.search_order
+    d1 = cl.carter_D_ak(6, 2)
+    assert cl.find_isomorphism(d1, cl.catalog("D6(a2)")) is not None
+    assert "search_order" in d1.__dict__ and d1.search_order is d1.search_order

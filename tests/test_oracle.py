@@ -211,6 +211,15 @@ def test_in_root_lattice_rejects_a_vector_of_another_length(name, x):
         ambient(name).in_root_lattice(x)
 
 
+@pytest.mark.parametrize("name,x", [("E8", (1.0,) * 8), ("E8", (2,) * 7 + (Fraction(2),)),
+                                    ("D5", (2, 2, 0, 0, True)), ("A4", ("2", "-2", 0, 0, 0))])
+def test_in_root_lattice_rejects_an_entry_that_is_not_an_int(name, x):
+    # (1.0,) * 8 was once in E8's lattice, and a str entry leaked TypeError
+    with pytest.raises(rt.RootSystemError,
+                       match=f"^{name}: vector {re.escape(str(x))} is not a doubled integer vector$"):
+        ambient(name).in_root_lattice(x)
+
+
 @pytest.mark.parametrize("name", ["X4", "A1xA2", "a4", "A_4", "D4(a1)", "E9", "A0"])
 def test_in_root_lattice_rejects_a_name_build_root_system_does_not_write(name):
     # the rule is read from the name, and only A<n>, D<n>, E6, E7 and E8 have
@@ -968,6 +977,16 @@ def test_embedding_independence_rejects_trials_below_1():
     for trials in (0, -3):
         with pytest.raises(ValueError):
             rt.embedding_independence(cl.catalog("D4(a1)"), ambient("D5"), trials)
+
+
+@pytest.mark.parametrize("n", [2.5, "3", None, True])
+def test_a_limit_or_trials_that_is_not_an_int_is_named(n):
+    # 2.5 once leaked islice's ValueError, "3" a TypeError, and True searched once
+    d, amb = cl.catalog("D4"), ambient("E8")
+    with pytest.raises(ValueError, match=f"^limit must be an int, got {re.escape(repr(n))}$"):
+        cl.find_embeddings(d, amb, n)
+    with pytest.raises(ValueError, match=f"^trials must be an int, got {re.escape(repr(n))}$"):
+        rt.embedding_independence(d, amb, n)
 
 
 class _CountingRows(tuple):

@@ -477,8 +477,17 @@ def test_build_system_names_the_closures_whose_p_differs(monkeypatch):
 _INPUT_ERRORS = {
     "dual-reflect-length": (lambda: cl.dual_reflect(pc_of("D4(a1)"), "a1", (1, 0)),
                             ValueError, "vector of length 2 for rank 4"),
+    # once returned (-1.5, 0.0, 0.0, 1.5)
+    "dual-reflect-float": (lambda: cl.dual_reflect(pc_of("D4(a1)"), "a1", (1.5, 0, 0, 0)),
+                           ValueError, "vector (1.5, 0, 0, 0) has an entry that is not an int"),
+    # once leaked TypeError
+    "dual-reflect-str": (lambda: cl.dual_reflect(pc_of("D4(a1)"), "a1", ("1", 0, 0, 0)),
+                         ValueError, "vector ('1', 0, 0, 0) has an entry that is not an int"),
     "node-index": (lambda: system_of("D4").node_index((2, 0, 0, 0)),
                    ValueError, "(2, 0, 0, 0) is not a node of the linkage system"),
+    # once leaked TypeError: unhashable type
+    "node-index-unhashable": (lambda: system_of("D4").node_index([[1]]),
+                              ValueError, "([1],) is not a node of the linkage system"),
     "gamma8-kind": (lambda: cl.gamma8_candidates(pc_of("E6(a1)"), "L14"), ValueError,
                     "loctet kind must be one of ('L12', 'L13', 'L23'), got 'L14'"),
     "loctet-length": (lambda: cl.loctet_from_gamma8(pc_of("E6(a1)"), (0, 0, 1), "L12"),
