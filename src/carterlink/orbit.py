@@ -36,14 +36,22 @@ class UnsupportedDiagram(ValueError):
     with no D5(a1)/D4 pattern, such as a chain or the bare 4-cycle, that ``build_system`` builds."""
 
 
-def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
-    """Apply the dual reflection at vertex t to an integer label vector."""
-    i = pc.diagram.index_of(t)
+def _vector(pc: PartialCartan, v: Sequence[int]) -> Linkage:
+    """v as a tuple of ints, one per vertex of ``pc``, or ValueError naming the fault."""
+    try:
+        v = tuple(v)
+    except TypeError:  # not iterable, as 5 or None
+        raise ValueError(f"{v!r} is not a sequence of ints") from None
     if len(v) != len(pc):
         raise ValueError(f"vector of length {len(v)} for rank {len(pc)}")
     if not set(map(type, v)) <= {int}:
-        raise ValueError(f"vector {tuple(v)} has an entry that is not an int")
-    return reflect_at(pc, i, tuple(v))
+        raise ValueError(f"vector {v} has an entry that is not an int")
+    return v
+
+
+def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
+    """Apply the dual reflection at vertex t to an integer label vector."""
+    return reflect_at(pc, pc.diagram.index_of(t), _vector(pc, v))
 
 
 class Loctet(NamedTuple):
@@ -80,13 +88,10 @@ class LinkageSystem(dg._Value):
         return {v: i for i, v in enumerate(self.nodes)}
 
     def node_index(self, v: Linkage) -> int:
-        try:
-            i = self._index.get(tuple(v))
-        except TypeError:  # an unhashable entry, as in [[1]]
-            i = None
-        if i is None:
-            raise ValueError(f"{tuple(v)} is not a node of the linkage system")
-        return i
+        try:  # TypeError: not iterable, as 5, or an unhashable entry, as in [[1]]
+            return self._index[tuple(v)]
+        except (KeyError, TypeError):
+            raise ValueError(f"{v!r} is not a node of the linkage system") from None
 
     def component_sizes(self) -> list[int]:
         return sorted(len(c) for c in self.components)
@@ -134,13 +139,12 @@ def _gamma8(pc: PartialCartan, ijkb: Indices) -> tuple[Linkage, ...]:
 def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Loctet:
     """The loctet of ``build_system(pc)`` whose gamma(8) is g8.  Raises
     ValueError when g8 is not one of ``gamma8_candidates(pc, kind)``."""
-    if len(g8) != len(pc):
-        raise ValueError(f"vector of length {len(g8)} for rank {len(pc)}")
+    g8 = _vector(pc, g8)
     _kind_indices(_pattern_indices(pc), kind)  # the pattern and kind checks
     for loc in build_system(pc).loctets:
-        if loc.kind == kind and loc.members[7] == tuple(g8):
+        if loc.kind == kind and loc.members[7] == g8:
             return loc
-    raise ValueError(f"{tuple(g8)} is not a gamma(8) candidate of kind {kind}")
+    raise ValueError(f"{g8} is not a gamma(8) candidate of kind {kind}")
 
 
 def build_system(pc: PartialCartan) -> LinkageSystem:

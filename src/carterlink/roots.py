@@ -8,9 +8,7 @@ system is built in doubled coordinates, where the inner product of two roots
 is the dot product divided by 4, and a root is named by its index; the
 inner-product bitsets are bit-sliced by coordinate value.  A label is the
 inner product of two roots of one ambient system, so the labels are read
-from those bitsets by root index, not recomputed, and so is each reflection,
-a permutation of root indices; the first call builds them all and the root
-system keeps them.
+from those bitsets by root index, not recomputed.
 With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
 mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
 checked as an integer identity.  p depends on the label vector alone, and
@@ -61,9 +59,7 @@ class RootSystem:
     ``ip_bits[i][t + 1]`` is a bitset over root indices: bit j is set when
     (root i, root j) = t, for t in -1, 0, 1.  The embedding search narrows
     its candidates with them, and the label scans read every inner product
-    with an embedded root from them.  ``reflection(g)`` is the
-    reflection in root g as a tuple of root indices; the first call builds
-    every row from them, and they are kept.
+    with an embedded root from them.
     """
 
     def __init__(self, name: str, rank: int, dim: int, doubled: Iterable[Doubled]) -> None:
@@ -125,39 +121,6 @@ class RootSystem:
             raise RootSystemError(f"{self.name}: no root of index {i!r}")
         coords = (str(c // 2) if c % 2 == 0 else f"{c}/2" for c in self.doubled[i])
         return f"root {i} ({','.join(coords)})"
-
-    def reflection(self, g: int) -> tuple[int, ...]:
-        """The reflection in root g as a permutation of root indices: x goes to
-        x + v or x - v when (x, v) = -1 or 1, v = root g, to -x when x = +-v,
-        and stays when (x, v) = 0.  The first call builds every row; a set not
-        closed under a reflection raises RootSystemError there."""
-        if not (type(g) is int and 0 <= g < len(self.doubled)):
-            raise RootSystemError(f"{self.name}: no root of index {g!r}")
-        return self._reflections[g]
-
-    @cached_property
-    def _reflections(self) -> tuple[tuple[int, ...], ...]:
-        """Every row of ``reflection``, read from ``ip_bits``.  For (x, v) = +-1,
-        x -+ v is the one root y with (y, x) = 1 and (y, v) = -+1, since then
-        (y, x -+ v) = 2 = |y| |x -+ v|: row[j] is the one bit of x's 1-set in
-        v's -+1-set.  An empty intersection means x -+ v is no root."""
-        rows = []
-        for g, (minus, _, plus) in enumerate(self.ip_bits):
-            row = list(range(len(self.doubled)))  # (x, v) = 0
-            for bits, meets in ((plus, minus), (minus, plus)):
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    j = low.bit_length() - 1
-                    y = self.ip_bits[j][2] & meets
-                    if not y:
-                        raise RootSystemError(
-                            f"{self.name}: not closed under the reflection in root {g}")
-                    row[j] = y.bit_length() - 1
-            row[g] = neg = len(row) - 1 - g  # the negative of root g
-            row[neg] = g
-            rows.append(tuple(row))
-        return tuple(rows)
 
     @cached_property
     def _scalar_moment(self) -> bool:

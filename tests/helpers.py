@@ -480,24 +480,23 @@ def signed_bipartite_diagrams(draw, max_rank=7):
     return cl.CarterDiagram("generated", tuple(vertices), edges)
 
 
-@st.composite
-def e8_root_subset_diagrams(draw, max_rank=8):
-    """Diagrams grown as sets of E8 roots, so every draw is a Carter diagram
-    (Carter, Compositio Math. 25 (1972) 1-59): positive definite, with an
-    embedding into E8.  Each new root has inner products in {0, +-1} with the
-    roots chosen so far, meets at least one of them, is orthogonal to its own
-    color class, and keeps the set independent.  Roots are drawn by their
-    position in the candidate list, so a draw shrinks toward low indices."""
+def _e8_ip(a, b) -> int:
+    """Inner product of the E8 roots of indices a and b."""
     bits = ambient("E8").ip_bits
+    return 2 if a == b else next((t for t in (-1, 0, 1) if bits[a][t + 1] >> b & 1), -2)
 
-    def ip(a, b) -> int:
-        """Inner product of the E8 roots of indices a and b."""
-        return 2 if a == b else next((t for t in (-1, 0, 1) if bits[a][t + 1] >> b & 1), -2)
 
-    chosen = [draw(st.integers(0, len(bits) - 1))]
-    colors = [0]
-    for _ in range(draw(st.integers(0, max_rank - 1))):
-        allowed, meets, ortho = ~0, 0, [~0, ~0]
+def _grown_diagram(draw, chosen, colors, steps, allowed=~0):
+    """The diagram of the E8 roots ``chosen`` of ``colors`` (0 alpha, 1 beta),
+    grown by up to ``steps`` roots from the bitset ``allowed``.  Each new root
+    has inner products in {0, +-1} with the roots chosen so far, meets at
+    least one of them, is orthogonal to its own color class, and keeps the
+    set independent.  Roots are drawn by their position in the candidate
+    list, so a draw shrinks toward low indices."""
+    bits = ambient("E8").ip_bits
+    chosen, colors = list(chosen), list(colors)
+    for _ in range(steps):
+        meets, ortho = 0, [~0, ~0]
         for r, c in zip(chosen, colors):
             minus, zero, plus = bits[r]
             allowed &= minus | zero | plus
@@ -508,7 +507,7 @@ def e8_root_subset_diagrams(draw, max_rank=8):
                  if (allowed & meets & ortho[c]) >> r & 1]
         while cands:
             r, c = cands.pop(draw(st.integers(0, len(cands) - 1)))
-            if _eliminate([[ip(a, b) for b in chosen + [r]] for a in chosen + [r]]):
+            if _eliminate([[_e8_ip(a, b) for b in chosen + [r]] for a in chosen + [r]]):
                 chosen.append(r)
                 colors.append(c)
                 break
@@ -519,6 +518,39 @@ def e8_root_subset_diagrams(draw, max_rank=8):
     for c in colors:
         counts[c] += 1
         vertices.append(cl.VertexId("ab"[c], counts[c], (dg.ALPHA, dg.BETA)[c]))
-    edges = tuple((vertices[i], vertices[j], ip(chosen[i], chosen[j]))
-                  for j in range(len(chosen)) for i in range(j) if ip(chosen[i], chosen[j]))
+    edges = tuple((vertices[i], vertices[j], _e8_ip(chosen[i], chosen[j]))
+                  for j in range(len(chosen)) for i in range(j) if _e8_ip(chosen[i], chosen[j]))
     return cl.CarterDiagram("grown", tuple(vertices), edges)
+
+
+@st.composite
+def e8_root_subset_diagrams(draw, max_rank=8):
+    """Diagrams grown as sets of E8 roots from one drawn root, so every draw
+    is a Carter diagram (Carter, Compositio Math. 25 (1972) 1-59): positive
+    definite, with an embedding into E8."""
+    first = draw(st.integers(0, len(ambient("E8")) - 1))
+    return _grown_diagram(draw, [first], [0], draw(st.integers(0, max_rank - 1)))
+
+
+@lru_cache(maxsize=None)
+def _e8_star() -> tuple:
+    """A D4 star of E8 roots: a center and the first three roots, in index
+    order, at inner product -1 with it and orthogonal to each other."""
+    center = 0
+    legs = []
+    for r in range(len(ambient("E8"))):
+        if _e8_ip(center, r) == -1 and all(_e8_ip(r, leg) == 0 for leg in legs):
+            legs.append(r)
+    return (center, *legs[:3])
+
+
+@st.composite
+def patterned_diagrams(draw, max_rank=8):
+    """Diagrams grown as sets of E8 roots from a fixed D4 star, the center b1
+    with three solid alpha legs, by roots orthogonal to the center.  The
+    center keeps its three legs, so every draw has the D5(a1)/D4 pattern."""
+    star = _e8_star()
+    d = _grown_diagram(draw, star, [1, 0, 0, 0], draw(st.integers(0, max_rank - 4)),
+                       allowed=ambient("E8").ip_bits[star[0]][1])
+    assert d.pattern is not None, d
+    return d

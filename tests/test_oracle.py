@@ -14,9 +14,9 @@ from carterlink import roots as rt
 from carterlink.cartan import CartanError
 from carterlink.diagram import DiagramError
 from carterlink.linkage import form_num, group_by_p
-from helpers import CATALOG, _dot, ambient, cycles_left_by, embedding_in, labels_in, links_of, \
-    pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_rank, ref_realized, ref_root, \
-    ref_root_system, ref_root_text, shuffled, signed_bipartite_diagrams, system_of
+from helpers import CATALOG, _dot, _ref_reflect, ambient, cycles_left_by, embedding_in, labels_in, \
+    links_of, pc_of, ref_extension_orbit, ref_inverse, ref_mat_vec, ref_rank, ref_realized, \
+    ref_root, ref_root_system, ref_root_text, shuffled, signed_bipartite_diagrams, system_of
 
 
 # -- root systems -----------------------------------------------------------------
@@ -234,49 +234,6 @@ def test_in_root_lattice_rejects_a_name_build_root_system_does_not_write(name):
         rs.in_root_lattice((1, 1, 1, 1))
 
 
-# A1, A2 and D2 have empty +-1 bitsets; A12 and D12 are the largest A and D
-@pytest.mark.parametrize("name", ["A4", "D5", "E6", "E7", "E8", "A1", "A2", "D2", "D4", "A8",
-                                  "D8", "A12", "D12"])
-def test_reflection_rows_match_coordinates(name):
-    rs = ambient(name)
-    n = len(rs)
-    for g, v in enumerate(rs.doubled):
-        row = rs.reflection(g)
-        assert rs.reflection(g) is row  # kept
-        assert sorted(row) == list(range(n))
-        assert all(row[row[j]] == j for j in range(n))
-        assert row[g] == rs.index[tuple(-c for c in v)]
-        assert {j for j in range(n) if row[j] == j} == \
-            {j for j in range(n) if rs.ip_bits[g][1] >> j & 1}
-        for j, x in enumerate(rs.doubled):
-            c, rem = divmod(_dot(x, v), 4)
-            assert rem == 0
-            assert rs.doubled[row[j]] == tuple(a - c * b for a, b in zip(x, v)), (g, j)
-
-
-def test_first_reflection_call_builds_every_row():
-    # a warm-up that reaches one row leaves no row to build in a timed call
-    rs = rt.build_root_system("D5")
-    row = rs.reflection(3)
-    assert len(rs._reflections) == len(rs)
-    assert rs._reflections[3] is row
-
-
-def test_reflection_rows_reject_a_set_not_closed_under_a_reflection():
-    # (1, 1, 0) and (1, 0, 1) have inner product 1, and their difference is no root
-    rs = rt.RootSystem("x", 2, 3, [(2, 2, 0), (-2, -2, 0), (2, 0, 2), (-2, 0, -2)])
-    with pytest.raises(rt.RootSystemError,
-                       match=r"^x: not closed under the reflection in root 0$"):
-        rs.reflection(0)
-
-
-@pytest.mark.parametrize("g", [-1, 20, True, 1.0])
-def test_reflection_rejects_an_index_of_no_root(g):
-    # True once gave the row of root 1, and 1.0 leaked TypeError
-    with pytest.raises(rt.RootSystemError, match=f"^A4: no root of index {re.escape(repr(g))}$"):
-        ambient("A4").reflection(g)
-
-
 # -- embeddings -------------------------------------------------------------------
 
 
@@ -340,8 +297,7 @@ def test_embedding_rejects_roots_outside_the_ambient():
     # which D8 does not have.  An index names a root of its own ambient only.
     e8, d8 = ambient("E8"), ambient("D8")
     emb = embedding_in("D4", "E8")
-    row = e8.reflection(e8.index[(1,) * 8])
-    idx = tuple(row[i] for i in emb.idx)
+    idx = tuple(e8.index[_ref_reflect(x, (1,) * 8)] for x in emb.doubled)
     reflected = rt.Embedding(emb.pc, e8, idx)
     assert reflected != emb and any(c % 2 for x in reflected.doubled for c in x)  # halves
     with pytest.raises(rt.VerificationError, match="^root of a1 is not a root of D8$"):

@@ -11,8 +11,8 @@ from carterlink import linkage, orbit
 from carterlink.cartan import CartanError
 from carterlink.linkage import _closure, form_num, form_value
 
-from helpers import (CATALOG, e8_root_subset_diagrams, form_at_most_two, links_of, pc_of,
-                     system_of)
+from helpers import (CATALOG, e8_root_subset_diagrams, form_at_most_two, links_of,
+                     patterned_diagrams, pc_of, system_of)
 
 
 # -- dual reflections -----------------------------------------------------------
@@ -121,8 +121,12 @@ def _assert_key_law(pc, nodes):
     return leaving
 
 
+# a grown set has the pattern in about 1 draw of 20, a patterned one in every draw
+generated_diagrams = st.one_of(e8_root_subset_diagrams(), patterned_diagrams())
+
+
 @settings(max_examples=60, deadline=None)
-@given(e8_root_subset_diagrams())
+@given(generated_diagrams)
 def test_edges_match_public_reflection_on_generated_diagrams(d):
     pc = cl.build_partial_cartan(d)
     assert cl.build_system(pc).edges == _reflection_edges(pc, cl.enumerate_linkages(pc))
@@ -483,15 +487,31 @@ _INPUT_ERRORS = {
     # once leaked TypeError
     "dual-reflect-str": (lambda: cl.dual_reflect(pc_of("D4(a1)"), "a1", ("1", 0, 0, 0)),
                          ValueError, "vector ('1', 0, 0, 0) has an entry that is not an int"),
+    # once leaked TypeError: has no len()
+    "dual-reflect-int": (lambda: cl.dual_reflect(pc_of("D4(a1)"), "a1", 5),
+                         ValueError, "5 is not a sequence of ints"),
+    "dual-reflect-none": (lambda: cl.dual_reflect(pc_of("D4(a1)"), "a1", None),
+                          ValueError, "None is not a sequence of ints"),
     "node-index": (lambda: system_of("D4").node_index((2, 0, 0, 0)),
                    ValueError, "(2, 0, 0, 0) is not a node of the linkage system"),
     # once leaked TypeError: unhashable type
     "node-index-unhashable": (lambda: system_of("D4").node_index([[1]]),
-                              ValueError, "([1],) is not a node of the linkage system"),
+                              ValueError, "[[1]] is not a node of the linkage system"),
+    # once leaked TypeError: 'int' object is not iterable
+    "node-index-int": (lambda: system_of("D4").node_index(5),
+                       ValueError, "5 is not a node of the linkage system"),
+    "node-index-none": (lambda: system_of("D4").node_index(None),
+                        ValueError, "None is not a node of the linkage system"),
     "gamma8-kind": (lambda: cl.gamma8_candidates(pc_of("E6(a1)"), "L14"), ValueError,
                     "loctet kind must be one of ('L12', 'L13', 'L23'), got 'L14'"),
     "loctet-length": (lambda: cl.loctet_from_gamma8(pc_of("E6(a1)"), (0, 0, 1), "L12"),
                       ValueError, "vector of length 3 for rank 6"),
+    # once leaked TypeError: has no len()
+    "loctet-int": (lambda: cl.loctet_from_gamma8(pc_of("E6(a1)"), 5, "L12"),
+                   ValueError, "5 is not a sequence of ints"),
+    # once returned the loctet of (0, 0, 1, 0)
+    "loctet-float": (lambda: cl.loctet_from_gamma8(pc_of("D4"), (0.0, 0.0, 1.0, 0.0), "L12"),
+                     ValueError, "vector (0.0, 0.0, 1.0, 0.0) has an entry that is not an int"),
     "json-not-an-object": (lambda: orbit.from_json("[1, 2]"),
                            dg.DiagramError, "system JSON must be an object"),
     "json-diagram-not-an-object": (lambda: orbit.from_json(json.dumps(
@@ -508,6 +528,13 @@ def test_orbit_input_checks_name_the_fault(case):
     call, error, message = _INPUT_ERRORS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_node_index_finds_the_node_equal_to_a_float_vector():
+    # no int check: to_json and to_dot look up every loctet member by it
+    sys = system_of("D4")
+    i = sys.nodes.index((1, 0, 0, 0))
+    assert sys.node_index((1.0, 0, 0, 0)) == sys.node_index([1, 0, 0, 0]) == i
 
 
 @pytest.mark.parametrize("name", [n for n in CATALOG if n != "D4(a1)"])
@@ -651,7 +678,7 @@ def test_a_system_built_from_its_value_serializes_alike(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(e8_root_subset_diagrams())
+@given(generated_diagrams)
 def test_generated_systems_roundtrip_and_search_numerators(d):
     pc = cl.build_partial_cartan(d)
     nodes, nums = _closure(pc)[:2]
