@@ -26,7 +26,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class LinalgError(ValueError):
-    """A vector whose length is not the rank of the form it is given to."""
+    """Not a label vector of the form's rank: a tuple or list of ints, one per vertex."""
 
 
 class CartanError(ValueError):

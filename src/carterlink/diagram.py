@@ -335,7 +335,7 @@ _NAME_RE = re.compile(r"^([ADE])_?(\d+)(?:\(\s*a_?(\d+)\s*\)|a(\d+))?$", re.IGNO
 
 def parse_name(name: str) -> tuple[str, int, Optional[int]]:
     """Parse 'E6(a1)', 'E6a1', 'D_10(a_3)', 'A5' into (family, l, k | None)."""
-    m = _NAME_RE.match(name.strip())
+    m = isinstance(name, str) and _NAME_RE.match(name.strip())
     if not m:
         raise DiagramError(f"unknown diagram name {name!r}")
     family = m.group(1).upper()

@@ -70,6 +70,20 @@ class _Closure(NamedTuple):
     components: tuple[tuple[int, ...], ...]
 
 
+def _vector(l: int, v: Sequence[int]) -> Linkage:
+    """v as a tuple of l ints, or LinalgError naming the fault.  A label vector
+    lists one label per vertex, so only a tuple or list is read: a set would
+    be read in hash order.  A float or bool entry is not an int."""
+    if not isinstance(v, (tuple, list)):
+        raise LinalgError(f"{v!r} is not a sequence of ints")
+    v = tuple(v)
+    if len(v) != l:
+        raise LinalgError(f"vector of length {len(v)} for rank {l}")
+    if not set(map(type, v)) <= {int}:
+        raise LinalgError(f"vector {v} has an entry that is not an int")
+    return v
+
+
 def enumerate_linkages(pc: PartialCartan) -> tuple[Linkage, ...]:
     """All nonzero v in {-1,0,1}^l with v^T B^-1 v < 2, sorted, built once per ``pc``."""
     return _closure(pc).nodes
@@ -216,35 +230,36 @@ def form_num(pc: PartialCartan, v: Sequence[int]) -> int:
 
 
 def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:
-    """The inverse quadratic form evaluated exactly on v."""
-    return Fraction(form_num(pc, v), pc.inv_den)
+    """The inverse quadratic form evaluated exactly on the label vector v."""
+    return Fraction(form_num(pc, _vector(len(pc), v)), pc.inv_den)
 
 
 def group_by_p(pc: PartialCartan, vectors: Iterable[Sequence[int]]) -> list[ExtensionSet]:
-    """Partition by the exact value of the inverse form, ascending in p.  Linkage
-    vectors take it from the closure ``pc`` keeps, others from ``form_num``."""
+    """Partition by the exact value of the inverse form, ascending in p.  A tuple
+    equal to a node of the closure ``pc`` keeps goes in as that node, with its
+    numerator; any other vector is read by ``_vector`` and takes ``form_num``."""
     closure = _closure(pc)
-    known = dict(zip(closure.nodes, closure.nums))
+    known = dict(zip(closure.nodes, zip(closure.nodes, closure.nums)))
     buckets: dict[int, list] = {}
     for v in vectors:
-        n = known.get(tuple(v))
-        buckets.setdefault(form_num(pc, v) if n is None else n, []).append(v)
+        try:  # KeyError: not a node; TypeError: unhashable, as a list
+            v, n = known[v]
+        except (KeyError, TypeError):
+            v = _vector(len(pc), v)
+            n = form_num(pc, v)
+        buckets.setdefault(n, []).append(v)
     return [
         ExtensionSet(Fraction(n, pc.inv_den), tuple(sorted(buckets[n]))) for n in sorted(buckets)
     ]
 
 
 def beta_unicolored(d: dg.CarterDiagram, vectors: Iterable[Linkage]) -> BetaUnicolored:
-    """Select vectors with all alpha coordinates zero; a vector whose length
-    is not the rank raises LinalgError.
+    """Select vectors with all alpha coordinates zero; each is read by ``_vector``.
 
     Also reports whether the label at the pattern center b1 vanishes on all
     of them (it does for every cataloged diagram except the bare 4-cycle
     D4(a1), which has no pattern)."""
-    vectors = tuple(vectors)
-    for v in vectors:
-        if len(v) != len(d.vertices):
-            raise LinalgError(f"{d.name} has rank {len(d.vertices)}, a vector has length {len(v)}")
+    vectors = tuple(_vector(len(d), v) for v in vectors)
     alpha_pos = [i for i, v in enumerate(d.vertices) if v.color == dg.ALPHA]
     members = tuple(sorted(v for v in vectors if all(v[i] == 0 for i in alpha_pos)))
     center = d.pattern[3] if d.pattern else next((v for v in d.vertices if v.id == "b1"), None)

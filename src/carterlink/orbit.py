@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import diagram as dg
 from .cartan import PartialCartan, build_partial_cartan, inverse_diagonal
-from .linkage import (Linkage, VerificationError, _closure, _keying, enumerate_linkages,
+from .linkage import (Linkage, VerificationError, _closure, _keying, _vector, enumerate_linkages,
                       reflect_at)
 
 LOCTET_TYPES = ("L12", "L13", "L23")
@@ -36,22 +36,9 @@ class UnsupportedDiagram(ValueError):
     with no D5(a1)/D4 pattern, such as a chain or the bare 4-cycle, that ``build_system`` builds."""
 
 
-def _vector(pc: PartialCartan, v: Sequence[int]) -> Linkage:
-    """v as a tuple of ints, one per vertex of ``pc``, or ValueError naming the fault."""
-    try:
-        v = tuple(v)
-    except TypeError:  # not iterable, as 5 or None
-        raise ValueError(f"{v!r} is not a sequence of ints") from None
-    if len(v) != len(pc):
-        raise ValueError(f"vector of length {len(v)} for rank {len(pc)}")
-    if not set(map(type, v)) <= {int}:
-        raise ValueError(f"vector {v} has an entry that is not an int")
-    return v
-
-
 def dual_reflect(pc: PartialCartan, t, v: Sequence[int]) -> Linkage:
     """Apply the dual reflection at vertex t to an integer label vector."""
-    return reflect_at(pc, pc.diagram.index_of(t), _vector(pc, v))
+    return reflect_at(pc, pc.diagram.index_of(t), _vector(len(pc), v))
 
 
 class Loctet(NamedTuple):
@@ -88,8 +75,10 @@ class LinkageSystem(dg._Value):
         return {v: i for i, v in enumerate(self.nodes)}
 
     def node_index(self, v: Linkage) -> int:
-        try:  # TypeError: not iterable, as 5, or an unhashable entry, as in [[1]]
-            return self._index[tuple(v)]
+        """The index of the node v, a tuple or list; its entries are not checked to be
+        ints ((1.0, 0) finds (1, 0)), as ``to_json`` and ``to_dot`` read every loctet member."""
+        try:  # None is no node; TypeError: an unhashable entry, as in [[1]]
+            return self._index[tuple(v) if isinstance(v, (tuple, list)) else None]
         except (KeyError, TypeError):
             raise ValueError(f"{v!r} is not a node of the linkage system") from None
 
@@ -113,14 +102,6 @@ def _kind_indices(pat: Indices, kind: str) -> Indices:
     return pat[ai], pat[aj], pat[3 - ai - aj], pat[3]
 
 
-def _is_bare_square(d: dg.CarterDiagram) -> bool:
-    return (
-        len(d.vertices) == 4
-        and len(d.edges) == 4
-        and all(len(d.neighbors(v)) == 2 for v in d.vertices)
-    )
-
-
 def gamma8_candidates(pc: PartialCartan, kind: str) -> tuple[Linkage, ...]:
     """All eighth linkage diagrams of loctets of the given kind.
 
@@ -139,7 +120,7 @@ def _gamma8(pc: PartialCartan, ijkb: Indices) -> tuple[Linkage, ...]:
 def loctet_from_gamma8(pc: PartialCartan, g8: Sequence[int], kind: str) -> Loctet:
     """The loctet of ``build_system(pc)`` whose gamma(8) is g8.  Raises
     ValueError when g8 is not one of ``gamma8_candidates(pc, kind)``."""
-    g8 = _vector(pc, g8)
+    g8 = _vector(len(pc), g8)
     _kind_indices(_pattern_indices(pc), kind)  # the pattern and kind checks
     for loc in build_system(pc).loctets:
         if loc.kind == kind and loc.members[7] == g8:
@@ -181,7 +162,7 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
             if v not in membership and any(v[i] != 0 for i in pat[:3]):
                 raise VerificationError(f"{d.name}: {v} has a pattern alpha label but no loctet")
         unicolored = tuple(v for v in nodes if v not in membership)
-    elif _is_bare_square(d):
+    elif len(d) == len(d.edges) == 4:  # simple and bicolored: the 4-cycle K(2,2)
         loctets = tuple(Loctet("D4", tuple(nodes[i] for i in comp)) for comp in components)
         unicolored = ()
     else:

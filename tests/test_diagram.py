@@ -41,6 +41,9 @@ def test_catalog_unknown_name():
         cl.catalog("E9")
     with pytest.raises(dg.DiagramError):
         cl.catalog("A13")
+    for name in (5, 8):  # not a str: once leaked AttributeError from str.strip
+        with pytest.raises(dg.DiagramError, match=f"^unknown diagram name {name}$"):
+            cl.catalog(name)
 
 
 @pytest.mark.parametrize("name", CATALOG + ["E8", "A1", "A5", "D9", "D10(a3)"])

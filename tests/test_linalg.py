@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import carterlink as cl
 from carterlink.cartan import LinalgError, _eliminate
-from carterlink.linkage import form_value
+from carterlink.linkage import form_num, form_value
 
 from helpers import CATALOG, pc_of, ref_det, ref_inverse, ref_rank
 
@@ -75,8 +75,10 @@ def test_quad_form_zero_vector():
 
 
 def test_quad_form_dimension_mismatch():
-    with pytest.raises(LinalgError, match="^form of rank 4 on a vector of length 2$"):
+    with pytest.raises(LinalgError, match="^vector of length 2 for rank 4$"):
         form_value(pc_of("D4"), [1, 2])
+    with pytest.raises(LinalgError, match="^form of rank 4 on a vector of length 2$"):
+        form_num(pc_of("D4"), [1, 2])  # the internal hot path keeps its own check
 
 
 @pytest.mark.parametrize("name", CATALOG)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import carterlink as cl
-from carterlink import roots as rt
+from carterlink import linkage, roots as rt
 from carterlink.cartan import LinalgError
 from carterlink.diagram import catalog_names
 from carterlink.linkage import (_closure, _orbit_table, beta_unicolored, enumerate_linkages,
@@ -118,8 +119,69 @@ def test_beta_unicolored_d4a1():
 def test_beta_unicolored_rejects_a_vector_of_another_length(v):
     # a short vector once leaked IndexError, and a long one whose alpha labels
     # vanish was returned as a member
-    with pytest.raises(LinalgError, match=f"^D4 has rank 4, a vector has length {len(v)}$"):
+    with pytest.raises(LinalgError, match=f"^vector of length {len(v)} for rank 4$"):
         beta_unicolored(cl.catalog("D4"), [(0, 0, 1, 0), v])
+
+
+# bad label vectors of rank 4, each with the message of ``linkage._vector``
+_BAD_VECTORS = {
+    # a set or dict was read in hash or key order
+    "set": {1, 0, 2, 3},
+    "frozenset": frozenset({1, 0, 2, 3}),
+    "dict": {0: 1, 1: 0, 2: 0, 3: 0},
+    "int": 5,
+    "none": None,
+    "str": "1000",
+    "float-entry": (1.5, 0, 0, 0),
+    "bool-entry": (True, True, True, True),
+    "unhashable-entry": ([1], 0, 0, 0),
+    "length": (1, 0),
+}
+
+# the public readers of a label vector, each given one on D4
+_READERS = {
+    "group_by_p": lambda v: group_by_p(pc_of("D4"), [v]),
+    "beta_unicolored": lambda v: beta_unicolored(cl.catalog("D4"), [v]),
+    "form_value": lambda v: form_value(pc_of("D4"), v),
+    "dual_reflect": lambda v: cl.dual_reflect(pc_of("D4"), "a1", v),
+    "loctet_from_gamma8": lambda v: cl.loctet_from_gamma8(pc_of("D4"), v, "L12"),
+}
+
+
+@pytest.mark.parametrize("reader", _READERS)
+@pytest.mark.parametrize("case", _BAD_VECTORS)
+def test_every_reader_rejects_a_bad_label_vector(reader, case):
+    v = _BAD_VECTORS[case]
+    if not isinstance(v, (tuple, list)):
+        message = f"{v!r} is not a sequence of ints"
+    elif len(v) != 4:
+        message = f"vector of length {len(v)} for rank 4"
+    else:
+        message = f"vector {v} has an entry that is not an int"
+    with pytest.raises(LinalgError, match=f"^{re.escape(message)}$"):
+        _READERS[reader](v)
+
+
+def test_group_by_p_members_are_the_int_nodes():
+    # a list member once stayed a list, so the set had no hash and did not
+    # equal the set of tuples; a float tuple stayed floats
+    pc = pc_of("D5")
+    (es,) = group_by_p(pc, [(1, 0, 0, 0, 0)])
+    assert group_by_p(pc, [[1, 0, 0, 0, 0]]) == group_by_p(pc, [(1.0, 0, 0, 0, 0)]) == [es]
+    assert hash(group_by_p(pc, [[1, 0, 0, 0, 0]])[0]) == hash(es)
+    assert [set(map(type, v)) for v in group_by_p(pc, [(1.0, 0, 0, 0, 0)])[0].members] == [{int}]
+
+
+def test_group_by_p_reads_no_node_by_the_vector_check(monkeypatch):
+    # the closure's own nodes go in as they are, unchecked, so the benchmark's
+    # grouping pays no check
+    def fail(l, v):
+        raise AssertionError(f"{v} was checked")
+
+    monkeypatch.setattr(linkage, "_vector", fail)
+    for name in catalog_names() + LARGE_RANK:
+        pc = pc_of(name)
+        assert sum(map(len, group_by_p(pc, enumerate_linkages(pc)))) == len(enumerate_linkages(pc))
 
 
 @pytest.mark.parametrize("name", CATALOG)

@@ -66,9 +66,10 @@ def test_unsupported_root_system():
         cl.build_root_system("D4(a1)")
 
 
-@pytest.mark.parametrize("name", ["", "X9", "E9"])
+@pytest.mark.parametrize("name", ["", "X9", "E9", 5, 8])
 def test_build_root_system_rejects_a_name_it_does_not_know(name):
-    # a name that is no diagram name either raises RootSystemError, not DiagramError
+    # a name that is no diagram name either raises RootSystemError, not DiagramError;
+    # one that is not a str once leaked AttributeError
     with pytest.raises(rt.RootSystemError, match=f"^unsupported root system {re.escape(repr(name))}$"):
         cl.build_root_system(name)
 

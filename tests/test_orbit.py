@@ -502,6 +502,9 @@ _INPUT_ERRORS = {
                        ValueError, "5 is not a node of the linkage system"),
     "node-index-none": (lambda: system_of("D4").node_index(None),
                         ValueError, "None is not a node of the linkage system"),
+    # once found node 8 of A3, (0, 1, -1), the order the set iterates in
+    "node-index-set": (lambda: system_of("A3").node_index({0, 1, -1}),
+                       ValueError, "{0, 1, -1} is not a node of the linkage system"),
     "gamma8-kind": (lambda: cl.gamma8_candidates(pc_of("E6(a1)"), "L14"), ValueError,
                     "loctet kind must be one of ('L12', 'L13', 'L23'), got 'L14'"),
     "loctet-length": (lambda: cl.loctet_from_gamma8(pc_of("E6(a1)"), (0, 0, 1), "L12"),
