@@ -538,22 +538,13 @@ def to_doc(d: CarterDiagram) -> dict:
 
 def from_json(text: str) -> CarterDiagram:
     """Parse the canonical diagram JSON; unknown keys are rejected."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DiagramError(f"invalid JSON: {e}") from None
-    return from_doc(doc)
+    return from_doc(_decode(text))
 
 
 def from_doc(doc) -> CarterDiagram:
     """The diagram of a decoded diagram JSON document, checked as ``from_json``
     checks it; a system document's "diagram" is read by this."""
-    if not isinstance(doc, dict):
-        raise DiagramError("diagram JSON must be an object")
-    _check_keys(doc, {"name", "vertices", "edges"}, "diagram")
-    for key in ("name", "vertices", "edges"):
-        if key not in doc:
-            raise DiagramError(f"diagram JSON is missing {key!r}")
+    _read_object(doc, ("name", "vertices", "edges"), "diagram JSON")
     for key in ("vertices", "edges"):
         if not isinstance(doc[key], list):
             raise DiagramError(f"diagram JSON: {key!r} must be a list")
@@ -561,19 +552,18 @@ def from_doc(doc) -> CarterDiagram:
         raise DiagramError(f"diagram JSON: 'name' must be a string, got {doc['name']!r}")
     verts = []
     for i, v in enumerate(doc["vertices"]):
-        _check_keys(v, {"id", "color"}, f"vertices[{i}]")
-        vid = v.get("id")
+        vid = _read_object(v, ("id", "color"), f"vertices[{i}]")["id"]
         # an id is canonical exactly when it is the id of the vertex read from it
         m = re.match(r"([abtf])(\d+)", str(vid))
-        vertex = VertexId(m.group(1), int(m.group(2)), v.get("color")) if m else None
+        vertex = VertexId(m.group(1), int(m.group(2)), v["color"]) if m else None
         if vertex is None or vertex.id != vid:
             raise DiagramError(f"vertices[{i}]: bad id {vid!r} (want a<k>, b<k>, t<k> or f<k>)")
         verts.append(vertex)
     byid = {v.id: v for v in verts}
     edges = []
     for i, e in enumerate(doc["edges"]):
-        _check_keys(e, {"u", "v", "sign"}, f"edges[{i}]")
-        u, v, sign = e.get("u"), e.get("v"), e.get("sign")
+        _read_object(e, ("u", "v", "sign"), f"edges[{i}]")
+        u, v, sign = e["u"], e["v"], e["sign"]
         for end in (u, v):
             if not isinstance(end, str) or end not in byid:  # a list or object is unhashable
                 raise DiagramError(f"edges[{i}]: unknown vertex {end!r}")
@@ -583,9 +573,22 @@ def from_doc(doc) -> CarterDiagram:
     return CarterDiagram(doc["name"], tuple(verts), tuple(edges))
 
 
-def _check_keys(obj, allowed: set, where: str) -> None:
+def _decode(text: str):
+    """The JSON value of ``text``, as the diagram and system readers take it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DiagramError(f"invalid JSON: {e}") from None
+
+
+def _read_object(obj, keys: tuple[str, ...], where: str) -> dict:
+    """``obj``, checked to be a JSON object with exactly ``keys``."""
     if not isinstance(obj, dict):
-        raise DiagramError(f"{where}: expected an object")
+        raise DiagramError(f"{where} must be an object")
     for key in obj:
-        if key not in allowed:
-            raise DiagramError(f"{where}: unknown key {key!r} (allowed: {sorted(allowed)})")
+        if key not in keys:
+            raise DiagramError(f"{where}: unknown key {key!r} (allowed: {sorted(keys)})")
+    for key in keys:
+        if key not in obj:
+            raise DiagramError(f"{where} is missing {key!r}")
+    return obj

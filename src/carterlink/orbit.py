@@ -349,105 +349,60 @@ def to_dot(sys: LinkageSystem) -> str:
 
 
 def to_json(sys: LinkageSystem, indent: Optional[int] = None) -> str:
-    doc = {
+    return json.dumps(_doc(sys), indent=indent)
+
+
+def _doc(sys: LinkageSystem) -> dict:
+    """The system JSON document; JSON writes the node, edge and component tuples as arrays."""
+    index = sys._index
+    return {
         "diagram": dg.to_doc(sys.pc.diagram),
-        "nodes": [list(v) for v in sys.nodes],
-        "edges": [[i, j, gen] for i, j, gen in sys.edges],
-        "components": [list(c) for c in sys.components],
+        "nodes": sys.nodes,
+        "edges": sys.edges,
+        "components": sys.components,
         "component_p": [str(p) for p in sys.component_p],
-        "loctets": [{"kind": loc.kind, "members": [sys.node_index(m) for m in loc.members]}
+        "loctets": [{"kind": loc.kind, "members": [index[m] for m in loc.members]}
                     for loc in sys.loctets],
-        "unicolored": [sys.node_index(v) for v in sys.unicolored],
+        "unicolored": [index[v] for v in sys.unicolored],
     }
-    return json.dumps(doc, indent=indent)
 
 
-_SYSTEM_KEYS = {"diagram", "nodes", "edges", "components", "component_p",
-                "loctets", "unicolored"}
+_SYSTEM_KEYS = ("diagram", "nodes", "edges", "components", "component_p", "loctets", "unicolored")
+_canonical = json.JSONEncoder(sort_keys=True).encode  # true, 1.0 and 1 differ; key order does not
 
 
 def from_json(text: str) -> LinkageSystem:
     """Parse a serialized system back and check it by rebuilding it.
 
-    Checks the keys and the shape of every value, and that every node index
-    (edges, components, loctets, unicolored) lies in range; a malformed
-    document raises DiagramError.  Then builds the system of the diagram
-    afresh and compares every field with the document: nodes, edges,
-    components, component_p, loctets (kind and members, in order) and
-    unicolored.  The first field that differs raises VerificationError.
+    A text that is not JSON, is not an object with exactly the keys that
+    ``to_json`` writes, or whose "diagram" ``diagram.from_doc`` rejects
+    raises DiagramError.  Otherwise the system of the diagram is built afresh,
+    and the document is accepted when its text is the rebuilt system's
+    ``to_json``, or when each other field equals the rebuilt one as canonical
+    JSON.  The first field that differs raises VerificationError naming its
+    first differing entry, both lengths, or the value when it is not a list,
+    so a malformed field, such as an index out of range or a p that
+    ``to_json`` writes otherwise ("10/8" for 5/4), is a failed claim.
     Returns the rebuilt system.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise dg.DiagramError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise dg.DiagramError("system JSON must be an object")
-    for key in doc:
-        if key not in _SYSTEM_KEYS:
-            raise dg.DiagramError(f"system JSON: unknown key {key!r}")
-    for key in _SYSTEM_KEYS:
-        if key not in doc:
-            raise dg.DiagramError(f"system JSON is missing {key!r}")
+    doc = dg._read_object(dg._decode(text), _SYSTEM_KEYS, "system JSON")
     d = dg.from_doc(doc["diagram"])
-    nodes = tuple(_ints(v, "node") for v in _list(doc, "nodes"))
-
-    def at(x, where: str) -> tuple[int, ...]:
-        idx = _ints(x, where)
-        for i in idx:
-            if not 0 <= i < len(nodes):
-                raise dg.DiagramError(f"system JSON: {where} index {i} is not a node index")
-        return idx
-
-    edges = []
-    for e in _list(doc, "edges"):
-        if not isinstance(e, list) or len(e) != 3 or not isinstance(e[2], str):
-            raise dg.DiagramError(f"system JSON: edge {e!r} is not [index, index, vertex id]")
-        edges.append((*at(e[:2], "edge"), e[2]))
-    loctets = []
-    for item in _list(doc, "loctets"):
-        if not isinstance(item, dict) or set(item) != {"kind", "members"} \
-                or not isinstance(item["kind"], str):
-            raise dg.DiagramError(f"system JSON: loctet {item!r} is not a kind and members")
-        members = at(item["members"], "loctet")
-        loctets.append(Loctet(item["kind"], tuple(nodes[i] for i in members)))
-    loaded = {
-        "nodes": nodes,
-        "edges": tuple(edges),
-        "components": tuple(at(c, "component") for c in _list(doc, "components")),
-        "component_p": tuple(_fraction(p) for p in _list(doc, "component_p")),
-        "loctets": tuple(loctets),
-        "unicolored": tuple(nodes[i] for i in at(doc["unicolored"], "unicolored")),
-    }
     built = build_system(build_partial_cartan(d))
-    for name, value in loaded.items():
-        want = getattr(built, name)
-        if want != value:
-            k = next((k for k, (a, b) in enumerate(zip(value, want)) if a != b), None)
-            raise VerificationError(
-                f"system JSON of {d.name}: {name} differ from the rebuilt system: " + (
-                    f"{len(value)} {name} in the document, {len(want)} rebuilt" if k is None
-                    else f"{name}[{k}] is {value[k]} in the document, {want[k]} rebuilt"))
+    want = _doc(built)
+    if text == json.dumps(want):
+        return built
+    for name in _SYSTEM_KEYS[1:]:
+        value, rebuilt = doc[name], want[name]
+        if _canonical(value) == _canonical(rebuilt):
+            continue
+        if not isinstance(value, list):
+            witness = f"{name} is {_canonical(value)} in the document, not a list"
+        else:
+            k = next((k for k, (a, b) in enumerate(zip(value, rebuilt))
+                      if _canonical(a) != _canonical(b)), None)
+            witness = (f"{len(value)} {name} in the document, {len(rebuilt)} rebuilt" if k is None
+                       else f"{name}[{k}] is {_canonical(value[k])} in the document, "
+                            f"{_canonical(rebuilt[k])} rebuilt")
+        raise VerificationError(
+            f"system JSON of {d.name}: {name} differ from the rebuilt system: {witness}")
     return built
-
-
-def _list(doc: dict, key: str) -> list:
-    if not isinstance(doc[key], list):
-        raise dg.DiagramError(f"system JSON: {key} {doc[key]!r} is not a list")
-    return doc[key]
-
-
-def _ints(x, where: str) -> tuple[int, ...]:
-    """x as a tuple; DiagramError unless it is a list of JSON integers."""
-    if not isinstance(x, list) or not set(map(type, x)) <= {int}:
-        raise dg.DiagramError(f"system JSON: {where} {x!r} is not a list of integers")
-    return tuple(x)
-
-
-def _fraction(p) -> Fraction:
-    if isinstance(p, str):
-        try:
-            return Fraction(p)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise dg.DiagramError(f"system JSON: component_p {p!r} is not a fraction string")

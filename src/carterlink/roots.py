@@ -63,6 +63,8 @@ class RootSystem:
     """
 
     def __init__(self, name: str, rank: int, dim: int, doubled: Iterable[Doubled]) -> None:
+        if not isinstance(name, str):  # the lattice rule reads it by a regex
+            raise RootSystemError(f"root system name {name!r} is not a str")
         self.name = name
         self.rank = rank
         self.dim = dim

@@ -277,7 +277,11 @@ INPUT_REJECTIONS = {
     "edge-to-unknown-vertex": ("cartan", _d4_with(edges=[{"u": "a1", "v": "b9", "sign": "solid"}]),
                                (), "edges[0]: unknown vertex 'b9'"),
     "vertex-not-an-object": ("cartan", _d4_with(vertices=["a1"] + _D4_VERTICES[1:]),
-                             (), "vertices[0]: expected an object"),
+                             (), "vertices[0] must be an object"),
+    "vertex-without-color": ("cartan", _d4_with(vertices=[{"id": "a1"}] + _D4_VERTICES[1:]),
+                             (), "vertices[0] is missing 'color'"),
+    "edge-without-sign": ("cartan", _d4_with(edges=[{"u": "a1", "v": "b1"}] + _D4["edges"][1:]),
+                          (), "edges[0] is missing 'sign'"),
     "repeated-vertex": ("cartan", _d4_with(vertices=_D4_VERTICES + _D4_VERTICES[:1]),
                         (), "D4: duplicate vertex a1"),
     "same-color-edge": ("cartan", _d4_with(edges=_D4["edges"] + [{"u": "a1", "v": "a2",

@@ -97,6 +97,13 @@ def test_root_system_checks(doubled, message):
         rt.RootSystem("x", len(doubled[0]), len(doubled[0]), doubled)
 
 
+# once leaked TypeError from the regex that reads the lattice rule from the name
+@pytest.mark.parametrize("name", [8, None])
+def test_root_system_rejects_a_name_that_is_not_a_str(name):
+    with pytest.raises(rt.RootSystemError, match=f"^root system name {name!r} is not a str$"):
+        rt.RootSystem(name, 4, 4, cl.build_root_system("D4").doubled)
+
+
 @pytest.mark.parametrize("name", ROOT_SYSTEM_NAMES)
 def test_root_systems_match_fraction_reference(name):
     got, want = ambient(name), ref_root_system(name)

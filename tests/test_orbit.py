@@ -740,7 +740,8 @@ CORRUPTIONS = {
     "loctet-permuted": lambda doc: doc["loctets"][0]["members"].reverse(),
 }
 
-# malformed shapes and indices out of range, each of which must raise DiagramError
+# malformed shapes and indices out of range: a well-formed document whose field
+# is malformed makes a failed claim too, with the same witnesses
 SHAPE_CORRUPTIONS = {
     "loctet-999": _put("loctets", 0, "members", 0, value=999),
     "unicolored-999": _put("unicolored", 0, value=999),
@@ -757,24 +758,43 @@ SHAPE_CORRUPTIONS = {
 CORRUPTIONS.update(SHAPE_CORRUPTIONS)
 
 
-_LOCTET = system_of("D5(a1)").loctets[0]
+_LOCTET = '{"kind": "L12", "members": [17, 23, 1, 8, 32, 40, 18, 24]}'
+_MEMBERS = ", 23, 1, 8, 32, 40, 18, 24]}"
+_NODE = "[-1, -1, 0, 1, -1]"
 
 # each mismatch raises "system JSON of D5(a1): <field> differ from the rebuilt
-# system: <witness>"; the field and the witness of each
+# system: <witness>"; the field and the witness of each, entries as JSON text
 REBUILT = "differ from the rebuilt system:"
 WITNESSES = {
     "extra-node": f"nodes {REBUILT} 43 nodes in the document, 42 rebuilt",
-    "short-node":
-        f"nodes {REBUILT} nodes[0] is (1, 0) in the document, (-1, -1, 0, 1, -1) rebuilt",
-    "component-p": f"component_p {REBUILT} component_p[0] is 7/3 in the document, 5/4 rebuilt",
+    "short-node": f"nodes {REBUILT} nodes[0] is [1, 0] in the document, {_NODE} rebuilt",
+    "component-p":
+        f'component_p {REBUILT} component_p[0] is "7/3" in the document, "5/4" rebuilt',
     "no-edges": f"edges {REBUILT} 0 edges in the document, 50 rebuilt",
     "edge-relabeled":
-        f"edges {REBUILT} edges[0] is (0, 3, 'a1') in the document, (0, 3, 'b2') rebuilt",
+        f'edges {REBUILT} edges[0] is [0, 3, "a1"] in the document, [0, 3, "b2"] rebuilt',
     "edge-dropped-components-kept":
-        f"edges {REBUILT} edges[0] is (0, 8, 'a2') in the document, (0, 3, 'b2') rebuilt",
-    "loctet-permuted": f"loctets {REBUILT} loctets[0] is "
-                       f"{cl.Loctet(_LOCTET.kind, _LOCTET.members[::-1])} in the document, "
-                       f"{_LOCTET} rebuilt",
+        f'edges {REBUILT} edges[0] is [0, 8, "a2"] in the document, [0, 3, "b2"] rebuilt',
+    "loctet-permuted": f'loctets {REBUILT} loctets[0] is {{"kind": "L12", "members": '
+                       f'[24, 18, 40, 32, 8, 1, 23, 17]}} in the document, {_LOCTET} rebuilt',
+    "loctet-999": f'loctets {REBUILT} loctets[0] is {{"kind": "L12", "members": [999{_MEMBERS} '
+                  f"in the document, {_LOCTET} rebuilt",
+    "unicolored-999": f"unicolored {REBUILT} unicolored[0] is 999 in the document, 20 rebuilt",
+    "loctet-minus-1": f'loctets {REBUILT} loctets[0] is {{"kind": "L12", "members": [-1{_MEMBERS} '
+                      f"in the document, {_LOCTET} rebuilt",
+    "nodes-not-a-list": f"nodes {REBUILT} nodes is 5 in the document, not a list",
+    "edges-not-a-list": f"edges {REBUILT} edges is 5 in the document, not a list",
+    "edge-of-two": f'edges {REBUILT} edges[0] is [0, 1] in the document, [0, 3, "b2"] rebuilt',
+    "component-not-a-list": f"components {REBUILT} components[0] is 5 in the document, "
+                            "[0, 3, 7, 8, 12, 14, 16, 18, 22, 24, 28, 30, 32, 35, 39, 40] rebuilt",
+    "loctet-not-an-object":
+        f'loctets {REBUILT} loctets[0] is "x" in the document, {_LOCTET} rebuilt',
+    "component-p-not-a-fraction":
+        f'component_p {REBUILT} component_p[0] is "abc" in the document, "5/4" rebuilt',
+    "node-entry-float":
+        f"nodes {REBUILT} nodes[0] is [-1, -1, 0, 1.0, -1] in the document, {_NODE} rebuilt",
+    "node-entry-bool":
+        f"nodes {REBUILT} nodes[0] is [-1, -1, 0, true, -1] in the document, {_NODE} rebuilt",
 }
 
 
@@ -782,13 +802,38 @@ WITNESSES = {
 def test_system_json_rejects_corruption(probe):
     doc = json.loads(orbit.to_json(system_of("D5(a1)")))
     CORRUPTIONS[probe](doc)
-    if probe in SHAPE_CORRUPTIONS:
-        with pytest.raises(cl.diagram.DiagramError):
-            orbit.from_json(json.dumps(doc))
-        return
     message = f"system JSON of D5(a1): {WITNESSES[probe]}"
     with pytest.raises(orbit.VerificationError, match=f"^{re.escape(message)}$"):
         orbit.from_json(json.dumps(doc))
+
+
+# fractions equal to the rebuilt p, 5/4 and 1/2, that to_json does not write; once accepted
+@pytest.mark.parametrize("name, p", [("D5(a1)", "10/8"), ("A1", "0.5")])
+def test_system_json_rejects_a_non_canonical_fraction(name, p):
+    s = system_of(name)
+    doc = json.loads(orbit.to_json(s))
+    doc["component_p"][0] = p
+    message = (f"system JSON of {name}: component_p {REBUILT} component_p[0] is \"{p}\" in the "
+               f"document, \"{s.component_p[0]}\" rebuilt")
+    with pytest.raises(orbit.VerificationError, match=f"^{re.escape(message)}$"):
+        orbit.from_json(json.dumps(doc))
+
+
+def _loctet_keys_reversed(text):
+    doc = json.loads(text)
+    doc["loctets"] = [dict(reversed(loc.items())) for loc in doc["loctets"]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", PIPELINE_NAMES)
+def test_system_json_accepts_what_to_json_and_the_cli_write(name):
+    # the last two differ from to_json's text, so they are checked field by field
+    s = system_of(name)
+    texts = (orbit.to_json(s), orbit.to_json(s, indent=2) + "\n", _loctet_keys_reversed(
+        orbit.to_json(s)))
+    assert len(set(texts)) == (3 if s.loctets else 2)
+    for text in texts:
+        assert orbit.from_json(text) == s
 
 
 @pytest.mark.parametrize("parse", [dg.from_json, orbit.from_json], ids=["diagram", "system"])
