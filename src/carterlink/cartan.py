@@ -15,6 +15,7 @@ point anywhere.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -38,9 +39,13 @@ class PartialCartan(dg._Value):
 
     ``gram`` is B as integers.  B^-1 = inv_num / inv_den in vertex order,
     where inv_den is the least common denominator of the entries.
-    ``_linkages`` keeps ``linkage._closure``.  The value is the diagram and
-    det: the matrices are derived from the diagram, and ``_linkages`` is a
-    cache.
+    ``_linkages`` keeps ``linkage._closure``, and ``_extends`` maps each
+    label vector u > 0 that ``roots._extending`` has decided to whether u and
+    -u extend an embedding, which depends on inv_num and inv_den alone.  The
+    value is the diagram and det: the matrices are derived from the diagram,
+    and ``_linkages`` and ``_extends`` are caches.  So every reader of one
+    ``pc`` shares what any of them kept; one built by hand is a new object
+    with caches of its own.
     """
 
     _value = ("diagram", "det")
@@ -48,7 +53,7 @@ class PartialCartan(dg._Value):
     def __init__(self, diagram: dg.CarterDiagram, det: Fraction, gram: IntMatrix,
                  inv_num: IntMatrix, inv_den: int) -> None:
         self.__dict__.update(diagram=diagram, det=det, gram=gram, inv_num=inv_num,
-                             inv_den=inv_den, _linkages=None)
+                             inv_den=inv_den, _linkages=None, _extends={})
 
     def __len__(self) -> int:
         return len(self.diagram)
@@ -103,7 +108,14 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
     The diagram was checked when built, so CartanError means one thing: the
     form is not positive definite (an extended Dynkin diagram, for example,
     has det 0 and corresponds to no linearly independent root subset).
+
+    The diagram keeps a weak reference to the result, so while that
+    ``PartialCartan`` is alive, the call returns it, with what it keeps.  A
+    strong one would close a cycle, as ``pc.diagram`` is ``d``.
     """
+    ref = d.__dict__.get("_pc")
+    if ref is not None and (pc := ref()) is not None:
+        return pc
     gram = d.gram()
     m = _eliminate(gram)
     if m is None:
@@ -124,7 +136,9 @@ def build_partial_cartan(d: dg.CarterDiagram) -> PartialCartan:
             num[p][q] = num[q][p] = sum(map(mul, wcols[p], cols[q]))
     g = gcd(den, *(x for row in num for x in row))
     inv_num = tuple(tuple(x // g for x in row) for row in num)
-    return PartialCartan(d, Fraction(minors[l]), gram, inv_num, den // g)
+    pc = PartialCartan(d, Fraction(minors[l]), gram, inv_num, den // g)
+    d.__dict__["_pc"] = weakref.ref(pc)
+    return pc
 
 
 def inverse_diagonal(pc: PartialCartan, v) -> Fraction:

@@ -353,17 +353,18 @@ def to_json(sys: LinkageSystem, indent: Optional[int] = None) -> str:
 
 
 def _doc(sys: LinkageSystem) -> dict:
-    """The system JSON document; JSON writes the node, edge and component tuples as arrays."""
-    index = sys._index
+    """The system JSON document; JSON writes the node, edge and component tuples as arrays.
+    A loctet member or unicolored vector that is no node raises ValueError, as in ``to_dot``."""
+    index = sys.node_index
     return {
         "diagram": dg.to_doc(sys.pc.diagram),
         "nodes": sys.nodes,
         "edges": sys.edges,
         "components": sys.components,
         "component_p": [str(p) for p in sys.component_p],
-        "loctets": [{"kind": loc.kind, "members": [index[m] for m in loc.members]}
+        "loctets": [{"kind": loc.kind, "members": list(map(index, loc.members))}
                     for loc in sys.loctets],
-        "unicolored": [index[v] for v in sys.unicolored],
+        "unicolored": list(map(index, sys.unicolored)),
     }
 
 

@@ -18,8 +18,10 @@ labels.  The projection is linear, so the laws compute it, p and the
 mirror's lattice test once per +- pair of label vectors, and per root only
 what involves gamma: the root lattice is a group holding gamma, so the
 mirror 2 gamma_L - gamma is in it exactly when 2 gamma_L is.
-``find_embeddings`` builds the partial Cartan matrix of the diagram once;
-its embeddings share it and every oracle reads it from there.  The extension
+``find_embeddings`` reads the partial Cartan matrix of the diagram from
+``build_partial_cartan``, which returns the one the diagram's caller built
+while it is alive; its embeddings share it, every oracle reads it from there,
+and the extension decisions of the label scans are kept on it.  The extension
 orbits follow a lattice law: they are dict lookups by (2D mu, N labels mod D),
 with no reflection applied (see ``_orbit_slices``); the weight orbits are
 ``diagram.closure`` under the dual reflections at positive coordinates.
@@ -265,7 +267,10 @@ def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) ->
     every ``build_root_system`` result but D2 = A1 x A1, where only A1 embeds.
 
     A diagram whose form is not positive definite has no embeddings: it is
-    the Gram matrix of no vectors at all.
+    the Gram matrix of no vectors at all.  The embeddings share the ``pc``
+    that ``build_partial_cartan(d)`` returns: the caller's, while the caller
+    holds it, so ``find_embedding`` and ``embedding_independence`` on one
+    diagram read one core and one set of kept extension decisions.
     """
     if type(limit) is not int:
         raise ValueError(f"limit must be an int, got {limit!r}")
@@ -328,9 +333,10 @@ def _extending(pc: PartialCartan, rows: Iterable[Linkage]) -> set[Linkage]:
     """The distinct rows that extend an embedding with this ``pc``.  The form is
     even, so -v extends exactly when v does: ``_extends`` is read once per +-
     pair, at u = v if v > 0 (lexicographically), else u = -v, whether or not
-    the rows are closed under negation."""
-    zero, den = (0,) * len(pc), pc.inv_den
-    by_u: dict[Linkage, bool] = {}
+    the rows are closed under negation.  The decision for u is kept in
+    ``pc._extends``, so the scan, the trials and any later call on the same
+    ``pc`` evaluate the form once per +- pair among all their rows."""
+    zero, den, by_u = (0,) * len(pc), pc.inv_den, pc._extends
     ext = set()
     for v in set(rows):
         u = v if v > zero else tuple(map(neg, v))
@@ -665,7 +671,8 @@ def embedding_independence(d: dg.CarterDiagram, ambient: RootSystem,
     set.  A diagram may embed in more than one class (A7 in E8, D6 in E7),
     and the classes can realize different sets, so whether the sets must
     agree is left to the caller.  One ``_extending`` filter serves all their
-    rows, once per +- pair of label vectors, as form(-v) = form(v)."""
+    rows, once per +- pair of label vectors, as form(-v) = form(v), and reads
+    the decisions that an earlier scan kept on the same ``pc``."""
     if type(trials) is not int:
         raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -159,3 +161,19 @@ def test_negative_determinant_rejected():
     assert ref_det(star.gram()) == -16
     with pytest.raises(CartanError, match="not positive definite"):
         cl.build_partial_cartan(star)
+
+
+def test_a_diagram_returns_its_partial_cartan_while_it_is_alive():
+    # the diagram holds its pc weakly: the same pc, with what it keeps, while
+    # a caller holds it, and a new one once it is collected
+    d = cl.catalog("E6(a1)")
+    pc = cl.build_partial_cartan(d)
+    assert cl.build_partial_cartan(d) is pc and pc.diagram is d
+    cl.enumerate_linkages(pc)
+    gone = weakref.ref(pc)
+    del pc
+    gc.collect()
+    assert gone() is None
+    fresh = cl.build_partial_cartan(d)
+    assert fresh._linkages is None and fresh._extends == {}
+    assert cl.build_partial_cartan(d) is fresh

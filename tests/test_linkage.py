@@ -280,7 +280,7 @@ def test_kept_search_leaves_repr_eq_and_hash():
     before = (repr(pc), hash(pc))
     enumerate_linkages(pc)
     assert (repr(pc), hash(pc)) == before
-    fresh = cl.build_partial_cartan(pc.diagram)
+    fresh = cl.build_partial_cartan(cl.catalog("D5(a1)"))  # pc.diagram would return pc
     assert pc == fresh and hash(pc) == hash(fresh)
     assert "_linkages" not in repr(pc)
 

@@ -444,6 +444,11 @@ def _negated(v):
     return tuple(-t for t in v)
 
 
+def _classes(rows):
+    """The +- classes of the rows, each named by its member above zero."""
+    return {max(v, _negated(v)) for v in rows}
+
+
 def _every_row_filter(pc, rows):
     """The reference of ``_extending``: ``_extends`` read at every distinct row."""
     return {v for v in set(rows) if rt._extends(form_num(pc, v), pc.inv_den)}
@@ -474,8 +479,9 @@ def test_extension_filter_equals_the_reference_on_rows_not_closed_under_negation
 @pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
 def test_the_label_scans_evaluate_the_form_once_per_pair_of_rows(amb, monkeypatch):
     # one evaluation per +- class of distinct rows, at its member above zero
-    # (the zero vector is its own class): the scan reads one embedding's rows,
-    # the trials the union of the rows of all their embeddings
+    # (the zero vector is its own class): the scan reads one embedding's rows;
+    # the trials that follow it on the same diagram read the decisions kept on
+    # its pc and evaluate only the classes of the other embeddings' rows
     calls = []
     real = rt.form_num
     monkeypatch.setattr(rt, "form_num", lambda pc, v: calls.append(v) or real(pc, v))
@@ -485,12 +491,54 @@ def test_the_label_scans_evaluate_the_form_once_per_pair_of_rows(amb, monkeypatc
         embs = cl.find_embeddings(d, rs, limit=3)
         if not embs:
             continue
-        for run, rows in ((lambda: rt.direct_linkage_labels(embs[0]), rt._labels(embs[0])),
-                          (lambda: rt.embedding_independence(d, rs, 3),
-                           [v for e in embs for v in rt._labels(e)])):
-            calls.clear()
-            run()
-            assert sorted(calls) == sorted({max(v, _negated(v)) for v in rows}), (amb, name)
+        calls.clear()
+        rt.direct_linkage_labels(embs[0])
+        assert sorted(calls) == sorted(_classes(rt._labels(embs[0]))), (amb, name)
+        rt.embedding_independence(d, rs, 3)
+        assert sorted(calls) == sorted(_classes(v for e in embs for v in rt._labels(e))), \
+            (amb, name)
+
+
+def test_a_hand_built_partial_cartan_does_not_read_the_kept_decisions(monkeypatch):
+    # a pc equal by value to the diagram's own but with another inv_num, as
+    # the inverse-form fault builds: it is a new object, so it decides every
+    # +- class again with its own form and leaves the kept decisions alone
+    d = cl.catalog("E6(a1)")
+    e = cl.find_embedding(d, ambient("E8"))
+    rows = rt._labels(e)
+    own = rt._extending(e.pc, rows)
+    kept = dict(e.pc._extends)
+    num = [list(row) for row in e.pc.inv_num]
+    num[0][0] += 1
+    pc = cl.PartialCartan(d, e.pc.det, e.pc.gram, tuple(map(tuple, num)), e.pc.inv_den)
+    assert pc == e.pc and cl.build_partial_cartan(d) is e.pc
+    calls = []
+    real = rt.form_num
+    monkeypatch.setattr(rt, "form_num", lambda pc, v: calls.append(v) or real(pc, v))
+    changed = rt._extending(pc, rows)
+    assert sorted(calls) == sorted(_classes(rows))
+    assert changed == _every_row_filter(pc, rows) != own
+    assert e.pc._extends == kept
+
+
+def test_the_verify_sequence_in_e8_leaves_no_reference_cycle():
+    # what verify runs, on fresh diagrams: the diagram's reference to its pc
+    # is weak, as pc.diagram is the diagram and a strong one closes a cycle
+    e8 = ambient("E8")
+
+    def verify_all():
+        for name in dg.catalog_names():
+            d = cl.catalog(name)
+            pc = cl.build_partial_cartan(d)
+            cl.build_system(pc)
+            e = cl.find_embedding(d, e8)
+            dl = cl.direct_linkage_labels(e)
+            rt.check_projection_laws(dl, e)
+            rt.square_diagonal_audit(dl, e)
+            rt.embedding_independence(d, e8, 3)
+
+    assert len(dg.catalog_names()) == 19
+    assert cycles_left_by(verify_all) == 0
 
 
 def test_laws_report_does_not_depend_on_which_sign_comes_first():
@@ -929,7 +977,7 @@ def test_embeddings_share_one_partial_cartan():
     embs = cl.find_embeddings(d, ambient("D5"), limit=4)
     assert len(embs) == 4
     assert all(e.pc is embs[0].pc and e.diagram is e.pc.diagram for e in embs)
-    assert embs[0].pc == cl.build_partial_cartan(d)
+    assert embs[0].pc is cl.build_partial_cartan(d)
 
 
 def test_embedding_search_leaves_no_reference_cycle():

@@ -405,7 +405,7 @@ def test_loctet_members_must_be_linkage_vectors(monkeypatch):
     with pytest.raises(orbit.VerificationError, match=re.escape(
             "E6(a1): the seeds of support at most 3 close to 53 linkage vectors, "
             "the E6 table has 54")):
-        cl.build_system(cl.build_partial_cartan(pc.diagram))
+        cl.build_system(cl.build_partial_cartan(cl.catalog("E6(a1)")))  # pc keeps its closure
 
 
 # (diagram, g8 of kind L12): vectors that are not gamma(8) candidates; the
@@ -661,6 +661,22 @@ def test_dot_export_mentions_all_nodes():
     assert dot.count("n0 ") >= 1
     assert dot.count("subgraph cluster_") == 3
     assert "--" in dot
+
+
+@pytest.mark.parametrize("field", ["loctets", "unicolored"])
+def test_export_names_a_loctet_member_or_unicolored_vector_that_is_no_node(field):
+    # the LinkageSystem constructor checks neither; to_json once leaked a bare
+    # KeyError: (9, 9, 9, 9) where to_dot raised this ValueError
+    s = system_of("D4")
+    bad = (9, 9, 9, 9)
+    value = (orbit.Loctet("L12", (bad,) * 8),) if field == "loctets" else (bad,)
+    hand = orbit.LinkageSystem(**{**{f: getattr(s, f) for f in s._value}, field: value})
+    message = f"^{re.escape(str(bad))} is not a node of the linkage system$"
+    with pytest.raises(ValueError, match=message):
+        orbit.to_json(hand)
+    if field == "loctets":  # to_dot draws no unicolored vector
+        with pytest.raises(ValueError, match=message):
+            orbit.to_dot(hand)
 
 
 def test_system_json_roundtrip():
