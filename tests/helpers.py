@@ -28,7 +28,6 @@ CATALOG = [
 ]
 
 C4_CATALOG = CATALOG[:12]
-DYNKIN_CATALOG = CATALOG[12:]
 
 # The 30 diagrams of the large_rank benchmark workload.
 LARGE_RANK = [name for l in (10, 11, 12)
