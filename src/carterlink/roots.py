@@ -7,8 +7,10 @@ is on plain integers.  The E8 coordinates are half-integers, so every root
 system is built in doubled coordinates, where the inner product of two roots
 is the dot product divided by 4, and a root is named by its index; the
 inner-product bitsets are bit-sliced by coordinate value.  A label is the
-inner product of two roots of one ambient system, so the labels are read
-from those bitsets by root index, not recomputed.
+inner product of two roots of one ambient system, so the labels are read by
+root index, not recomputed: the root system keeps the label column of each
+root once it has been read from those bitsets, and a label scan zips the
+kept columns of the embedded roots.
 With B^-1 = N / D (N and D integer), the projection gamma_L and the rest
 mu = gamma - gamma_L are integer vectors at the scale 2D, so every law is
 checked as an integer identity.  p depends on the label vector alone, and
@@ -33,7 +35,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from operator import mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
@@ -60,13 +62,21 @@ class RootSystem:
     reverses the order, so the negative of root i is root n - 1 - i of n.
     ``ip_bits[i][t + 1]`` is a bitset over root indices: bit j is set when
     (root i, root j) = t, for t in -1, 0, 1.  The embedding search narrows
-    its candidates with them, and the label scans read every inner product
-    with an embedded root from them.
+    its candidates with them.  ``_column(i)``, the label column of root i,
+    is built from ``ip_bits[i]`` the first time it is read and then kept, so
+    every label scan in this root system reads it from there; ``copy.copy``
+    shares the kept columns, as it shares ``ip_bits``.  The rank and dim
+    must be ints of at least 1, the rank at most the dim.
     """
 
     def __init__(self, name: str, rank: int, dim: int, doubled: Iterable[Doubled]) -> None:
         if not isinstance(name, str):  # the lattice rule reads it by a regex
             raise RootSystemError(f"root system name {name!r} is not a str")
+        for what, k in (("rank", rank), ("dim", dim)):
+            if type(k) is not int or k < 1:
+                raise RootSystemError(f"{name}: {what} {k!r} is not an int >= 1")
+        if rank > dim:
+            raise RootSystemError(f"{name}: rank {rank} exceeds dim {dim}")
         self.name = name
         self.rank = rank
         self.dim = dim
@@ -83,6 +93,7 @@ class RootSystem:
                 raise RootSystemError(
                     f"{name}: set not closed under negation: doubled root {x} has no negative")
         self.ip_bits = self._ip_bits()
+        self._columns: dict[int, tuple[int, ...]] = {}
         self._lattice = name[0] if re.fullmatch(r"[AD][1-9][0-9]*|E[678]", name) else None
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
@@ -114,6 +125,27 @@ class RootSystem:
                 raise RootSystemError(f"{self.name}: non-integral inner products")
             bits.append((sums.get(-4, 0), sums.get(0, 0), sums.get(4, 0)))
         return tuple(bits)
+
+    def _column(self, i: int) -> tuple[int, ...]:
+        """The label column of root i, its inner products with every root by
+        index: built the first time it is read, then kept in ``_columns``."""
+        col = self._columns.get(i)
+        if col is None:
+            col = self._columns[i] = self._build_column(i)
+        return col
+
+    def _build_column(self, i: int) -> tuple[int, ...]:
+        """Root i's column, read from ``ip_bits[i]``.  A root in none of its
+        three bitsets is root i (2) or its negative n - 1 - i (-2).  No other
+        value occurs: the constructor admits only roots of norm 2 with
+        integral inner products, and |(x, y)| <= 2 with equality only for
+        y = +-x."""
+        n = len(self.doubled)
+        minus, _, plus = self.ip_bits[i]
+        # per root, its bit in plus minus its bit in minus: the ASCII digits of both, lowest first
+        col = list(map(sub, f"{plus:0{n}b}".encode()[::-1], f"{minus:0{n}b}".encode()[::-1]))
+        col[i], col[n - 1 - i] = 2, -2
+        return tuple(col)
 
     def __len__(self) -> int:
         return len(self.doubled)
@@ -366,33 +398,31 @@ def _entry(table: dict, r: RealizedLinkage, amb: RootSystem, l: int):
     return entry
 
 
-def _label_projection(cols: list[Doubled], n_mat: Sequence[Sequence[int]],
+def _label_projection(n_cols: list[Sequence[int]], g_cols: list[list[int]],
                       labels: Linkage) -> tuple[list[int], int, list[int]]:
-    """(c, lc, G) of a label vector, with ``cols`` the columns of the embedded
+    """(c, lc, G) of a label vector, with ``n_cols`` the columns of N and
+    ``g_cols`` those of E^T N, for E the matrix whose rows are the embedded
     roots e_k doubled: c = N labels, so B^-1 labels = c / D; lc = labels . c,
-    so p = lc / D; G = sum c_k (2 e_k) = 2D gamma_L, so a root x / 2 with
-    these labels has M = D x - G = 2D mu."""
-    c = [sum(map(mul, row, labels)) for row in n_mat]
-    return c, _dot(labels, c), [sum(map(mul, c, col)) for col in cols]
+    so p = lc / D; G = E^T c = sum c_k (2 e_k) = 2D gamma_L, so a root x / 2
+    with these labels has M = D x - G = 2D mu.  c and G are sums over the
+    nonzero labels of their columns, signed or scaled; zero labels give zeros."""
+    c, g = [0] * len(labels), [0] * len(g_cols[0])
+    for t, nk, gk in zip(labels, n_cols, g_cols):
+        if t == 1:
+            c, g = list(map(add, c, nk)), list(map(add, g, gk))
+        elif t == -1:
+            c, g = list(map(sub, c, nk)), list(map(sub, g, gk))
+        elif t:
+            c = [a + t * b for a, b in zip(c, nk)]
+            g = [a + t * b for a, b in zip(g, gk)]
+    return c, _dot(labels, c), g
 
 
 def _labels(e: Embedding) -> list[Linkage]:
-    """The label vector of every ambient root, by root index, read from the
-    inner-product bitsets of the embedded roots.  A root in none of the three
-    bitsets of an embedded root i is that root (label 2) or its negative
-    n - 1 - i (-2), both in the span.  No other label occurs, so none is
-    checked for: ``RootSystem`` admits only roots of norm 2 with integral
-    inner products, and |(x, y)| <= 2 with equality only for y = +-x."""
-    amb = e.ambient
-    n = len(amb)
-    cols = []
-    for i in e.idx:
-        minus, _, plus = amb.ip_bits[i]
-        # per root, its bit in plus minus its bit in minus: the ASCII digits of both, lowest first
-        col = list(map(sub, f"{plus:0{n}b}".encode()[::-1], f"{minus:0{n}b}".encode()[::-1]))
-        col[i], col[n - 1 - i] = 2, -2
-        cols.append(col)
-    return list(zip(*cols))
+    """The label vector of every ambient root, by root index: a new list of
+    rows zipped from the kept label columns of the embedded roots (see
+    ``RootSystem._column``), so a caller may write into it."""
+    return list(zip(*map(e.ambient._column, e.idx)))
 
 
 def direct_linkage_labels(e: Embedding) -> DirectLabels:
@@ -537,7 +567,8 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
     """
     _same_embedding(dl, e)
     n_mat, den, amb = e.pc.inv_num, e.pc.inv_den, e.ambient
-    cols = list(zip(*e.doubled))
+    n_cols = list(zip(*n_mat))  # N's columns, as N of a hand-built pc need not be symmetric
+    g_cols = [[_dot(nk, x) for x in zip(*e.doubled)] for nk in n_cols]  # E^T N's columns
     of_labels: dict[Linkage, tuple] = {}  # lc, G, c mod D, 2G / D or None, in the lattice
     by_p: dict[int, int] = {}  # realized roots per lc = D p
     keyed: dict[LatticeKey, list[int]] = {}  # the lc of each root
@@ -560,7 +591,7 @@ def check_projection_laws(dl: DirectLabels, e: Embedding) -> LawsReport:
                 entry = (lc, list(map(neg, g)), tuple(-a % den for a in c),
                          None if g2 is None else tuple(map(neg, g2)), lattice)
             else:
-                c, lc, g = _label_projection(cols, n_mat, r.labels)
+                c, lc, g = _label_projection(n_cols, g_cols, r.labels)
                 if not _extends(lc, den):
                     raise VerificationError(f"{amb.name_root(i)} does not extend the embedding")
                 if _dot(g, g) != 4 * den * lc:

@@ -104,6 +104,23 @@ def test_root_system_rejects_a_name_that_is_not_a_str(name):
         rt.RootSystem(name, 4, 4, cl.build_root_system("D4").doubled)
 
 
+# rank "8" once leaked TypeError from find_embeddings and dim 8.0 from
+# _ip_bits; the other five were accepted, and rank True, 0 and -1 then
+# embedded nothing
+@pytest.mark.parametrize("rank,dim,message", [
+    ("8", 8, "rank '8' is not an int >= 1"),
+    (8, 8.0, "dim 8.0 is not an int >= 1"),
+    (8.0, 8, "rank 8.0 is not an int >= 1"),
+    (True, 8, "rank True is not an int >= 1"),
+    (0, 8, "rank 0 is not an int >= 1"),
+    (-1, 8, "rank -1 is not an int >= 1"),
+    (9, 8, "rank 9 exceeds dim 8"),
+])
+def test_root_system_rejects_a_rank_or_dim_that_is_not_an_int_of_at_least_1(rank, dim, message):
+    with pytest.raises(rt.RootSystemError, match=f"^E8: {re.escape(message)}$"):
+        rt.RootSystem("E8", rank, dim, ambient("E8").doubled)
+
+
 @pytest.mark.parametrize("name", ROOT_SYSTEM_NAMES)
 def test_root_systems_match_fraction_reference(name):
     got, want = ambient(name), ref_root_system(name)
@@ -435,6 +452,70 @@ def test_projection_laws_reject_a_root_that_does_not_extend(which):
     message = f"{ref_root_text(e.ambient, i)} does not extend the embedding"
     with pytest.raises(rt.VerificationError, match=f"^{re.escape(message)}$"):
         rt.check_projection_laws(rt.DirectLabels(e, (bad,) + dl.realized, dl.labels), e)
+
+
+# -- kept label columns -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"] + [f"D{n}" for n in range(4, 9)] +
+                         [f"A{n}" for n in range(1, 9)])
+def test_label_columns_are_the_inner_products(name):
+    rs = cl.build_root_system(name)
+    for i, x in enumerate(rs.doubled):
+        assert rs._column(i) == tuple(_dot(x, y) // 4 for y in rs.doubled), (name, i)
+
+
+def _bit_formatted_labels(e):
+    """The reference label scan: the -1- and +1-bitsets of each embedded root
+    formatted into binary strings, read digit by digit."""
+    n = len(e.ambient)
+    cols = []
+    for i in e.idx:
+        minus, _, plus = e.ambient.ip_bits[i]
+        col = [int(a) - int(b) for a, b in zip(f"{plus:0{n}b}"[::-1], f"{minus:0{n}b}"[::-1])]
+        col[i], col[n - 1 - i] = 2, -2
+        cols.append(col)
+    return list(zip(*cols))
+
+
+@pytest.mark.parametrize("amb", ["E8", "E7", "D8"])
+def test_labels_match_the_bit_formatted_reference(amb):
+    for name in dg.catalog_names():
+        for e in cl.find_embeddings(cl.catalog(name), ambient(amb), limit=3):
+            assert rt._labels(e) == _bit_formatted_labels(e), (amb, name)
+
+
+def test_labels_are_a_new_list_that_a_caller_may_write_into():
+    e = embedding_in("E6(a1)", "E8")
+    rows = rt._labels(e)
+    again = rt._labels(e)
+    assert rows == again and rows is not again
+    rows[:] = [(9,) * 6] * len(rows)
+    assert rt._labels(e) == again
+    assert rt.direct_linkage_labels(e) == labels_in("E6(a1)", "E8")
+
+
+def test_the_verify_sequence_builds_each_column_it_reads_once(monkeypatch):
+    # the scan, the laws, the audit and the three trials of every catalog
+    # diagram in one E8 build the column of each embedded root once, and a
+    # copy of the root system shares the kept columns
+    built = []
+    real = rt.RootSystem._build_column
+    monkeypatch.setattr(rt.RootSystem, "_build_column",
+                        lambda self, i: built.append(i) or real(self, i))
+    e8 = cl.build_root_system("E8")
+    used = set()
+    for name in dg.catalog_names():
+        d = cl.catalog(name)
+        e = cl.find_embedding(d, e8)
+        dl = rt.direct_linkage_labels(e)
+        rt.check_projection_laws(dl, e)
+        rt.square_diagonal_audit(dl, e)
+        rt.embedding_independence(d, e8, 3)
+        used.update(i for f in cl.find_embeddings(d, e8, limit=3) for i in f.idx)
+    assert sorted(built) == sorted(used) and 8 <= len(used) < len(e8)
+    twin = copy.copy(e8)
+    assert twin._columns is e8._columns and twin._column(built[0]) is e8._column(built[0])
 
 
 # -- +- pairs of label vectors ------------------------------------------------------
