@@ -573,12 +573,22 @@ def from_doc(doc) -> CarterDiagram:
     return CarterDiagram(doc["name"], tuple(verts), tuple(edges))
 
 
-def _decode(text: str):
-    """The JSON value of ``text``, as the diagram and system readers take it."""
+def _decode(text: str, unique_keys: bool = False):
+    """The JSON value of ``text``, as the diagram and system readers take it; with
+    ``unique_keys``, an object that repeats a key raises DiagramError naming it."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
     except json.JSONDecodeError as e:
         raise DiagramError(f"invalid JSON: {e}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise DiagramError(f"JSON object repeats key {key!r}")
+        seen.add(key)
+    return dict(pairs)
 
 
 def _read_object(obj, keys: tuple[str, ...], where: str) -> dict:

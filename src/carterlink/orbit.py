@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
+from operator import neg
 from typing import NamedTuple, Optional, Sequence
 
 from . import diagram as dg
@@ -158,10 +159,11 @@ def build_system(pc: PartialCartan) -> LinkageSystem:
                 if m in membership:
                     raise VerificationError(f"{d.name}: {m} lies in two distinct loctets")
                 membership.add(m)
-        for v in nodes:
-            if v not in membership and any(v[i] != 0 for i in pat[:3]):
-                raise VerificationError(f"{d.name}: {v} has a pattern alpha label but no loctet")
         unicolored = tuple(v for v in nodes if v not in membership)
+        a1, a2, a3 = pat[:3]
+        for v in unicolored:
+            if v[a1] or v[a2] or v[a3]:
+                raise VerificationError(f"{d.name}: {v} has a pattern alpha label but no loctet")
     elif len(d) == len(d.edges) == 4:  # simple and bicolored: the 4-cycle K(2,2)
         loctets = tuple(Loctet("D4", tuple(nodes[i] for i in comp)) for comp in components)
         unicolored = ()
@@ -196,7 +198,6 @@ def _generated_loctets(pc: PartialCartan, pat: Indices) -> tuple[Loctet, ...]:
     gamma(1..3) negate nodes, and the closure's nodes, as many as the table's
     total, are every vector of form < 2, a set that both keep.
     """
-    neg = lambda v: tuple(-x for x in v)
     out: list[Loctet] = []
     for kind in LOCTET_TYPES:
         i, j, k, b = _kind_indices(pat, kind)
@@ -205,7 +206,8 @@ def _generated_loctets(pc: PartialCartan, pat: Indices) -> tuple[Loctet, ...]:
             g6 = reflect_at(pc, b, g7)
             g4 = reflect_at(pc, i, g6)
             g5 = reflect_at(pc, j, g6)
-            out.append(Loctet(kind, (neg(g8), neg(g7), neg(g6), g4, g5, g6, g7, g8)))
+            minus = tuple(map(neg, g8)), tuple(map(neg, g7)), tuple(map(neg, g6))
+            out.append(Loctet(kind, (*minus, g4, g5, g6, g7, g8)))
     return tuple(out)
 
 
@@ -276,14 +278,12 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
 
     base_sys = build_system(base)
 
-    def project(v: Linkage) -> Linkage:
-        return tuple(x for i, x in enumerate(v) if i != di)
-
     kernel = []
     images = set()
+    zero = (0,) * len(keep)
     for v in ext.nodes:
-        img = project(v)
-        if all(x == 0 for x in img):
+        img = v[:di] + v[di + 1:]
+        if img == zero:
             kernel.append(v)
             continue
         if img not in base_sys._index:
@@ -293,15 +293,14 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
         images.add(img)
 
     unit = tuple(1 if i == di else 0 for i in range(len(d_ext)))
-    neg = tuple(-x for x in unit)
-    if sorted(kernel) != sorted([neg, unit]):
+    if sorted(kernel) != sorted([tuple(map(neg, unit)), unit]):
         raise VerificationError(
             f"kernel is {sorted(kernel)}, expected the two unit vectors at {dropped}")
 
     base_sets = {loc.member_set(): i for i, loc in enumerate(base_sys.loctets)}
     pairs = []
     for ei, loc in enumerate(ext.loctets):
-        img_set = frozenset(project(m) for m in loc.members)
+        img_set = frozenset(m[:di] + m[di + 1:] for m in loc.members)
         bi = base_sets.get(img_set)
         if bi is None:
             raise VerificationError(
@@ -369,29 +368,41 @@ def _doc(sys: LinkageSystem) -> dict:
 
 
 _SYSTEM_KEYS = ("diagram", "nodes", "edges", "components", "component_p", "loctets", "unicolored")
+_HEAD = '{"diagram": '  # how to_json's text starts: its diagram member comes first
+_read_value = json.JSONDecoder().raw_decode
 _canonical = json.JSONEncoder(sort_keys=True).encode  # true, 1.0 and 1 differ; key order does not
 
 
 def from_json(text: str) -> LinkageSystem:
     """Parse a serialized system back and check it by rebuilding it.
 
-    A text that is not JSON, is not an object with exactly the keys that
-    ``to_json`` writes, or whose "diagram" ``diagram.from_doc`` rejects
-    raises DiagramError.  Otherwise the system of the diagram is built afresh,
-    and the document is accepted when its text is the rebuilt system's
-    ``to_json``, or when each other field equals the rebuilt one as canonical
-    JSON.  The first field that differs raises VerificationError naming its
-    first differing entry, both lengths, or the value when it is not a list,
-    so a malformed field, such as an index out of range or a p that
-    ``to_json`` writes otherwise ("10/8" for 5/4), is a failed claim.
-    Returns the rebuilt system.
+    A text that starts as ``to_json``'s does is read first by its diagram
+    member alone: the system of that diagram is built, and it is returned when
+    its ``to_json`` is the text.  Any other text, or one whose diagram fails to
+    read or build, takes the full path, which raises each error as if the
+    first path had not run.  There a text that is not JSON, repeats a key in
+    one object, is not an object with exactly the keys that ``to_json`` writes,
+    or whose "diagram" ``diagram.from_doc`` rejects raises DiagramError.
+    Otherwise the system of the diagram is built afresh, and the document is
+    accepted when each other field equals the rebuilt one as canonical JSON.
+    The first field that differs raises VerificationError naming its first
+    differing entry, both lengths, or the value when it is not a list, so a
+    malformed field, such as an index out of range or a p that ``to_json``
+    writes otherwise ("10/8" for 5/4), is a failed claim.  Returns the
+    rebuilt system.
     """
-    doc = dg._read_object(dg._decode(text), _SYSTEM_KEYS, "system JSON")
+    try:
+        if text.startswith(_HEAD):
+            d = dg.from_doc(_read_value(text, len(_HEAD))[0])
+            built = build_system(build_partial_cartan(d))
+            if text == to_json(built):
+                return built
+    except Exception:  # the full path below raises what it raises, in its own order
+        pass
+    doc = dg._read_object(dg._decode(text, unique_keys=True), _SYSTEM_KEYS, "system JSON")
     d = dg.from_doc(doc["diagram"])
     built = build_system(build_partial_cartan(d))
     want = _doc(built)
-    if text == json.dumps(want):
-        return built
     for name in _SYSTEM_KEYS[1:]:
         value, rebuilt = doc[name], want[name]
         if _canonical(value) == _canonical(rebuilt):

@@ -65,7 +65,8 @@ class RootSystem:
     its candidates with them.  ``_column(i)``, the label column of root i,
     is built from ``ip_bits[i]`` the first time it is read and then kept, so
     every label scan in this root system reads it from there; ``copy.copy``
-    shares the kept columns, as it shares ``ip_bits``.  The rank and dim
+    shares the kept columns, as it shares ``ip_bits``, and setting
+    ``ip_bits`` starts an empty store of columns.  The rank and dim
     must be ints of at least 1, the rank at most the dim.
     """
 
@@ -93,8 +94,16 @@ class RootSystem:
                 raise RootSystemError(
                     f"{name}: set not closed under negation: doubled root {x} has no negative")
         self.ip_bits = self._ip_bits()
-        self._columns: dict[int, tuple[int, ...]] = {}
         self._lattice = name[0] if re.fullmatch(r"[AD][1-9][0-9]*|E[678]", name) else None
+
+    @property
+    def ip_bits(self) -> tuple[tuple[int, int, int], ...]:
+        return self._bits
+
+    @ip_bits.setter
+    def ip_bits(self, bits: tuple[tuple[int, int, int], ...]) -> None:
+        # the kept columns were read from the old bits
+        self._bits, self._columns = bits, {}
 
     def _ip_bits(self) -> tuple[tuple[int, int, int], ...]:
         """Bit-sliced: ``by_value[k][c]`` is the bitset of the roots whose

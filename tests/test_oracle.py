@@ -518,6 +518,23 @@ def test_the_verify_sequence_builds_each_column_it_reads_once(monkeypatch):
     assert twin._columns is e8._columns and twin._column(built[0]) is e8._column(built[0])
 
 
+def test_a_copy_given_its_own_ip_bits_reads_its_own_columns():
+    # once shared the original's kept columns: _labels read 0 where _build_column read 1
+    e8 = ambient("E8")
+    e = embedding_in("D4", "E8")
+    rt._labels(e)  # keeps the columns of the embedded roots
+    i = e.idx[0]
+    minus, zero, plus = e8.ip_bits[i]
+    j = (zero & -zero).bit_length() - 1  # the lowest root of root i's 0-set
+    twin = copy.copy(e8)
+    assert twin._columns is e8._columns
+    twin.ip_bits = tuple((minus, zero & ~(1 << j), plus | 1 << j) if k == i else row
+                         for k, row in enumerate(e8.ip_bits))
+    moved = rt.Embedding(e.pc, twin, e.idx)
+    assert rt._labels(moved)[j][0] == twin._build_column(i)[j] == 1
+    assert rt._labels(e)[j][0] == e8._build_column(i)[j] == 0
+
+
 # -- +- pairs of label vectors ------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from carterlink.cartan import CartanError
 from carterlink.linkage import _closure, form_num, form_value
 
 from helpers import (CATALOG, e8_root_subset_diagrams, form_at_most_two, links_of,
-                     patterned_diagrams, pc_of, system_of)
+                     patterned_diagrams, pc_of, shuffled, system_of)
 
 
 # -- dual reflections -----------------------------------------------------------
@@ -850,6 +850,62 @@ def test_system_json_accepts_what_to_json_and_the_cli_write(name):
     assert len(set(texts)) == (3 if s.loctets else 2)
     for text in texts:
         assert orbit.from_json(text) == s
+
+
+def _count_decodes(monkeypatch) -> list:
+    """The text of each call of ``diagram._decode``, the full decode of a document, from here on."""
+    calls, real = [], dg._decode
+    monkeypatch.setattr(dg, "_decode", lambda text, **k: calls.append(text) or real(text, **k))
+    return calls
+
+
+@pytest.mark.parametrize("name", PIPELINE_NAMES)
+def test_system_json_reads_to_jsons_own_text_by_its_diagram_alone(name, monkeypatch):
+    d = cl.catalog(name)
+    systems = [cl.build_system(cl.build_partial_cartan(x))
+               for x in (d, shuffled(d, 1), shuffled(d, 2))]
+    texts = list(map(orbit.to_json, systems))
+    calls = _count_decodes(monkeypatch)
+    for s, text in zip(systems, texts):
+        assert orbit.from_json(text) == s
+    assert calls == []
+
+
+def test_system_json_reads_other_texts_by_the_full_decode(monkeypatch):
+    # the indented and reordered texts that the CLI test above accepts, one full decode each
+    s = system_of("D5(a1)")
+    texts = (orbit.to_json(s, indent=2) + "\n", _loctet_keys_reversed(orbit.to_json(s)))
+    calls = _count_decodes(monkeypatch)
+    for text in texts:
+        assert orbit.from_json(text) == s
+    assert calls == list(texts)
+
+
+def test_system_json_rejects_to_jsons_text_cut_short():
+    with pytest.raises(dg.DiagramError, match="^invalid JSON: "):
+        orbit.from_json(orbit.to_json(system_of("D5(a1)"))[:-1])
+
+
+def test_system_json_names_an_eighth_key_before_its_diagram_fails_to_build():
+    # the 4-cycle with every edge solid is the affine A3, not positive definite
+    doc = json.loads(orbit.to_json(system_of("D4(a1)")))
+    for e in doc["diagram"]["edges"]:
+        e["sign"] = "solid"
+    with pytest.raises(CartanError):
+        orbit.from_json(json.dumps(doc))
+    doc["extra"] = 1
+    with pytest.raises(dg.DiagramError, match="^system JSON: unknown key 'extra' "):
+        orbit.from_json(json.dumps(doc))
+
+
+# a repeated key's last value is the real one; once read as D4 and accepted
+@pytest.mark.parametrize("key, first", [("name", '"name": "bogus", '),
+                                         ("nodes", '"nodes": [[9, 9]], ')])
+def test_system_json_rejects_a_repeated_key(key, first):
+    text = orbit.to_json(system_of("D4"))
+    where = text.index(f'"{key}": ')
+    with pytest.raises(dg.DiagramError, match=f"^JSON object repeats key '{key}'$"):
+        orbit.from_json(text[:where] + first + text[where:])
 
 
 @pytest.mark.parametrize("parse", [dg.from_json, orbit.from_json], ids=["diagram", "system"])
