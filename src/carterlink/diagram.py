@@ -541,6 +541,9 @@ def from_json(text: str) -> CarterDiagram:
     return from_doc(_decode(text))
 
 
+_ID_RE = re.compile(r"([abtf])(\d+)")
+
+
 def from_doc(doc) -> CarterDiagram:
     """The diagram of a decoded diagram JSON document, checked as ``from_json``
     checks it; a system document's "diagram" is read by this."""
@@ -554,7 +557,7 @@ def from_doc(doc) -> CarterDiagram:
     for i, v in enumerate(doc["vertices"]):
         vid = _read_object(v, ("id", "color"), f"vertices[{i}]")["id"]
         # an id is canonical exactly when it is the id of the vertex read from it
-        m = re.match(r"([abtf])(\d+)", str(vid))
+        m = _ID_RE.match(str(vid))
         vertex = VertexId(m.group(1), int(m.group(2)), v["color"]) if m else None
         if vertex is None or vertex.id != vid:
             raise DiagramError(f"vertices[{i}]: bad id {vid!r} (want a<k>, b<k>, t<k> or f<k>)")

@@ -15,8 +15,11 @@ minuscule orbits of ``_orbit_table``.  By Schur's lemma an orbit C at form p
 has sum_{v in C} v v^T = (|C| p / l) B, whose trace gives it a mean support
 of 2p < 4.  So the seeds of support at most 3 reach every orbit, and
 ``_closure``, run once per ``PartialCartan``, which keeps it, searches
-nothing.  Nodes are sorted (-1 < 0 < 1); negation reverses that order, so
-of n nodes entry n-1-i is the negative of entry i.
+nothing.  The set is closed under negation and the reflections are linear,
+s_k(-v) = -s_k(v), so the closure walks one vector of each +- pair and
+writes down its negative: an orbit is self-dual (O = -O) or one of the
+dual pair O, -O.  Nodes are sorted (-1 < 0 < 1); negation reverses that
+order, so of n nodes entry n-1-i is the negative of entry i.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import comb
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import diagram as dg
@@ -178,8 +181,16 @@ def _orbits(pc: PartialCartan, total: int) -> tuple[dict, list, list]:
     are found.  ``found`` maps K(v) (``_keying``) to v, ``orbits`` holds
     (``form_num`` of the seed, keys) per closure, and ``arcs`` holds
     (K(u), K(w), vertex id) per edge, from its end u with label 1 there.
-    A reflection is found by its key and built only when that is new; a new
-    label outside {-1,0,1} raises VerificationError, so even a faulty
+
+    The walk explores one vector of each +- pair.  K and every reflection
+    are linear, so K(-v) = -K(v) and s_k(-u) = -s_k(u): a reflected vector
+    is built only for a node not yet explored; its negative is written down,
+    and only the new node is explored.  An explored u appends one arc per
+    nonzero label: its own, (K(u), K(w)), for label 1, and its negative's,
+    (-K(u), -K(w)), for label -1.  A reflection onto a written-down negative
+    makes the closure self-dual, O = -O, one orbit of the explored nodes
+    and their negatives; otherwise they are the two orbits O and -O.  A
+    built label outside {-1,0,1} raises VerificationError, so even a faulty
     reflection cannot close beyond 3^l nodes."""
     d, l = pc.diagram, len(pc)
     bound = 2 * pc.inv_den
@@ -198,23 +209,27 @@ def _orbits(pc: PartialCartan, total: int) -> tuple[dict, list, list]:
             ks = key(seed)
             if ks in found or (n := form_num(pc, seed)) >= bound:
                 continue
-            found[ks] = tuple(seed)
-            members = [ks]
+            found[ks], found[-ks] = tuple(seed), tuple(map(neg, seed))
+            members, walked, dual = [ks], {ks}, False
             for ku in members:  # grows as it is read: one breadth-first pass
                 u = found[ku]
                 for k in compress(range(l), u):
                     x = u[k]
                     kw = ku - x * steps[k]
-                    if kw not in found:
+                    if kw not in walked:
                         w = reflect_at(pc, k, u)
                         if max(map(abs, w)) > 1:
                             raise VerificationError(f"{d.name}: reflection at {d.vertices[k]} "
                                                     f"leaves the linkage set: {u} -> {w}")
-                        found[kw] = w
-                        members.append(kw)
-                    if x > 0:
-                        arcs.append((ku, kw, ids[k]))
-            orbits.append((n, members))
+                        if kw in found:
+                            dual = True
+                        else:
+                            found[kw], found[-kw] = w, tuple(map(neg, w))
+                            members.append(kw)
+                            walked.add(kw)
+                    arcs.append((ku, kw, ids[k]) if x > 0 else (-ku, -kw, ids[k]))
+            negatives = list(map(neg, members))
+            orbits += [(n, members + negatives)] if dual else [(n, members), (n, negatives)]
     return found, orbits, arcs
 
 
@@ -235,19 +250,25 @@ def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:
 
 
 def group_by_p(pc: PartialCartan, vectors: Iterable[Sequence[int]]) -> list[ExtensionSet]:
-    """Partition by the exact value of the inverse form, ascending in p.  A tuple
-    equal to a node of the closure ``pc`` keeps goes in as that node, with its
-    numerator; any other vector is read by ``_vector`` and takes ``form_num``."""
+    """Partition by the exact value of the inverse form, ascending in p.  The
+    closure's own ``nodes`` tuple, as ``enumerate_linkages`` returns it, is
+    bucketed by the closure's numerators as it stands.  In any other input, a
+    tuple equal to a node of the closure ``pc`` keeps goes in as that node, with
+    its numerator; any other vector is read by ``_vector`` and takes ``form_num``."""
     closure = _closure(pc)
-    known = dict(zip(closure.nodes, zip(closure.nodes, closure.nums)))
     buckets: dict[int, list] = {}
-    for v in vectors:
-        try:  # KeyError: not a node; TypeError: unhashable, as a list
-            v, n = known[v]
-        except (KeyError, TypeError):
-            v = _vector(len(pc), v)
-            n = form_num(pc, v)
-        buckets.setdefault(n, []).append(v)
+    if vectors is closure.nodes:
+        for v, n in zip(vectors, closure.nums):
+            buckets.setdefault(n, []).append(v)
+    else:
+        known = dict(zip(closure.nodes, zip(closure.nodes, closure.nums)))
+        for v in vectors:
+            try:  # KeyError: not a node; TypeError: unhashable, as a list
+                v, n = known[v]
+            except (KeyError, TypeError):
+                v = _vector(len(pc), v)
+                n = form_num(pc, v)
+            buckets.setdefault(n, []).append(v)
     return [
         ExtensionSet(Fraction(n, pc.inv_den), tuple(sorted(buckets[n]))) for n in sorted(buckets)
     ]

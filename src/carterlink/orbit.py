@@ -348,7 +348,9 @@ def to_dot(sys: LinkageSystem) -> str:
 
 
 def to_json(sys: LinkageSystem, indent: Optional[int] = None) -> str:
-    return json.dumps(_doc(sys), indent=indent)
+    """The system JSON text.  The document is a tree of fresh lists and tuples,
+    so the encoder's check for circular references is off."""
+    return json.JSONEncoder(indent=indent, check_circular=False).encode(_doc(sys))
 
 
 def _doc(sys: LinkageSystem) -> dict:
@@ -378,30 +380,35 @@ def from_json(text: str) -> LinkageSystem:
 
     A text that starts as ``to_json``'s does is read first by its diagram
     member alone: the system of that diagram is built, and it is returned when
-    its ``to_json`` is the text.  Any other text, or one whose diagram fails to
-    read or build, takes the full path, which raises each error as if the
-    first path had not run.  There a text that is not JSON, repeats a key in
-    one object, is not an object with exactly the keys that ``to_json`` writes,
-    or whose "diagram" ``diagram.from_doc`` rejects raises DiagramError.
-    Otherwise the system of the diagram is built afresh, and the document is
-    accepted when each other field equals the rebuilt one as canonical JSON.
-    The first field that differs raises VerificationError naming its first
-    differing entry, both lengths, or the value when it is not a list, so a
-    malformed field, such as an index out of range or a p that ``to_json``
-    writes otherwise ("10/8" for 5/4), is a failed claim.  Returns the
-    rebuilt system.
+    its ``to_json`` is the text.  Any other text takes the full path, which
+    raises each error as if the first path had not run.  There a text that is
+    not JSON, repeats a key in one object, is not an object with exactly the
+    keys that ``to_json`` writes, or whose "diagram" ``diagram.from_doc``
+    rejects raises DiagramError.  Otherwise the system of the diagram is built,
+    once: a "diagram" equal to the member that the first path read takes that
+    path's system, or raises the error that reading or building it raised.
+    The document is accepted when each other field equals the rebuilt one as
+    canonical JSON.  The first field that differs raises VerificationError
+    naming its first differing entry, both lengths, or the value when it is
+    not a list, so a malformed field, such as an index out of range or a p
+    that ``to_json`` writes otherwise ("10/8" for 5/4), is a failed claim.
+    Returns the rebuilt system.
     """
-    try:
-        if text.startswith(_HEAD):
-            d = dg.from_doc(_read_value(text, len(_HEAD))[0])
-            built = build_system(build_partial_cartan(d))
-            if text == to_json(built):
+    member = built = None
+    if text.startswith(_HEAD):
+        try:
+            member = _read_value(text, len(_HEAD))[0]
+        except ValueError:  # not JSON there: the full decode names the fault
+            pass
+        else:
+            built = _system_of(member)
+            if isinstance(built, LinkageSystem) and text == to_json(built):
                 return built
-    except Exception:  # the full path below raises what it raises, in its own order
-        pass
     doc = dg._read_object(dg._decode(text, unique_keys=True), _SYSTEM_KEYS, "system JSON")
-    d = dg.from_doc(doc["diagram"])
-    built = build_system(build_partial_cartan(d))
+    if built is None or doc["diagram"] != member:
+        built = _system_of(doc["diagram"])
+    if isinstance(built, Exception):
+        raise built
     want = _doc(built)
     for name in _SYSTEM_KEYS[1:]:
         value, rebuilt = doc[name], want[name]
@@ -416,5 +423,15 @@ def from_json(text: str) -> LinkageSystem:
                        else f"{name}[{k}] is {_canonical(value[k])} in the document, "
                             f"{_canonical(rebuilt[k])} rebuilt")
         raise VerificationError(
-            f"system JSON of {d.name}: {name} differ from the rebuilt system: {witness}")
+            f"system JSON of {built.pc.diagram.name}: {name} differ from the rebuilt system: "
+            f"{witness}")
     return built
+
+
+def _system_of(member) -> LinkageSystem | Exception:
+    """The system of a decoded "diagram" member, or the error that reading or
+    building it raised, which ``from_json`` raises where it reads the diagram."""
+    try:
+        return build_system(build_partial_cartan(dg.from_doc(member)))
+    except Exception as e:
+        return e

@@ -297,7 +297,7 @@ class Embedding(dg._Value):
         return self.pc.diagram
 
 
-def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int = 1) -> list[Embedding]:
+def find_embeddings(d: dg.CarterDiagram, ambient: RootSystem, limit: int) -> list[Embedding]:
     """The first ``limit`` root subsets of one fixed search whose Gram matrix
     is the diagram's.
 

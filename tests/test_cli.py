@@ -146,6 +146,17 @@ def test_verify_e6a1(capsys):
     assert "0 violations" in out
 
 
+def test_plain_verify_prints_no_label_set_line(capsys):
+    # without --trials, verify reads one embedding, so it says nothing of label sets
+    assert run(capsys, "verify", "D5") == (0, (
+        "D5: 42 enumerated linkage vectors\n"
+        "embedded D5 into E8\n"
+        "  distinct direct labels: 42 (of 42 enumerated)\n"
+        "  realized components: 3 of 3\n"
+        "  projection laws hold; p = 1 (60), p = 5/4 (128); 7 extension orbits\n"
+        "  square audit: 120 squares, 60 with diagonal, 60 without, 0 violations\n"), "")
+
+
 def test_verify_no_embedding(capsys):
     code, out, _ = run(capsys, "verify", "E6", "--ambient", "D8")
     assert code == 0

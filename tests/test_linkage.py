@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import carterlink as cl
-from carterlink import linkage, roots as rt
+from carterlink import diagram as dg, linkage, roots as rt
 from carterlink.cartan import LinalgError
 from carterlink.diagram import catalog_names
 from carterlink.linkage import (_closure, _orbit_table, beta_unicolored, enumerate_linkages,
@@ -181,7 +181,9 @@ def test_group_by_p_reads_no_node_by_the_vector_check(monkeypatch):
     monkeypatch.setattr(linkage, "_vector", fail)
     for name in catalog_names() + LARGE_RANK:
         pc = pc_of(name)
-        assert sum(map(len, group_by_p(pc, enumerate_linkages(pc)))) == len(enumerate_linkages(pc))
+        nodes = enumerate_linkages(pc)  # its own tuple is bucketed as it stands
+        assert group_by_p(pc, list(nodes)) == group_by_p(pc, nodes)
+        assert sum(map(len, group_by_p(pc, nodes))) == len(nodes)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -387,3 +389,50 @@ def test_orbit_table_entries():
     assert _orbit_table(7, Fraction(2)) == ("E7", [(half, 56)])
     assert _orbit_table(8, Fraction(1)) == ("E8", [])
     assert _orbit_table(5, Fraction(3)) is None and _orbit_table(3, Fraction(3)) is None
+
+
+# -- the walk over one vector of each +- pair ----------------------------------------
+
+
+def reference_closure(pc):
+    """``_closure``'s nodes, nums, edges and components, from a plain
+    breadth-first closure (``diagram.closure``) that reflects every node, seeded
+    by every vector of support at most 3 and form < 2; each node's numerator is
+    its own ``form_num``, and each edge is read from its end with label 1."""
+    l, orbits = len(pc), []
+    for s in (1, 2, 3):
+        for support, signs in itertools.product(itertools.combinations(range(l), s),
+                                                itertools.product((1, -1), repeat=s)):
+            seed = [0] * l
+            for i, x in zip(support, signs):
+                seed[i] = x
+            seed = tuple(seed)
+            if form_num(pc, seed) < 2 * pc.inv_den and not any(seed in o for o in orbits):
+                orbits.append(dg.closure(seed, lambda u: (linkage.reflect_at(pc, k, u)
+                                                          for k, x in enumerate(u) if x)))
+    nodes = tuple(sorted(set().union(*orbits)))
+    at = {v: i for i, v in enumerate(nodes)}
+    ids = [t.id for t in pc.diagram.vertices]
+    edges = sorted(tuple(sorted((at[v], at[linkage.reflect_at(pc, k, v)]))) + (ids[k],)
+                   for v in nodes for k, x in enumerate(v) if x == 1)
+    return (nodes, tuple(form_num(pc, v) for v in nodes), tuple(edges),
+            tuple(sorted(tuple(sorted(map(at.__getitem__, o))) for o in orbits)))
+
+
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_the_walk_is_the_plain_closure(name):
+    # TABLE_NAMES holds the 21 catalog_pipeline names; the A_l, E6 and the D5
+    # and D7 spin orbits come in dual pairs, the others are self-dual
+    d = cl.catalog(name)
+    for s in [d, shuffled(d, 1), shuffled(d, 2)]:
+        pc = cl.build_partial_cartan(s)
+        assert tuple(_closure(pc)) == reference_closure(pc), (name, s.vertices)
+
+
+@pytest.mark.parametrize("name, calls", [("E6", 26), ("A7", 89)])
+def test_the_walk_reflects_one_vector_of_each_pair(name, calls, monkeypatch):
+    # E6 has 54 nodes, A7 184; reflecting every node took 52 and 178 calls
+    counted, real = [], linkage.reflect_at
+    monkeypatch.setattr(linkage, "reflect_at", lambda *a: counted.append(a) or real(*a))
+    _closure(cl.build_partial_cartan(cl.catalog(name)))
+    assert len(counted) == calls

@@ -1033,6 +1033,11 @@ def test_embedding_independence_e6a1_e8():
     assert rep.embeddings == 3 and len(rep.labels) == 54
 
 
+def test_embedding_independence_with_one_trial():
+    rep = rt.embedding_independence(cl.catalog("E6(a1)"), ambient("E8"), 1)
+    assert rep.embeddings == 1 and len(rep.label_sets) == 1 and len(rep.labels) == 54
+
+
 def test_embedding_independence_a1():
     rep = rt.embedding_independence(cl.catalog("A1"), ambient("D4"), 3)
     assert rep.embeddings == 3

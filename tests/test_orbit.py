@@ -881,6 +881,17 @@ def test_system_json_reads_other_texts_by_the_full_decode(monkeypatch):
     assert calls == list(texts)
 
 
+def test_system_json_builds_a_reordered_text_once(monkeypatch):
+    # the first path reads this text's diagram and builds its system; the full
+    # decode finds the same diagram and reuses that system
+    s = system_of("D5(a1)")
+    text = _loctet_keys_reversed(orbit.to_json(s))
+    builds, real = [], orbit.build_system
+    monkeypatch.setattr(orbit, "build_system", lambda pc: builds.append(pc) or real(pc))
+    assert orbit.from_json(text) == s
+    assert len(builds) == 1
+
+
 def test_system_json_rejects_to_jsons_text_cut_short():
     with pytest.raises(dg.DiagramError, match="^invalid JSON: "):
         orbit.from_json(orbit.to_json(system_of("D5(a1)"))[:-1])
