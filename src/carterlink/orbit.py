@@ -408,7 +408,11 @@ def from_json(text: str) -> LinkageSystem:
     if built is None or doc["diagram"] != member:
         built = _system_of(doc["diagram"])
     if isinstance(built, Exception):
-        raise built
+        try:
+            raise built
+        finally:  # the traceback holds this frame, which lets go of the error
+            del built
+    d = built.pc.diagram
     want = _doc(built)
     for name in _SYSTEM_KEYS[1:]:
         value, rebuilt = doc[name], want[name]
@@ -423,8 +427,7 @@ def from_json(text: str) -> LinkageSystem:
                        else f"{name}[{k}] is {_canonical(value[k])} in the document, "
                             f"{_canonical(rebuilt[k])} rebuilt")
         raise VerificationError(
-            f"system JSON of {built.pc.diagram.name}: {name} differ from the rebuilt system: "
-            f"{witness}")
+            f"system JSON of {d.name}: {name} differ from the rebuilt system: {witness}")
     return built
 
 
@@ -434,4 +437,4 @@ def _system_of(member) -> LinkageSystem | Exception:
     try:
         return build_system(build_partial_cartan(dg.from_doc(member)))
     except Exception as e:
-        return e
+        return e.with_traceback(None)  # kept without the frames it came through

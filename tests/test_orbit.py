@@ -11,8 +11,8 @@ from carterlink import linkage, orbit
 from carterlink.cartan import CartanError
 from carterlink.linkage import _closure, form_num, form_value
 
-from helpers import (CATALOG, e8_root_subset_diagrams, form_at_most_two, links_of,
-                     patterned_diagrams, pc_of, shuffled, system_of)
+from helpers import (CATALOG, cycles_left_by, e8_root_subset_diagrams, form_at_most_two,
+                     links_of, patterned_diagrams, pc_of, shuffled, system_of)
 
 
 # -- dual reflections -----------------------------------------------------------
@@ -890,6 +890,23 @@ def test_system_json_builds_a_reordered_text_once(monkeypatch):
     monkeypatch.setattr(orbit, "build_system", lambda pc: builds.append(pc) or real(pc))
     assert orbit.from_json(text) == s
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["kept", "decode"])
+def test_a_kept_error_leaves_no_reference_cycle(repeat):
+    # the first path keeps the error of its diagram; the full path raises it
+    # ("kept"), or its own repeated-key error while holding it ("decode")
+    text = orbit.to_json(system_of("D4(a1)")).replace('"id": "a1"', '"id": "x1"', 1)
+    if repeat:
+        text = text.replace('"nodes": ', '"nodes": [], "nodes": ', 1)
+
+    def read():
+        try:
+            orbit.from_json(text)
+        except dg.DiagramError:
+            pass
+
+    assert cycles_left_by(read) == 0
 
 
 def test_system_json_rejects_to_jsons_text_cut_short():
