@@ -421,8 +421,9 @@ def reference_closure(pc):
 
 @pytest.mark.parametrize("name", TABLE_NAMES)
 def test_the_walk_is_the_plain_closure(name):
-    # TABLE_NAMES holds the 21 catalog_pipeline names; the A_l, E6 and the D5
-    # and D7 spin orbits come in dual pairs, the others are self-dual
+    # TABLE_NAMES holds the 21 catalog_pipeline names; the A_l orbits at k
+    # and l+1-k (k != l+1-k), E6's two and the D5 and D7 spin orbits come in
+    # dual pairs, and the others are self-dual
     d = cl.catalog(name)
     for s in [d, shuffled(d, 1), shuffled(d, 2)]:
         pc = cl.build_partial_cartan(s)
