@@ -366,8 +366,6 @@ def catalog(name: str) -> CarterDiagram:
     table = _C4_TABLE.get(cname) or _DYNKIN_TABLE.get(cname)
     if table:
         return _from_table(cname, *table)
-    if l > MAX_RANK:
-        raise DiagramError(f"{cname}: rank {l} exceeds the supported bound {MAX_RANK}")
     if family == "A" and k is None:
         return dynkin_A(l)
     if family == "D" and k is None:
@@ -503,11 +501,9 @@ def find_isomorphism(d1: CarterDiagram, d2: CarterDiagram,
     vertex of d1 starts on the vertices of d2 of its degree.
     """
     n = len(d1.vertices)
-    if n != len(d2.vertices) or len(d1.edges) != len(d2.edges):
-        return None
     g1, g2 = d1.gram(), d2.gram()
     deg1, deg2 = ([sum(1 for x in row if x not in (0, 2)) for row in g] for g in (g1, g2))
-    if sorted(deg1) != sorted(deg2):
+    if sorted(deg1) != sorted(deg2):  # also where the vertex counts or the edge counts differ
         return None
     # the vertices of d2 whose inner product with vertex j is -1, 0 and 1
     rows = [[sum(1 << k for k, x in enumerate(row) if x == t) for t in (-1, 0, 1)] for row in g2]
@@ -577,11 +573,11 @@ def from_doc(doc) -> CarterDiagram:
 
 
 def _decode(text: str, unique_keys: bool = False):
-    """The JSON value of ``text``, as the diagram and system readers take it; with
+    """The JSON value of ``text``, a str or bytes, as both readers take it; with
     ``unique_keys``, an object that repeats a key raises DiagramError naming it."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DiagramError(f"invalid JSON: {e}") from None
 
 

@@ -252,23 +252,17 @@ def form_value(pc: PartialCartan, v: Sequence[int]) -> Fraction:
 def group_by_p(pc: PartialCartan, vectors: Iterable[Sequence[int]]) -> list[ExtensionSet]:
     """Partition by the exact value of the inverse form, ascending in p.  The
     closure's own ``nodes`` tuple, as ``enumerate_linkages`` returns it, is
-    bucketed by the closure's numerators as it stands.  In any other input, a
-    tuple equal to a node of the closure ``pc`` keeps goes in as that node, with
-    its numerator; any other vector is read by ``_vector`` and takes ``form_num``."""
+    bucketed by the closure's numerators as it stands; any other input is read
+    by ``_vector``, and each vector takes ``form_num``."""
     closure = _closure(pc)
-    buckets: dict[int, list] = {}
     if vectors is closure.nodes:
-        for v, n in zip(vectors, closure.nums):
-            buckets.setdefault(n, []).append(v)
+        nums = closure.nums
     else:
-        known = dict(zip(closure.nodes, zip(closure.nodes, closure.nums)))
-        for v in vectors:
-            try:  # KeyError: not a node; TypeError: unhashable, as a list
-                v, n = known[v]
-            except (KeyError, TypeError):
-                v = _vector(len(pc), v)
-                n = form_num(pc, v)
-            buckets.setdefault(n, []).append(v)
+        vectors = [_vector(len(pc), v) for v in vectors]
+        nums = [form_num(pc, v) for v in vectors]
+    buckets: dict[int, list] = {}
+    for v, n in zip(vectors, nums):
+        buckets.setdefault(n, []).append(v)
     return [
         ExtensionSet(Fraction(n, pc.inv_den), tuple(sorted(buckets[n]))) for n in sorted(buckets)
     ]

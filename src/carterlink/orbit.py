@@ -370,7 +370,7 @@ def _doc(sys: LinkageSystem) -> dict:
 
 
 _SYSTEM_KEYS = ("diagram", "nodes", "edges", "components", "component_p", "loctets", "unicolored")
-_HEAD = '{"diagram": '  # how to_json's text starts: its diagram member comes first
+_HEAD = '{"diagram": {'  # how to_json's text starts: its diagram member, an object, comes first
 _read_value = json.JSONDecoder().raw_decode
 _canonical = json.JSONEncoder(sort_keys=True).encode  # true, 1.0 and 1 differ; key order does not
 
@@ -378,40 +378,34 @@ _canonical = json.JSONEncoder(sort_keys=True).encode  # true, 1.0 and 1 differ; 
 def from_json(text: str) -> LinkageSystem:
     """Parse a serialized system back and check it by rebuilding it.
 
-    A text that starts as ``to_json``'s does is read first by its diagram
-    member alone: the system of that diagram is built, and it is returned when
-    its ``to_json`` is the text.  Any other text takes the full path, which
-    raises each error as if the first path had not run.  There a text that is
-    not JSON, repeats a key in one object, is not an object with exactly the
-    keys that ``to_json`` writes, or whose "diagram" ``diagram.from_doc``
-    rejects raises DiagramError.  Otherwise the system of the diagram is built,
-    once: a "diagram" equal to the member that the first path read takes that
-    path's system, or raises the error that reading or building it raised.
-    The document is accepted when each other field equals the rebuilt one as
-    canonical JSON.  The first field that differs raises VerificationError
-    naming its first differing entry, both lengths, or the value when it is
-    not a list, so a malformed field, such as an index out of range or a p
-    that ``to_json`` writes otherwise ("10/8" for 5/4), is a failed claim.
-    Returns the rebuilt system.
+    A ``str`` that starts as ``to_json``'s text does is read first by its
+    diagram member alone: the system of that diagram is built, and it is
+    returned when its ``to_json`` is the text.  Any other text takes the full
+    path, which raises each error as if the first path had not run.  There a
+    text that is not JSON, repeats a key in one object, is not an object with
+    exactly the keys that ``to_json`` writes, or whose "diagram"
+    ``diagram.from_doc`` rejects raises DiagramError.  Otherwise the system of
+    the diagram is built, once: the full decode rejects a repeated key, so its
+    "diagram" is the member that the first path read and built.  The document
+    is accepted when each other field equals the rebuilt one as canonical
+    JSON.  The first field that differs raises VerificationError naming its
+    first differing entry, both lengths, or the value when it is not a list,
+    so a malformed field, such as an index out of range or a p that
+    ``to_json`` writes otherwise ("10/8" for 5/4), is a failed claim.  Returns
+    the rebuilt system.
     """
-    member = built = None
-    if text.startswith(_HEAD):
-        try:
-            member = _read_value(text, len(_HEAD))[0]
-        except ValueError:  # not JSON there: the full decode names the fault
-            pass
-        else:
-            built = _system_of(member)
-            if isinstance(built, LinkageSystem) and text == to_json(built):
-                return built
+    built = None
+    if isinstance(text, str) and text.startswith(_HEAD):
+        try:  # raw_decode fails at the member's "{" only where the full decode fails
+            built = _system_of(_read_value(text, len(_HEAD) - 1)[0])
+        except Exception:  # the full decode's errors come first
+            dg._read_object(dg._decode(text, unique_keys=True), _SYSTEM_KEYS, "system JSON")
+            raise
+        if text == to_json(built):
+            return built
     doc = dg._read_object(dg._decode(text, unique_keys=True), _SYSTEM_KEYS, "system JSON")
-    if built is None or doc["diagram"] != member:
+    if built is None:
         built = _system_of(doc["diagram"])
-    if isinstance(built, Exception):
-        try:
-            raise built
-        finally:  # the traceback holds this frame, which lets go of the error
-            del built
     d = built.pc.diagram
     want = _doc(built)
     for name in _SYSTEM_KEYS[1:]:
@@ -431,10 +425,6 @@ def from_json(text: str) -> LinkageSystem:
     return built
 
 
-def _system_of(member) -> LinkageSystem | Exception:
-    """The system of a decoded "diagram" member, or the error that reading or
-    building it raised, which ``from_json`` raises where it reads the diagram."""
-    try:
-        return build_system(build_partial_cartan(dg.from_doc(member)))
-    except Exception as e:
-        return e.with_traceback(None)  # kept without the frames it came through
+def _system_of(member) -> LinkageSystem:
+    """The system of a decoded "diagram" member."""
+    return build_system(build_partial_cartan(dg.from_doc(member)))

@@ -872,9 +872,12 @@ def test_system_json_reads_to_jsons_own_text_by_its_diagram_alone(name, monkeypa
 
 
 def test_system_json_reads_other_texts_by_the_full_decode(monkeypatch):
-    # the indented and reordered texts that the CLI test above accepts, one full decode each
+    # the indented and reordered texts that the CLI test above accepts, and a
+    # second space after "diagram":, which the first path's raw_decode would not
+    # skip, one full decode each
     s = system_of("D5(a1)")
-    texts = (orbit.to_json(s, indent=2) + "\n", _loctet_keys_reversed(orbit.to_json(s)))
+    texts = (orbit.to_json(s, indent=2) + "\n", _loctet_keys_reversed(orbit.to_json(s)),
+             orbit.to_json(s).replace('"diagram": ', '"diagram":  ', 1))
     calls = _count_decodes(monkeypatch)
     for text in texts:
         assert orbit.from_json(text) == s
@@ -894,8 +897,8 @@ def test_system_json_builds_a_reordered_text_once(monkeypatch):
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["kept", "decode"])
 def test_a_kept_error_leaves_no_reference_cycle(repeat):
-    # the first path keeps the error of its diagram; the full path raises it
-    # ("kept"), or its own repeated-key error while holding it ("decode")
+    # the first path's diagram fails; the full decode then passes and that
+    # error is raised ("kept"), or it raises its repeated-key error ("decode")
     text = orbit.to_json(system_of("D4(a1)")).replace('"id": "a1"', '"id": "x1"', 1)
     if repeat:
         text = text.replace('"nodes": ', '"nodes": [], "nodes": ', 1)
@@ -907,6 +910,14 @@ def test_a_kept_error_leaves_no_reference_cycle(repeat):
             pass
 
     assert cycles_left_by(read) == 0
+
+
+@pytest.mark.parametrize("name", ["D4", "E6(a1)", "D5(a1)", "A1"])
+def test_both_readers_accept_the_utf8_bytes_of_to_jsons_text(name):
+    # the system reader once called str.startswith on bytes and raised TypeError
+    s = system_of(name)
+    assert dg.from_json(dg.to_json(s.pc.diagram).encode()) == s.pc.diagram
+    assert orbit.from_json(orbit.to_json(s).encode()) == s
 
 
 def test_system_json_rejects_to_jsons_text_cut_short():
@@ -921,6 +932,8 @@ def test_system_json_names_an_eighth_key_before_its_diagram_fails_to_build():
         e["sign"] = "solid"
     with pytest.raises(CartanError):
         orbit.from_json(json.dumps(doc))
+    with pytest.raises(dg.DiagramError, match="^invalid JSON: "):
+        orbit.from_json(json.dumps(doc)[:-1])
     doc["extra"] = 1
     with pytest.raises(dg.DiagramError, match="^system JSON: unknown key 'extra' "):
         orbit.from_json(json.dumps(doc))
@@ -936,8 +949,9 @@ def test_system_json_rejects_a_repeated_key(key, first):
         orbit.from_json(text[:where] + first + text[where:])
 
 
+# the bytes are not UTF-8, and cut UTF-16: they once leaked UnicodeDecodeError
 @pytest.mark.parametrize("parse", [dg.from_json, orbit.from_json], ids=["diagram", "system"])
-@pytest.mark.parametrize("text", ["{", "nul"])
+@pytest.mark.parametrize("text", ["{", "nul", b'{"name": \xff}', b"\xff\xfe{"])
 def test_from_json_rejects_invalid_json(parse, text):
     with pytest.raises(dg.DiagramError, match="^invalid JSON: "):
         parse(text)
