@@ -15,7 +15,7 @@ from . import diagram as dg
 from . import orbit
 from . import roots as rt
 from .cartan import build_partial_cartan, inverse_diagonal, simply_extendable
-from .linkage import beta_unicolored, enumerate_linkages, group_by_p
+from .linkage import _orbit_table, beta_unicolored, enumerate_linkages, group_by_p
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,7 +41,7 @@ def fmt_matrix(num, den: int = 1) -> str:
     """The matrix num / den as an aligned integer grid, prefixed by 1/den
     when den > 1; den must be the least common denominator."""
     rows = [[str(x) for x in row] for row in num]
-    width = max((len(x) for row in rows for x in row), default=1)
+    width = max(len(x) for row in rows for x in row)
     body = "\n".join("  [ " + "  ".join(x.rjust(width) for x in row) + " ]" for row in rows)
     if den == 1:
         return body
@@ -49,7 +49,7 @@ def fmt_matrix(num, den: int = 1) -> str:
 
 
 def _vec(v) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
+    return f"({orbit.label_of(v)})"
 
 
 def cmd_catalog(args) -> int:
@@ -183,11 +183,9 @@ def cmd_verify(args) -> int:
     print(f"embedded {d.name} into {amb.name}")
     # Over E8 a diagram of rank <= 7 realizes every linkage vector in each of
     # its embeddings, A7 (up to switching) excepted: it has two classes of
-    # embeddings in E8 (Carter 1972, Lemma 27).  A7 is read from B: the roots
-    # of a connected positive definite diagram generate an irreducible root
-    # lattice of its rank; at rank 7, det 8 means A7 (E7 has 2, D7 4); and 7
-    # independent roots of A7 whose graph has no triangle form a chain.
-    exact = amb.name == "E8" and len(d) <= 7 and not (len(d) == 7 and pc.det == 8)
+    # embeddings in E8 (Carter 1972, Lemma 27).  A7 is the lattice type of the
+    # table that certified the closure.
+    exact = amb.name == "E8" and len(d) <= 7 and _orbit_table(len(d), pc.det)[0] != "A7"
     dl = rt.direct_linkage_labels(emb)
     realized = _check_labels("direct labels", dl.labels, sys_, amb.name, exact)
     print(f"  distinct direct labels: {len(dl.labels)} (of {len(enum)} enumerated)")

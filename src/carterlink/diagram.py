@@ -106,7 +106,7 @@ class CarterDiagram(_Value):
     ``pattern`` is read from the value by ``detect_pattern``, so two equal
     diagrams never disagree on it.
     The integer Gram matrix is built once, while the edges are checked, and
-    the normalized ``edges``, ``neighbors`` and the pattern are read from it.
+    the normalized ``edges`` and the pattern are read from it.
     It is checked here and nowhere else: one that is not a nonempty connected
     bicolored graph with distinct vertex ids, whose vertices and edge endpoints
     are ``VertexId``s of kind a, b, t or f, an int index >= 0 and color alpha
@@ -185,12 +185,6 @@ class CarterDiagram(_Value):
         """Integer Gram matrix: 2 on the diagonal, edge signs off it.  It is
         built once, with the edge checks, and every call returns that tuple."""
         return self._gram
-
-    def neighbors(self, v) -> list[tuple[VertexId, int]]:
-        """The vertices joined to ``v`` and the edge signs, read from v's Gram
-        row, so they come in vertex order."""
-        row = self._gram[self.index_of(v)]
-        return [(w, s) for w, s in zip(self.vertices, row) if s in (SOLID, DOTTED)]
 
     def is_dynkin(self) -> bool:
         return all(s == SOLID for _, _, s in self.edges)
@@ -344,10 +338,6 @@ def parse_name(name: str) -> tuple[str, int, Optional[int]]:
     return family, l, int(k) if k is not None else None
 
 
-def canonical_name(family: str, l: int, k: Optional[int]) -> str:
-    return f"{family}{l}(a{k})" if k is not None else f"{family}{l}"
-
-
 def catalog_names() -> list[str]:
     """The cataloged names: the tables, with D4 .. D7 before the E family."""
     return list(_C4_TABLE) + [f"D{l}" for l in range(4, 8)] + list(_DYNKIN_TABLE)
@@ -362,16 +352,14 @@ def catalog(name: str) -> CarterDiagram:
     convention, so 'D4' .. 'D7' are cataloged too.
     """
     family, l, k = parse_name(name)
-    cname = canonical_name(family, l, k)
+    cname = f"{family}{l}(a{k})" if k is not None else f"{family}{l}"
     table = _C4_TABLE.get(cname) or _DYNKIN_TABLE.get(cname)
     if table:
         return _from_table(cname, *table)
     if family == "A" and k is None:
         return dynkin_A(l)
-    if family == "D" and k is None:
-        return dynkin_D(l)
-    if family == "D" and k is not None:
-        return carter_D_ak(l, k)
+    if family == "D":
+        return dynkin_D(l) if k is None else carter_D_ak(l, k)
     raise DiagramError(f"unknown diagram name {name!r}")
 
 

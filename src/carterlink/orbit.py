@@ -52,9 +52,6 @@ class Loctet(NamedTuple):
     kind: str
     members: tuple[Linkage, ...]
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
 
 class LinkageSystem(dg._Value):
     """The orbit graph of all linkage vectors under the dual reflections.
@@ -82,9 +79,6 @@ class LinkageSystem(dg._Value):
             return self._index[tuple(v) if isinstance(v, (tuple, list)) else None]
         except (KeyError, TypeError):
             raise ValueError(f"{v!r} is not a node of the linkage system") from None
-
-    def component_sizes(self) -> list[int]:
-        return sorted(len(c) for c in self.components)
 
 
 def _pattern_indices(pc: PartialCartan) -> Indices:
@@ -297,7 +291,7 @@ def project_system(ext: LinkageSystem, dropped, base: PartialCartan) -> Projecti
         raise VerificationError(
             f"kernel is {sorted(kernel)}, expected the two unit vectors at {dropped}")
 
-    base_sets = {loc.member_set(): i for i, loc in enumerate(base_sys.loctets)}
+    base_sets = {frozenset(loc.members): i for i, loc in enumerate(base_sys.loctets)}
     pairs = []
     for ei, loc in enumerate(ext.loctets):
         img_set = frozenset(m[:di] + m[di + 1:] for m in loc.members)

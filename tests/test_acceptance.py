@@ -84,7 +84,7 @@ def test_criterion_3_loctet_counts():
         s = system_of(name)
         assert len(s.components) == 3 and len(s.loctets) == 3
         comp_sets = {frozenset(s.nodes[i] for i in c) for c in s.components}
-        assert {loc.member_set() for loc in s.loctets} == comp_sets
+        assert {frozenset(loc.members) for loc in s.loctets} == comp_sets
     for l in range(8, 13):
         for k in range(1, (l - 2) // 2 + 1):
             s = cl.build_system(cl.build_partial_cartan(cl.carter_D_ak(l, k)))

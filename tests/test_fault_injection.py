@@ -16,8 +16,9 @@ realized root is its index and its labels, with no p of its own, so no entry
 corrupts a p: the laws compute it.  The two moment laws of
 ``direct_linkage_labels`` are reached by the faults in the labels below.
 There is one entry for each check of ``orbit`` that no other test reaches:
-the places of gamma(4) and gamma(5) in a loctet, the loctet coverage of
-``build_system``, and the three checks of ``project_system``.  The loctet
+the places of gamma(4) and gamma(5) in a loctet (with a second entry that
+misplaces gamma(4) alone), the loctet coverage of ``build_system``, and the
+three checks of ``project_system``.  The loctet
 laws that ``build_system`` does not check are stated in the docstring of
 ``orbit._generated_loctets``.  The restricted-form check is reached by two
 faults: a wrong B^-1 and a wrong G.  The checks of ``linkage._closure`` are
@@ -271,22 +272,26 @@ def _coverage(monkeypatch):
     return ["system", "E6(a1)"], f"E6(a1): {v} has a pattern alpha label but no loctet"
 
 
-def _loctet_swap(monkeypatch):
-    # build_system: gamma(4) and gamma(5) swapped in every generated loctet,
-    # which keeps each member set; the first loctet is the witness
-    first = system_of("E6(a1)").loctets[0]
-    a1, a2 = cl.catalog("E6(a1)").pattern[:2]
-    assert first.kind == "L12"
-    real = orbit._generated_loctets
+def _loctet_swap(a, b):
+    """build_system: gamma(a) and gamma(b) swapped in every generated loctet,
+    which keeps each member set; the first loctet is the witness."""
+    def fault(monkeypatch):
+        first = system_of("E6(a1)").loctets[0]
+        a1, a2 = cl.catalog("E6(a1)").pattern[:2]
+        assert first.kind == "L12"
+        real = orbit._generated_loctets
 
-    def swapped(pc, pat):
-        return tuple(loc._replace(members=loc.members[:3] + loc.members[4:2:-1] + loc.members[5:])
-                     for loc in real(pc, pat))
+        def swapped(pc, pat):
+            for loc in real(pc, pat):
+                members = list(loc.members)
+                members[a - 1], members[b - 1] = members[b - 1], members[a - 1]
+                yield loc._replace(members=tuple(members))
 
-    monkeypatch.setattr(orbit, "_generated_loctets", swapped)
-    return ["system", "E6(a1)"], (
-        f"E6(a1): in the L12 loctet of gamma(8) = {first.members[7]}, gamma(4) and gamma(5) "
-        f"are not gamma(6) reflected at {a1} and {a2}")
+        monkeypatch.setattr(orbit, "_generated_loctets", lambda pc, pat: tuple(swapped(pc, pat)))
+        return ["system", "E6(a1)"], (
+            f"E6(a1): in the L12 loctet of gamma(8) = {first.members[7]}, gamma(4) and gamma(5) "
+            f"are not gamma(6) reflected at {a1} and {a2}")
+    return fault
 
 
 # -- the checks of linkage._closure ---------------------------------------------
@@ -435,7 +440,7 @@ def _projection_kernel(monkeypatch):
 def _projection_loctet(monkeypatch):
     # project_system: the base system loses its first loctet; the first loctet
     # of the extended system that projects onto it is the witness
-    first = system_of("D5(a1)").loctets[0].member_set()
+    first = frozenset(system_of("D5(a1)").loctets[0].members)
     ei, loc = next((ei, loc) for ei, loc in enumerate(system_of("D6(a1)").loctets)
                    if frozenset(map(_dropping_b3, loc.members)) == first)
     _inject_system(monkeypatch, "D5(a1)", lambda s: _system_with(s, loctets=s.loctets[1:]))
@@ -534,7 +539,8 @@ FAULTS = {
     "p-plus-mu-norm": _p_plus_mu_norm,
     "lattice-test": _lattice_test,
     "loctet-coverage": _coverage,
-    "loctet-swap": _loctet_swap,
+    "loctet-swap": _loctet_swap(4, 5),
+    "loctet-gamma4": _loctet_swap(1, 4),  # only gamma(4)'s key check fires
     "reflection-closure": _reflection,
     "seed-admits-form-two": _seed_admits_form_two,
     "component-merge-E6(a1)": _component_merge(["verify", "E6(a1)"], "E6"),

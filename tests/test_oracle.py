@@ -26,12 +26,11 @@ ROOT_SYSTEM_NAMES = [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(2,
     ["E6", "E7", "E8"]
 
 
-def test_root_counts():
-    assert len(ambient("D4")) == 24
-    assert len(ambient("A4")) == 20
-    assert len(ambient("E6")) == 72
-    assert len(ambient("E7")) == 126
-    assert len(ambient("E8")) == 240
+@pytest.mark.parametrize("name", ROOT_SYSTEM_NAMES)
+def test_root_counts(name):
+    n = int(name[1:])
+    expected = {"A": n * (n + 1), "D": 2 * n * (n - 1), "E": {6: 72, 7: 126, 8: 240}.get(n)}
+    assert len(ambient(name)) == expected[name[0]]
 
 
 def test_roots_closed_under_negation():
@@ -95,6 +94,15 @@ def _pm(*xs):
 def test_root_system_checks(doubled, message):
     with pytest.raises(rt.RootSystemError, match=f"^x: {message}$"):
         rt.RootSystem("x", len(doubled[0]), len(doubled[0]), doubled)
+
+
+def test_a_root_system_with_no_roots_is_rejected():
+    # find_embedding and embedding_independence once leaked IndexError from
+    # the level-0 rule, which reads root 0
+    with pytest.raises(rt.RootSystemError, match="^x: no roots$"):
+        rt.find_embedding(cl.catalog("A2"), rt.RootSystem("x", 2, 2, []))
+    with pytest.raises(rt.RootSystemError, match="^x: no roots$"):
+        rt.embedding_independence(cl.catalog("A2"), rt.RootSystem("x", 2, 2, []), 2)
 
 
 # once leaked TypeError from the regex that reads the lattice rule from the name

@@ -185,7 +185,7 @@ EXPECTED = {
 def test_system_structure(name):
     sizes, ps, n_loctets, outside = EXPECTED[name]
     s = system_of(name)
-    assert s.component_sizes() == sizes
+    assert sorted(len(c) for c in s.components) == sizes
     assert {str(p) for p in s.component_p} == ps
     assert len(s.loctets) == n_loctets
     assert len(s.unicolored) == outside
@@ -280,14 +280,14 @@ def test_component_p_constant():
 def test_d4a1_loctets_are_components():
     s = system_of("D4(a1)")
     comp_sets = {frozenset(s.nodes[i] for i in c) for c in s.components}
-    assert {loc.member_set() for loc in s.loctets} == comp_sets
+    assert {frozenset(loc.members) for loc in s.loctets} == comp_sets
     assert all(loc.kind == "D4" for loc in s.loctets)
 
 
 def test_d4_dynkin_loctets_are_components():
     s = system_of("D4")
     comp_sets = {frozenset(s.nodes[i] for i in c) for c in s.components}
-    assert {loc.member_set() for loc in s.loctets} == comp_sets
+    assert {frozenset(loc.members) for loc in s.loctets} == comp_sets
     assert {loc.kind for loc in s.loctets} == {"L12", "L13", "L23"}
 
 

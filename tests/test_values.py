@@ -116,6 +116,8 @@ def test_value_semantics(cls):
     assert isinstance(a, tuple) == (cls in NAMED_TUPLES)
     if cls in NAMED_TUPLES:
         assert a._replace(**{field: getattr(b, field)}) == a
+    else:  # __eq__ answers NotImplemented to another class, and so does a tuple
+        assert a.__eq__(a._fields()) is NotImplemented and a != a._fields()
 
 
 def test_the_plain_classes_take_their_value_methods_from_one_base():
