@@ -182,9 +182,9 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     print(f"embedded {d.name} into {amb.name}")
     # Over E8 a diagram of rank <= 7 realizes every linkage vector in each of
-    # its embeddings, A7 (up to switching) excepted: it has two classes of
-    # embeddings in E8 (Carter 1972, Lemma 27).  A7 is the lattice type of the
-    # table that certified the closure.
+    # its embeddings, A7 (up to switching) excepted: two classes (Carter 1972,
+    # Lemma 27).  A7 is the lattice type of the closure's table; a bicolored
+    # diagram of 7 independent A7 roots has no triangle, so it is the chain.
     exact = amb.name == "E8" and len(d) <= 7 and _orbit_table(len(d), pc.det)[0] != "A7"
     dl = rt.direct_linkage_labels(emb)
     realized = _check_labels("direct labels", dl.labels, sys_, amb.name, exact)

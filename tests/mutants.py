@@ -15,13 +15,15 @@ gives one mutant:
 The mutated module is written back by ``ast.unparse`` into a temporary copy
 of ``src/``, ``tests/``, ``perfbench/`` and ``BENCHMARK.json``, so the tests
 (which find ``src/`` next to themselves) import it.  Tier-1 must pass with
-the modules only written back, or the sweep stops before its first mutant.  The module's own test file runs first, with
-``-x``; only a mutant that passes it runs the full tier-1 suite.  A run that
-exceeds ``--timeout`` counts as killed (``diagram.py:267``'s ``left[0]`` made
-``left[1]`` loops forever).  A mutant that survives both runs is a gap in the
-tests, code that nothing needs, or an equivalent mutant.
+the modules only written back, or the sweep stops before its first mutant.
+The module's own test file runs first, with ``-x``; only a mutant that
+passes it runs the full tier-1 suite.  Two mutants run at a time.  A run
+that exceeds ``--timeout`` counts as killed (``diagram.py:267``'s
+``left[0]`` made ``left[1]`` loops forever).  A mutant that survives both
+runs is a gap in the tests, code that nothing needs, or an equivalent
+mutant.
 
-Each mutant is one JSON line on stdout or in ``--out``.  Run from the root of
+Each mutant is one JSON line on stdout.  Run from the root of
 the repository, for instance on one function:
 
     python tests/mutants.py --module cli --function cmd_verify
@@ -192,9 +194,7 @@ def main(argv=None) -> int:
     p.add_argument("--lines", type=_line_range, action="append",
                    help="a line or line range, as in 188 or 180-200 (repeatable)")
     p.add_argument("--list", action="store_true", help="list the sites; run nothing")
-    p.add_argument("--workers", type=int, default=MAX_WORKERS, choices=range(1, MAX_WORKERS + 1))
     p.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
-    p.add_argument("--out", help="append the JSON lines to this file, not stdout")
     args = p.parse_args(argv)
 
     sites = [s for m in (args.module or sorted(OWN_TESTS)) for s in list_sites(m)]
@@ -203,25 +203,20 @@ def main(argv=None) -> int:
                                          for f in args.function)]
     if args.lines:
         sites = [s for s in sites if any(lo <= s["line"] <= hi for lo, hi in args.lines)]
-    out = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if args.list:
-            for s in sites:
-                print(json.dumps(s), file=out, flush=True)
-            return 0
-        modules = sorted({s["module"] for s in sites})
-        if not unmutated_passes(modules, args.timeout):
-            return 1
-        survived = 0
-        with ThreadPoolExecutor(args.workers) as pool:
-            for r in pool.map(lambda s: run_mutant(s, args.timeout), sites):
-                survived += r["result"] == "survived"
-                print(json.dumps(r), file=out, flush=True)
-        print(f"{len(sites)} mutants, {len(sites) - survived} killed, {survived} survived",
-              file=sys.stderr)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.list:
+        for s in sites:
+            print(json.dumps(s), flush=True)
+        return 0
+    modules = sorted({s["module"] for s in sites})
+    if not unmutated_passes(modules, args.timeout):
+        return 1
+    survived = 0
+    with ThreadPoolExecutor(MAX_WORKERS) as pool:
+        for r in pool.map(lambda s: run_mutant(s, args.timeout), sites):
+            survived += r["result"] == "survived"
+            print(json.dumps(r), flush=True)
+    print(f"{len(sites)} mutants, {len(sites) - survived} killed, {survived} survived",
+          file=sys.stderr)
     return 0
 
 
